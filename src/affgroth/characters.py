@@ -13,7 +13,8 @@ rank-1); twisted data is refused rather than guessed.
 """
 
 from . import weyl as weyl_mod
-from .errors import NotDominant, NotNonNegativeLevel, NotUntwisted
+from .errors import (NonQInput, NotDominant, NotNonNegativeLevel,
+                     NotUntwisted, WindowViolation)
 from .kring import j_map
 from .weights import Weight, weight_from_json, weight_to_json
 
@@ -202,7 +203,9 @@ def weyl_kac_character(cd, mu, N):
         raise NotDominant("highest weight %s is not dominant" % (mu,))
     rho = cd.rho()
     lamr = mu + rho
-    assert cd.level(lamr) > 0
+    if cd.level(lamr) <= 0:
+        raise NotNonNegativeLevel("mu + rho has level %d <= 0"
+                                  % cd.level(lamr))
     num = _numerator(cd, lamr, N + cd.rank)
     dinv = denominator_inverse(cd, N)
     dmu = lambda k: _qplus_depth(k - mu)
@@ -261,7 +264,9 @@ def euler_character(cd, w, mu, N, table):
         sign, vd = res
         tau = vd - rho
         offset0 = mu + lam - tau
-        assert not any(offset0.l)
+        if any(offset0.l):
+            raise NonQInput("offset %s to the dominant twist is not in the "
+                            "root lattice" % (offset0,))
         s0 = sum(offset0.m)
         n_min = -((N - s0) // h)
         for n, cn in c.expand_down(n_min):
@@ -284,8 +289,9 @@ def euler_character(cd, w, mu, N, table):
     for key in acc:
         top = [max(t, x) for t, x in zip(top, key.m)]
     base = Weight(mu.l, top)
-    if cd.is_dominant(mu):
-        assert base == mu, "support escaped the cone below a dominant twist"
+    if cd.is_dominant(mu) and base != mu:
+        raise WindowViolation("support escaped the cone below a dominant "
+                              "twist")
     dbase = lambda k: _qplus_depth(k - base)
     coeffs = {k: c for k, c in acc.items()
               if dbase(k) is not None and dbase(k) <= N}

@@ -4,10 +4,17 @@ A family v = (v_i)_{i in I} of ring elements is a coboundary if there is a
 single B with (1 - s_i)B = v_i for all i.  Necessary conditions checked by
 check_cocycle: (1 + s_i)v_i = 0, and for each finite dihedral pair the two
 alternating partial sums over the subgroup agree.  solve_coboundary finds B
-supported in a level window by exact sparse elimination over Q(q); existence
-inside the window is what the vanishing theory guarantees, and a constructive
-chamber-by-chamber elimination would be a workable alternative strategy, but a
-generic solve plus mandatory verification is simpler and self-checking.
+supported in a level window; existence inside the window is what the
+vanishing theory guarantees.
+
+Every equation of the system reads x_mu - q^{-n} x_{s_i mu} = v_i(mu), with
+one or two unknowns, so the system is a gain graph: unknowns are vertices,
+two-unknown equations are edges whose gains are signed powers of q.  It is
+solved exactly by propagation along a spanning forest.  Each component's
+root carries one unknown t; a cycle of the graph fixes t through an equation
+(1 - q^k) t = c, which is where the (1 - q^k) denominators of G_w come from.
+A component nothing fixes gets t = 0.  The result is re-verified by
+substitution, so a solver fault cannot return a wrong B.
 """
 
 from .coefq import CoefQ, ONE, ZERO
@@ -68,22 +75,29 @@ def _alternating_sum(cd, i, j, m, vi):
     return total
 
 
-def _sigma(cd, i, mu):
-    """normalize(s_i mu) = (twist, key)."""
-    return cd.normalize(cd.reflect(i, mu))
+def _sigma(cd, i, mu, memo):
+    """normalize(s_i mu) = (twist, key), memoized for one solve."""
+    got = memo.get((i, mu))
+    if got is None:
+        got = memo[(i, mu)] = cd.normalize(cd.reflect(i, mu))
+    return got
 
 
-def solve_coboundary(cd, v, window, order_reversed=False, precheck=None,
+def solve_coboundary(cd, v, window, order_reversed=False, precheck=True,
                      max_grow=MAX_GROW):
     """Find B with (1 - s_i)B = v_i for all i, supported in the level window
     (lo, hi].  The window width must not exceed the dual Coxeter number.
 
     Unknowns are coefficients on an adaptively grown support: the union of the
     v_i supports closed k times under all normalized reflections, k = 1, 2, ..
-    until the linear system is consistent (SupportGrowthExceeded after
-    max_grow rounds).  Solutions are not unique; free coefficients are fixed
-    to zero, deterministically in the chosen term order.  The returned B is
-    re-verified by substitution.
+    until the linear system is consistent (Inconsistent if no round is,
+    SupportGrowthExceeded if no consistent round verifies, after max_grow
+    rounds).  Solutions are not unique: the system is solved along a spanning
+    forest of its gain graph, and the root of every component that no
+    equation pins down is set to zero.  Roots are taken in term order, or in
+    reversed term order with order_reversed.  The returned B is re-verified
+    by substitution.  precheck runs check_cocycle first and raises
+    CocycleViolation on failure.
     """
     v = _family(cd, v)
     lo, hi = window
@@ -95,8 +109,6 @@ def solve_coboundary(cd, v, window, order_reversed=False, precheck=None,
             if not lo < cd.level(mu) <= hi:
                 raise WindowViolation("v_%d has a term at level %d outside (%d, %d]"
                                       % (i, cd.level(mu), lo, hi))
-    if precheck is None:
-        precheck = __debug__
     if precheck:
         violations = check_cocycle(cd, v)
         if violations:
@@ -109,14 +121,15 @@ def solve_coboundary(cd, v, window, order_reversed=False, precheck=None,
         return k_zero(cd)
 
     support = set(base)
+    memo = {}
     solvable = False
     for rounds in range(1, max_grow + 1):
         grown = set(support)
         for mu in support:
             for i in cd.labels:
-                grown.add(_sigma(cd, i, mu)[1])
+                grown.add(_sigma(cd, i, mu, memo)[1])
         support = grown
-        sol = _solve_on_support(cd, v, support, order_reversed)
+        sol = _solve_on_support(cd, v, support, order_reversed, memo)
         if sol is not None:
             solvable = True
             B = KElement(cd, sol)
@@ -131,9 +144,10 @@ def solve_coboundary(cd, v, window, order_reversed=False, precheck=None,
         "no verified coboundary within %d support-growth rounds" % max_grow)
 
 
-def _solve_on_support(cd, v, support, order_reversed):
-    """Exact sparse Gauss-Jordan over CoefQ for B supported on `support`.
-    Returns dict weight -> CoefQ, or None if inconsistent."""
+def _solve_on_support(cd, v, support, order_reversed, memo):
+    """Assemble the equations for B supported on `support`, one per label i
+    and key mu, and solve them.  Returns dict weight -> CoefQ, or None if
+    inconsistent."""
     key = lambda mu: (cd.level(mu), mu.l, mu.m)
     variables = sorted(support, key=key, reverse=order_reversed)
     var_pos = {mu: p for p, mu in enumerate(variables)}
@@ -143,14 +157,14 @@ def _solve_on_support(cd, v, support, order_reversed):
         vi = v[i]
         seen_keys = set()
         for mu in variables:
-            for key_mu in (mu, _sigma(cd, i, mu)[1]):
+            for key_mu in (mu, _sigma(cd, i, mu, memo)[1]):
                 if key_mu in seen_keys:
                     continue
                 seen_keys.add(key_mu)
                 coeffs = {}
                 if key_mu in var_pos:
                     coeffs[var_pos[key_mu]] = ONE
-                n, sig = _sigma(cd, i, key_mu)
+                n, sig = _sigma(cd, i, key_mu, memo)
                 if sig in var_pos:
                     c = -CoefQ.q_power(-n)
                     p = var_pos[sig]
@@ -165,71 +179,59 @@ def _solve_on_support(cd, v, support, order_reversed):
                     rows.append((coeffs, rhs))
                 elif not rhs.is_zero():
                     return None
-    return _eliminate(rows, len(variables), variables)
+    return _propagate(rows, variables)
 
 
-def _eliminate(rows, nvars, variables):
-    """Deterministic sparse Gauss-Jordan; pivots chosen by (row sparsity,
-    coefficient complexity, variable order).  Returns the solution with free
-    variables zero, or None if inconsistent."""
-    col_rows = [set() for _ in range(nvars)]
+def _propagate(rows, variables):
+    """Solve rows of one or two entries along a spanning forest of their
+    gain graph.  Each component is walked breadth-first from its first
+    variable, the root, whose value is an unknown t; a tree edge writes its
+    far variable as A + C*t.  A one-entry row or a non-tree edge then reads
+    k*t = c: the first one with k != 0 fixes t (a cycle gives k = q^a - q^b,
+    the source of the (1 - q^k) denominators), every other one must agree.
+    A component nothing fixes gets t = 0.  Returns dict weight -> CoefQ, or
+    None if inconsistent."""
+    incident = [[] for _ in variables]
     for r, (coeffs, _) in enumerate(rows):
         for p in coeffs:
-            col_rows[p].add(r)
-    active = set(range(len(rows)))
-    pivots = []  # (row index, var pos)
-
-    while True:
-        best = None
-        for r in active:
-            coeffs, rhs = rows[r]
-            if not coeffs:
-                continue
-            cand_p = min(coeffs, key=lambda p: (rows[r][0][p].complexity(), p))
-            score = (len(coeffs), rows[r][0][cand_p].complexity(), r)
-            if best is None or score < best[0]:
-                best = (score, r, cand_p)
-        if best is None:
-            break
-        _, r, p = best
-        coeffs, rhs = rows[r]
-        inv = coeffs[p].inv()
-        coeffs = {pp: cc * inv for pp, cc in coeffs.items()}
-        rhs = rhs * inv
-        rows[r] = (coeffs, rhs)
-        active.discard(r)
-        pivots.append((r, p))
-        for r2 in list(col_rows[p]):
-            if r2 == r:
-                continue
-            coeffs2, rhs2 = rows[r2]
-            factor = coeffs2.get(p)
-            if factor is None:
-                continue
-            new2 = dict(coeffs2)
-            for pp, cc in coeffs.items():
-                cur = new2.get(pp)
-                val = -factor * cc if cur is None else cur - factor * cc
-                if val.is_zero():
-                    if pp in new2:
-                        del new2[pp]
-                        col_rows[pp].discard(r2)
-                else:
-                    if cur is None:
-                        col_rows[pp].add(r2)
-                    new2[pp] = val
-            rows[r2] = (new2, rhs2 - factor * rhs)
-
-    for r in active:
-        coeffs, rhs = rows[r]
-        if not coeffs and not rhs.is_zero():
-            return None
-
+            incident[p].append(r)
+    value = [None] * len(variables)  # p -> (A, C) with x_p = A + C*t
+    used = [False] * len(rows)
     solution = {}
-    for r, p in pivots:
-        coeffs, rhs = rows[r]
-        # after full elimination the pivot row holds only its pivot and free
-        # variables; free variables are zero
-        if not rhs.is_zero():
-            solution[variables[p]] = rhs
+    for root in range(len(variables)):
+        if value[root] is not None:
+            continue
+        value[root] = (ZERO, ONE)
+        component = [root]
+        checks = []  # (k, c) with k*t = c
+        for p in component:  # grows while walked: breadth-first
+            a_p, c_p = value[p]
+            for r in incident[p]:
+                if used[r]:
+                    continue
+                used[r] = True
+                coeffs, rhs = rows[r]
+                a = coeffs[p]
+                k = a * c_p
+                c = rhs - a * a_p
+                w = next((w for w in coeffs if w != p), None)
+                if w is not None:
+                    b = coeffs[w]
+                    if value[w] is None:  # tree edge: x_w = (c - k*t)/b
+                        inv = b.inv()
+                        value[w] = (c * inv, -k * inv)
+                        component.append(w)
+                        continue
+                    a_w, c_w = value[w]
+                    k = k + b * c_w
+                    c = c - b * a_w
+                checks.append((k, c))
+        t = next((c * k.inv() for k, c in checks if not k.is_zero()), ZERO)
+        if any(k * t != c for k, c in checks):
+            return None
+        for p in component:
+            a_p, c_p = value[p]
+            x = a_p + c_p * t
+            if not x.is_zero():
+                solution[variables[p]] = x
     return solution

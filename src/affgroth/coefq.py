@@ -127,13 +127,18 @@ class CoefQ:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        if other.is_one():
-            return self
-        if self.is_one():
-            return other
+        if other.den == (1,) and other.num in _UNITS:
+            return self._times_unit(other)
+        if self.den == (1,) and self.num in _UNITS:
+            return other._times_unit(self)
         return CoefQ.make(pmul(self.num, other.num),
                           self.shift + other.shift,
                           pmul(self.den, other.den))
+
+    def _times_unit(self, u):
+        """self * (+-q^n): already canonical, no gcd needed."""
+        num = self.num if u.num[0] == 1 else pneg(self.num)
+        return CoefQ(self.shift + u.shift, num, self.den)
 
     def inv(self):
         if not self.num:
@@ -178,10 +183,6 @@ class CoefQ:
         if not self.num:
             raise ValueError("zero has no top exponent")
         return self.shift + len(self.num) - len(self.den)
-
-    def complexity(self):
-        """Pivot-selection metric: smaller = simpler."""
-        return (len(self.num) + len(self.den), abs(self.shift))
 
     def expand_down(self, n_min):
         """Laurent expansion in descending powers of q (the e^{-delta} adic
@@ -274,6 +275,7 @@ def _qshift(a, k):
     return (0,) * k + tuple(a)
 
 
+_UNITS = ((1,), (-1,))
 ZERO = CoefQ(0, (), (1,))
 ONE = CoefQ(0, (1,), (1,))
 MINUS_ONE = CoefQ(0, (-1,), (1,))

@@ -68,7 +68,8 @@ class NotUntwisted(AffGrothError):
 
 
 class CacheMismatch(AffGrothError):
-    """Cache file was produced for different Cartan data."""
+    """Cache file is unreadable, malformed, or was produced for different
+    Cartan data."""
 
 
 class ParseError(AffGrothError):

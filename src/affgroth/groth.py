@@ -18,6 +18,7 @@ involution, and the coefficient-denominator constraint.
 """
 
 import json
+import os
 
 from . import weyl as weyl_mod
 from .cartan import cartan_from_json, cartan_to_json
@@ -35,7 +36,7 @@ class GrothTable:
         self.entries = {}  # WeylElement -> KElement
         self.verified = set()  # elements that passed verify()
 
-    def compute(self, w, precheck=None):
+    def compute(self, w, precheck=True):
         """G_w, computing and caching every element below it on the way."""
         got = self.entries.get(w)
         if got is not None:
@@ -132,30 +133,53 @@ class GrothTable:
         }
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        """Write the table as JSON.  The bytes go to a temporary file in the
+        same directory that then replaces `path`, so an interrupted save
+        never leaves a truncated cache behind."""
+        tmp = "%s.%d.tmp" % (path, os.getpid())
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(self.to_json(), fh, sort_keys=True, indent=1)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def from_json_obj(cls, obj, cd=None):
-        file_cd = cartan_from_json(obj["cartan"])
-        if cd is not None and cd != file_cd:
-            raise CacheMismatch("cache was built for different Cartan data")
-        table = cls(cd if cd is not None else file_cd)
-        for ent in obj["entries"]:
-            w = weyl_mod.canonicalize(table.cd, tuple(ent["word"]))
-            table.entries[w] = from_json(table.cd, ent["terms"])
-            if ent.get("verified"):
-                table.verified.add(w)
+        """Table from the JSON form written by to_json; CacheMismatch when
+        the object does not have that form or was built for other data."""
+        try:
+            if not isinstance(obj, dict) or obj.get("format") != 1:
+                raise CacheMismatch("not a format-1 cache object")
+            file_cd = cartan_from_json(obj["cartan"])
+            if cd is not None and cd != file_cd:
+                raise CacheMismatch("cache was built for different Cartan "
+                                    "data")
+            table = cls(cd if cd is not None else file_cd)
+            for ent in obj["entries"]:
+                w = weyl_mod.canonicalize(table.cd, tuple(ent["word"]))
+                table.entries[w] = from_json(table.cd, ent["terms"])
+                if ent.get("verified"):
+                    table.verified.add(w)
+        except (KeyError, TypeError, ValueError) as ex:
+            raise CacheMismatch("malformed cache: %s %s"
+                                % (type(ex).__name__, ex)) from ex
         return table
 
     @classmethod
     def load(cls, path, cd=None):
-        with open(path) as fh:
-            return cls.from_json_obj(json.load(fh), cd=cd)
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as ex:
+            raise CacheMismatch("cannot read cache %s: %s" % (path, ex)) from ex
+        return cls.from_json_obj(obj, cd=cd)
 
 
-def grothendieck(cd, word, precheck=None):
+def grothendieck(cd, word, precheck=True):
     """G_w for the element given by a word, with a throwaway table."""
     return GrothTable(cd).compute(weyl_mod.canonicalize(cd, word),
                                   precheck=precheck)

@@ -212,10 +212,40 @@ def test_table_parallel_matches_serial(tmp_path, capsys):
     assert GrothTable.load(str(p1)).entries == GrothTable.load(str(p2)).entries
 
 
-def test_console_entry_point():
+def test_console_entry_point(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "affgroth.cli", "groth", "--type", "A1~",
          "--word", "0,1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env)
     assert proc.returncode == 0
     assert "e[" in proc.stdout
+
+
+@pytest.mark.parametrize("content", ['{"format": 1}', "not json {"])
+def test_cache_malformed_is_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert path.read_text() == content
+
+
+def test_cache_failed_save_keeps_old_file(tmp_path, monkeypatch):
+    cd = from_type("A1~")
+    table = GrothTable(cd)
+    table.compute(weyl.canonicalize(cd, (0, 1)))
+    path = tmp_path / "a1.json"
+    table.save(str(path))
+    before = path.read_bytes()
+
+    def broken():
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(table, "to_json", broken)
+    with pytest.raises(RuntimeError):
+        table.save(str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a1.json"]

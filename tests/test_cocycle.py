@@ -1,11 +1,14 @@
 """Cocycle conditions and the coboundary solver."""
 
+import subprocess
+import sys
+
 import pytest
 
 from affgroth.cartan import from_type
 from affgroth.cocycle import check_cocycle, solve_coboundary
-from affgroth.errors import CocycleViolation, WindowViolation
-from affgroth.kring import in_window, monomial, reflect_act
+from affgroth.errors import CocycleViolation, Inconsistent, WindowViolation
+from affgroth.kring import in_window, k_zero, monomial, reflect_act
 
 import oracles
 
@@ -47,7 +50,7 @@ def test_check_cocycle_accepts_coboundary():
 
 
 def test_solve_round_trip():
-    for t in ("A1~", "A2~"):
+    for t in ("A1~", "A2~", "C2~"):
         cd = from_type(t)
         k = cd.dual_coxeter
         rng = oracles.rng_for("cocycle-solve-" + t)
@@ -100,6 +103,44 @@ def test_precheck_raises():
     bad = {1: monomial(cd, cd.Lam(1) - cd.Lam(0))}
     with pytest.raises(CocycleViolation):
         solve_coboundary(cd, bad, (-1, 1), precheck=True)
+
+
+def test_precheck_survives_optimize(subprocess_env):
+    # the precheck is on by default, also when asserts are compiled out
+    code = ("from affgroth.cartan import from_type\n"
+            "from affgroth.cocycle import solve_coboundary\n"
+            "from affgroth.errors import CocycleViolation\n"
+            "from affgroth.kring import monomial\n"
+            "cd = from_type('A1~')\n"
+            "bad = {1: monomial(cd, cd.Lam(1) - cd.Lam(0))}\n"
+            "try:\n"
+            "    solve_coboundary(cd, bad, (-1, 1))\n"
+            "except CocycleViolation:\n"
+            "    print('CocycleViolation')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=subprocess_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "CocycleViolation"
+
+
+def test_inconsistent_without_precheck():
+    cd = from_type("A1~")
+    bad = {1: monomial(cd, cd.Lam(1) - cd.Lam(0))}
+    with pytest.raises(Inconsistent):
+        solve_coboundary(cd, bad, (-1, 1), precheck=False)
+
+
+def test_cycle_fixes_root():
+    # at level 0, s_1 and s_0 both swap e^{a1} and e^{-a1}, the latter with a
+    # delta shift of 2: the cycle pins the root to 1/(1 - q^2) times a unit
+    cd = from_type("A1~")
+    a = monomial(cd, cd.alpha(1))
+    v = {1: a - reflect_act(cd, 1, a)}
+    B = solve_coboundary(cd, v, (-2, 0))
+    for i in cd.labels:
+        assert B - reflect_act(cd, i, B) == v.get(i, k_zero(cd))
+    assert set(B.terms) == {cd.alpha(1), -cd.alpha(1)}
+    assert all(c.den == (-1, 0, 1) for c in B.terms.values())  # q^2 - 1
 
 
 def test_solver_fills_missing_labels():
