@@ -11,7 +11,11 @@ import subprocess
 import sys
 import time
 
-from affgroth import _qpoly_py as pure
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+sys.path.insert(0, SRC)
+
+from affgroth import _qpoly_py as pure  # noqa: E402
 
 try:
     from affgroth import _qpoly_c as compiled
@@ -84,6 +88,8 @@ def main():
     print("\nend to end: table --type A2~ --max-length 4")
     for name, env_val in (("pure", "1"), ("compiled", "")):
         env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
         if env_val:
             env["AFFGROTH_PURE"] = env_val
         else:

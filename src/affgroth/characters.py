@@ -8,6 +8,11 @@ modules, relative local-cohomology characters of Schubert cells against G_w,
 and Euler characteristics of twisted structure sheaves.  Only the sheaf-level
 Euler characteristic is computed; individual cohomology groups are not.
 
+Every character divides by the Weyl-Kac denominator
+prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha}.  Its inverse is the product of
+one binomial series per positive root; one copy per Cartan datum is kept at
+the deepest cutoff asked for, and shallower cutoffs are cut from it.
+
 Root multiplicities are hardwired for untwisted data (real 1, imaginary
 rank-1); twisted data is refused rather than guessed.
 """
@@ -143,27 +148,45 @@ def _qplus_depth(kappa):
     return -sum(kappa.m)
 
 
+_DINV = {}  # cd -> (cutoff, inverse denominator to that depth)
+
+
 def denominator_inverse(cd, N):
     """prod_{alpha > 0} (1 - e^{-alpha})^{-mult(alpha)} to depth N, as a dict
-    on -Q_+ with integer coefficients (Neumann series against 1 - R)."""
+    on -Q_+ with integer coefficients; empty for N < 0.
+
+    The product runs over one binomial series per positive root,
+    (1 - e^{-beta})^{-m} = sum_k C(m+k-1, k) e^{-k beta}.  One series per
+    Cartan datum is kept, at the deepest cutoff asked for so far; a shallower
+    cutoff is that series cut by depth, which is exact because depth adds
+    under products.  Every call returns a fresh dict.
+    """
+    if N < 0:
+        return {}
+    got = _DINV.get(cd)
+    if got is None or got[0] < N:
+        got = (N, _build_denominator_inverse(cd, N))
+        _DINV[cd] = got
+    depth, series = got
+    if depth == N:
+        return dict(series)
+    return {k: c for k, c in series.items() if -sum(k.m) <= N}
+
+
+def _build_denominator_inverse(cd, N):
     zero = cd.zero()
-    D = {zero: 1}
+    X = {zero: 1}
     for beta, mult in positive_roots_with_mult(cd, N):
         step = sum(beta.m)
+        # (1 - e^{-beta})^{-mult}, cut at depth N
         factor = {zero: 1}
-        # (1 - e^{-beta})^mult, cut at depth N
         coeff = 1
-        for k in range(1, mult + 1):
-            if k * step > N:
-                break
-            coeff = -coeff * (mult - k + 1) // k
-            factor[-k * beta] = coeff
-        D = _mul_trunc(D, factor, N, _qplus_depth, _qplus_depth)
-    R = {k: -c for k, c in D.items() if k != zero}  # D = 1 - R
-    X = {zero: 1}
-    for _ in range(N):
-        X = _mul_trunc(R, X, N, _qplus_depth, _qplus_depth)
-        X[zero] = X.get(zero, 0) + 1
+        key = zero
+        for k in range(1, N // step + 1):
+            coeff = coeff * (mult + k - 1) // k
+            key = key - beta
+            factor[key] = coeff
+        X = _mul_trunc(X, factor, N, _qplus_depth, _qplus_depth)
     return X
 
 

@@ -194,6 +194,8 @@ def cmd_verify(args, parser):
 
 
 def cmd_char(args, parser):
+    if args.cutoff < 0:
+        parser.error("--cutoff must be >= 0, got %d" % args.cutoff)
     cd = _cartan_of(args, parser)
     mu = parse_weight(args.weight, cd.rank)
     table, path = _load_table(cd, args)

@@ -91,12 +91,6 @@ class CoefQ:
     def is_one(self):
         return self.shift == 0 and self.num == (1,) and self.den == (1,)
 
-    def is_monomial(self):
-        return self.den == (1,) and len(self.num) == 1
-
-    def is_polynomial(self):
-        return self.den == (1,)
-
     # --- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):

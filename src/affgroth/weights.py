@@ -9,6 +9,7 @@ Text form: "2*L0 - L1 + a1 - 3*a2" (the '*' is optional on input), "0" for the
 zero weight.  JSON form: {"l": [...], "m": [...]}.
 """
 
+import operator
 import re
 
 from .errors import ParseError, UnknownNode
@@ -25,18 +26,20 @@ class Weight:
         self._hash = hash((self.l, self.m))
 
     def __eq__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
         return self.l == other.l and self.m == other.m
 
     def __hash__(self):
         return self._hash
 
     def __add__(self, other):
-        return Weight(tuple(a + b for a, b in zip(self.l, other.l)),
-                      tuple(a + b for a, b in zip(self.m, other.m)))
+        return Weight(tuple(map(operator.add, self.l, other.l)),
+                      tuple(map(operator.add, self.m, other.m)))
 
     def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self.l, other.l)),
-                      tuple(a - b for a, b in zip(self.m, other.m)))
+        return Weight(tuple(map(operator.sub, self.l, other.l)),
+                      tuple(map(operator.sub, self.m, other.m)))
 
     def __neg__(self):
         return Weight(tuple(-a for a in self.l), tuple(-a for a in self.m))

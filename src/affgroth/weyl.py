@@ -27,7 +27,10 @@ class WeylElement:
         return len(self.word)
 
     def __eq__(self, other):
-        return self.rho_image == other.rho_image
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return (self.rho_image == other.rho_image
+                and (self.cd is other.cd or self.cd == other.cd))
 
     def __hash__(self):
         return self._hash

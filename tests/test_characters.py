@@ -167,3 +167,64 @@ def test_series_validation_and_json():
     assert ch.depth(mu) == 0
     assert ch.depth(mu - cd.alpha(0)) == 1
     assert ch.depth(mu + cd.alpha(0)) is None
+
+
+def _oracle_denominator(cd, N):
+    """prod_{alpha > 0} (1 - e^{-alpha})^mult on root coordinates m, expanded
+    with plain tuple arithmetic and cut at depth N."""
+    zero = (0,) * cd.rank
+    D = {zero: 1}
+    for beta, mult in positive_roots_with_mult(cd, N):
+        for _ in range(mult):
+            nxt = dict(D)
+            for m, c in D.items():
+                key = tuple(x - b for x, b in zip(m, beta.m))
+                if -sum(key) <= N:
+                    nxt[key] = nxt.get(key, 0) - c
+            D = {m: c for m, c in nxt.items() if c}
+    return D
+
+
+def _times_oracle(cd, dinv, N):
+    out = {}
+    for m, c in _oracle_denominator(cd, N).items():
+        for k, ck in dinv.items():
+            assert not any(k.l)
+            key = tuple(x + y for x, y in zip(m, k.m))
+            if -sum(key) <= N:
+                out[key] = out.get(key, 0) + c * ck
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("t,N", [("A1~", 10), ("A2~", 7), ("C2~", 7),
+                                 ("A3~", 5), ("D4~", 4)])
+def test_denominator_inverse_against_product(t, N):
+    cd = from_type(t)
+    one = {(0,) * cd.rank: 1}
+    # deep, then shallow (cut from the stored series), then deeper (rebuilt)
+    for n in (N, N - 3, N + 1):
+        dinv = denominator_inverse(cd, n)
+        assert all(-sum(k.m) <= n for k in dinv), (t, n)
+        assert _times_oracle(cd, dinv, n) == one, (t, n)
+
+
+def test_denominator_inverse_returns_fresh_dicts():
+    # deeper than any other test goes for A1~, so the first call returns a
+    # copy of the stored series itself and the second one a cut of it
+    cd = from_type("A1~")
+    deep = denominator_inverse(cd, 16)
+    shallow = denominator_inverse(cd, 4)
+    want_deep, want_shallow = dict(deep), dict(shallow)
+    for d in (deep, shallow):
+        d[cd.zero()] = 99
+        d.pop(-cd.alpha(0))
+    assert denominator_inverse(cd, 16) == want_deep
+    assert denominator_inverse(cd, 4) == want_shallow
+
+
+def test_denominator_inverse_negative_cutoff():
+    cd = from_type("C2~")
+    assert denominator_inverse(cd, -1) == {}
+    denominator_inverse(cd, 3)
+    assert denominator_inverse(cd, -1) == {}
+    assert denominator_inverse(cd, 0) == {cd.zero(): 1}

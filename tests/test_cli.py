@@ -147,6 +147,15 @@ def test_localize_above_vanishes(capsys):
     assert out.strip() == "0"
 
 
+@pytest.mark.parametrize("mode", [(), ("--euler",), ("--local", "0")])
+def test_char_negative_cutoff_usage_error(capsys, mode):
+    with pytest.raises(SystemExit) as ei:
+        main(["char", "--type", "A1~", "--weight", "L0", "--cutoff", "-1"]
+             + list(mode))
+    assert ei.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err
+
+
 def test_parse_error_exit_2(capsys):
     status, _, err = run(capsys, "char", "--type", "A1~", "--weight", "L0 +",
                          "--cutoff", "2")

@@ -75,3 +75,10 @@ def test_json_round_trip():
         w = Weight(tuple(rng.randint(-3, 3) for _ in range(3)),
                    tuple(rng.randint(-3, 3) for _ in range(3)))
         assert weight_from_json(weight_to_json(w)) == w
+
+
+def test_eq_foreign_type():
+    a = Weight((1, 0), (0, 2))
+    assert not (a == None)  # noqa: E711
+    assert a != None  # noqa: E711
+    assert a != ((1, 0), (0, 2))

@@ -121,3 +121,18 @@ def test_reduced_words():
     w4 = weyl.canonicalize(cd4, (0, 1, 0, 1))
     assert set(weyl.reduced_words(w4)) == {(0, 1, 0, 1), (1, 0, 1, 0)}
     assert weyl.reduced_words(weyl.identity(cd)) == [()]
+
+
+def test_eq_compares_cartan_data():
+    a = weyl.canonicalize(from_type("C2~"), (0,))
+    b = weyl.canonicalize(from_type("A2~"), (0,))
+    assert a.rho_image == b.rho_image  # same rank, same image of rho
+    assert a != b
+    assert a == weyl.canonicalize(from_type("C2~"), (0,))  # equal data, new object
+    assert len({a, b}) == 2
+
+
+def test_eq_foreign_type():
+    e = weyl.identity(from_type("A1~"))
+    assert not (e == None)  # noqa: E711
+    assert e != ()
