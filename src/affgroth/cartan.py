@@ -97,7 +97,8 @@ class AffineCartanData:
     """
 
     __slots__ = ("gcm", "labels", "marks", "comarks", "d", "node0", "orders",
-                 "dual_coxeter", "type_string", "untwisted", "_clpos")
+                 "dual_coxeter", "type_string", "untwisted", "_clpos",
+                 "_weyl_mul", "_weyl_layers")
 
     def __init__(self, gcm, marks, comarks, d, node0, orders, type_string, untwisted):
         self.gcm = gcm
@@ -111,6 +112,8 @@ class AffineCartanData:
         self.type_string = type_string
         self.untwisted = untwisted
         self._clpos = None
+        self._weyl_mul = {}  # (rho image, i) -> w s_i, filled by weyl.mul_gen
+        self._weyl_layers = []  # length layers, extended by weyl.enumerate_up_to
 
     @property
     def rank(self):

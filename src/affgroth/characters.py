@@ -50,8 +50,10 @@ class TruncatedSeries:
         return self.coeffs.get(kappa, 0)
 
     def __eq__(self, other):
-        return (self.base == other.base and self.cutoff == other.cutoff
-                and self.coeffs == other.coeffs)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return (self.cd == other.cd and self.base == other.base
+                and self.cutoff == other.cutoff and self.coeffs == other.coeffs)
 
     def __len__(self):
         return len(self.coeffs)

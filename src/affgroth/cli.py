@@ -120,7 +120,13 @@ def cmd_groth(args, parser):
     return status
 
 
+def _require_nonnegative(parser, flag, value):
+    if value is not None and value < 0:
+        parser.error("%s must be >= 0, got %d" % (flag, value))
+
+
 def cmd_table(args, parser):
+    _require_nonnegative(parser, "--max-length", args.max_length)
     cd = _cartan_of(args, parser)
     table, path = _load_table(cd, args)
     prior = _table_state(table)
@@ -168,6 +174,8 @@ def _worker_compute(word):
 
 
 def cmd_verify(args, parser):
+    _require_nonnegative(parser, "--max-length", args.max_length)
+    _require_nonnegative(parser, "--probe-length", args.probe_length)
     cd = _cartan_of(args, parser)
     table, path = _load_table(cd, args)
     prior = _table_state(table)
@@ -194,8 +202,7 @@ def cmd_verify(args, parser):
 
 
 def cmd_char(args, parser):
-    if args.cutoff < 0:
-        parser.error("--cutoff must be >= 0, got %d" % args.cutoff)
+    _require_nonnegative(parser, "--cutoff", args.cutoff)
     cd = _cartan_of(args, parser)
     mu = parse_weight(args.weight, cd.rank)
     table, path = _load_table(cd, args)

@@ -210,15 +210,40 @@ def demazure_word(word, f):
 
 def j_map(w, f):
     """Localization at w: e^{lambda + alpha} -> e^{w(lambda + alpha) - lambda}
-    (lambda the Lambda-part); lands in exp(Q) with q-powers from delta."""
+    (lambda the Lambda-part); lands in exp(Q) with q-powers from delta.
+
+    Unlike the other operators, j_map sends many terms to one key, and most
+    keys sum to zero.  The terms are therefore grouped by output key and
+    then by denominator; within a group the q-shifted numerators are added
+    as integer lists and canonicalized by one CoefQ.make.  The groups of a
+    key are then added as CoefQ, and keys whose sum is zero are dropped.
+    """
     cd = f.cd
-    zero_l = (0,) * cd.rank
-    out = {}
+    node0, marks = cd.node0, cd.marks
+    groups = {}  # (m-coordinates, den) -> [(shift, num), ...]
     for mu, c in f.terms.items():
-        img = weyl_mod.act(w, mu)
-        n, nu = cd.normalize(Weight(zero_l, img.m))
-        _acc(out, nu, c * CoefQ.q_power(n) if n else c)
-    return KElement(cd, out)
+        m = weyl_mod.act(w, mu).m
+        n = m[node0]
+        if n:
+            m = tuple(mj - n * aj for mj, aj in zip(m, marks))
+        groups.setdefault((m, c.den), []).append((c.shift + n, c.num))
+    sums = {}
+    for (m, den), parts in groups.items():
+        if len(parts) == 1:
+            ((shift, num),) = parts
+            c = CoefQ(shift, num, den)  # a shifted canonical term stays canonical
+        else:
+            shift = min(sh for sh, _ in parts)
+            acc = [0] * max(sh - shift + len(num) for sh, num in parts)
+            for sh, num in parts:
+                for k, x in enumerate(num, sh - shift):
+                    acc[k] += x
+            c = CoefQ.make(acc, shift, den)
+        prev = sums.get(m)
+        sums[m] = c if prev is None else prev + c
+    zero_l = (0,) * cd.rank
+    return KElement(cd, {Weight(zero_l, m): c for m, c in sums.items()
+                         if not c.is_zero()})
 
 
 def psi(f):

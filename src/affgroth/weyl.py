@@ -4,7 +4,13 @@ Bruhat order and length-bounded enumeration.
 Elements are identified by their image of rho (regular dominant), which is a
 faithful encoding; the stored word is the canonical reduced word obtained by
 repeatedly extracting the smallest-label left descent.
+
+Right multiplication by a generator and the length layers are memoized per
+Cartan datum, on the AffineCartanData object itself, so every element handed
+out carries the caller's datum.
 """
+
+import operator
 
 from .errors import BadWord
 from .weights import Weight
@@ -72,16 +78,25 @@ def _from_rho_image(cd, v):
 
 
 def act(w, x):
-    """w(x) for a Weight x; the rightmost letter acts first."""
-    cd = w.cd
+    """w(x) for a Weight x; the rightmost letter acts first.  Each letter
+    s_i does m[i] -= <h_i, x> = l[i] + sum_j a_ij m[j] on one coordinate
+    list; the Lambda coordinates never change."""
+    gcm = w.cd.gcm
+    l = x.l
+    m = list(x.m)
     for i in reversed(w.word):
-        x = cd.reflect(i, x)
-    return x
+        m[i] -= l[i] + sum(map(operator.mul, gcm[i], m))
+    return Weight(l, m)
 
 
 def mul_gen(w, i):
-    """w * s_i."""
-    return canonicalize(w.cd, w.word + (i,))
+    """w * s_i, memoized per Cartan datum by (rho image, i)."""
+    memo = w.cd._weyl_mul
+    key = (w.rho_image, i)
+    x = memo.get(key)
+    if x is None:
+        x = memo[key] = canonicalize(w.cd, w.word + (i,))
+    return x
 
 
 def inverse(w):
@@ -133,22 +148,24 @@ def bruhat_leq(x, w):
 
 def enumerate_up_to(cd, max_length):
     """Layers [L_0, L_1, ..] of all elements with length <= max_length, each
-    layer sorted by canonical word."""
-    layers = [[identity(cd)]]
-    for _ in range(max_length):
+    layer sorted by canonical word; [[e]] when max_length < 0.  The layers
+    are kept per Cartan datum and extended on demand; every call returns
+    fresh lists."""
+    layers = cd._weyl_layers
+    if not layers:
+        layers.append([identity(cd)])
+    while len(layers) <= max_length:
         seen = set()
         new = []
         for w in layers[-1]:
             for i in cd.labels:
-                if i in right_descents(w):
-                    continue
                 x = mul_gen(w, i)
-                if x.rho_image not in seen:
+                if x.length > w.length and x.rho_image not in seen:
                     seen.add(x.rho_image)
                     new.append(x)
         new.sort(key=lambda w: w.word)
         layers.append(new)
-    return layers
+    return [list(layer) for layer in layers[:max(max_length, 0) + 1]]
 
 
 def reduced_words(w):

@@ -169,6 +169,17 @@ def test_series_validation_and_json():
     assert ch.depth(mu + cd.alpha(0)) is None
 
 
+def test_series_eq_compares_cartan_data():
+    a2, c2 = from_type("A2~"), from_type("C2~")
+    mu = a2.Lam(0)
+    assert TruncatedSeries(a2, mu, 2, {mu: 1}) != TruncatedSeries(c2, mu, 2, {mu: 1})
+    assert (TruncatedSeries(a2, mu, 2, {mu: 1})
+            == TruncatedSeries(from_type("A2~"), mu, 2, {mu: 1}))
+    ch = weyl_kac_character(from_type("A1~"), from_type("A1~").Lam(0), 2)
+    assert not (ch == None)  # noqa: E711
+    assert ch != 0
+
+
 def _oracle_denominator(cd, N):
     """prod_{alpha > 0} (1 - e^{-alpha})^mult on root coordinates m, expanded
     with plain tuple arithmetic and cut at depth N."""

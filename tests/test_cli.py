@@ -156,6 +156,20 @@ def test_char_negative_cutoff_usage_error(capsys, mode):
     assert "--cutoff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("table", "--max-length", "-2"), "--max-length"),
+    (("verify", "--max-length", "-1"), "--max-length"),
+    (("verify", "--max-length", "2", "--probe-length", "-3"), "--probe-length"),
+])
+def test_negative_length_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as ei:
+        main([argv[0], "--type", "A1~"] + list(argv[1:]))
+    assert ei.value.code == 2
+    out = capsys.readouterr()
+    assert flag in out.err
+    assert out.out == ""
+
+
 def test_parse_error_exit_2(capsys):
     status, _, err = run(capsys, "char", "--type", "A1~", "--weight", "L0 +",
                          "--cutoff", "2")

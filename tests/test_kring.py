@@ -5,6 +5,7 @@ import pytest
 from affgroth.cartan import from_type
 from affgroth.coefq import CoefQ, ONE, Q
 from affgroth.errors import NonQInput
+from affgroth.groth import GrothTable
 from affgroth.kring import (demazure, demazure_word, eta_embed, from_json,
                             from_terms, in_window, j_map, k_one, k_scalar,
                             k_zero, monomial, orbit_sum, psi, reflect_act,
@@ -208,3 +209,63 @@ def test_json_round_trip():
         f = oracles.random_element(cd, rng)
         assert from_json(cd, to_json(f)) == f
     assert from_json(cd, to_json(k_zero(cd))).is_zero()
+
+
+def _j_map_term_sum(x, f):
+    """j_x(f) added term by term: the letters of x applied one reflection at
+    a time, each image delta-normalized and added into a dict of CoefQ."""
+    cd = f.cd
+    zero_l = (0,) * cd.rank
+    out = {}
+    for mu, c in f.terms.items():
+        img = mu
+        for i in reversed(x.word):
+            img = cd.reflect(i, img)
+        n, nu = cd.normalize(Weight(zero_l, img.m))
+        out[nu] = out.get(nu, CoefQ.from_int(0)) + c * CoefQ.q_power(n)
+    return {nu: c for nu, c in out.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("t", ["A1~", "A2~", "C2~", "A3~", "D4~"])
+def test_j_map_equals_term_sum(t):
+    cd = from_type(t)
+    rng = oracles.rng_for("kring-jmap-sum-" + t)
+    cancelled = mixed = 0
+    for _ in range(10):
+        x = weyl.canonicalize(cd, oracles.random_word(cd, rng, max_len=5))
+        f = oracles.random_element(cd, rng, max_terms=5)
+        # mu + x^{-1}(Lam_k) has the same j_x image as mu; its coefficient
+        # either cancels mu's or adds to it over a (1 - q^k) denominator
+        pairs = []
+        for mu, c in f.terms.items():
+            k = rng.choice(cd.labels)
+            twin = cd.Lam(k)
+            for i in x.word:
+                twin = cd.reflect(i, twin)
+            den = CoefQ.one_minus_q_power(rng.randint(1, 3)).inv()
+            pairs.append((mu + twin, -c if rng.random() < 0.5 else c * den))
+        f = f + from_terms(cd, pairs)
+        want = _j_map_term_sum(x, f)
+        assert j_map(x, f).terms == want, (t, x.word)
+        keys = {}
+        for mu, c in f.terms.items():
+            (nu,) = _j_map_term_sum(x, monomial(cd, mu, c))
+            keys.setdefault(nu, []).append(c.den)
+        cancelled += sum(1 for nu in keys if nu not in want)
+        mixed += sum(1 for dens in keys.values() if len(set(dens)) > 1)
+    assert cancelled and mixed, (cancelled, mixed)
+
+
+def test_j_map_equals_term_sum_on_groth():
+    # localizations of G_w: mixed (1 - q^k) denominators, and every key
+    # cancels at the x not above w
+    cd = from_type("C2~")
+    table = GrothTable(cd)
+    elems = [u for layer in weyl.enumerate_up_to(cd, 3) for u in layer]
+    for w in elems[::3]:
+        g = table.compute(w)
+        for x in elems:
+            got = j_map(x, g)
+            assert got.terms == _j_map_term_sum(x, g), (w.word, x.word)
+            if not weyl.bruhat_leq(w, x):
+                assert got.is_zero()

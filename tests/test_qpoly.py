@@ -1,12 +1,11 @@
-"""Integer polynomial kernels, pure backend and (when built) the compiled one.
+"""Integer polynomial kernels.
 
 Polynomials are int tuples, constant term first, no trailing zeros; () is 0.
 """
 
 import pytest
 
-from affgroth import qpoly
-from affgroth import _qpoly_py as py
+from affgroth import qpoly as py
 
 import oracles
 
@@ -111,32 +110,4 @@ def _try_div(a, b):
 
 
 def test_backend_reported():
-    assert qpoly.BACKEND in ("pure", "compiled")
-
-
-def test_backend_agreement():
-    try:
-        from affgroth import _qpoly_c as cc
-    except ImportError:
-        pytest.skip("compiled backend not built")
-    rng = oracles.rng_for("qpoly-backends")
-    for _ in range(80):
-        a = rand_poly(rng, max_deg=7, max_c=9)
-        b = rand_poly(rng, max_deg=7, max_c=9)
-        assert cc.padd(a, b) == py.padd(a, b)
-        assert cc.psub(a, b) == py.psub(a, b)
-        assert cc.pneg(a) == py.pneg(a)
-        assert cc.pmul(a, b) == py.pmul(a, b)
-        assert cc.pcontent(a) == py.pcontent(a)
-        assert cc.pprimitive(a) == py.pprimitive(a)
-        assert cc.pgcd(a, b) == py.pgcd(a, b)
-        if b:
-            ab = py.pmul(a, b)
-            assert cc.pdivexact(ab, b) == a
-            try:
-                expect = py.pdivexact(a, b)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    cc.pdivexact(a, b)
-            else:
-                assert cc.pdivexact(a, b) == expect
+    assert py.BACKEND == "pure"

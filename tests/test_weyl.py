@@ -136,3 +136,46 @@ def test_eq_foreign_type():
     e = weyl.identity(from_type("A1~"))
     assert not (e == None)  # noqa: E711
     assert e != ()
+
+
+def test_act_equals_reflections():
+    for t in ("A1~", "A2~", "C2~", "A3~", "D4~"):
+        cd = from_type(t)
+        rng = oracles.rng_for("weyl-act-reflect-" + t)
+        for _ in range(20):
+            w = weyl.canonicalize(cd, oracles.random_word(cd, rng, max_len=6))
+            x = oracles.random_weight(cd, rng)
+            want = x
+            for i in reversed(w.word):
+                want = cd.reflect(i, want)
+            assert weyl.act(w, x) == want, (t, w.word, x)
+
+
+def test_enumerate_long_then_short():
+    cd = from_type("C2~")
+    deep = weyl.enumerate_up_to(cd, 4)
+    kept = [list(layer) for layer in deep]
+    deep[1].clear()
+    deep.append(["junk"])
+    short = weyl.enumerate_up_to(cd, 2)
+    assert short == kept[:3]
+    assert short == weyl.enumerate_up_to(from_type("C2~"), 2)
+    assert weyl.enumerate_up_to(cd, 4) == kept
+    assert weyl.enumerate_up_to(cd, 5)[:5] == kept
+
+
+def test_enumerate_negative_length():
+    cd = from_type("A2~")
+    assert weyl.enumerate_up_to(cd, -1) == [[weyl.identity(cd)]]
+    weyl.enumerate_up_to(cd, 3)
+    assert weyl.enumerate_up_to(cd, -2) == [[weyl.identity(cd)]]
+
+
+def test_results_carry_callers_datum():
+    a, b = from_type("A2~"), from_type("A2~")
+    assert a == b and a is not b
+    for cd in (a, b, a):
+        w = weyl.canonicalize(cd, (0, 1))
+        assert weyl.mul_gen(w, 2).cd is cd
+        assert all(x.cd is cd for layer in weyl.enumerate_up_to(cd, 3)
+                   for x in layer)
