@@ -131,46 +131,12 @@ def cmd_table(args, parser):
     table, path = _load_table(cd, args)
     prior = _table_state(table)
     layers = weyl_mod.enumerate_up_to(cd, args.max_length)
-    jobs = args.jobs or 1
     for length, layer in enumerate(layers):
-        todo = [w for w in layer if w not in table.entries]
-        if todo and jobs > 1 and length > 0:
-            _compute_layer_parallel(table, todo, jobs)
-        else:
-            for w in layer:
-                table.compute(w)
-        total = sum(len(table.entries[w]) for w in layer)
+        total = sum(len(table.compute(w)) for w in layer)
         sys.stdout.write("length %d: %d elements, %d terms\n"
                          % (length, len(layer), total))
     _save_table(table, path, prior)
     return 0
-
-
-def _compute_layer_parallel(table, todo, jobs):
-    import multiprocessing as mp
-
-    state = table.to_json()
-    with mp.Pool(min(jobs, len(todo)), initializer=_worker_init,
-                 initargs=(state,)) as pool:
-        results = pool.map(_worker_compute, [list(w.word) for w in todo])
-    from .kring import from_json as kring_from_json
-    for word, terms in sorted(results):
-        w = weyl_mod.canonicalize(table.cd, tuple(word))
-        table.entries[w] = kring_from_json(table.cd, terms)
-
-
-_WORKER_TABLE = None
-
-
-def _worker_init(state):
-    global _WORKER_TABLE
-    _WORKER_TABLE = GrothTable.from_json_obj(state)
-
-
-def _worker_compute(word):
-    from .kring import to_json as kring_to_json
-    w = weyl_mod.canonicalize(_WORKER_TABLE.cd, tuple(word))
-    return word, kring_to_json(_WORKER_TABLE.compute(w))
 
 
 def cmd_verify(args, parser):
@@ -259,8 +225,6 @@ def build_parser():
     sp = sub.add_parser("table", help="compute all G_w up to a length")
     _add_common(sp)
     sp.add_argument("--max-length", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers per layer")
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("verify", help="verify table entries up to a length")

@@ -15,6 +15,13 @@ root carries one unknown t; a cycle of the graph fixes t through an equation
 (1 - q^k) t = c, which is where the (1 - q^k) denominators of G_w come from.
 A component nothing fixes gets t = 0.  The result is re-verified by
 substitution, so a solver fault cannot return a wrong B.
+
+Only one equation per label i and s_i-orbit {mu, s_i mu} is assembled.  That
+is exact once the cocycle conditions hold, which is why solve_coboundary
+always checks them first: (1 + s_i)v_i = 0 makes the equation at s_i mu
+equal to -q^n times the one at mu, and a key fixed by s_i has n = 0
+(s_i mu - mu is a multiple of alpha_i, never a nonzero multiple of delta),
+so its equation reads 0 = v_i(mu), which (1 + s_i)v_i = 0 already forces.
 """
 
 from .coefq import CoefQ, ONE, ZERO
@@ -83,21 +90,23 @@ def _sigma(cd, i, mu, memo):
     return got
 
 
-def solve_coboundary(cd, v, window, order_reversed=False, precheck=True,
-                     max_grow=MAX_GROW):
+def solve_coboundary(cd, v, window, order_reversed=False):
     """Find B with (1 - s_i)B = v_i for all i, supported in the level window
     (lo, hi].  The window width must not exceed the dual Coxeter number.
 
     Unknowns are coefficients on an adaptively grown support: the union of the
     v_i supports closed k times under all normalized reflections, k = 1, 2, ..
     until the linear system is consistent (Inconsistent if no round is,
-    SupportGrowthExceeded if no consistent round verifies, after max_grow
+    SupportGrowthExceeded if no consistent round verifies, after MAX_GROW
     rounds).  Solutions are not unique: the system is solved along a spanning
     forest of its gain graph, and the root of every component that no
     equation pins down is set to zero.  Roots are taken in term order, or in
     reversed term order with order_reversed.  The returned B is re-verified
-    by substitution.  precheck runs check_cocycle first and raises
-    CocycleViolation on failure.
+    by substitution.
+
+    check_cocycle always runs first and raises CocycleViolation on failure:
+    the system holds one equation per s_i-orbit of keys, which stands for
+    the whole orbit only when the cocycle conditions hold.
     """
     v = _family(cd, v)
     lo, hi = window
@@ -109,10 +118,9 @@ def solve_coboundary(cd, v, window, order_reversed=False, precheck=True,
             if not lo < cd.level(mu) <= hi:
                 raise WindowViolation("v_%d has a term at level %d outside (%d, %d]"
                                       % (i, cd.level(mu), lo, hi))
-    if precheck:
-        violations = check_cocycle(cd, v)
-        if violations:
-            raise CocycleViolation(violations)
+    violations = check_cocycle(cd, v)
+    if violations:
+        raise CocycleViolation(violations)
 
     base = set()
     for vi in v.values():
@@ -123,7 +131,7 @@ def solve_coboundary(cd, v, window, order_reversed=False, precheck=True,
     support = set(base)
     memo = {}
     solvable = False
-    for rounds in range(1, max_grow + 1):
+    for _ in range(MAX_GROW):
         grown = set(support)
         for mu in support:
             for i in cd.labels:
@@ -139,14 +147,16 @@ def solve_coboundary(cd, v, window, order_reversed=False, precheck=True,
     if not solvable:
         raise Inconsistent(
             "coboundary system insolvable after %d support-growth rounds"
-            % max_grow)
+            % MAX_GROW)
     raise SupportGrowthExceeded(
-        "no verified coboundary within %d support-growth rounds" % max_grow)
+        "no verified coboundary within %d support-growth rounds" % MAX_GROW)
 
 
 def _solve_on_support(cd, v, support, order_reversed, memo):
     """Assemble the equations for B supported on `support`, one per label i
-    and key mu, and solve them.  Returns dict weight -> CoefQ, or None if
+    and s_i-orbit {mu, s_i mu} of the support (see the module docstring),
+    and solve them.  Each goes at the orbit's first key in variable order; a
+    key fixed by s_i gives none.  Returns dict weight -> CoefQ, or None if
     inconsistent."""
     key = lambda mu: (cd.level(mu), mu.l, mu.m)
     variables = sorted(support, key=key, reverse=order_reversed)
@@ -155,30 +165,16 @@ def _solve_on_support(cd, v, support, order_reversed, memo):
     rows = []  # (coeffs: dict var_pos -> CoefQ, rhs: CoefQ)
     for i in cd.labels:
         vi = v[i]
-        seen_keys = set()
-        for mu in variables:
-            for key_mu in (mu, _sigma(cd, i, mu, memo)[1]):
-                if key_mu in seen_keys:
-                    continue
-                seen_keys.add(key_mu)
-                coeffs = {}
-                if key_mu in var_pos:
-                    coeffs[var_pos[key_mu]] = ONE
-                n, sig = _sigma(cd, i, key_mu, memo)
-                if sig in var_pos:
-                    c = -CoefQ.q_power(-n)
-                    p = var_pos[sig]
-                    prev = coeffs.get(p)
-                    c = c if prev is None else prev + c
-                    if c.is_zero():
-                        coeffs.pop(p, None)
-                    else:
-                        coeffs[p] = c
-                rhs = vi.terms.get(key_mu, ZERO)
-                if coeffs:
-                    rows.append((coeffs, rhs))
-                elif not rhs.is_zero():
-                    return None
+        for p, mu in enumerate(variables):
+            n, sig = _sigma(cd, i, mu, memo)
+            s = var_pos.get(sig)
+            if s is None:
+                coeffs = {p: ONE}
+            elif s > p:
+                coeffs = {p: ONE, s: -CoefQ.q_power(-n)}
+            else:  # s_i fixes mu, or the orbit's equation is already in
+                continue
+            rows.append((coeffs, vi.terms.get(mu, ZERO)))
     return _propagate(rows, variables)
 
 

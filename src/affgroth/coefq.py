@@ -13,7 +13,7 @@ not enforced during arithmetic.
 
 from math import gcd
 
-from .qpoly import padd, pdivexact, pgcd, pmul, pneg, pstrip
+from .qpoly import padd, pcontent, pdivexact, pgcd, pmul, pneg, pstrip
 
 
 class CoefQ:
@@ -53,7 +53,7 @@ class CoefQ:
             if len(g) > 1:
                 num = pdivexact(num, g)
                 den = pdivexact(den, g)
-            c = gcd(_content(num), _content(den))
+            c = gcd(pcontent(num), pcontent(den))
             if den[-1] < 0:
                 c = -c
             if c != 1:
@@ -254,13 +254,6 @@ class CoefQ:
         if not self.num:
             return "CoefQ(0)"
         return "CoefQ(q^%d*%s/%s)" % (self.shift, list(self.num), list(self.den))
-
-
-def _content(a):
-    g = 0
-    for x in a:
-        g = gcd(g, x)
-    return g
 
 
 def _qshift(a, k):

@@ -36,7 +36,7 @@ class GrothTable:
         self.entries = {}  # WeylElement -> KElement
         self.verified = set()  # elements that passed verify()
 
-    def compute(self, w, precheck=True):
+    def compute(self, w):
         """G_w, computing and caching every element below it on the way."""
         got = self.entries.get(w)
         if got is not None:
@@ -51,12 +51,11 @@ class GrothTable:
         one = k_one(cd)
         v = {}
         for i in J:
-            g_down = self.compute(weyl_mod.mul_gen(w, i), precheck=precheck)
+            g_down = self.compute(weyl_mod.mul_gen(w, i))
             factor = monomial(cd, rho_J) * (one - monomial(cd, -cd.alpha(i)))
             v[i] = factor * g_down
         lev = cd.level(rho_J)
-        B = solve_coboundary(cd, v, (lev - cd.dual_coxeter, lev),
-                             precheck=precheck)
+        B = solve_coboundary(cd, v, (lev - cd.dual_coxeter, lev))
         C = j_map(weyl_mod.identity(cd), B)
         g = monomial(cd, -rho_J) * (B - eta_embed(C))
         if not in_window(g, -cd.dual_coxeter, 0):
@@ -71,10 +70,20 @@ class GrothTable:
         """Cross-check the entry for w; returns a list of failure descriptions
         (empty means all selected checks passed).  probe_length bounds the
         length of the x probed for localization vanishing (default len(w)+1).
-        Success with the full check set is recorded in self.verified."""
+        Success with the full check set is recorded in self.verified.
+        checks is a collection of names from ALL_CHECKS; ValueError for an
+        unknown name or a bare string."""
         cd = self.cd
         if checks is None:
             checks = self.ALL_CHECKS
+        elif isinstance(checks, str):
+            raise ValueError("checks must be a collection of check names, "
+                             "not the string %r" % checks)
+        checks = tuple(checks)
+        for c in checks:
+            if c not in self.ALL_CHECKS:
+                raise ValueError("unknown check %r (choose from %s)"
+                                 % (c, ",".join(self.ALL_CHECKS)))
         if probe_length is None:
             probe_length = w.length + 1
         g = self.compute(w)
@@ -179,7 +188,6 @@ class GrothTable:
         return cls.from_json_obj(obj, cd=cd)
 
 
-def grothendieck(cd, word, precheck=True):
+def grothendieck(cd, word):
     """G_w for the element given by a word, with a throwaway table."""
-    return GrothTable(cd).compute(weyl_mod.canonicalize(cd, word),
-                                  precheck=precheck)
+    return GrothTable(cd).compute(weyl_mod.canonicalize(cd, word))

@@ -8,7 +8,7 @@ localization maps j_w, the bar involution psi, the level-zero embedding of
 exp(Q) along eta, and classical orbit sums.
 """
 
-from .coefq import CoefQ, MINUS_ONE, ONE, ZERO
+from .coefq import CoefQ, ONE, ZERO
 from .errors import NonQInput
 from .weights import Weight
 from . import weyl as weyl_mod

@@ -144,15 +144,16 @@ def random_coefq(rng, max_deg=2, shift_span=1):
 
 def random_weight(cd, rng, l_span=2, m_span=2, level_range=None):
     """Random weight; with level_range=(lo, hi) the level lands in (lo, hi]
-    by adjusting the basepoint coordinate (its comark is 1)."""
+    by adjusting the Lambda coordinate of the first node with comark 1
+    (node 0 in every built-in type; a twisted basepoint can have comark 2)."""
     rank = cd.rank
     l = [rng.randint(-l_span, l_span) for _ in range(rank)]
     m = [rng.randint(-m_span, m_span) for _ in range(rank)]
     if level_range is not None:
         lo, hi = level_range
-        assert cd.comarks[cd.node0] == 1
+        j = cd.comarks.index(1)
         want = rng.randint(lo + 1, hi)
-        l[cd.node0] += want - sum(c * x for c, x in zip(cd.comarks, l))
+        l[j] += want - sum(c * x for c, x in zip(cd.comarks, l))
     return Weight(l, m)
 
 
@@ -166,6 +167,17 @@ def random_word(cd, rng, max_len=4, length=None):
     k = length if length is not None else rng.randint(0, max_len)
     return tuple(rng.choice(cd.labels) for _ in range(k))
 
+
+# --- custom affine GCMs ------------------------------------------------------
+
+# (name, matrix): affine data given only by their matrix, twisted included.
+# Built with cartan.build_cartan; none of them is a built-in type.
+CUSTOM_GCMS = [
+    ("D4^(3)", [[2, -1, 0], [-1, 2, -3], [0, -1, 2]]),
+    ("G2~", [[2, -1, 0], [-1, 2, -1], [0, -3, 2]]),
+    ("A2^(2)", [[2, -4], [-1, 2]]),
+    ("A4^(2)", [[2, -2, 0], [-1, 2, -2], [0, -1, 2]]),
+]
 
 
 # --- golden fixtures ---------------------------------------------------------

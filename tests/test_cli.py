@@ -226,13 +226,20 @@ def test_table_command(capsys):
     assert lines[1].startswith("length 1: 2 elements")
 
 
-def test_table_parallel_matches_serial(tmp_path, capsys):
-    p1 = tmp_path / "serial.json"
-    p2 = tmp_path / "par.json"
-    run(capsys, "table", "--type", "A1~", "--max-length", "3", "--cache", str(p1))
-    run(capsys, "table", "--type", "A1~", "--max-length", "3", "--jobs", "2",
-        "--cache", str(p2))
-    assert GrothTable.load(str(p1)).entries == GrothTable.load(str(p2)).entries
+def test_table_jobs_usage_error(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["table", "--type", "A1~", "--max-length", "1", "--jobs", "2"])
+    assert ei.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_twisted_gcm(capsys):
+    status, out, _ = run(capsys, "verify", "--gcm", "[[2,-4],[-1,2]]",
+                         "--max-length", "3")
+    assert status == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 7  # e, then 2 + 2 + 2 elements of lengths 1 to 3
+    assert all(line.startswith("ok ") for line in lines)
 
 
 def test_console_entry_point(subprocess_env):

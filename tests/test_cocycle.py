@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
-from affgroth.cartan import from_type
+from affgroth.cartan import build_cartan, from_type
 from affgroth.cocycle import check_cocycle, solve_coboundary
-from affgroth.errors import CocycleViolation, Inconsistent, WindowViolation
+from affgroth.errors import CocycleViolation, WindowViolation
+from affgroth.groth import GrothTable
 from affgroth.kring import in_window, k_zero, monomial, reflect_act
+from affgroth import weyl
 
 import oracles
 
@@ -64,6 +66,46 @@ def test_solve_round_trip():
             assert in_window(B, -k, 0)
 
 
+@pytest.mark.parametrize("name,gcm", oracles.CUSTOM_GCMS,
+                         ids=[n for n, _ in oracles.CUSTOM_GCMS])
+def test_solve_round_trip_custom(name, gcm):
+    cd = build_cartan(gcm)
+    k = cd.dual_coxeter
+    rng = oracles.rng_for("cocycle-solve-" + name)
+    for _ in range(6):
+        b0 = oracles.random_element(cd, rng, max_terms=4, level_range=(-k, 0))
+        v = coboundary_family(cd, b0)
+        B = solve_coboundary(cd, v, (-k, 0))
+        for i in cd.labels:
+            assert B - reflect_act(cd, i, B) == v[i]
+        assert in_window(B, -k, 0)
+
+
+@pytest.mark.parametrize("name", ["A1~", "A2~", "A3~", "C2~", "C3~", "D4~"]
+                         + [n for n, _ in oracles.CUSTOM_GCMS])
+def test_fixed_keys_have_no_delta_shift(name):
+    # the solver assembles no equation at a key fixed by s_i; that is exact
+    # only because such a key has delta shift 0, so its equation reads
+    # 0 = v_i(mu), which (1 + s_i)v_i = 0 forces
+    gcm = dict(oracles.CUSTOM_GCMS).get(name)
+    cd = build_cartan(gcm) if gcm else from_type(name)
+    rng = oracles.rng_for("fixed-keys-" + name)
+    keys = {cd.normalize(oracles.random_weight(cd, rng, l_span=1, m_span=2))[1]
+            for _ in range(200)}
+    table = GrothTable(cd)
+    for layer in weyl.enumerate_up_to(cd, 2):
+        for w in layer:
+            keys.update(table.compute(w).terms)
+    fixed = 0
+    for mu in keys:
+        for i in cd.labels:
+            n, key = cd.normalize(cd.reflect(i, mu))
+            if key == mu:
+                fixed += 1
+                assert n == 0, (name, i, mu)
+    assert fixed
+
+
 def test_solve_zero_family():
     cd = from_type("A2~")
     B = solve_coboundary(cd, {}, (-3, 0))
@@ -102,11 +144,11 @@ def test_precheck_raises():
     cd = from_type("A1~")
     bad = {1: monomial(cd, cd.Lam(1) - cd.Lam(0))}
     with pytest.raises(CocycleViolation):
-        solve_coboundary(cd, bad, (-1, 1), precheck=True)
+        solve_coboundary(cd, bad, (-1, 1))
 
 
 def test_precheck_survives_optimize(subprocess_env):
-    # the precheck is on by default, also when asserts are compiled out
+    # the precheck always runs, also when asserts are compiled out
     code = ("from affgroth.cartan import from_type\n"
             "from affgroth.cocycle import solve_coboundary\n"
             "from affgroth.errors import CocycleViolation\n"
@@ -121,13 +163,6 @@ def test_precheck_survives_optimize(subprocess_env):
                           capture_output=True, text=True, env=subprocess_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "CocycleViolation"
-
-
-def test_inconsistent_without_precheck():
-    cd = from_type("A1~")
-    bad = {1: monomial(cd, cd.Lam(1) - cd.Lam(0))}
-    with pytest.raises(Inconsistent):
-        solve_coboundary(cd, bad, (-1, 1), precheck=False)
 
 
 def test_cycle_fixes_root():

@@ -2,11 +2,13 @@
 
 import pytest
 
-from affgroth.cartan import from_type
+from affgroth.cartan import build_cartan, from_type
 from affgroth.errors import CacheMismatch
 from affgroth.groth import GrothTable, grothendieck
 from affgroth.kring import in_window, j_map, k_one, monomial, psi
 from affgroth import weyl
+
+import oracles
 
 
 def simple_expected(cd, i):
@@ -80,6 +82,34 @@ def test_verify_partial_checks_not_recorded():
     w = weyl.canonicalize(cd, (0,))
     assert table.verify(w, checks=("window", "ring")) == []
     assert w not in table.verified
+
+
+@pytest.mark.parametrize("checks", [("localisation",), ("window", "Ring"),
+                                    "window", "demazure,ring"],
+                         ids=["unknown", "miscased", "bare-name", "comma-str"])
+def test_verify_rejects_bad_checks(checks):
+    cd = from_type("A1~")
+    table = GrothTable(cd)
+    w = weyl.canonicalize(cd, (1,))
+    with pytest.raises(ValueError) as ei:
+        table.verify(w, checks=checks)
+    if isinstance(checks, str):
+        assert "string" in str(ei.value)
+    else:
+        assert repr(checks[-1]) in str(ei.value)
+    assert w not in table.verified
+
+
+@pytest.mark.parametrize("name,gcm", oracles.CUSTOM_GCMS,
+                         ids=[n for n, _ in oracles.CUSTOM_GCMS])
+def test_custom_gcm_battery(name, gcm):
+    # all five checks on every element to length 3 of data given by a matrix
+    cd = build_cartan(gcm)
+    table = GrothTable(cd)
+    for layer in weyl.enumerate_up_to(cd, 3):
+        for w in layer:
+            assert table.verify(w) == [], (name, w.word)
+            assert w in table.verified
 
 
 def test_verify_catches_corruption():
