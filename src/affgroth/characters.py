@@ -8,10 +8,13 @@ modules, relative local-cohomology characters of Schubert cells against G_w,
 and Euler characteristics of twisted structure sheaves.  Only the sheaf-level
 Euler characteristic is computed; individual cohomology groups are not.
 
-Every character divides by the Weyl-Kac denominator
-prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha}.  Its inverse is the product of
-one binomial series per positive root; one copy per Cartan datum is kept at
-the deepest cutoff asked for, and shallower cutoffs are cut from it.
+Every series is built the same way: an alternating numerator (a finite dict
+of keys) times the inverse of the Weyl-Kac denominator
+prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha}, cut by height: only keys of
+height sum(key.m) >= sum(top.m) - cutoff are kept.  The inverse denominator
+is the product of one binomial series per positive root; one copy per Cartan
+datum is kept at the deepest cutoff asked for, and shallower cutoffs are cut
+from it.
 
 Root multiplicities are hardwired for untwisted data (real 1, imaginary
 rank-1); twisted data is refused rather than guessed.
@@ -120,20 +123,19 @@ def positive_roots_with_mult(cd, N):
 
 
 # --- truncated series arithmetic on plain dicts ------------------------------
-# Keys are absolute Weights; the depth of a product term is the sum of the
-# factor depths, so truncation composes.  depth callables return None to mean
-# "already beyond cutoff".
+# Keys are absolute Weights.  The height sum(key.m) of a product key is the
+# sum of the factor heights, so every product is cut by height alone.
 
-def _mul_trunc(A, B, N, da, db):
+def _mul_trunc(A, B, floor):
+    """A * B on the keys of height >= floor."""
     out = {}
-    items_b = [(b, cb, db(b)) for b, cb in B.items()]
+    items_b = sorted(((b, cb, sum(b.m)) for b, cb in B.items()),
+                     key=lambda t: -t[2])
     for a, ca in A.items():
-        d = da(a)
-        if d is None or d > N:
-            continue
-        for b, cb, dbv in items_b:
-            if dbv is None or d + dbv > N:
-                continue
+        need = floor - sum(a.m)
+        for b, cb, hb in items_b:
+            if hb < need:
+                break
             key = a + b
             c = out.get(key, 0) + ca * cb
             if c:
@@ -141,13 +143,6 @@ def _mul_trunc(A, B, N, da, db):
             else:
                 out.pop(key, None)
     return out
-
-
-def _qplus_depth(kappa):
-    """Depth of a key at or below 0 in -Q_+, else None."""
-    if any(kappa.l) or any(c > 0 for c in kappa.m):
-        return None
-    return -sum(kappa.m)
 
 
 _DINV = {}  # cd -> (cutoff, inverse denominator to that depth)
@@ -188,8 +183,17 @@ def _build_denominator_inverse(cd, N):
             coeff = coeff * (mult + k - 1) // k
             key = key - beta
             factor[key] = coeff
-        X = _mul_trunc(X, factor, N, _qplus_depth, _qplus_depth)
+        X = _mul_trunc(X, factor, -N)
     return X
+
+
+def _over_denominator(cd, num, top, N):
+    """num / prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha} on the keys of
+    height >= sum(top.m) - N.  The inverse denominator is taken just deep
+    enough to reach that floor from the highest numerator key."""
+    floor = sum(top.m) - N
+    reach = max((sum(k.m) for k in num), default=floor) - floor
+    return _mul_trunc(num, denominator_inverse(cd, reach), floor)
 
 
 def _numerator(cd, lamr, margin):
@@ -226,18 +230,12 @@ def weyl_kac_character(cd, mu, N):
     mu, truncated at depth N below mu."""
     if not cd.is_dominant(mu):
         raise NotDominant("highest weight %s is not dominant" % (mu,))
-    rho = cd.rho()
-    lamr = mu + rho
+    lamr = mu + cd.rho()
     if cd.level(lamr) <= 0:
         raise NotNonNegativeLevel("mu + rho has level %d <= 0"
                                   % cd.level(lamr))
-    num = _numerator(cd, lamr, N + cd.rank)
-    dinv = denominator_inverse(cd, N)
-    dmu = lambda k: _qplus_depth(k - mu)
-    coeffs = _mul_trunc(num, dinv, N, dmu, _qplus_depth)
-    coeffs = {k: c for k, c in coeffs.items() if dmu(k) is not None
-              and dmu(k) <= N}
-    return TruncatedSeries(cd, mu, N, coeffs)
+    num = _numerator(cd, lamr, N)
+    return TruncatedSeries(cd, mu, N, _over_denominator(cd, num, mu, N))
 
 
 def _to_dominant_or_none(cd, v):
@@ -259,9 +257,12 @@ def euler_character(cd, w, mu, N, table):
     the w-th Schubert structure sheaf by mu, truncated at depth N.
 
     Expands G_w term by term: a term c * e^{lambda + alpha} contributes
-    c-expanded-in-q times e^{-lambda} chi_{mu+lambda+alpha}; shifts by delta
-    factor out of chi, so one character per distinct dominantization serves a
-    whole q-expansion.  Singular shifted weights contribute nothing.
+    c-expanded-in-q times e^{-lambda} chi_{mu+lambda+alpha}.  The Weyl-Kac
+    character is linear in its alternating numerator, so each term adds its
+    shifted numerator to one sum, and the sum is divided by the denominator
+    once; shifts by delta factor through the numerator.  Singular shifted
+    weights contribute nothing.  A twist that is not dominant can raise keys
+    above mu; the series is based at the coordinatewise top of its keys.
     """
     if cd.level(mu) < 0:
         raise NotNonNegativeLevel("twist %s has level %d < 0"
@@ -271,56 +272,40 @@ def euler_character(cd, w, mu, N, table):
     h = sum(cd.marks)
     delta = cd.delta()
     zeros = (0,) * cd.rank
-    chi_cache = {}  # tau -> (depth computed, coeff dict)
-
-    def chi(tau, depth):
-        got = chi_cache.get(tau)
-        if got is None or got[0] < depth:
-            got = (depth, weyl_kac_character(cd, tau, depth).coeffs)
-            chi_cache[tau] = got
-        return got[1]
-
-    acc = {}
+    num = {}
     for kappa, c in g.terms.items():
         lam = Weight(kappa.l, zeros)
         res = _to_dominant_or_none(cd, mu + kappa + rho)
         if res is None:
             continue
         sign, vd = res
-        tau = vd - rho
-        offset0 = mu + lam - tau
+        offset0 = mu + lam - (vd - rho)
         if any(offset0.l):
             raise NonQInput("offset %s to the dominant twist is not in the "
                             "root lattice" % (offset0,))
         s0 = sum(offset0.m)
-        n_min = -((N - s0) // h)
-        for n, cn in c.expand_down(n_min):
-            budget = N - s0 + n * h
-            if budget < 0:
-                continue
+        for n, cn in c.expand_down(-((N - s0) // h)):
             shift = n * delta - lam
             scale = sign * cn
-            for key_c, coeff in chi(tau, budget).items():
-                if sum((tau - key_c).m) > budget:
-                    continue
-                key = key_c + shift
-                tot = acc.get(key, 0) + scale * coeff
+            for key, coeff in _numerator(cd, vd, N - s0 + n * h).items():
+                key = key + shift
+                tot = num.get(key, 0) + scale * coeff
                 if tot:
-                    acc[key] = tot
+                    num[key] = tot
                 else:
-                    acc.pop(key, None)
+                    num.pop(key, None)
 
+    coeffs = _over_denominator(cd, num, mu, N)
     top = list(mu.m)
-    for key in acc:
+    for key in coeffs:
         top = [max(t, x) for t, x in zip(top, key.m)]
     base = Weight(mu.l, top)
     if cd.is_dominant(mu) and base != mu:
         raise WindowViolation("support escaped the cone below a dominant "
                               "twist")
-    dbase = lambda k: _qplus_depth(k - base)
-    coeffs = {k: c for k, c in acc.items()
-              if dbase(k) is not None and dbase(k) <= N}
-    return TruncatedSeries(cd, base, N, coeffs)
+    floor = sum(top) - N
+    return TruncatedSeries(cd, base, N, {k: c for k, c in coeffs.items()
+                                         if sum(k.m) >= floor})
 
 
 def local_cohomology_character(cd, w, x, mu, N, table):
@@ -341,18 +326,10 @@ def local_cohomology_character(cd, w, x, mu, N, table):
     top = [max(hd.m[j] for hd in heads) for j in range(cd.rank)]
     base = b0 + Weight((0,) * cd.rank, top)
     tsum = sum(top)
-    A = {}
+    sign = -1 if w.length % 2 else 1
+    num = {}
     for kappa, c in loc.terms.items():
         s_k = tsum - sum(kappa.m)
         for n, cn in c.expand_down(-((N - s_k) // h)):
-            if s_k - n * h > N:
-                continue
-            A[b0 + kappa + n * delta] = cn
-    if w.length % 2:
-        A = {k: -c for k, c in A.items()}
-    dinv = denominator_inverse(cd, N)
-    dbase = lambda k: _qplus_depth(k - base)
-    coeffs = _mul_trunc(A, dinv, N, dbase, _qplus_depth)
-    coeffs = {k: c for k, c in coeffs.items()
-              if dbase(k) is not None and dbase(k) <= N}
-    return TruncatedSeries(cd, base, N, coeffs)
+            num[b0 + kappa + n * delta] = sign * cn
+    return TruncatedSeries(cd, base, N, _over_denominator(cd, num, base, N))

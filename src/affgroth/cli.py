@@ -19,7 +19,7 @@ from .errors import AffGrothError, ParseError, UnknownNode
 from .expr import parse_expression, print_element
 from .groth import GrothTable
 from .kring import j_map
-from .weights import parse_weight
+from .weights import format_weight, parse_weight
 
 GRAMMAR_HELP = """expression grammar:
   expr    := ['-'] product (('+'|'-') product)*
@@ -142,15 +142,14 @@ def cmd_table(args, parser):
 def cmd_verify(args, parser):
     _require_nonnegative(parser, "--max-length", args.max_length)
     _require_nonnegative(parser, "--probe-length", args.probe_length)
+    try:
+        checks = GrothTable.check_names(
+            args.checks.split(",") if args.checks else None)
+    except ValueError as ex:
+        parser.error(str(ex))
     cd = _cartan_of(args, parser)
     table, path = _load_table(cd, args)
     prior = _table_state(table)
-    checks = tuple(args.checks.split(",")) if args.checks else None
-    if checks:
-        for c in checks:
-            if c not in GrothTable.ALL_CHECKS:
-                parser.error("unknown check %r (choose from %s)"
-                             % (c, ",".join(GrothTable.ALL_CHECKS)))
     bad = 0
     for layer in weyl_mod.enumerate_up_to(cd, args.max_length):
         for w in layer:
@@ -182,7 +181,6 @@ def cmd_char(args, parser):
     else:
         series = weyl_kac_character(cd, mu, args.cutoff)
     _save_table(table, path, prior)
-    from .weights import format_weight
     for kappa, c in series.items_by_depth():
         sys.stdout.write("%s * e[%s]\n" % (c, format_weight(kappa)))
     return 0

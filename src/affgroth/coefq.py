@@ -230,16 +230,16 @@ class CoefQ:
             dpoly[e] = c
         return CoefQ.make(npoly, shift, dpoly)
 
-    def divides_q_products(self, k_max=None):
+    def divides_q_products(self):
         """True iff den divides a product of polynomials q^k - 1 (possibly
-        repeated), i.e. the scalar lies in the ring R."""
+        repeated), i.e. the scalar lies in the ring R.  Only k up to
+        4*deg^2 + 4 need trying: a factor Phi_n of den has phi(n) <= deg, and
+        phi(n) >= sqrt(n/2)."""
         den = self.den
         if den == (1,):
             return True
         deg = len(den) - 1
-        if k_max is None:
-            k_max = 4 * deg * deg + 4
-        for k in range(1, k_max + 1):
+        for k in range(1, 4 * deg * deg + 5):
             qk1 = (-1,) + (0,) * (k - 1) + (1,)  # q^k - 1
             while len(den) > 1:
                 g = pgcd(den, qk1)

@@ -130,8 +130,6 @@ class _Parser:
             return f
         caret = self.take()
         k = self.exponent(caret)
-        if k >= 0:
-            return f ** k
         try:
             return f ** k
         except ValueError:

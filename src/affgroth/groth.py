@@ -66,24 +66,30 @@ class GrothTable:
 
     ALL_CHECKS = ("window", "demazure", "localization", "psi", "ring")
 
+    @classmethod
+    def check_names(cls, checks):
+        """checks as a tuple of names from ALL_CHECKS, all of them for None;
+        ValueError for an unknown name or a bare string."""
+        if checks is None:
+            return cls.ALL_CHECKS
+        if isinstance(checks, str):
+            raise ValueError("checks must be a collection of check names, "
+                             "not the string %r" % checks)
+        checks = tuple(checks)
+        for c in checks:
+            if c not in cls.ALL_CHECKS:
+                raise ValueError("unknown check %r (choose from %s)"
+                                 % (c, ",".join(cls.ALL_CHECKS)))
+        return checks
+
     def verify(self, w, checks=None, probe_length=None):
         """Cross-check the entry for w; returns a list of failure descriptions
         (empty means all selected checks passed).  probe_length bounds the
         length of the x probed for localization vanishing (default len(w)+1).
         Success with the full check set is recorded in self.verified.
-        checks is a collection of names from ALL_CHECKS; ValueError for an
-        unknown name or a bare string."""
+        checks is a collection of names from ALL_CHECKS (see check_names)."""
         cd = self.cd
-        if checks is None:
-            checks = self.ALL_CHECKS
-        elif isinstance(checks, str):
-            raise ValueError("checks must be a collection of check names, "
-                             "not the string %r" % checks)
-        checks = tuple(checks)
-        for c in checks:
-            if c not in self.ALL_CHECKS:
-                raise ValueError("unknown check %r (choose from %s)"
-                                 % (c, ",".join(self.ALL_CHECKS)))
+        checks = self.check_names(checks)
         if probe_length is None:
             probe_length = w.length + 1
         g = self.compute(w)

@@ -3,13 +3,17 @@
 Everything here is deliberately written from first principles against the
 basic Cartan data only (gcm, bilinear form, reflections), not against the
 modules it is used to check: character tests compare against the Freudenthal
-recursion, Demazure tests against explicit polynomial long division.
+recursion, Demazure tests against explicit polynomial long division.  The one
+exception is the Euler-character oracle: it sums one Weyl-Kac character per
+term of G_w through the public API, the characters being checked against
+Freudenthal on their own.
 """
 
 import os
 import random
 from fractions import Fraction
 
+from affgroth.characters import TruncatedSeries, weyl_kac_character
 from affgroth.coefq import CoefQ
 from affgroth.kring import from_terms, k_zero, monomial, reflect_act
 from affgroth.weights import Weight
@@ -127,6 +131,47 @@ def demazure_by_division(cd, i, f):
         quo = quo + t
         rem = rem - t + t * step
     return quo
+
+
+# --- Euler characters, one Weyl-Kac character per term ----------------------
+
+def euler_by_terms(cd, w, mu, N, table):
+    """Euler character of the mu-twisted w-th Schubert sheaf, term by term
+    from its definition.  A term c e^{kappa} of G_w, with lam the
+    Lambda-part of kappa, adds sum_n c_n q^n e^{-lam} chi(mu + kappa), where
+    q = e^{delta}, chi(v) = 0 when v + rho is singular, and otherwise
+    chi(v) = (-1)^len(x) ch L(x(v + rho) - rho) for x(v + rho) dominant.
+    Each character is taken just deep enough to reach height(mu) - N.  The
+    sum is based at the coordinatewise top of its keys and cut at depth N
+    below it."""
+    rho = cd.rho()
+    h = sum(cd.marks)
+    delta = cd.delta()
+    floor = sum(mu.m) - N
+    acc = {}
+    for kappa, c in table.compute(w).terms.items():
+        lam = Weight(kappa.l, (0,) * cd.rank)
+        v, sign = mu + kappa + rho, 1
+        while True:
+            i = next((i for i in cd.labels if cd.pairing(i, v) < 0), None)
+            if i is None:
+                break
+            v, sign = cd.reflect(i, v), -sign
+        if any(cd.pairing(i, v) == 0 for i in cd.labels):
+            continue
+        tau = v - rho
+        # the n-th shifted character tops out at height(tau) + n*h
+        for n, cn in c.expand_down(-((sum(tau.m) - floor) // h)):
+            budget = sum(tau.m) + n * h - floor
+            for key, m in weyl_kac_character(cd, tau, budget).coeffs.items():
+                key = key + n * delta - lam
+                acc[key] = acc.get(key, 0) + sign * cn * m
+    acc = {k: x for k, x in acc.items() if x}
+    top = tuple(max([mu.m[j]] + [k.m[j] for k in acc])
+                for j in range(cd.rank))
+    return TruncatedSeries(cd, Weight(mu.l, top), N,
+                           {k: x for k, x in acc.items()
+                            if sum(k.m) >= sum(top) - N})
 
 
 # --- seeded random data -------------------------------------------------------

@@ -8,7 +8,7 @@ from affgroth.characters import (TruncatedSeries, denominator_inverse,
                                  positive_roots_with_mult, weyl_kac_character)
 from affgroth.errors import (NotDominant, NotNonNegativeLevel, NotUntwisted)
 from affgroth.groth import GrothTable
-from affgroth.weights import Weight
+from affgroth.weights import Weight, parse_weight
 from affgroth import weyl
 
 import oracles
@@ -119,6 +119,35 @@ def test_euler_rejects_negative_level():
     cd = from_type("A1~")
     with pytest.raises(NotNonNegativeLevel):
         euler_character(cd, weyl.identity(cd), -cd.Lam(0), 3, GrothTable(cd))
+
+
+# (type, max length of w, cutoff, twists); 129 cases in all
+EULER_CASES = [
+    ("A1~", 4, 5, ("L0", "2*L0 - L1", "0", "L0 + L1", "3*L1 - L0")),
+    ("A2~", 3, 4, ("L0 + L1", "L0 + L2 - L1", "0")),
+    ("C2~", 2, 4, ("L0 + L2", "2*L0 - L1", "0")),
+]
+
+
+def test_euler_against_term_by_term_oracle():
+    cases = raised = with_den = 0
+    for t, max_len, N, twists in EULER_CASES:
+        cd = from_type(t)
+        table = GrothTable(cd)
+        for text in twists:
+            mu = parse_weight(text, cd.rank)
+            for layer in weyl.enumerate_up_to(cd, max_len):
+                for w in layer:
+                    ch = euler_character(cd, w, mu, N, table)
+                    assert ch == oracles.euler_by_terms(cd, w, mu, N, table), \
+                        (t, text, w.word)
+                    cases += 1
+                    raised += ch.base != mu
+                    with_den += any(c.den != (1,)
+                                    for c in table.compute(w).terms.values())
+    # non-dominant twists raise the base above mu, and (1 - q^k)
+    # denominators give infinite q-expansions
+    assert cases == 129 and raised and with_den
 
 
 def test_local_cohomology_dual_verma():

@@ -100,6 +100,19 @@ def test_verify_checks_subset(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("checks", ["bogus", "window,bogus"])
+def test_verify_unknown_check_usage_error(tmp_path, capsys, checks):
+    path = tmp_path / "a1.json"
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--type", "A1~", "--max-length", "1",
+              "--checks", checks, "--cache", str(path)])
+    assert ei.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown check 'bogus'" in err
+    assert not path.exists()
+
+
 def test_char_plain(capsys):
     status, out, _ = run(capsys, "char", "--type", "A1~", "--weight", "L0",
                          "--cutoff", "3")

@@ -10,7 +10,7 @@ from affgroth.cocycle import check_cocycle, solve_coboundary
 from affgroth.errors import CocycleViolation, WindowViolation
 from affgroth.groth import GrothTable
 from affgroth.kring import in_window, k_zero, monomial, reflect_act
-from affgroth import weyl
+from affgroth import cocycle, weyl
 
 import oracles
 
@@ -187,3 +187,30 @@ def test_solver_fills_missing_labels():
     assert check_cocycle(cd, v) == []
     B = solve_coboundary(cd, v, (-1, 1))
     assert B == monomial(cd, lam)
+
+
+def test_solve_work_pinned(monkeypatch):
+    # a solver that loses equations can still verify by growing the support
+    # and re-solving, so only the amount of work shows it: the C2~ table to
+    # length 5 takes 42 support rounds over 5,764 rows in all
+    calls = rows = 0
+    solve, propagate = cocycle._solve_on_support, cocycle._propagate
+
+    def counted_solve(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    def counted_propagate(eqs, variables):
+        nonlocal rows
+        rows += len(eqs)
+        return propagate(eqs, variables)
+
+    monkeypatch.setattr(cocycle, "_solve_on_support", counted_solve)
+    monkeypatch.setattr(cocycle, "_propagate", counted_propagate)
+    cd = from_type("C2~")
+    table = GrothTable(cd)
+    for layer in weyl.enumerate_up_to(cd, 5):
+        for w in layer:
+            table.compute(w)
+    assert (calls, rows) == (42, 5764)
