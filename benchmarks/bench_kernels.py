@@ -1,4 +1,6 @@
-"""Timing of the q-polynomial kernels (pmul, pgcd, pdivexact), best of 5.
+"""Timing of the q-polynomial kernels, best of 5: pmul, pdivexact, and the
+two gcd routines (pgcd, the PRS; pgcd_cofactors, the heuristic gcd with
+both quotients) on the same products of (1 - q^k) factors.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
@@ -55,9 +57,10 @@ def main():
     gcd_cases = cyclotomic_products(rng, 60)
     div_cases = [(qpoly.pmul(a, b), b) for a, b in make_cases(rng, 200, 20)]
     for kernel, cases in (("pmul", mul_cases), ("pgcd", gcd_cases),
+                          ("pgcd_cofactors", gcd_cases),
                           ("pdivexact", div_cases)):
         t = bench(getattr(qpoly, kernel), cases)
-        print("%-10s %8.1f us/call" % (kernel, 1e6 * t / len(cases)))
+        print("%-14s %8.1f us/call" % (kernel, 1e6 * t / len(cases)))
 
 
 if __name__ == "__main__":

@@ -9,11 +9,19 @@ polynomial factor and their integer contents are coprime.  Zero is
 The subring R of interest is generated by q^{+-1} and (1 - q^n)^{-1}; a
 membership test (denominator divides a product of q^k - 1) is provided but
 not enforced during arithmetic.
+
+Canonicalization cancels the polynomial gcd of num and den with
+qpoly.pgcd_cofactors: the heuristic gcd (one big-integer gcd of the values at
+a point xi >= 2 min(|num|, |den|) + 2, checked by exact division), with the
+primitive PRS as fallback.  The gcd is unique, so either route gives the same
+canonical form.  A sum with unequal denominators is taken over their lcm,
+den1 * (den2 / gcd), whose cofactors come from the same call.
 """
 
 from math import gcd
 
-from .qpoly import padd, pcontent, pdivexact, pgcd, pmul, pneg, pstrip
+from .qpoly import (padd, pcontent, pdivexact, pgcd, pgcd_cofactors, pmul,
+                    pneg, pstrip)
 
 
 class CoefQ:
@@ -29,7 +37,11 @@ class CoefQ:
 
     @staticmethod
     def make(num, shift=0, den=(1,)):
-        """Canonicalize an arbitrary integer-polynomial fraction."""
+        """Canonicalize an arbitrary integer-polynomial fraction: powers of
+        q move into shift, the gcd of num and den is divided out by
+        pgcd_cofactors (heuristic gcd at xi >= 2 min(|num|, |den|) + 2, the
+        PRS after HEU_POINTS failed points), then the common integer content,
+        signed so that den leads positive."""
         num = pstrip(num)
         den = pstrip(den)
         if not den:
@@ -49,10 +61,7 @@ class CoefQ:
             den = den[z:]
             shift -= z
         if len(den) > 1 or den[0] not in (1, -1):
-            g = pgcd(num, den)
-            if len(g) > 1:
-                num = pdivexact(num, g)
-                den = pdivexact(den, g)
+            _, num, den = pgcd_cofactors(num, den)
             c = gcd(pcontent(num), pcontent(den))
             if den[-1] < 0:
                 c = -c
@@ -105,8 +114,9 @@ class CoefQ:
         b = _qshift(other.num, other.shift - s)
         if self.den == other.den:
             return CoefQ.make(padd(a, b), s, self.den)
-        return CoefQ.make(padd(pmul(a, other.den), pmul(b, self.den)),
-                          s, pmul(self.den, other.den))
+        _, da, db = pgcd_cofactors(self.den, other.den)
+        return CoefQ.make(padd(pmul(a, db), pmul(b, da)),
+                          s, pmul(self.den, db))
 
     def __sub__(self, other):
         return self + (-other)

@@ -150,16 +150,20 @@ class GrothTable:
     def save(self, path):
         """Write the table as JSON.  The bytes go to a temporary file in the
         same directory that then replaces `path`, so an interrupted save
-        never leaves a truncated cache behind."""
+        never leaves a truncated cache behind.  CacheMismatch when the file
+        cannot be written."""
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
                 json.dump(self.to_json(), fh, sort_keys=True, indent=1)
                 fh.write("\n")
             os.replace(tmp, path)
-        except BaseException:
+        except BaseException as ex:
             if os.path.exists(tmp):
                 os.remove(tmp)
+            if isinstance(ex, OSError):
+                raise CacheMismatch("cannot write cache %s: %s"
+                                    % (path, ex)) from ex
             raise
 
     @classmethod

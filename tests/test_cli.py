@@ -292,3 +292,30 @@ def test_cache_failed_save_keeps_old_file(tmp_path, monkeypatch):
         table.save(str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a1.json"]
+
+
+def test_cache_unwritable_is_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: cannot write cache")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_cache_failed_replace_is_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "x.json"
+
+    def refused(src, dst):
+        raise PermissionError("replace refused")
+
+    monkeypatch.setattr("affgroth.groth.os.replace", refused)
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: cannot write cache")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,7 @@
 """The descent recursion, its verification battery, and table persistence."""
 
+import hashlib
+
 import pytest
 
 from affgroth.cartan import build_cartan, from_type
@@ -140,6 +142,22 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.verified == table.verified
     loaded.save(str(path))
     assert path.read_bytes() == first
+
+
+def test_high_degree_table_bytes_pinned(tmp_path):
+    """The saved table of A1~ to length 10, whose denominators reach degree
+    45 (the golden values stop at degree 10), is pinned byte for byte."""
+    cd = from_type("A1~")
+    table = GrothTable(cd)
+    for layer in weyl.enumerate_up_to(cd, 10):
+        for w in layer:
+            table.compute(w)
+    assert max(len(c.den) - 1 for g in table.entries.values()
+               for c in g.terms.values()) == 45
+    path = tmp_path / "a1.json"
+    table.save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1e18489874174814da6322a2ae70049cfae54a12a52566834fea2f5c2b5468b1")
 
 
 def test_load_without_cd_adopts_file_data(tmp_path):
