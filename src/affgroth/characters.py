@@ -272,7 +272,8 @@ def euler_character(cd, w, mu, N, table):
     h = sum(cd.marks)
     delta = cd.delta()
     zeros = (0,) * cd.rank
-    num = {}
+    parts = []  # (vd, margin, shift, scale): scale * shifted numerator of vd
+    margins = {}  # vd -> largest margin any part needs
     for kappa, c in g.terms.items():
         lam = Weight(kappa.l, zeros)
         res = _to_dominant_or_none(cd, mu + kappa + rho)
@@ -285,15 +286,29 @@ def euler_character(cd, w, mu, N, table):
                             "root lattice" % (offset0,))
         s0 = sum(offset0.m)
         for n, cn in c.expand_down(-((N - s0) // h)):
-            shift = n * delta - lam
-            scale = sign * cn
-            for key, coeff in _numerator(cd, vd, N - s0 + n * h).items():
-                key = key + shift
-                tot = num.get(key, 0) + scale * coeff
-                if tot:
-                    num[key] = tot
-                else:
-                    num.pop(key, None)
+            margin = N - s0 + n * h
+            parts.append((vd, margin, n * delta - lam, sign * cn))
+            margins[vd] = max(margin, margins.get(vd, margin))
+    # one numerator per dominant weight, at its largest margin, keys sorted
+    # by depth; a smaller margin (never negative) is a prefix, because
+    # _numerator's descent steps only deepen keys
+    orbits = {}
+    for vd, margin in margins.items():
+        top = sum((vd - rho).m)
+        orbits[vd] = sorted(((top - sum(key.m), key, coeff) for key, coeff
+                             in _numerator(cd, vd, margin).items()),
+                            key=lambda t: t[0])
+    num = {}
+    for vd, margin, shift, scale in parts:
+        for depth, key, coeff in orbits[vd]:
+            if depth > margin:
+                break
+            key = key + shift
+            tot = num.get(key, 0) + scale * coeff
+            if tot:
+                num[key] = tot
+            else:
+                num.pop(key, None)
 
     coeffs = _over_denominator(cd, num, mu, N)
     top = list(mu.m)

@@ -13,15 +13,19 @@ two-unknown equations are edges whose gains are signed powers of q.  It is
 solved exactly by propagation along a spanning forest.  Each component's
 root carries one unknown t; a cycle of the graph fixes t through an equation
 (1 - q^k) t = c, which is where the (1 - q^k) denominators of G_w come from.
-A component nothing fixes gets t = 0.  The result is re-verified by
-substitution, so a solver fault cannot return a wrong B.
+A component nothing fixes gets t = 0.
 
 Only one equation per label i and s_i-orbit {mu, s_i mu} is assembled.  That
-is exact once the cocycle conditions hold, which is why solve_coboundary
-always checks them first: (1 + s_i)v_i = 0 makes the equation at s_i mu
-equal to -q^n times the one at mu, and a key fixed by s_i has n = 0
+assumes the cocycle conditions: (1 + s_i)v_i = 0 makes the equation at
+s_i mu equal to -q^n times the one at mu, and a key fixed by s_i has n = 0
 (s_i mu - mu is a multiple of alpha_i, never a nonzero multiple of delta),
 so its equation reads 0 = v_i(mu), which (1 + s_i)v_i = 0 already forces.
+The assumption is made safe by the substitution re-check, which tests every
+equation of the full system, both keys of each orbit included: a B that
+passes it is a coboundary, and a coboundary is always a cocycle.  So
+check_cocycle never runs on a solve that succeeds; it runs only when no
+growth round verifies, to name the failure (CocycleViolation) before the
+solver's own error.
 """
 
 from .coefq import CoefQ, ONE, ZERO
@@ -102,11 +106,14 @@ def solve_coboundary(cd, v, window, order_reversed=False):
     forest of its gain graph, and the root of every component that no
     equation pins down is set to zero.  Roots are taken in term order, or in
     reversed term order with order_reversed.  The returned B is re-verified
-    by substitution.
+    by substitution (see _verified), so a solver fault cannot return a
+    wrong B.
 
-    check_cocycle always runs first and raises CocycleViolation on failure:
-    the system holds one equation per s_i-orbit of keys, which stands for
-    the whole orbit only when the cocycle conditions hold.
+    The system holds one equation per s_i-orbit of keys, which stands for
+    the whole orbit only when the cocycle conditions hold; the re-check
+    makes that assumption safe.  check_cocycle runs only when no round
+    verifies: a family that is not a cocycle raises CocycleViolation, after
+    the growth rounds rather than before them.
     """
     v = _family(cd, v)
     lo, hi = window
@@ -118,10 +125,6 @@ def solve_coboundary(cd, v, window, order_reversed=False):
             if not lo < cd.level(mu) <= hi:
                 raise WindowViolation("v_%d has a term at level %d outside (%d, %d]"
                                       % (i, cd.level(mu), lo, hi))
-    violations = check_cocycle(cd, v)
-    if violations:
-        raise CocycleViolation(violations)
-
     base = set()
     for vi in v.values():
         base.update(vi.terms)
@@ -140,16 +143,40 @@ def solve_coboundary(cd, v, window, order_reversed=False):
         sol = _solve_on_support(cd, v, support, order_reversed, memo)
         if sol is not None:
             solvable = True
-            B = KElement(cd, sol)
-            if all((B - reflect_act(cd, i, B) - v[i]).is_zero()
-                   for i in cd.labels):
-                return B
+            if _verified(cd, v, sol, memo):
+                return KElement(cd, sol)
+    violations = check_cocycle(cd, v)
+    if violations:
+        raise CocycleViolation(violations)
     if not solvable:
         raise Inconsistent(
             "coboundary system insolvable after %d support-growth rounds"
             % MAX_GROW)
     raise SupportGrowthExceeded(
         "no verified coboundary within %d support-growth rounds" % MAX_GROW)
+
+
+def _verified(cd, v, sol, memo):
+    """True iff B = sol (dict weight -> CoefQ) satisfies (1 - s_i)B = v_i for
+    every i.  With (n, sigma) = normalize(s_i mu), the coefficient of s_i B
+    at mu is q^{-n} B(sigma), so the equation at mu reads
+    B(mu) = v_i(mu) + q^{-n} B(sigma), compared as canonical CoefQ.  It is
+    tested at every key of supp B, supp v_i and s_i(supp B), which holds the
+    whole support of B - s_i B - v_i."""
+    for i in cd.labels:
+        vi = v[i].terms
+        keys = set(sol)
+        keys.update(vi)
+        keys.update(_sigma(cd, i, mu, memo)[1] for mu in sol)
+        for mu in keys:
+            n, sig = _sigma(cd, i, mu, memo)
+            rhs = vi.get(mu, ZERO)
+            b = sol.get(sig)
+            if b is not None:
+                rhs = rhs + b * CoefQ.q_power(-n)
+            if sol.get(mu, ZERO) != rhs:
+                return False
+    return True
 
 
 def _solve_on_support(cd, v, support, order_reversed, memo):

@@ -223,8 +223,14 @@ class CoefQ:
 
     @staticmethod
     def from_pairs(num_pairs, den_pairs):
-        num = {int(e): int(c) for e, c in num_pairs}
-        den = {int(e): int(c) for e, c in den_pairs}
+        """The scalar with numerator and denominator given as [exponent,
+        coefficient] pairs (num_pairs / den_pairs).  ValueError unless every
+        entry is an int (bools and floats are refused), an exponent repeats
+        in neither list, and the denominator is nonzero."""
+        num = _pair_dict(num_pairs)
+        den = _pair_dict(den_pairs)
+        if den and not any(den.values()):
+            raise ValueError("zero denominator")
         if not num:
             return ZERO
         shift = min(num)
@@ -264,6 +270,17 @@ class CoefQ:
         if not self.num:
             return "CoefQ(0)"
         return "CoefQ(q^%d*%s/%s)" % (self.shift, list(self.num), list(self.den))
+
+
+def _pair_dict(pairs):
+    out = {}
+    for e, c in pairs:
+        if type(e) is not int or type(c) is not int:
+            raise ValueError("pair [%r, %r] is not two ints" % (e, c))
+        if e in out:
+            raise ValueError("exponent %d appears twice" % e)
+        out[e] = c
+    return out
 
 
 def _qshift(a, k):

@@ -19,6 +19,7 @@ involution, and the coefficient-denominator constraint.
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 
 from . import weyl as weyl_mod
 from .cartan import cartan_from_json, cartan_to_json
@@ -135,28 +136,31 @@ class GrothTable:
 
     # --- persistence ---------------------------------------------------------
 
-    def to_json(self):
+    def save(self, path):
+        """Write the table as JSON, the bytes of
+        json.dumps(obj, sort_keys=True, indent=1) + "\n" for
+        obj = {"format": 1, "cartan": cartan_to_json(cd), "entries": [...]},
+        one entry {"word", "terms", "verified"} per element in (length, word)
+        order.  The entries are encoded and written one at a time by
+        _json_pieces, so the whole object tree never exists at once.  The
+        bytes go to a temporary file in the same directory that then
+        replaces `path`, so an interrupted save never leaves a truncated
+        cache behind.  CacheMismatch when the file cannot be written."""
         entries = sorted(self.entries.items(),
                          key=lambda kv: (kv[0].length, kv[0].word))
-        return {
-            "format": 1,
-            "cartan": cartan_to_json(self.cd),
-            "entries": [{"word": list(w.word),
-                         "terms": to_json(g),
-                         "verified": w in self.verified}
-                        for w, g in entries],
-        }
-
-    def save(self, path):
-        """Write the table as JSON.  The bytes go to a temporary file in the
-        same directory that then replaces `path`, so an interrupted save
-        never leaves a truncated cache behind.  CacheMismatch when the file
-        cannot be written."""
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                json.dump(self.to_json(), fh, sort_keys=True, indent=1)
-                fh.write("\n")
+                fh.write('{\n "cartan": '
+                         + "".join(_json_pieces(cartan_to_json(self.cd), 1, []))
+                         + ',\n "entries": [')
+                sep = "\n  "
+                for w, g in entries:
+                    entry = {"word": list(w.word), "terms": to_json(g),
+                             "verified": w in self.verified}
+                    fh.write("".join(_json_pieces(entry, 2, [sep])))
+                    sep = ",\n  "
+                fh.write(("\n ]" if entries else "]") + ',\n "format": 1\n}\n')
             os.replace(tmp, path)
         except BaseException as ex:
             if os.path.exists(tmp):
@@ -168,8 +172,8 @@ class GrothTable:
 
     @classmethod
     def from_json_obj(cls, obj, cd=None):
-        """Table from the JSON form written by to_json; CacheMismatch when
-        the object does not have that form or was built for other data."""
+        """Table from the JSON form written by save; CacheMismatch when the
+        object does not have that form or was built for other data."""
         try:
             if not isinstance(obj, dict) or obj.get("format") != 1:
                 raise CacheMismatch("not a format-1 cache object")
@@ -196,6 +200,49 @@ class GrothTable:
         except (OSError, ValueError) as ex:
             raise CacheMismatch("cannot read cache %s: %s" % (path, ex)) from ex
         return cls.from_json_obj(obj, cd=cd)
+
+
+def _json_pieces(obj, depth, out):
+    """Append to out the pieces of json.dumps(obj, sort_keys=True, indent=1)
+    for obj nested at the given depth, for the JSON subset caches use: dicts
+    with string keys, lists, ints, strings, bools and None.  A list of ints
+    is joined in one piece.  Returns out."""
+    t = type(obj)
+    if t is int:
+        out.append(int.__repr__(obj))
+    elif t is str:
+        out.append(encode_basestring_ascii(obj))
+    elif t is bool or obj is None:
+        out.append(_JSON_CONSTANTS[obj])
+    elif not obj and (t is list or t is dict):
+        out.append("[]" if t is list else "{}")
+    elif t is list:
+        inner = "\n" + " " * (depth + 1)
+        if all(type(x) is int for x in obj):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)))
+        else:
+            sep = "[" + inner
+            for x in obj:
+                out.append(sep)
+                _json_pieces(x, depth + 1, out)
+                sep = "," + inner
+        out.append("\n" + " " * depth + "]")
+    elif t is dict:
+        inner = "\n" + " " * (depth + 1)
+        sep = "{" + inner
+        for k in sorted(obj):
+            if type(k) is not str:
+                raise TypeError("cache JSON keys must be strings, got %r" % (k,))
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _json_pieces(obj[k], depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + " " * depth + "}")
+    else:
+        raise TypeError("cannot write %s to a cache" % t.__name__)
+    return out
+
+
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
 def grothendieck(cd, word):

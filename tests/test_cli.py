@@ -1,5 +1,6 @@
 """Command-line behaviors: output shapes, exit codes, cache wiring."""
 
+import json
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from affgroth.cartan import from_type
 from affgroth.cli import main
 from affgroth.expr import parse_expression
 from affgroth.groth import GrothTable, grothendieck
-from affgroth.kring import k_one
+from affgroth.kring import k_one, to_json
 from affgroth import weyl
 
 
@@ -276,6 +277,32 @@ def test_cache_malformed_is_error(tmp_path, capsys, content):
     assert path.read_text() == content
 
 
+@pytest.mark.parametrize("field,pairs", [
+    ("num_coeffs", [[0, 1], [0, 5]]),  # duplicate exponent
+    ("num_coeffs", [[0, 1.7]]),  # float coefficient
+    ("num_coeffs", [[0.0, 1]]),  # float exponent
+    ("num_coeffs", [[0, True]]),  # bool coefficient
+    ("den_coeffs", [[False, 1]]),  # bool exponent
+    ("den_coeffs", [[0, 0]]),  # zero denominator
+], ids=["duplicate", "float-coeff", "float-exp", "bool-coeff", "bool-exp",
+        "zero-den"])
+def test_cache_bad_coefficient_is_error(tmp_path, capsys, field, pairs):
+    # G_{s_1} = 1 - e[-L1]; its constant term gets the bad pairs
+    path = tmp_path / "a1.json"
+    assert run(capsys, "groth", "--type", "A1~", "--word", "1",
+               "--cache", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    entry = next(e for e in obj["entries"] if e["word"] == [1])
+    entry["terms"][0][field] = pairs
+    path.write_text(json.dumps(obj))
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cache_failed_save_keeps_old_file(tmp_path, monkeypatch):
     cd = from_type("A1~")
     table = GrothTable(cd)
@@ -284,12 +311,20 @@ def test_cache_failed_save_keeps_old_file(tmp_path, monkeypatch):
     table.save(str(path))
     before = path.read_bytes()
 
-    def broken():
-        raise RuntimeError("interrupted")
+    # the per-entry serializer fails on the second entry, after the first
+    # one has been written to the temporary file
+    calls = []
 
-    monkeypatch.setattr(table, "to_json", broken)
+    def broken(g):
+        calls.append(g)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return to_json(g)
+
+    monkeypatch.setattr("affgroth.groth.to_json", broken)
     with pytest.raises(RuntimeError):
         table.save(str(path))
+    assert len(calls) == 2
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a1.json"]
 

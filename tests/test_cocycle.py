@@ -6,10 +6,12 @@ import sys
 import pytest
 
 from affgroth.cartan import build_cartan, from_type
+from affgroth.coefq import ONE
 from affgroth.cocycle import check_cocycle, solve_coboundary
-from affgroth.errors import CocycleViolation, WindowViolation
+from affgroth.errors import (CocycleViolation, SupportGrowthExceeded,
+                             WindowViolation)
 from affgroth.groth import GrothTable
-from affgroth.kring import in_window, k_zero, monomial, reflect_act
+from affgroth.kring import in_window, k_one, k_zero, monomial, reflect_act
 from affgroth import cocycle, weyl
 
 import oracles
@@ -214,3 +216,131 @@ def test_solve_work_pinned(monkeypatch):
         for w in layer:
             table.compute(w)
     assert (calls, rows) == (42, 5764)
+
+
+def test_cocycle_check_only_names_failures(monkeypatch):
+    # a successful solve never runs check_cocycle: a coboundary is a cocycle
+    def refused(cd, v):
+        raise AssertionError("check_cocycle ran on a successful solve")
+
+    monkeypatch.setattr(cocycle, "check_cocycle", refused)
+    cd = from_type("C2~")
+    table = GrothTable(cd)
+    for layer in weyl.enumerate_up_to(cd, 3):
+        for w in layer:
+            table.compute(w)
+
+
+def test_non_cocycle_with_consistent_system_raises_violation(monkeypatch):
+    # v_1 = e^{L1} breaks (1 + s_1)v_1 = 0, yet the one-equation-per-orbit
+    # system is consistent in every growth round; the re-check rejects each
+    # solution, and the error names the cocycle violation, not the solver
+    consistent = []
+    solve = cocycle._solve_on_support
+
+    def recorded(*args):
+        sol = solve(*args)
+        consistent.append(sol is not None)
+        return sol
+
+    monkeypatch.setattr(cocycle, "_solve_on_support", recorded)
+    cd = from_type("A1~")
+    v = {1: monomial(cd, cd.Lam(1))}
+    with pytest.raises(CocycleViolation):
+        solve_coboundary(cd, v, (-1, 1))
+    assert consistent and all(consistent)
+
+
+def test_recheck_sees_keys_only_s_i_B_reaches(monkeypatch):
+    # B = e^{L1} against v_1 = e^{L1}: the equations at L1 hold for both
+    # labels (s_0 fixes L1), and the residual -e^{L1 - a1} lies only on
+    # s_1(supp B), outside supp B and supp v_1
+    cd = from_type("A1~")
+    lam = cd.Lam(1)
+    monkeypatch.setattr(cocycle, "_propagate",
+                        lambda rows, variables: {lam: ONE})
+    with pytest.raises(CocycleViolation):
+        solve_coboundary(cd, {1: monomial(cd, lam)}, (-1, 1))
+
+
+def _corrupt_changed(cd, v, sol, variables):
+    mu = next(iter(sol))
+    sol[mu] = sol[mu] + ONE
+
+
+def _corrupt_dropped(cd, v, sol, variables):
+    # a key of no v_i whose s_i-partner carries a term: once dropped, the key
+    # lies only in s_i(supp B)
+    for mu in sol:
+        if any(mu in vi.terms for vi in v.values()):
+            continue
+        for i in cd.labels:
+            sig = cd.normalize(cd.reflect(i, mu))[1]
+            if sig != mu and sig in sol:
+                del sol[mu]
+                return
+    raise AssertionError("no key to drop")
+
+
+def _corrupt_extra(cd, v, sol, variables):
+    far = cd.normalize(7 * cd.Lam(1) - 7 * cd.Lam(0))[1]
+    assert far not in variables
+    sol[far] = ONE
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_changed, _corrupt_dropped,
+                                     _corrupt_extra],
+                         ids=["changed", "dropped", "extra"])
+def test_recheck_rejects_wrong_solution(monkeypatch, corrupt):
+    # the descent family of G_{s_0 s_1} in A2~ is a coboundary whose B has a
+    # term at a key of no v_i; every round's system is consistent, so a
+    # solve whose solutions are all wrong can only run out of rounds
+    cd = from_type("A2~")
+    table = GrothTable(cd)
+    w = weyl.canonicalize(cd, (0, 1))
+    J = weyl.right_descents(w)
+    rho_J = cd.rho_J(J)
+    v = {i: (monomial(cd, rho_J) * (k_one(cd) - monomial(cd, -cd.alpha(i)))
+             * table.compute(weyl.mul_gen(w, i))) for i in J}
+    lev = cd.level(rho_J)
+    window = (lev - cd.dual_coxeter, lev)
+    propagate = cocycle._propagate
+    corrupted = []
+
+    def wrong(rows, variables):
+        sol = propagate(rows, variables)
+        corrupt(cd, v, sol, variables)
+        corrupted.append(sol)
+        return sol
+
+    monkeypatch.setattr(cocycle, "_propagate", wrong)
+    with pytest.raises(SupportGrowthExceeded):
+        solve_coboundary(cd, v, window)
+    assert len(corrupted) == cocycle.MAX_GROW
+
+
+def test_recheck_survives_optimize(subprocess_env):
+    # the re-check is plain control flow, not an assert
+    code = ("from affgroth import cocycle\n"
+            "from affgroth.cartan import from_type\n"
+            "from affgroth.coefq import ONE\n"
+            "from affgroth.errors import SupportGrowthExceeded\n"
+            "from affgroth.kring import monomial, reflect_act\n"
+            "cd = from_type('A1~')\n"
+            "b = monomial(cd, cd.alpha(1))\n"
+            "v = {i: b - reflect_act(cd, i, b) for i in cd.labels}\n"
+            "propagate = cocycle._propagate\n"
+            "def wrong(rows, variables):\n"
+            "    sol = propagate(rows, variables)\n"
+            "    mu = next(iter(sol))\n"
+            "    sol[mu] = sol[mu] + ONE\n"
+            "    return sol\n"
+            "cocycle._propagate = wrong\n"
+            "try:\n"
+            "    print(cocycle.solve_coboundary(cd, v, (-2, 0)))\n"
+            "except SupportGrowthExceeded:\n"
+            "    print('SupportGrowthExceeded')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=subprocess_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "SupportGrowthExceeded"

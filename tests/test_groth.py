@@ -1,13 +1,15 @@
 """The descent recursion, its verification battery, and table persistence."""
 
 import hashlib
+import json
 
 import pytest
 
-from affgroth.cartan import build_cartan, from_type
+from affgroth.cartan import build_cartan, cartan_to_json, from_type
+from affgroth.coefq import CoefQ
 from affgroth.errors import CacheMismatch
-from affgroth.groth import GrothTable, grothendieck
-from affgroth.kring import in_window, j_map, k_one, monomial, psi
+from affgroth.groth import GrothTable, _json_pieces, grothendieck
+from affgroth.kring import in_window, j_map, k_one, monomial, psi, to_json
 from affgroth import weyl
 
 import oracles
@@ -142,6 +144,81 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.verified == table.verified
     loaded.save(str(path))
     assert path.read_bytes() == first
+
+
+def json_dumps_bytes(table):
+    """The save bytes as the standard library writes them."""
+    entries = sorted(table.entries.items(),
+                     key=lambda kv: (kv[0].length, kv[0].word))
+    obj = {"format": 1, "cartan": cartan_to_json(table.cd),
+           "entries": [{"word": list(w.word), "terms": to_json(g),
+                        "verified": w in table.verified}
+                       for w, g in entries]}
+    return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode()
+
+
+def golden_tables():
+    tables = {}
+    for _, t, word in oracles.GOLDEN:
+        table = tables.setdefault(t, GrothTable(from_type(t)))
+        table.compute(weyl.canonicalize(table.cd, word))
+    return sorted(tables.items())
+
+
+def test_save_bytes_golden_tables(tmp_path):
+    for t, table in golden_tables():
+        path = tmp_path / "t.json"
+        table.save(str(path))
+        assert path.read_bytes() == json_dumps_bytes(table), t
+
+
+def test_save_bytes_empty_and_verified(tmp_path):
+    cd = from_type("A2~")
+    table = GrothTable(cd)
+    path = tmp_path / "t.json"
+    table.save(str(path))
+    assert path.read_bytes() == json_dumps_bytes(table)
+    assert b'"entries": []' in path.read_bytes()
+    for word in ((0,), (1, 0), (0, 1, 0)):
+        table.compute(weyl.canonicalize(cd, word))
+    table.verify(weyl.canonicalize(cd, (1, 0)), probe_length=2)
+    assert table.verified and len(table.verified) < len(table.entries)
+    table.save(str(path))
+    assert path.read_bytes() == json_dumps_bytes(table)
+    assert b"true" in path.read_bytes() and b"false" in path.read_bytes()
+
+
+def test_save_bytes_twisted_and_negative(tmp_path):
+    # A2^(2) is given by its matrix only, so its type is null; the random
+    # entries add negative coefficients, negative exponents and nontrivial
+    # denominators
+    cd = build_cartan(dict(oracles.CUSTOM_GCMS)["A2^(2)"])
+    table = GrothTable(cd)
+    for layer in weyl.enumerate_up_to(cd, 3):
+        for w in layer:
+            table.compute(w)
+    rng = oracles.rng_for("save-bytes")
+    for layer in weyl.enumerate_up_to(cd, 5)[4:]:
+        for w in layer:
+            f = oracles.random_element(cd, rng)
+            table.entries[w] = f * CoefQ.make((1,), 0, (1, -2, 0, -1))
+    coeffs = [x for g in table.entries.values() for c in g.terms.values()
+              for x in c.num + c.den]
+    assert min(coeffs) < 0
+    path = tmp_path / "t.json"
+    table.save(str(path))
+    assert path.read_bytes() == json_dumps_bytes(table)
+    assert b'"type": null' in path.read_bytes()
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], 0, -7, 10 ** 40, True, None, "a\"b\\c\u00e9\n",
+    {"b": [1, [2, []], {}], "a": {"y": False, "x": [-1, 0, 2 ** 70]}},
+    [[True, 1], [None], ["s", 1], [[]]],
+], ids=lambda o: type(o).__name__)
+def test_json_pieces_match_json_dumps(obj):
+    assert ("".join(_json_pieces(obj, 0, []))
+            == json.dumps(obj, sort_keys=True, indent=1))
 
 
 def test_high_degree_table_bytes_pinned(tmp_path):
