@@ -259,8 +259,10 @@ def build_cartan(gcm, type_string=None):
     character machinery refuses it.
     """
     try:
-        gcm = tuple(tuple(int(x) for x in row) for row in gcm)
-    except (TypeError, ValueError):
+        gcm = tuple(tuple(row) for row in gcm)
+    except TypeError:
+        raise BadShape("matrix rows must be sequences")
+    if not all(type(x) is int for row in gcm for x in row):
         raise BadShape("matrix entries must be integers")
     n = len(gcm)
     if n < 2 or any(len(row) != n for row in gcm):

@@ -7,19 +7,23 @@ alternating partial sums over the subgroup agree.  solve_coboundary finds B
 supported in a level window; existence inside the window is what the
 vanishing theory guarantees.
 
-Every equation of the system reads x_mu - q^{-n} x_{s_i mu} = v_i(mu), with
-one or two unknowns, so the system is a gain graph: unknowns are vertices,
-two-unknown equations are edges whose gains are signed powers of q.  It is
-solved exactly by propagation along a spanning forest.  Each component's
-root carries one unknown t; a cycle of the graph fixes t through an equation
+Every equation of the system reads x_mu - q^{-n} x_sigma = v_i(mu), with
+(n, sigma) = normalize(s_i mu), so the system is a gain graph (Zaslavsky,
+Biased graphs I, JCTB 1989): unknowns are vertices, two-unknown equations are
+edges whose gains are powers of q, and the neighbours of mu are its
+normalized reflections.  The graph is never built: _solve_on_support walks
+it breadth-first straight from the support, _sigma and v.  Each component's
+root carries one unknown t, a tree edge writes the key it reaches as A + C*t,
+and every other equation becomes a check k*t = c.  A cycle fixes t through
 (1 - q^k) t = c, which is where the (1 - q^k) denominators of G_w come from.
 A component nothing fixes gets t = 0.
 
-Only one equation per label i and s_i-orbit {mu, s_i mu} is assembled.  That
-assumes the cocycle conditions: (1 + s_i)v_i = 0 makes the equation at
-s_i mu equal to -q^n times the one at mu, and a key fixed by s_i has n = 0
-(s_i mu - mu is a multiple of alpha_i, never a nonzero multiple of delta),
-so its equation reads 0 = v_i(mu), which (1 + s_i)v_i = 0 already forces.
+Only one equation per label i and s_i-orbit {mu, sigma} is used, read at
+whichever key of the orbit the walk reaches first.  That assumes the cocycle
+conditions: (1 + s_i)v_i = 0 makes the equation at sigma equal to -q^n times
+the one at mu, and a key fixed by s_i has n = 0 (s_i mu - mu is a multiple
+of alpha_i, never a nonzero multiple of delta), so its equation reads
+0 = v_i(mu), which (1 + s_i)v_i = 0 already forces.
 The assumption is made safe by the substitution re-check, which tests every
 equation of the full system, both keys of each orbit included: a B that
 passes it is a coboundary, and a coboundary is always a cocycle.  So
@@ -102,14 +106,14 @@ def solve_coboundary(cd, v, window, order_reversed=False):
     v_i supports closed k times under all normalized reflections, k = 1, 2, ..
     until the linear system is consistent (Inconsistent if no round is,
     SupportGrowthExceeded if no consistent round verifies, after MAX_GROW
-    rounds).  Solutions are not unique: the system is solved along a spanning
-    forest of its gain graph, and the root of every component that no
-    equation pins down is set to zero.  Roots are taken in term order, or in
-    reversed term order with order_reversed.  The returned B is re-verified
-    by substitution (see _verified), so a solver fault cannot return a
-    wrong B.
+    rounds).  Each round solves the system by walking its gain graph
+    straight from the support (_solve_on_support).  Solutions are not
+    unique: the root of every component that no equation pins down is set
+    to zero, and roots are taken in term order, or in reversed term order
+    with order_reversed.  The returned B is re-verified by substitution (see
+    _verified), so a solver fault cannot return a wrong B.
 
-    The system holds one equation per s_i-orbit of keys, which stands for
+    The walk uses one equation per s_i-orbit of keys, which stands for
     the whole orbit only when the cocycle conditions hold; the re-check
     makes that assumption safe.  check_cocycle runs only when no round
     verifies: a family that is not a cocycle raises CocycleViolation, after
@@ -180,81 +184,52 @@ def _verified(cd, v, sol, memo):
 
 
 def _solve_on_support(cd, v, support, order_reversed, memo):
-    """Assemble the equations for B supported on `support`, one per label i
-    and s_i-orbit {mu, s_i mu} of the support (see the module docstring),
-    and solve them.  Each goes at the orbit's first key in variable order; a
-    key fixed by s_i gives none.  Returns dict weight -> CoefQ, or None if
-    inconsistent."""
+    """Solve for B supported on `support` by walking the gain graph (see the
+    module docstring).  Roots are taken in term order, reversed under
+    order_reversed.  At a walked key mu and label i, with r = v_i(mu):
+      - sigma already walked (mu itself when s_i fixes mu): the orbit's
+        equation is used, skip;
+      - sigma outside the support: check C_mu t = r - A_mu;
+      - sigma not yet reached: tree edge, x_sigma = q^n (x_mu - r);
+      - sigma reached but not walked: check
+        (q^n C_mu - C_sigma) t = A_sigma - q^n (A_mu - r).
+    The first check with k != 0 fixes t, every other one must agree.
+    Returns dict weight -> CoefQ, or None if inconsistent."""
     key = lambda mu: (cd.level(mu), mu.l, mu.m)
-    variables = sorted(support, key=key, reverse=order_reversed)
-    var_pos = {mu: p for p, mu in enumerate(variables)}
-
-    rows = []  # (coeffs: dict var_pos -> CoefQ, rhs: CoefQ)
-    for i in cd.labels:
-        vi = v[i]
-        for p, mu in enumerate(variables):
-            n, sig = _sigma(cd, i, mu, memo)
-            s = var_pos.get(sig)
-            if s is None:
-                coeffs = {p: ONE}
-            elif s > p:
-                coeffs = {p: ONE, s: -CoefQ.q_power(-n)}
-            else:  # s_i fixes mu, or the orbit's equation is already in
-                continue
-            rows.append((coeffs, vi.terms.get(mu, ZERO)))
-    return _propagate(rows, variables)
-
-
-def _propagate(rows, variables):
-    """Solve rows of one or two entries along a spanning forest of their
-    gain graph.  Each component is walked breadth-first from its first
-    variable, the root, whose value is an unknown t; a tree edge writes its
-    far variable as A + C*t.  A one-entry row or a non-tree edge then reads
-    k*t = c: the first one with k != 0 fixes t (a cycle gives k = q^a - q^b,
-    the source of the (1 - q^k) denominators), every other one must agree.
-    A component nothing fixes gets t = 0.  Returns dict weight -> CoefQ, or
-    None if inconsistent."""
-    incident = [[] for _ in variables]
-    for r, (coeffs, _) in enumerate(rows):
-        for p in coeffs:
-            incident[p].append(r)
-    value = [None] * len(variables)  # p -> (A, C) with x_p = A + C*t
-    used = [False] * len(rows)
+    value = {}  # mu -> (A, C) with x_mu = A + C*t
+    walked = set()
     solution = {}
-    for root in range(len(variables)):
-        if value[root] is not None:
+    for root in sorted(support, key=key, reverse=order_reversed):
+        if root in value:
             continue
         value[root] = (ZERO, ONE)
         component = [root]
         checks = []  # (k, c) with k*t = c
-        for p in component:  # grows while walked: breadth-first
-            a_p, c_p = value[p]
-            for r in incident[p]:
-                if used[r]:
+        for mu in component:  # grows while walked: breadth-first
+            walked.add(mu)
+            a_mu, c_mu = value[mu]
+            for i in cd.labels:
+                n, sig = _sigma(cd, i, mu, memo)
+                if sig in walked:
                     continue
-                used[r] = True
-                coeffs, rhs = rows[r]
-                a = coeffs[p]
-                k = a * c_p
-                c = rhs - a * a_p
-                w = next((w for w in coeffs if w != p), None)
-                if w is not None:
-                    b = coeffs[w]
-                    if value[w] is None:  # tree edge: x_w = (c - k*t)/b
-                        inv = b.inv()
-                        value[w] = (c * inv, -k * inv)
-                        component.append(w)
-                        continue
-                    a_w, c_w = value[w]
-                    k = k + b * c_w
-                    c = c - b * a_w
-                checks.append((k, c))
+                r = v[i].terms.get(mu, ZERO)
+                if sig not in support:
+                    checks.append((c_mu, r - a_mu))
+                    continue
+                g = CoefQ.q_power(n)
+                a, c = g * (a_mu - r), g * c_mu
+                got = value.get(sig)
+                if got is None:
+                    value[sig] = (a, c)
+                    component.append(sig)
+                else:
+                    checks.append((c - got[1], got[0] - a))
         t = next((c * k.inv() for k, c in checks if not k.is_zero()), ZERO)
         if any(k * t != c for k, c in checks):
             return None
-        for p in component:
-            a_p, c_p = value[p]
-            x = a_p + c_p * t
+        for mu in component:
+            a_mu, c_mu = value[mu]
+            x = a_mu + c_mu * t
             if not x.is_zero():
-                solution[variables[p]] = x
+                solution[mu] = x
     return solution

@@ -184,6 +184,9 @@ class GrothTable:
             table = cls(cd if cd is not None else file_cd)
             for ent in obj["entries"]:
                 w = weyl_mod.canonicalize(table.cd, tuple(ent["word"]))
+                if w in table.entries:
+                    raise ValueError("two entries for the element %s"
+                                     % list(w.word))
                 table.entries[w] = from_json(table.cd, ent["terms"])
                 if ent.get("verified"):
                     table.verified.add(w)

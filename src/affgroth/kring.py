@@ -13,6 +13,8 @@ from .errors import NonQInput
 from .weights import Weight
 from . import weyl as weyl_mod
 
+_INT = {int}  # the one type a cached coordinate may have; bool is refused
+
 
 class KElement:
     """Immutable-by-convention sparse element: dict Weight -> CoefQ, no zero
@@ -303,8 +305,21 @@ def to_json(f):
 
 
 def from_json(cd, data):
+    """Element from the form written by to_json.  ValueError unless every
+    weight has coordinate lists l and m of cd.rank ints (bools and floats
+    are refused) with m[node0] = 0, as delta-normalized keys have, and no
+    weight repeats."""
     out = {}
     for t in data:
-        mu = Weight(t["weight"]["l"], t["weight"]["m"])
-        _acc(out, mu, CoefQ.from_pairs(t["num_coeffs"], t["den_coeffs"]))
-    return KElement(cd, out)
+        l, m = t["weight"]["l"], t["weight"]["m"]
+        if not (type(l) is type(m) is list and len(l) == len(m) == cd.rank
+                and _INT.issuperset(map(type, l + m))):
+            raise ValueError("weight coordinates must be lists of %d ints"
+                             % cd.rank)
+        if m[cd.node0]:
+            raise ValueError("weight has a delta part: m[%d] = %d"
+                             % (cd.node0, m[cd.node0]))
+        out[Weight(l, m)] = CoefQ.from_pairs(t["num_coeffs"], t["den_coeffs"])
+    if len(out) != len(data):
+        raise ValueError("a weight repeats within one entry")
+    return KElement(cd, {mu: c for mu, c in out.items() if not c.is_zero()})

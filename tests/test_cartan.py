@@ -89,6 +89,13 @@ def test_build_rejects_shape():
         build_cartan([[2, 1], [-1, 2]])
     with pytest.raises(BadShape):
         build_cartan([[2, 0], [-1, 2]])
+    # entries must be plain ints: no floats, strings or bools coerced
+    for gcm in ([[2, -2.7], [-2, 2]], [[2.9, -2], [-2, 2]],
+                [[2.0, -2], [-2, 2]], [["2", -2], [-2, "2"]],
+                [[2, False], [False, 2]],
+                [2, 2], None):
+        with pytest.raises(BadShape):
+            build_cartan(gcm)
 
 
 def test_twisted_flagged():

@@ -303,6 +303,64 @@ def test_cache_bad_coefficient_is_error(tmp_path, capsys, field, pairs):
     assert len(err.splitlines()) == 1
 
 
+def _repeat_term(obj, entry):
+    entry["terms"].append(entry["terms"][0])
+
+
+def _repeat_entry(obj, entry):
+    obj["entries"].append(dict(entry, terms=entry["terms"][:1]))
+
+
+def _equivalent_word(obj, entry):
+    obj["entries"].append(dict(entry, word=[1, 0, 0],
+                               terms=entry["terms"][:1]))
+
+
+def _delta_part(obj, entry):
+    entry["terms"][0]["weight"]["m"][0] = 1  # node0 of A1~ is 0
+
+
+def _wrong_rank(obj, entry):
+    for t in entry["terms"]:
+        t["weight"]["l"].append(0)
+        t["weight"]["m"].append(0)
+
+
+def _float_coordinate(obj, entry):
+    entry["terms"][0]["weight"]["l"][0] = 0.0
+
+
+@pytest.mark.parametrize("edit,word", [
+    (_repeat_term, "1"), (_repeat_entry, "1"), (_equivalent_word, "1"),
+    (_delta_part, "1"), (_wrong_rank, "1,0"), (_float_coordinate, "1,0"),
+], ids=["repeated-term", "repeated-entry", "equivalent-word", "delta-part",
+        "wrong-rank", "float-coordinate"])
+def test_cache_bad_weight_or_entry_is_error(tmp_path, capsys, edit, word):
+    # each edit of the cached G_{s_1} = 1 - e[-L1] once loaded silently,
+    # as a wrong G_w or a late traceback
+    path = tmp_path / "a1.json"
+    assert run(capsys, "groth", "--type", "A1~", "--word", "1",
+               "--cache", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    edit(obj, next(e for e in obj["entries"] if e["word"] == [1]))
+    path.write_text(json.dumps(obj))
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", word,
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: malformed cache") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("gcm", ["[[2,-2.7],[-2,2]]", "[[2.9,-2],[-2,2]]",
+                                 '[["2",-2],[-2,2]]', "[[2,false],[false,2]]"])
+def test_gcm_non_integer_entry_is_error(capsys, gcm):
+    status, out, err = run(capsys, "groth", "--gcm", gcm, "--word", "1")
+    assert status == 1
+    assert out == ""
+    assert err == "error: matrix entries must be integers\n"
+
+
 def test_cache_failed_save_keeps_old_file(tmp_path, monkeypatch):
     cd = from_type("A1~")
     table = GrothTable(cd)

@@ -194,28 +194,53 @@ def test_solver_fills_missing_labels():
 def test_solve_work_pinned(monkeypatch):
     # a solver that loses equations can still verify by growing the support
     # and re-solving, so only the amount of work shows it: the C2~ table to
-    # length 5 takes 42 support rounds over 5,764 rows in all
-    calls = rows = 0
-    solve, propagate = cocycle._solve_on_support, cocycle._propagate
+    # length 5 takes 42 support rounds
+    calls = 0
+    solve = cocycle._solve_on_support
 
     def counted_solve(*args):
         nonlocal calls
         calls += 1
         return solve(*args)
 
-    def counted_propagate(eqs, variables):
-        nonlocal rows
-        rows += len(eqs)
-        return propagate(eqs, variables)
-
     monkeypatch.setattr(cocycle, "_solve_on_support", counted_solve)
-    monkeypatch.setattr(cocycle, "_propagate", counted_propagate)
     cd = from_type("C2~")
     table = GrothTable(cd)
     for layer in weyl.enumerate_up_to(cd, 5):
         for w in layer:
             table.compute(w)
-    assert (calls, rows) == (42, 5764)
+    assert calls == 42
+
+
+def _orbit(cd, mu):
+    """The keys normalize(x mu), x in W: a support closed under every s_i."""
+    support, frontier = set(), [mu]
+    while frontier:
+        mu = frontier.pop()
+        if mu not in support:
+            support.add(mu)
+            frontier.extend(cd.normalize(cd.reflect(i, mu))[1]
+                            for i in cd.labels)
+    return support
+
+
+def test_walk_refuses_open_gain_one_cycle():
+    # the gain graph on the four C2~ keys of the orbit of a1 has cycles of
+    # gain q^{+-1}, which fix t, and one of gain 1 (k = 0), which for
+    # v_2 = (1 - s_2)e^{a1} alone reads 0 = c with c != 0
+    cd = from_type("C2~")
+    support = _orbit(cd, cd.alpha(1))
+    assert len(support) == 4
+    b = monomial(cd, cd.alpha(1))
+    v = cocycle._family(cd, {2: b - reflect_act(cd, 2, b)})
+    assert cocycle._solve_on_support(cd, v, support, False, {}) is None
+
+
+def test_walk_sets_unpinned_root_to_zero():
+    # the zero weight is fixed by every s_i, so its component has no check
+    cd = from_type("A1~")
+    v = cocycle._family(cd, {})
+    assert cocycle._solve_on_support(cd, v, {cd.zero()}, False, {}) == {}
 
 
 def test_cocycle_check_only_names_failures(monkeypatch):
@@ -257,18 +282,18 @@ def test_recheck_sees_keys_only_s_i_B_reaches(monkeypatch):
     # s_1(supp B), outside supp B and supp v_1
     cd = from_type("A1~")
     lam = cd.Lam(1)
-    monkeypatch.setattr(cocycle, "_propagate",
-                        lambda rows, variables: {lam: ONE})
+    monkeypatch.setattr(cocycle, "_solve_on_support",
+                        lambda *args: {lam: ONE})
     with pytest.raises(CocycleViolation):
         solve_coboundary(cd, {1: monomial(cd, lam)}, (-1, 1))
 
 
-def _corrupt_changed(cd, v, sol, variables):
+def _corrupt_changed(cd, v, sol, support):
     mu = next(iter(sol))
     sol[mu] = sol[mu] + ONE
 
 
-def _corrupt_dropped(cd, v, sol, variables):
+def _corrupt_dropped(cd, v, sol, support):
     # a key of no v_i whose s_i-partner carries a term: once dropped, the key
     # lies only in s_i(supp B)
     for mu in sol:
@@ -282,9 +307,9 @@ def _corrupt_dropped(cd, v, sol, variables):
     raise AssertionError("no key to drop")
 
 
-def _corrupt_extra(cd, v, sol, variables):
+def _corrupt_extra(cd, v, sol, support):
     far = cd.normalize(7 * cd.Lam(1) - 7 * cd.Lam(0))[1]
-    assert far not in variables
+    assert far not in support
     sol[far] = ONE
 
 
@@ -304,16 +329,16 @@ def test_recheck_rejects_wrong_solution(monkeypatch, corrupt):
              * table.compute(weyl.mul_gen(w, i))) for i in J}
     lev = cd.level(rho_J)
     window = (lev - cd.dual_coxeter, lev)
-    propagate = cocycle._propagate
+    solve = cocycle._solve_on_support
     corrupted = []
 
-    def wrong(rows, variables):
-        sol = propagate(rows, variables)
-        corrupt(cd, v, sol, variables)
+    def wrong(cd, v, support, order_reversed, memo):
+        sol = solve(cd, v, support, order_reversed, memo)
+        corrupt(cd, v, sol, support)
         corrupted.append(sol)
         return sol
 
-    monkeypatch.setattr(cocycle, "_propagate", wrong)
+    monkeypatch.setattr(cocycle, "_solve_on_support", wrong)
     with pytest.raises(SupportGrowthExceeded):
         solve_coboundary(cd, v, window)
     assert len(corrupted) == cocycle.MAX_GROW
@@ -329,13 +354,13 @@ def test_recheck_survives_optimize(subprocess_env):
             "cd = from_type('A1~')\n"
             "b = monomial(cd, cd.alpha(1))\n"
             "v = {i: b - reflect_act(cd, i, b) for i in cd.labels}\n"
-            "propagate = cocycle._propagate\n"
-            "def wrong(rows, variables):\n"
-            "    sol = propagate(rows, variables)\n"
+            "solve = cocycle._solve_on_support\n"
+            "def wrong(*args):\n"
+            "    sol = solve(*args)\n"
             "    mu = next(iter(sol))\n"
             "    sol[mu] = sol[mu] + ONE\n"
             "    return sol\n"
-            "cocycle._propagate = wrong\n"
+            "cocycle._solve_on_support = wrong\n"
             "try:\n"
             "    print(cocycle.solve_coboundary(cd, v, (-2, 0)))\n"
             "except SupportGrowthExceeded:\n"
