@@ -97,8 +97,8 @@ class AffineCartanData:
     """
 
     __slots__ = ("gcm", "labels", "marks", "comarks", "d", "node0", "orders",
-                 "dual_coxeter", "type_string", "untwisted", "_clpos",
-                 "_weyl_mul", "_weyl_layers")
+                 "dual_coxeter", "type_string", "untwisted", "_weyl_mul",
+                 "_weyl_layers")
 
     def __init__(self, gcm, marks, comarks, d, node0, orders, type_string, untwisted):
         self.gcm = gcm
@@ -111,7 +111,6 @@ class AffineCartanData:
         self.dual_coxeter = sum(comarks)
         self.type_string = type_string
         self.untwisted = untwisted
-        self._clpos = None
         self._weyl_mul = {}  # (rho image, i) -> w s_i, filled by weyl.mul_gen
         self._weyl_layers = []  # length layers, extended by weyl.enumerate_up_to
 
@@ -214,38 +213,6 @@ class AffineCartanData:
     def classical_nodes(self):
         return tuple(j for j in self.labels if j != self.node0)
 
-    def classical_positive_roots(self):
-        """Positive roots of the finite subsystem on I minus node0, as m-vectors
-        (tuples over all nodes, 0 at node0), sorted."""
-        if self._clpos is None:
-            nodes = self.classical_nodes()
-            seen = set()
-            frontier = []
-            for j in nodes:
-                e = [0] * self.rank
-                e[j] = 1
-                t = tuple(e)
-                seen.add(t)
-                frontier.append(t)
-            while frontier:
-                new = []
-                for beta in frontier:
-                    for j in nodes:
-                        p = sum(self.gcm[j][k] * beta[k] for k in nodes if beta[k])
-                        if p == 0:
-                            continue
-                        b2 = list(beta)
-                        b2[j] -= p
-                        b2 = tuple(b2)
-                        if b2 not in seen:
-                            seen.add(b2)
-                            new.append(b2)
-                frontier = new
-                if len(seen) > 200000:
-                    raise NotAffine("classical subsystem closure does not terminate")
-            self._clpos = tuple(sorted(b for b in seen if all(c >= 0 for c in b)))
-        return self._clpos
-
     def theta(self):
         """delta - alpha_{node0} as a Weight."""
         return self.delta() - self.alpha(self.node0)
@@ -313,14 +280,16 @@ def build_cartan(gcm, type_string=None):
             if i != j:
                 orders[(i, j)] = _ORDER_FROM_PRODUCT.get(gcm[i][j] * gcm[j][i])
 
-    cd = AffineCartanData(gcm, marks, comarks, d, node0, orders, type_string,
-                          untwisted=False)
-    theta_cl = tuple(marks[j] if j != node0 else 0 for j in range(n))
-    pos = cd.classical_positive_roots()
-    max_ht = max(sum(b) for b in pos)
-    untwisted = theta_cl in pos and sum(theta_cl) == max_ht
+    # untwisted iff theta = delta - alpha_node0 is the highest root of the
+    # classical subsystem (irreducible: theta has full support there)
+    nodes = [j for j in range(n) if j != node0]
+    theta = [marks[j] if j != node0 else 0 for j in range(n)]
+    untwisted = (_is_positive_root_of_subsystem(gcm, nodes, theta)
+                 and not any(_is_positive_root_of_subsystem(
+                     gcm, nodes, [t + (k == j) for k, t in enumerate(theta)])
+                     for j in nodes))
     return AffineCartanData(gcm, marks, comarks, d, node0, orders, type_string,
-                            untwisted=untwisted)
+                            untwisted)
 
 
 # --- built-in families -------------------------------------------------------

@@ -79,8 +79,8 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, cd, obj):
-        return cls(cd, weight_from_json(obj["base"]), obj["cutoff"],
-                   {weight_from_json(t["weight"]): t["coeff"]
+        return cls(cd, weight_from_json(obj["base"], cd.rank), obj["cutoff"],
+                   {weight_from_json(t["weight"], cd.rank): t["coeff"]
                     for t in obj["coeffs"]})
 
 

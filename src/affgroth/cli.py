@@ -16,7 +16,7 @@ from .cartan import build_cartan, from_type
 from .characters import (euler_character, local_cohomology_character,
                          weyl_kac_character)
 from .errors import AffGrothError, ParseError, UnknownNode
-from .expr import parse_expression, print_element
+from .expr import print_element
 from .groth import GrothTable
 from .kring import j_map
 from .weights import format_weight, parse_weight

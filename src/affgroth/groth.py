@@ -173,7 +173,8 @@ class GrothTable:
     @classmethod
     def from_json_obj(cls, obj, cd=None):
         """Table from the JSON form written by save; CacheMismatch when the
-        object does not have that form or was built for other data."""
+        object does not have that form (each entry's "verified" is a JSON
+        bool) or was built for other data."""
         try:
             if not isinstance(obj, dict) or obj.get("format") != 1:
                 raise CacheMismatch("not a format-1 cache object")
@@ -188,7 +189,11 @@ class GrothTable:
                     raise ValueError("two entries for the element %s"
                                      % list(w.word))
                 table.entries[w] = from_json(table.cd, ent["terms"])
-                if ent.get("verified"):
+                verified = ent["verified"]
+                if type(verified) is not bool:
+                    raise ValueError("verified must be true or false, not %r"
+                                     % (verified,))
+                if verified:
                     table.verified.add(w)
         except (KeyError, TypeError, ValueError) as ex:
             raise CacheMismatch("malformed cache: %s %s"

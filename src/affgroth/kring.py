@@ -6,14 +6,18 @@ by normalization live in the CoefQ coefficients.
 Operators: the q-twisted Weyl action, Demazure operators in closed form, the
 localization maps j_w, the bar involution psi, the level-zero embedding of
 exp(Q) along eta, and classical orbit sums.
+
+Every operator, sums and products included, is a sum of term images, and
+_collect is the one path that adds them: it delta-normalizes each image and
+adds the coefficients that land on one key.
 """
+
+import operator
 
 from .coefq import CoefQ, ONE, ZERO
 from .errors import NonQInput
-from .weights import Weight
+from .weights import Weight, weight_from_json, weight_to_json
 from . import weyl as weyl_mod
-
-_INT = {int}  # the one type a cached coordinate may have; bool is refused
 
 
 class KElement:
@@ -37,28 +41,25 @@ class KElement:
         return len(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            _acc(out, mu, c)
-        return KElement(self.cd, out)
+        return _collect(self.cd, [(mu.l, mu.m, c) for f in (self, other)
+                                  for mu, c in f.terms.items()])
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            _acc(out, mu, -c)
-        return KElement(self.cd, out)
+        return _collect(self.cd,
+                        [(mu.l, mu.m, c) for mu, c in self.terms.items()]
+                        + [(mu.l, mu.m, -c) for mu, c in other.terms.items()])
 
     def __neg__(self):
         return KElement(self.cd, {mu: -c for mu, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, KElement):
-            # products of normalized keys stay normalized: m[node0] = 0 + 0
-            out = {}
-            for mu1, c1 in self.terms.items():
-                for mu2, c2 in other.terms.items():
-                    _acc(out, mu1 + mu2, c1 * c2)
-            return KElement(self.cd, out)
+            add = operator.add
+            return _collect(self.cd, [
+                (tuple(map(add, mu1.l, mu2.l)), tuple(map(add, mu1.m, mu2.m)),
+                 c1 * c2)
+                for mu1, c1 in self.terms.items()
+                for mu2, c2 in other.terms.items()])
         if isinstance(other, CoefQ):
             if other.is_zero():
                 return k_zero(self.cd)
@@ -102,17 +103,54 @@ class KElement:
         return "K<" + " + ".join(bits) + ">"
 
 
-def _acc(out, mu, c):
-    prev = out.get(mu)
-    if prev is None:
-        if not c.is_zero():
-            out[mu] = c
-    else:
-        s = prev + c
-        if s.is_zero():
-            del out[mu]
+def _collect(cd, terms):
+    """The element sum c * e^{l, m} over the (l, m, c) coordinate triples in
+    terms; m may have a delta part.  Each term is delta-normalized (its
+    q-power moves into the shift of c) and grouped by key and denominator.
+    A one-term group is already canonical; a larger group adds its q-shifted
+    numerators as integer lists and is canonicalized by one CoefQ.make.  The
+    groups of a key are then added as CoefQ, keys whose sum is zero are
+    dropped, and one Weight is built per surviving key."""
+    node0, marks = cd.node0, cd.marks
+    keys = {}  # (l, m) -> (c, n) for one term, else {den: [(shift, num), ...]}
+    for l, m, c in terms:
+        n = m[node0]
+        if n:
+            m = tuple(mj - n * aj for mj, aj in zip(m, marks))
+        one = (c, n)
+        g = keys.setdefault((l, m), one)
+        if g is not one:
+            if type(g) is tuple:
+                first, n0 = g
+                g = keys[l, m] = {first.den: [(first.shift + n0, first.num)]}
+            g.setdefault(c.den, []).append((c.shift + n, c.num))
+    out = {}
+    for (l, m), g in keys.items():
+        if type(g) is tuple:
+            c, n = g
+            if n:
+                c = CoefQ(c.shift + n, c.num, c.den)
         else:
-            out[mu] = s
+            c = None
+            for den, parts in g.items():
+                s = _group_sum(parts, den)
+                c = s if c is None else c + s
+        if c.num:
+            out[Weight(l, m)] = c
+    return KElement(cd, out)
+
+
+def _group_sum(parts, den):
+    """The canonical sum of q^shift * num / den over the (shift, num) parts."""
+    if len(parts) == 1:
+        ((shift, num),) = parts
+        return CoefQ(shift, num, den)
+    shift = min(sh for sh, _ in parts)
+    acc = [0] * max(sh - shift + len(num) for sh, num in parts)
+    for sh, num in parts:
+        for k, x in enumerate(num, sh - shift):
+            acc[k] += x
+    return CoefQ.make(acc, shift, den)
 
 
 def k_zero(cd):
@@ -135,20 +173,12 @@ def monomial(cd, mu, coef=ONE):
     """c * e^mu with mu an arbitrary Weight; delta powers move into q."""
     if isinstance(coef, int):
         coef = CoefQ.from_int(coef)
-    if coef.is_zero():
-        return k_zero(cd)
-    n, nu = cd.normalize(mu)
-    if n:
-        coef = coef * CoefQ.q_power(n)
-    return KElement(cd, {nu: coef})
+    return _collect(cd, ((mu.l, mu.m, coef),))
 
 
 def from_terms(cd, pairs):
-    out = {}
-    for mu, c in pairs:
-        n, nu = cd.normalize(mu)
-        _acc(out, nu, c * CoefQ.q_power(n) if n else c)
-    return KElement(cd, out)
+    """The sum of c * e^mu over the (Weight mu, CoefQ c) pairs."""
+    return _collect(cd, ((mu.l, mu.m, c) for mu, c in pairs))
 
 
 def in_window(f, lo, hi):
@@ -161,21 +191,16 @@ def in_window(f, lo, hi):
 
 def weyl_act(w, f):
     """Term-wise q-twisted action: e^mu -> q^n e^nu, (n, nu) = normalize(w(mu))."""
-    cd = f.cd
-    out = {}
-    for mu, c in f.terms.items():
-        n, nu = cd.normalize(weyl_mod.act(w, mu))
-        _acc(out, nu, c * CoefQ.q_power(n) if n else c)
-    return KElement(cd, out)
+    act = weyl_mod.act
+    return _collect(f.cd, ((mu.l, act(w, mu).m, c)
+                           for mu, c in f.terms.items()))
 
 
 def reflect_act(cd, i, f):
     """weyl_act by the single generator s_i."""
-    out = {}
-    for mu, c in f.terms.items():
-        n, nu = cd.normalize(cd.reflect(i, mu))
-        _acc(out, nu, c * CoefQ.q_power(n) if n else c)
-    return KElement(cd, out)
+    reflect = cd.reflect
+    return _collect(cd, ((mu.l, reflect(i, mu).m, c)
+                         for mu, c in f.terms.items()))
 
 
 def demazure(i, f):
@@ -185,23 +210,23 @@ def demazure(i, f):
     """
     cd = f.cd
     cd.check_node(i)
-    alpha_i = cd.alpha(i)
-    out = {}
+    return _collect(cd, _demazure_terms(cd, i, f))
+
+
+def _demazure_terms(cd, i, f):
     for mu, c in f.terms.items():
-        m = cd.pairing(i, mu)
-        if m >= 0:
-            w = mu
-            for _ in range(m + 1):
-                n, nu = cd.normalize(w)
-                _acc(out, nu, c * CoefQ.q_power(n) if n else c)
-                w = w - alpha_i
-        elif m <= -2:
-            w = mu + alpha_i
-            for _ in range(-m - 1):
-                n, nu = cd.normalize(w)
-                _acc(out, nu, -(c * CoefQ.q_power(n)) if n else -c)
-                w = w + alpha_i
-    return KElement(cd, out)
+        p = cd.pairing(i, mu)
+        if p == -1:
+            continue
+        l, m = mu.l, mu.m
+        head, mi, tail = m[:i], m[i], m[i + 1:]
+        if p >= 0:
+            for k in range(p + 1):
+                yield l, head + (mi - k,) + tail, c
+        else:
+            c = -c
+            for k in range(1, -p):
+                yield l, head + (mi + k,) + tail, c
 
 
 def demazure_word(word, f):
@@ -212,62 +237,32 @@ def demazure_word(word, f):
 
 def j_map(w, f):
     """Localization at w: e^{lambda + alpha} -> e^{w(lambda + alpha) - lambda}
-    (lambda the Lambda-part); lands in exp(Q) with q-powers from delta.
-
-    Unlike the other operators, j_map sends many terms to one key, and most
-    keys sum to zero.  The terms are therefore grouped by output key and
-    then by denominator; within a group the q-shifted numerators are added
-    as integer lists and canonicalized by one CoefQ.make.  The groups of a
-    key are then added as CoefQ, and keys whose sum is zero are dropped.
-    """
-    cd = f.cd
-    node0, marks = cd.node0, cd.marks
-    groups = {}  # (m-coordinates, den) -> [(shift, num), ...]
-    for mu, c in f.terms.items():
-        m = weyl_mod.act(w, mu).m
-        n = m[node0]
-        if n:
-            m = tuple(mj - n * aj for mj, aj in zip(m, marks))
-        groups.setdefault((m, c.den), []).append((c.shift + n, c.num))
-    sums = {}
-    for (m, den), parts in groups.items():
-        if len(parts) == 1:
-            ((shift, num),) = parts
-            c = CoefQ(shift, num, den)  # a shifted canonical term stays canonical
-        else:
-            shift = min(sh for sh, _ in parts)
-            acc = [0] * max(sh - shift + len(num) for sh, num in parts)
-            for sh, num in parts:
-                for k, x in enumerate(num, sh - shift):
-                    acc[k] += x
-            c = CoefQ.make(acc, shift, den)
-        prev = sums.get(m)
-        sums[m] = c if prev is None else prev + c
-    zero_l = (0,) * cd.rank
-    return KElement(cd, {Weight(zero_l, m): c for m, c in sums.items()
-                         if not c.is_zero()})
+    (lambda the Lambda-part); lands in exp(Q) with q-powers from delta."""
+    act = weyl_mod.act
+    zero_l = (0,) * f.cd.rank
+    return _collect(f.cd, ((zero_l, act(w, mu).m, c)
+                           for mu, c in f.terms.items()))
 
 
 def psi(f):
-    """Bar involution: e^{lambda + alpha} -> e^{lambda - eta(alpha)}, q -> q^{-1}."""
+    """Bar involution: e^{lambda + alpha} -> e^{lambda - eta(alpha)},
+    q -> q^{-1}, where lambda - eta(alpha) is
+    sum_j <h_j, lambda + alpha> Lambda_j - alpha."""
     cd = f.cd
-    out = {}
-    for mu, c in f.terms.items():
-        alpha = Weight((0,) * cd.rank, mu.m)
-        lam = Weight(mu.l, (0,) * cd.rank)
-        _acc(out, lam - cd.eta(alpha), c.subs_q_inverse())
-    return KElement(cd, out)
+    labels = cd.labels
+    return _collect(cd, ((tuple(cd.pairing(j, mu) for j in labels),
+                          tuple(-x for x in mu.m), c.subs_q_inverse())
+                         for mu, c in f.terms.items()))
 
 
 def eta_embed(g):
     """e^alpha -> e^{eta(alpha)} on elements supported in exp(Q)."""
     cd = g.cd
-    out = {}
-    for mu, c in g.terms.items():
+    for mu in g.terms:
         if any(mu.l):
             raise NonQInput("eta_embed needs exp(Q) support, found %s" % mu)
-        _acc(out, cd.eta(mu), c)
-    return KElement(cd, out)
+    eta = cd.eta
+    return _collect(cd, ((eta(mu).l, mu.m, c) for mu, c in g.terms.items()))
 
 
 def orbit_sum(cd, lam):
@@ -298,28 +293,22 @@ def classical_antidominant(cd, mu):
 
 
 def to_json(f):
-    cd = f.cd
-    return [{"weight": {"l": list(mu.l), "m": list(mu.m)},
+    return [{"weight": weight_to_json(mu),
              "num_coeffs": c.num_pairs(), "den_coeffs": c.den_pairs()}
             for mu, c in sorted(f.terms.items(), key=lambda t: f.cd_term_key(t[0]))]
 
 
 def from_json(cd, data):
     """Element from the form written by to_json.  ValueError unless every
-    weight has coordinate lists l and m of cd.rank ints (bools and floats
-    are refused) with m[node0] = 0, as delta-normalized keys have, and no
-    weight repeats."""
+    weight has the JSON form of weight_from_json at cd.rank with m[node0] = 0,
+    as delta-normalized keys have, and no weight repeats."""
     out = {}
     for t in data:
-        l, m = t["weight"]["l"], t["weight"]["m"]
-        if not (type(l) is type(m) is list and len(l) == len(m) == cd.rank
-                and _INT.issuperset(map(type, l + m))):
-            raise ValueError("weight coordinates must be lists of %d ints"
-                             % cd.rank)
-        if m[cd.node0]:
+        mu = weight_from_json(t["weight"], cd.rank)
+        if mu.m[cd.node0]:
             raise ValueError("weight has a delta part: m[%d] = %d"
-                             % (cd.node0, m[cd.node0]))
-        out[Weight(l, m)] = CoefQ.from_pairs(t["num_coeffs"], t["den_coeffs"])
+                             % (cd.node0, mu.m[cd.node0]))
+        out[mu] = CoefQ.from_pairs(t["num_coeffs"], t["den_coeffs"])
     if len(out) != len(data):
         raise ValueError("a weight repeats within one entry")
     return KElement(cd, {mu: c for mu, c in out.items() if not c.is_zero()})

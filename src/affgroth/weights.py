@@ -151,8 +151,17 @@ def weight_to_json(w):
     return {"l": list(w.l), "m": list(w.m)}
 
 
-def weight_from_json(obj, rank=None):
-    l, m = obj["l"], obj["m"]
-    if len(l) != len(m) or (rank is not None and len(l) != rank):
-        raise ParseError("weight JSON has wrong rank")
+_INT = {int}  # the one type a JSON coordinate may have; bool is refused
+
+
+def weight_from_json(obj, rank):
+    """Weight from the JSON form {"l": [...], "m": [...]}.  ValueError unless
+    obj is a dict whose l and m are lists of rank ints (bools and floats are
+    refused)."""
+    l = m = None
+    if type(obj) is dict:
+        l, m = obj.get("l"), obj.get("m")
+    if not (type(l) is type(m) is list and len(l) == len(m) == rank
+            and _INT.issuperset(map(type, l + m))):
+        raise ValueError("weight coordinates must be lists of %d ints" % rank)
     return Weight(l, m)

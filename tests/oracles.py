@@ -213,6 +213,20 @@ def random_word(cd, rng, max_len=4, length=None):
     return tuple(rng.choice(cd.labels) for _ in range(k))
 
 
+# --- term sums ---------------------------------------------------------------
+
+def term_sum(cd, pairs):
+    """The terms of the sum of c * e^mu over (Weight, CoefQ) pairs, added one
+    term at a time: each weight delta-normalized by cd.normalize, its q-power
+    multiplied into c, and the coefficients of a key added with plain CoefQ
+    +.  Keys whose sum is zero are dropped.  A dict Weight -> CoefQ."""
+    out = {}
+    for mu, c in pairs:
+        n, nu = cd.normalize(mu)
+        out[nu] = out.get(nu, CoefQ.from_int(0)) + c * CoefQ.q_power(n)
+    return {nu: c for nu, c in out.items() if not c.is_zero()}
+
+
 # --- custom affine GCMs ------------------------------------------------------
 
 # (name, matrix): affine data given only by their matrix, twisted included.

@@ -1,9 +1,12 @@
 """Cartan data: built-in families, GCM validation, derived quantities."""
 
+import itertools
+
 import pytest
 
-from affgroth.cartan import (build_cartan, cartan_from_json, cartan_key,
-                             cartan_to_json, from_type)
+from affgroth.cartan import (_is_positive_root_of_subsystem, build_cartan,
+                             cartan_from_json, cartan_key, cartan_to_json,
+                             from_type)
 from affgroth.errors import BadLabel, BadShape, NonQInput, NotAffine
 from affgroth.weights import Weight
 
@@ -184,11 +187,32 @@ def test_check_node():
 
 
 def test_classical_positive_roots():
-    assert len(from_type("A2~").classical_positive_roots()) == 3
-    assert len(from_type("A3~").classical_positive_roots()) == 6
-    assert len(from_type("C2~").classical_positive_roots()) == 4
-    assert len(from_type("C3~").classical_positive_roots()) == 9
-    assert len(from_type("D4~").classical_positive_roots()) == 12
+    # the root test that picks node0 and the untwisted flag: for untwisted
+    # data every classical positive root lies below theta coordinatewise
+    for t, count in (("A2~", 3), ("A3~", 6), ("C2~", 4), ("C3~", 9),
+                     ("D4~", 12)):
+        cd = from_type(t)
+        nodes = cd.classical_nodes()
+        box = [range(mk + 1) if j in nodes else (0,)
+               for j, mk in enumerate(cd.marks)]
+        roots = [b for b in itertools.product(*box)
+                 if _is_positive_root_of_subsystem(cd.gcm, nodes, b)]
+        assert len(roots) == count, t
+        assert cd.theta().m in roots
+
+
+def test_untwisted_flag():
+    # untwisted iff theta is the highest root of the classical subsystem
+    for t in ("A1~", "A2~", "A3~", "A5~", "C2~", "C3~", "C5~", "D4~", "D5~",
+              "D7~"):
+        assert from_type(t).untwisted, t
+    flags = {name: build_cartan(gcm).untwisted
+             for name, gcm in oracles.CUSTOM_GCMS}
+    assert flags == {"D4^(3)": False, "G2~": True, "A2^(2)": False,
+                     "A4^(2)": False}
+    # the transpose of C2~ is the twisted D3^(2)
+    c2 = from_type("C2~").gcm
+    assert not build_cartan([list(r) for r in zip(*c2)]).untwisted
 
 
 def test_theta():

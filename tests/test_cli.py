@@ -330,14 +330,26 @@ def _float_coordinate(obj, entry):
     entry["terms"][0]["weight"]["l"][0] = 0.0
 
 
+def _verified_as(value):
+    # every save writes the flag as true or false
+    def edit(obj, entry):
+        del entry["verified"]
+        entry.update(value)
+    return edit
+
+
 @pytest.mark.parametrize("edit,word", [
     (_repeat_term, "1"), (_repeat_entry, "1"), (_equivalent_word, "1"),
     (_delta_part, "1"), (_wrong_rank, "1,0"), (_float_coordinate, "1,0"),
+    (_verified_as({"verified": "no"}), "1"),
+    (_verified_as({"verified": 1}), "1"),
+    (_verified_as({"verified": None}), "1"), (_verified_as({}), "1"),
 ], ids=["repeated-term", "repeated-entry", "equivalent-word", "delta-part",
-        "wrong-rank", "float-coordinate"])
+        "wrong-rank", "float-coordinate", "verified-string", "verified-int",
+        "verified-null", "verified-missing"])
 def test_cache_bad_weight_or_entry_is_error(tmp_path, capsys, edit, word):
     # each edit of the cached G_{s_1} = 1 - e[-L1] once loaded silently,
-    # as a wrong G_w or a late traceback
+    # as a wrong G_w, a wrong verified flag or a late traceback
     path = tmp_path / "a1.json"
     assert run(capsys, "groth", "--type", "A1~", "--word", "1",
                "--cache", str(path))[0] == 0

@@ -211,19 +211,29 @@ def test_json_round_trip():
     assert from_json(cd, to_json(k_zero(cd))).is_zero()
 
 
-def _j_map_term_sum(x, f):
-    """j_x(f) added term by term: the letters of x applied one reflection at
-    a time, each image delta-normalized and added into a dict of CoefQ."""
+def _by_reflections(cd, x, mu):
+    """x(mu) with the letters of x applied one reflection at a time."""
+    for i in reversed(x.word):
+        mu = cd.reflect(i, mu)
+    return mu
+
+
+def _j_map_images(x, f):
+    """(image weight, coefficient) per term of f under j_x."""
     cd = f.cd
     zero_l = (0,) * cd.rank
-    out = {}
-    for mu, c in f.terms.items():
-        img = mu
-        for i in reversed(x.word):
-            img = cd.reflect(i, img)
-        n, nu = cd.normalize(Weight(zero_l, img.m))
-        out[nu] = out.get(nu, CoefQ.from_int(0)) + c * CoefQ.q_power(n)
-    return {nu: c for nu, c in out.items() if not c.is_zero()}
+    return [(Weight(zero_l, _by_reflections(cd, x, mu).m), c)
+            for mu, c in f.terms.items()]
+
+
+def _collisions(cd, images, want):
+    """(keys whose images cancelled, keys whose images carry more than one
+    denominator) for the term sum `want` of the (weight, CoefQ) images."""
+    dens = {}
+    for mu, c in images:
+        dens.setdefault(cd.normalize(mu)[1], []).append(c.den)
+    return (sum(1 for nu in dens if nu not in want),
+            sum(1 for ds in dens.values() if len(set(ds)) > 1))
 
 
 @pytest.mark.parametrize("t", ["A1~", "A2~", "C2~", "A3~", "D4~"])
@@ -245,14 +255,12 @@ def test_j_map_equals_term_sum(t):
             den = CoefQ.one_minus_q_power(rng.randint(1, 3)).inv()
             pairs.append((mu + twin, -c if rng.random() < 0.5 else c * den))
         f = f + from_terms(cd, pairs)
-        want = _j_map_term_sum(x, f)
+        images = _j_map_images(x, f)
+        want = oracles.term_sum(cd, images)
         assert j_map(x, f).terms == want, (t, x.word)
-        keys = {}
-        for mu, c in f.terms.items():
-            (nu,) = _j_map_term_sum(x, monomial(cd, mu, c))
-            keys.setdefault(nu, []).append(c.den)
-        cancelled += sum(1 for nu in keys if nu not in want)
-        mixed += sum(1 for dens in keys.values() if len(set(dens)) > 1)
+        c, m = _collisions(cd, images, want)
+        cancelled += c
+        mixed += m
     assert cancelled and mixed, (cancelled, mixed)
 
 
@@ -266,6 +274,78 @@ def test_j_map_equals_term_sum_on_groth():
         g = table.compute(w)
         for x in elems:
             got = j_map(x, g)
-            assert got.terms == _j_map_term_sum(x, g), (w.word, x.word)
+            assert got.terms == oracles.term_sum(cd, _j_map_images(x, g)), \
+                (w.word, x.word)
             if not weyl.bruhat_leq(w, x):
                 assert got.is_zero()
+
+
+def _demazure_images(cd, i, f):
+    """D_i(e^mu) expanded per term: m = <h_i, mu> >= 0 gives e^{mu - k alpha_i}
+    for k = 0..m, m <= -2 gives -e^{mu + k alpha_i} for k = 1..-m-1."""
+    a = cd.alpha(i)
+    out = []
+    for mu, c in f.terms.items():
+        p = cd.pairing(i, mu)
+        if p >= 0:
+            out += [(mu - k * a, c) for k in range(p + 1)]
+        else:
+            out += [(mu + k * a, -c) for k in range(1, -p)]
+    return out
+
+
+@pytest.mark.parametrize("t", ["A1~", "A2~", "C2~", "A3~", "D4~"])
+def test_operators_equal_term_sum(t):
+    # every operator equals the term-by-term sum of its per-term images; the
+    # inputs carry twins whose images cancel or meet over mixed (1 - q^k)
+    # denominators
+    cd = from_type(t)
+    rng = oracles.rng_for("kring-op-sum-" + t)
+    delta = cd.delta()
+    seen = {}  # operator -> [cancelled keys, mixed-denominator keys]
+
+    def check(name, got, images):
+        want = oracles.term_sum(cd, images)
+        assert got.terms == want, (t, name)
+        counts = seen.setdefault(name, [0, 0])
+        for k, n in enumerate(_collisions(cd, images, want)):
+            counts[k] += n
+
+    def twin(c):
+        # cancels c, doubles it, or meets it over a (1 - q^k) denominator
+        return rng.choice((c, -c, c * CoefQ.one_minus_q_power(
+            rng.randint(1, 3)).inv()))
+
+    for _ in range(10):
+        f = oracles.random_element(cd, rng, max_terms=5)
+        g = from_terms(cd, [(mu, twin(-c)) for mu, c in f.terms.items()])
+        fi, gi = list(f.terms.items()), list(g.terms.items())
+        check("+", f + g, fi + gi)
+        check("-", f - g, fi + [(mu, -c) for mu, c in gi])
+        check("*", f * g, [(m1 + m2, c1 * c2) for m1, c1 in fi
+                           for m2, c2 in gi])
+        # the same keys again, k deltas up, with the q^-k that cancels it
+        pairs = fi + [(mu + k * delta, twin(-c) * CoefQ.q_power(-k))
+                      for (mu, c), k in zip(fi, (rng.randint(-2, 2)
+                                                 for _ in fi))]
+        check("from_terms", from_terms(cd, pairs), pairs)
+        h = f + g
+        x = weyl.canonicalize(cd, oracles.random_word(cd, rng, max_len=5))
+        check("weyl_act", weyl_act(x, h),
+              [(_by_reflections(cd, x, mu), c) for mu, c in h.terms.items()])
+        for i in cd.labels:
+            check("reflect_act", reflect_act(cd, i, h),
+                  [(cd.reflect(i, mu), c) for mu, c in h.terms.items()])
+            # D_i e^{s_i(mu) - alpha_i} = -D_i e^mu
+            fd = f + from_terms(cd, [(cd.reflect(i, mu) - cd.alpha(i), twin(c))
+                                     for mu, c in fi])
+            check("demazure", demazure(i, fd), _demazure_images(cd, i, fd))
+        zero_l = (0,) * cd.rank
+        check("psi", psi(h),
+              [(Weight(mu.l, zero_l) - cd.eta(Weight(zero_l, mu.m)),
+                c.subs_q_inverse()) for mu, c in h.terms.items()])
+        e = oracles.random_element(cd, rng, max_terms=5, l_span=0)
+        check("eta_embed", eta_embed(e),
+              [(cd.eta(mu), c) for mu, c in e.terms.items()])
+    for name in ("+", "-", "*", "from_terms", "demazure"):
+        assert all(seen[name]), (name, seen[name])
