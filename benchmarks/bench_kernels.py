@@ -1,6 +1,8 @@
 """Timing of the q-polynomial kernels, best of 5: pmul, pdivexact, and the
 two gcd routines (pgcd, the PRS; pgcd_cofactors, the heuristic gcd with
-both quotients) on the same products of (1 - q^k) factors.
+both quotients) on the same products of (1 - q^k) factors.  Then the zero
+test of a sum of q-fractions two ways on the same parts over (1 - q^k)
+products: coefq.sum_is_zero (exact evaluation) and the canonical CoefQ sum.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
@@ -15,6 +17,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 sys.path.insert(0, SRC)
 
 from affgroth import qpoly  # noqa: E402
+from affgroth.coefq import ZERO, CoefQ, sum_is_zero  # noqa: E402
 
 
 def make_cases(rng, count, deg):
@@ -40,12 +43,45 @@ def cyclotomic_products(rng, count):
     return out
 
 
+def fraction_sums(rng, count):
+    # the sums verify's vanishing probes see: two or three parts per key over
+    # distinct (1 - q^k) products; half of them cancel
+    out = []
+    for _ in range(count):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            den = (1,)
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randint(1, 4)
+                den = qpoly.pmul(den, (1,) + (0,) * (k - 1) + (-1,))
+            num = tuple(rng.randint(-3, 3) for _ in range(3)) + (1,)
+            parts.append((rng.randint(-2, 2), num, den))
+        if rng.random() < 0.5:
+            # minus the first two parts, rewritten over the product of
+            # their denominators: cancels only as a polynomial identity
+            (s1, n1, d1), (s2, n2, d2) = parts[:2]
+            s = min(s1, s2)
+            num = qpoly.padd((0,) * (s1 - s) + qpoly.pmul(n1, d2),
+                             (0,) * (s2 - s) + qpoly.pmul(n2, d1))
+            parts = [(s1, n1, d1), (s, qpoly.pneg(num), qpoly.pmul(d1, d2)),
+                     (s2, n2, d2)]
+        out.append(parts)
+    return out
+
+
+def canonical_is_zero(parts):
+    total = ZERO
+    for shift, num, den in parts:
+        total = total + CoefQ.make(num, shift, den)
+    return total.is_zero()
+
+
 def bench(fn, cases, repeat=5):
     best = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for a, b in cases:
-            fn(a, b)
+        for args in cases:
+            fn(*args)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
@@ -61,6 +97,13 @@ def main():
                           ("pdivexact", div_cases)):
         t = bench(getattr(qpoly, kernel), cases)
         print("%-14s %8.1f us/call" % (kernel, 1e6 * t / len(cases)))
+    sums = fraction_sums(rng, 300)
+    if [sum_is_zero(p) for p in sums] != [canonical_is_zero(p) for p in sums]:
+        raise SystemExit("sum_is_zero disagrees with the canonical sum")
+    for name, fn in (("sum_is_zero", sum_is_zero),
+                     ("CoefQ sum", canonical_is_zero)):
+        t = bench(fn, [(p,) for p in sums])
+        print("%-14s %8.1f us/call" % (name, 1e6 * t / len(sums)))
 
 
 if __name__ == "__main__":

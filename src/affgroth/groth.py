@@ -14,7 +14,11 @@ by the identity-localization image pushed through eta, yields G_w:
 B itself is only unique up to invariants; the correction removes exactly the
 ambiguity, so G_w is well defined.  verify used afterwards cross-checks each
 entry against the Demazure recursion, localization supports, the bar
-involution, and the coefficient-denominator constraint.
+involution, and the coefficient-denominator constraint.  The localization
+check compares j_w(G_w) with prod(1 - e^beta) as canonical forms; each
+vanishing probe j_x(G_w) = 0 (w not below x) only needs a yes or no, which
+kring.j_map_vanishes gets from the exact evaluation zero test
+coefq.sum_is_zero without building j_x(G_w).
 """
 
 import json
@@ -25,8 +29,8 @@ from . import weyl as weyl_mod
 from .cartan import cartan_from_json, cartan_to_json
 from .cocycle import solve_coboundary
 from .errors import CacheMismatch, WindowViolation
-from .kring import (demazure, eta_embed, from_json, in_window, j_map, k_one,
-                    monomial, psi, to_json)
+from .kring import (demazure, eta_embed, from_json, in_window, j_map,
+                    j_map_vanishes, k_one, monomial, psi, to_json)
 
 
 class GrothTable:
@@ -116,7 +120,7 @@ class GrothTable:
             for layer in weyl_mod.enumerate_up_to(cd, probe_length):
                 for x in layer:
                     if (not weyl_mod.bruhat_leq(w, x)
-                            and not j_map(x, g).is_zero()):
+                            and not j_map_vanishes(x, g)):
                         fails.append("localization: j_x nonzero at word %s"
                                      % (x.word,))
 
@@ -173,10 +177,12 @@ class GrothTable:
     @classmethod
     def from_json_obj(cls, obj, cd=None):
         """Table from the JSON form written by save; CacheMismatch when the
-        object does not have that form (each entry's "verified" is a JSON
-        bool) or was built for other data."""
+        object does not have that form ("format" is the int 1, word letters
+        are ints and each entry's "verified" is a JSON bool; JSON true is
+        not an int) or was built for other data."""
         try:
-            if not isinstance(obj, dict) or obj.get("format") != 1:
+            if (not isinstance(obj, dict) or type(obj.get("format")) is not int
+                    or obj["format"] != 1):
                 raise CacheMismatch("not a format-1 cache object")
             file_cd = cartan_from_json(obj["cartan"])
             if cd is not None and cd != file_cd:
@@ -184,7 +190,11 @@ class GrothTable:
                                     "data")
             table = cls(cd if cd is not None else file_cd)
             for ent in obj["entries"]:
-                w = weyl_mod.canonicalize(table.cd, tuple(ent["word"]))
+                word = tuple(ent["word"])
+                if any(type(i) is not int for i in word):
+                    raise ValueError("word letters must be ints: %r"
+                                     % (ent["word"],))
+                w = weyl_mod.canonicalize(table.cd, word)
                 if w in table.entries:
                     raise ValueError("two entries for the element %s"
                                      % list(w.word))

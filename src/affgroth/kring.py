@@ -9,12 +9,15 @@ exp(Q) along eta, and classical orbit sums.
 
 Every operator, sums and products included, is a sum of term images, and
 _collect is the one path that adds them: it delta-normalizes each image and
-adds the coefficients that land on one key.
+adds the coefficients that land on one key.  + and - keep the larger
+operand's terms and send only the keys both operands carry through
+_collect's per-key sum.  j_map_vanishes groups j_map's images the same way
+but only asks whether every key cancels (coefq.sum_is_zero).
 """
 
 import operator
 
-from .coefq import CoefQ, ONE, ZERO
+from .coefq import CoefQ, ONE, ZERO, shifted_sum, sum_is_zero
 from .errors import NonQInput
 from .weights import Weight, weight_from_json, weight_to_json
 from . import weyl as weyl_mod
@@ -41,13 +44,10 @@ class KElement:
         return len(self.terms)
 
     def __add__(self, other):
-        return _collect(self.cd, [(mu.l, mu.m, c) for f in (self, other)
-                                  for mu, c in f.terms.items()])
+        return _plus(self.cd, self.terms, other.terms, False)
 
     def __sub__(self, other):
-        return _collect(self.cd,
-                        [(mu.l, mu.m, c) for mu, c in self.terms.items()]
-                        + [(mu.l, mu.m, -c) for mu, c in other.terms.items()])
+        return _plus(self.cd, self.terms, other.terms, True)
 
     def __neg__(self):
         return KElement(self.cd, {mu: -c for mu, c in self.terms.items()})
@@ -131,12 +131,43 @@ def _collect(cd, terms):
             if n:
                 c = CoefQ(c.shift + n, c.num, c.den)
         else:
-            c = None
-            for den, parts in g.items():
-                s = _group_sum(parts, den)
-                c = s if c is None else c + s
+            c = _key_sum(g)
         if c.num:
             out[Weight(l, m)] = c
+    return KElement(cd, out)
+
+
+def _key_sum(groups):
+    """The canonical sum of one key's {den: [(shift, num), ...]} groups:
+    each group by _group_sum, then the groups added as CoefQ."""
+    c = None
+    for den, parts in groups.items():
+        s = _group_sum(parts, den)
+        c = s if c is None else c + s
+    return c
+
+
+def _plus(cd, a, b, negate):
+    """The element a + b (a - b with negate) of two term dicts.  The larger
+    dict is copied as it stands; only the keys of the smaller one are
+    added in, a key both carry through _key_sum as in _collect."""
+    if negate:
+        b = {mu: -c for mu, c in b.items()}
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for mu, c in b.items():
+        d = out.get(mu)
+        if d is None:
+            out[mu] = c
+            continue
+        groups = {d.den: [(d.shift, d.num)]}
+        groups.setdefault(c.den, []).append((c.shift, c.num))
+        s = _key_sum(groups)
+        if s.num:
+            out[mu] = s
+        else:
+            del out[mu]
     return KElement(cd, out)
 
 
@@ -145,11 +176,7 @@ def _group_sum(parts, den):
     if len(parts) == 1:
         ((shift, num),) = parts
         return CoefQ(shift, num, den)
-    shift = min(sh for sh, _ in parts)
-    acc = [0] * max(sh - shift + len(num) for sh, num in parts)
-    for sh, num in parts:
-        for k, x in enumerate(num, sh - shift):
-            acc[k] += x
+    shift, acc = shifted_sum(parts)
     return CoefQ.make(acc, shift, den)
 
 
@@ -242,6 +269,25 @@ def j_map(w, f):
     zero_l = (0,) * f.cd.rank
     return _collect(f.cd, ((zero_l, act(w, mu).m, c)
                            for mu, c in f.terms.items()))
+
+
+def j_map_vanishes(w, f):
+    """True iff j_map(w, f) is zero, without building it: the term images
+    are delta-normalized and grouped by key as in _collect, and each key's
+    (shift, num, den) parts go to coefq.sum_is_zero, an exact evaluation
+    zero test.  False at the first key that does not cancel; no Weight and
+    no CoefQ is made."""
+    cd = f.cd
+    act_m = weyl_mod.act_m
+    node0, marks = cd.node0, cd.marks
+    keys = {}  # normalized alpha coordinates -> [(shift, num, den), ...]
+    for mu, c in f.terms.items():
+        m = act_m(w, mu.l, mu.m)
+        n = m[node0]
+        if n:
+            m = [mj - n * aj for mj, aj in zip(m, marks)]
+        keys.setdefault(tuple(m), []).append((c.shift + n, c.num, c.den))
+    return all(map(sum_is_zero, keys.values()))
 
 
 def psi(f):

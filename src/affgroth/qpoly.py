@@ -148,7 +148,8 @@ HEU_POINTS = 6  # evaluation points pgcd_cofactors tries before the PRS
 _XI_UNIT = 2 * 3 * 5 * 7 * 11  # every xi is a multiple (module docstring)
 
 
-def _peval(a, x):
+def peval(a, x):
+    """a(x) by Horner's rule."""
     v = 0
     for c in reversed(a):
         v = v * x + c
@@ -182,7 +183,7 @@ def pgcd_cofactors(a, b):
     x = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
     x += -x % _XI_UNIT
     for _ in range(HEU_POINTS):
-        h = pprimitive(_from_digits(gcd(_peval(pa, x), _peval(pb, x)), x))
+        h = pprimitive(_from_digits(gcd(peval(pa, x), peval(pb, x)), x))
         if len(h) == 1:
             return (1,), a, b
         try:

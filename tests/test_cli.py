@@ -364,6 +364,33 @@ def test_cache_bad_weight_or_entry_is_error(tmp_path, capsys, edit, word):
     assert len(err.splitlines()) == 1
 
 
+def _format_true(obj, entry):
+    obj["format"] = True  # True == 1 in Python
+
+
+def _word_true(obj, entry):
+    entry["word"] = [True]  # indexes like node 1
+
+
+@pytest.mark.parametrize("edit", [_format_true, _word_true],
+                         ids=["format-true", "word-true"])
+def test_cache_bool_field_is_error(tmp_path, capsys, edit):
+    # a JSON true where the cache holds an int loaded as 1, and the edited
+    # cache of G_{s_1} printed 1 - e[-L1] with exit 0
+    path = tmp_path / "a1.json"
+    assert run(capsys, "groth", "--type", "A1~", "--word", "1",
+               "--cache", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    edit(obj, next(e for e in obj["entries"] if e["word"] == [1]))
+    path.write_text(json.dumps(obj))
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("gcm", ["[[2,-2.7],[-2,2]]", "[[2.9,-2],[-2,2]]",
                                  '[["2",-2],[-2,2]]', "[[2,false],[false,2]]"])
 def test_gcm_non_integer_entry_is_error(capsys, gcm):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from affgroth.coefq import CoefQ, MINUS_ONE, ONE, Q, ZERO
-from affgroth.qpoly import pgcd
+from affgroth.coefq import CoefQ, MINUS_ONE, ONE, Q, ZERO, sum_is_zero
+from affgroth.qpoly import peval, pgcd, pmul
 
 import oracles
 
@@ -147,3 +147,92 @@ def test_divides_q_products():
     assert CoefQ.make((1,), den=(1, 1, 1)).divides_q_products()
     assert not CoefQ.make((1,), den=(1, 1, 0, 1)).divides_q_products()
     assert not CoefQ.make((1,), den=(2, 1)).divides_q_products()
+
+
+def _one_minus_q_products(rng, count):
+    """A product of count factors (1 - q^k), k in 1..4, as a tuple."""
+    d = (1,)
+    for _ in range(count):
+        k = rng.randint(1, 4)
+        d = pmul(d, (1,) + (0,) * (k - 1) + (-1,))
+    return d
+
+
+def _canonical_sum(parts):
+    total = ZERO
+    for shift, num, den in parts:
+        total = total + CoefQ.make(num, shift, den)
+    return total
+
+
+def test_sum_is_zero_against_canonical_sum():
+    # random parts over (1 - q^k) products with integer contents and mixed
+    # shifts; half the draws append the negated sum rewritten over other
+    # denominators, so they cancel only as a polynomial identity
+    rng = oracles.rng_for("coefq-sum-is-zero")
+    outcomes = {True: 0, False: 0}
+    evaluated = 0
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            content = rng.choice((1, 1, 2, -3, 6))
+            num = tuple(content * rng.randint(-3, 3)
+                        for _ in range(rng.randint(1, 4)))
+            parts.append((rng.randint(-3, 3), num,
+                          _one_minus_q_products(rng, rng.randint(0, 3))))
+        if rng.random() < 0.5:
+            for shift, num, den in list(parts):
+                # -q^s N/D = -q^(s-j) (q^j N E) / (D E) for a (1 - q^k) E
+                e = _one_minus_q_products(rng, rng.randint(0, 2))
+                j = rng.randint(0, 2)
+                parts.append((shift - j, (0,) * j + pmul(num, tuple(
+                    -x for x in e)), pmul(den, e)))
+            rng.shuffle(parts)
+        want = _canonical_sum(parts).is_zero()
+        assert sum_is_zero(parts) is want, parts
+        outcomes[want] += 1
+        evaluated += len({den for _, num, den in parts if any(num)}) > 1
+    assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
+    assert evaluated > 150, evaluated
+
+
+@pytest.mark.parametrize("parts", [
+    # 1/(1-q) + 1/(1+q) - 2/(1-q^2): three denominators
+    [(0, (1,), (1, -1)), (0, (1,), (1, 1)), (0, (-2,), (1, 0, -1))],
+    # 1/(1-q) - (1+q)/(1-q^2), split over two same-den parts
+    [(0, (1,), (1, -1)), (0, (-1,), (1, 0, -1)), (1, (-1,), (1, 0, -1))],
+    # q^-2/((1-q)(1-q^2)) - q^-2/((1-q)^2 (1+q)), integer contents
+    [(-2, (3,), pmul((1, -1), (1, 0, -1))),
+     (-3, (0, -6), pmul((2, -2), pmul((1, -1), (1, 1))))],
+    # an exact cancellation inside one group leaves no group
+    [(1, (2, -1), (1, -1)), (0, (0, -2, 1), (1, -1))],
+], ids=["three-dens", "split-group", "contents-shifts", "one-group"])
+def test_sum_is_zero_polynomial_identities(parts):
+    assert _canonical_sum(parts).is_zero()
+    assert sum_is_zero(parts)
+    assert not sum_is_zero(parts[:-1])
+
+
+def test_sum_is_zero_root_below_the_point():
+    # 1 - 1/(q - 1) = (q - 2)/(q - 1) is nonzero.  Its cleared numerator
+    # P = (q - 1) - 1 = q - 2 has the integer root 2, and the bound is
+    # B = |1|_1 |q - 1|_1 + |-1|_1 |1|_1 = 3, so xi = 2 = B - 1 calls it
+    # zero while xi = B + 2 = 5 does not.  (xi = B would still be safe: an
+    # integer P with |P|_1 <= B has no root of modulus >= B.)
+    parts = [(0, (1,), (1,)), (0, (-1,), (-1, 1))]
+    assert peval((-2, 1), 2) == 0 and peval((-2, 1), 5) != 0
+    assert not _canonical_sum(parts).is_zero()
+    assert not sum_is_zero(parts)
+    # the same with the root pushed to 3 = B - 1 by a larger content
+    parts = [(0, (1,), (1,)), (0, (-2,), (-1, 1))]
+    assert peval((-3, 1), 3) == 0
+    assert not sum_is_zero(parts)
+
+
+def test_sum_is_zero_edge_cases():
+    assert sum_is_zero([])
+    assert sum_is_zero([(3, (), (1, -1))])
+    assert sum_is_zero([(0, (0, 0), (1,))])
+    assert not sum_is_zero([(-4, (5,), (1, 0, -1))])
+    # a zero part next to a nonzero one over another denominator
+    assert not sum_is_zero([(0, (), (1, -1)), (2, (1,), (1,))])

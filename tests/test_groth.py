@@ -129,6 +129,32 @@ def test_verify_catches_corruption():
     assert w not in table.verified
 
 
+def test_verify_catches_edited_coefficient_in_loaded_table(tmp_path):
+    # one numerator coefficient of one saved G_w changed by one: the
+    # vanishing probes (the exact zero test) must still see it
+    cd = from_type("A2~")
+    table = GrothTable(cd)
+    w = weyl.canonicalize(cd, (1, 0))
+    for layer in weyl.enumerate_up_to(cd, 3):
+        for u in layer:
+            table.compute(u)
+    assert table.verify(w, checks=("localization",)) == []
+    path = tmp_path / "a2.json"
+    table.save(str(path))
+    obj = json.loads(path.read_text())
+    entry = next(e for e in obj["entries"] if e["word"] == list(w.word))
+    term = max(entry["terms"], key=lambda t: len(t["den_coeffs"]))
+    assert len(term["den_coeffs"]) > 1  # a term with a (1 - q^k) denominator
+    term["num_coeffs"][0][1] += 1
+    loaded = GrothTable.from_json_obj(obj, cd=cd)
+    fails = loaded.verify(w, checks=("localization",))
+    assert "localization: j_x nonzero at word ()" in fails, fails
+    probes = [f for f in fails if "j_x nonzero" in f]
+    assert len(probes) == sum(1 for layer in weyl.enumerate_up_to(cd, 3)
+                              for x in layer if not weyl.bruhat_leq(w, x))
+    assert w not in loaded.verified
+
+
 def test_save_load_round_trip(tmp_path):
     cd = from_type("A2~")
     table = GrothTable(cd)

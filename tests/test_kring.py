@@ -7,9 +7,9 @@ from affgroth.coefq import CoefQ, ONE, Q
 from affgroth.errors import NonQInput
 from affgroth.groth import GrothTable
 from affgroth.kring import (demazure, demazure_word, eta_embed, from_json,
-                            from_terms, in_window, j_map, k_one, k_scalar,
-                            k_zero, monomial, orbit_sum, psi, reflect_act,
-                            to_json, weyl_act)
+                            from_terms, in_window, j_map, j_map_vanishes,
+                            k_one, k_scalar, k_zero, monomial, orbit_sum, psi,
+                            reflect_act, to_json, weyl_act)
 from affgroth import weyl
 from affgroth.weights import Weight
 
@@ -278,6 +278,52 @@ def test_j_map_equals_term_sum_on_groth():
                 (w.word, x.word)
             if not weyl.bruhat_leq(w, x):
                 assert got.is_zero()
+
+
+@pytest.mark.parametrize("t,length", [("A1~", 4), ("A2~", 3), ("C2~", 3)])
+def test_j_map_vanishes_agrees_on_groth(t, length):
+    # every (w, x) pair: the zero test answers as the canonical sum does
+    cd = from_type(t)
+    table = GrothTable(cd)
+    elems = [u for layer in weyl.enumerate_up_to(cd, length) for u in layer]
+    seen = {True: 0, False: 0}
+    for w in elems:
+        g = table.compute(w)
+        for x in elems:
+            got = j_map_vanishes(x, g)
+            assert got == j_map(x, g).is_zero(), (t, w.word, x.word)
+            seen[got] += 1
+    assert seen[True] and seen[False], seen
+
+
+@pytest.mark.parametrize("t", ["A1~", "A2~", "C2~", "A3~"])
+def test_j_map_vanishes_on_cancelling_triples(t):
+    # mu, mu + x^-1(Lam_k) and mu + x^-1(Lam_k + Lam_j) share their j_x
+    # image; coefficients a/(1 - q^i), b/(1 - q^k) and -(their sum) cancel
+    # there over three denominators, and changing one of them does not
+    cd = from_type(t)
+    rng = oracles.rng_for("kring-vanishes-" + t)
+    for _ in range(10):
+        x = weyl.canonicalize(cd, oracles.random_word(cd, rng, max_len=5))
+        xinv = weyl.inverse(x)
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            mu = oracles.random_weight(cd, rng)
+            lam = cd.Lam(rng.choice(cd.labels))
+            t1 = weyl.act(xinv, lam)
+            t2 = weyl.act(xinv, lam + cd.Lam(rng.choice(cd.labels)))
+            a = oracles.random_coefq(rng, shift_span=2) * \
+                CoefQ.one_minus_q_power(rng.randint(1, 3)).inv()
+            b = oracles.random_coefq(rng, shift_span=2) * \
+                CoefQ.one_minus_q_power(rng.randint(1, 3)).inv()
+            pairs += [(mu, a), (mu + t1, b), (mu + t2, -(a + b))]
+        f = from_terms(cd, pairs)
+        assert j_map(x, f).is_zero()
+        assert j_map_vanishes(x, f), (t, x.word)
+        mu, c = pairs[rng.randrange(len(pairs))]
+        bad = f + monomial(cd, mu, c * Q)
+        assert not j_map(x, bad).is_zero()
+        assert not j_map_vanishes(x, bad), (t, x.word)
 
 
 def _demazure_images(cd, i, f):
