@@ -364,11 +364,11 @@ def cartan_to_json(cd):
 
 
 def cartan_from_json(obj):
-    return build_cartan(obj["gcm"], type_string=obj.get("type"))
-
-
-def cartan_key(cd):
-    """Canonical string identifying the data (cache keys, file names)."""
-    if cd.type_string:
-        return cd.type_string
-    return "gcm_" + "_".join("".join(str(x) for x in row) for row in cd.gcm)
+    """Data from the form written by cartan_to_json; TypeError when obj is
+    not a dict, ValueError when "type" is neither a string nor null."""
+    gcm = obj["gcm"]
+    type_string = obj.get("type")
+    if type_string is not None and type(type_string) is not str:
+        raise ValueError("Cartan type must be a string or null, not %r"
+                         % (type_string,))
+    return build_cartan(gcm, type_string=type_string)

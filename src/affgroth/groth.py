@@ -23,7 +23,6 @@ coefq.sum_is_zero without building j_x(G_w).
 
 import json
 import os
-from json.encoder import encode_basestring_ascii
 
 from . import weyl as weyl_mod
 from .cartan import cartan_from_json, cartan_to_json
@@ -145,24 +144,28 @@ class GrothTable:
         json.dumps(obj, sort_keys=True, indent=1) + "\n" for
         obj = {"format": 1, "cartan": cartan_to_json(cd), "entries": [...]},
         one entry {"word", "terms", "verified"} per element in (length, word)
-        order.  The entries are encoded and written one at a time by
-        _json_pieces, so the whole object tree never exists at once.  The
+        order.  Each entry has the one shape _ENTRY and _TERM lay out, with
+        the term values of to_json; entries are laid out and written one at
+        a time, so the whole object tree never exists at once.  The cartan
+        head is json.dumps'd and moved one level in: JSON escapes newlines
+        inside strings, so every newline there belongs to the layout.  The
         bytes go to a temporary file in the same directory that then
         replaces `path`, so an interrupted save never leaves a truncated
         cache behind.  CacheMismatch when the file cannot be written."""
         entries = sorted(self.entries.items(),
                          key=lambda kv: (kv[0].length, kv[0].word))
+        head = json.dumps(cartan_to_json(self.cd), sort_keys=True, indent=1)
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                fh.write('{\n "cartan": '
-                         + "".join(_json_pieces(cartan_to_json(self.cd), 1, []))
+                fh.write('{\n "cartan": ' + head.replace("\n", "\n ")
                          + ',\n "entries": [')
                 sep = "\n  "
                 for w, g in entries:
-                    entry = {"word": list(w.word), "terms": to_json(g),
-                             "verified": w in self.verified}
-                    fh.write("".join(_json_pieces(entry, 2, [sep])))
+                    fh.write(sep + _ENTRY % (
+                        _list([_term(t) for t in to_json(g)], 3),
+                        "true" if w in self.verified else "false",
+                        _list(w.word, 3)))
                     sep = ",\n  "
                 fh.write(("\n ]" if entries else "]") + ',\n "format": 1\n}\n')
             os.replace(tmp, path)
@@ -220,47 +223,29 @@ class GrothTable:
         return cls.from_json_obj(obj, cd=cd)
 
 
-def _json_pieces(obj, depth, out):
-    """Append to out the pieces of json.dumps(obj, sort_keys=True, indent=1)
-    for obj nested at the given depth, for the JSON subset caches use: dicts
-    with string keys, lists, ints, strings, bools and None.  A list of ints
-    is joined in one piece.  Returns out."""
-    t = type(obj)
-    if t is int:
-        out.append(int.__repr__(obj))
-    elif t is str:
-        out.append(encode_basestring_ascii(obj))
-    elif t is bool or obj is None:
-        out.append(_JSON_CONSTANTS[obj])
-    elif not obj and (t is list or t is dict):
-        out.append("[]" if t is list else "{}")
-    elif t is list:
-        inner = "\n" + " " * (depth + 1)
-        if all(type(x) is int for x in obj):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)))
-        else:
-            sep = "[" + inner
-            for x in obj:
-                out.append(sep)
-                _json_pieces(x, depth + 1, out)
-                sep = "," + inner
-        out.append("\n" + " " * depth + "]")
-    elif t is dict:
-        inner = "\n" + " " * (depth + 1)
-        sep = "{" + inner
-        for k in sorted(obj):
-            if type(k) is not str:
-                raise TypeError("cache JSON keys must be strings, got %r" % (k,))
-            out.append(sep + encode_basestring_ascii(k) + ": ")
-            _json_pieces(obj[k], depth + 1, out)
-            sep = "," + inner
-        out.append("\n" + " " * depth + "}")
-    else:
-        raise TypeError("cannot write %s to a cache" % t.__name__)
-    return out
+def _list(items, depth):
+    """json.dumps(items, indent=1) for a list nested at the given depth whose
+    items are ints or already laid out one level deeper."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (depth + 1)
+    return ("[" + inner + ("," + inner).join(map(str, items))
+            + "\n" + " " * depth + "]")
 
 
-_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+# json.dumps' layout of one [exponent, coefficient] pair at depth 6, one
+# to_json term at depth 4 and one entry at depth 2, keys in sorted order
+_PAIR = "[\n       %d,\n       %d\n      ]"
+_TERM = ('{\n     "den_coeffs": %s,\n     "num_coeffs": %s,'
+         '\n     "weight": {\n      "l": %s,\n      "m": %s\n     }\n    }')
+_ENTRY = '{\n   "terms": %s,\n   "verified": %s,\n   "word": %s\n  }'
+
+
+def _term(t):
+    """A to_json term laid out at depth 4."""
+    return _TERM % (_list([_PAIR % tuple(p) for p in t["den_coeffs"]], 5),
+                    _list([_PAIR % tuple(p) for p in t["num_coeffs"]], 5),
+                    _list(t["weight"]["l"], 6), _list(t["weight"]["m"], 6))
 
 
 def grothendieck(cd, word):

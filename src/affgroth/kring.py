@@ -150,7 +150,7 @@ def _key_sum(groups):
 def _plus(cd, a, b, negate):
     """The element a + b (a - b with negate) of two term dicts.  The larger
     dict is copied as it stands; only the keys of the smaller one are
-    added in, a key both carry through _key_sum as in _collect."""
+    added in, a key both carry as the canonical CoefQ sum."""
     if negate:
         b = {mu: -c for mu, c in b.items()}
     if len(a) < len(b):
@@ -161,9 +161,7 @@ def _plus(cd, a, b, negate):
         if d is None:
             out[mu] = c
             continue
-        groups = {d.den: [(d.shift, d.num)]}
-        groups.setdefault(c.den, []).append((c.shift, c.num))
-        s = _key_sum(groups)
+        s = d + c
         if s.num:
             out[mu] = s
         else:

@@ -47,13 +47,6 @@ def padd(a, b):
     return pstrip(out)
 
 
-def psub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        out[i] -= x
-    return pstrip(out)
-
-
 def pneg(a):
     return tuple(-x for x in a)
 

@@ -118,11 +118,6 @@ def right_descents(w):
     return out
 
 
-def left_descents(w):
-    cd = w.cd
-    return [i for i in cd.labels if cd.pairing(i, w.rho_image) < 0]
-
-
 def inversion_set(w):
     """[beta_1..beta_k] with beta_t = s_{i_1}...s_{i_{t-1}}(alpha_{i_t}) for the
     canonical word; these are the positive roots sent negative by w^{-1}."""

@@ -338,15 +338,32 @@ def _verified_as(value):
     return edit
 
 
+def _cartan_type(value):
+    # a non-string type loaded and was written back by the next save
+    def edit(obj, entry):
+        obj["cartan"]["type"] = value
+    return edit
+
+
+def _cartan_list(obj, entry):
+    # a TypeError only while cartan_from_json reads "gcm" before "type":
+    # list.get would raise AttributeError, which no caller reports as error:
+    obj["cartan"] = [obj["cartan"]["gcm"]]
+
+
 @pytest.mark.parametrize("edit,word", [
     (_repeat_term, "1"), (_repeat_entry, "1"), (_equivalent_word, "1"),
     (_delta_part, "1"), (_wrong_rank, "1,0"), (_float_coordinate, "1,0"),
     (_verified_as({"verified": "no"}), "1"),
     (_verified_as({"verified": 1}), "1"),
     (_verified_as({"verified": None}), "1"), (_verified_as({}), "1"),
+    (_cartan_type(1.5), "1,0"), (_cartan_type(7), "1,0"),
+    (_cartan_type(True), "1,0"), (_cartan_type(["A"]), "1,0"),
+    (_cartan_type({"x": 1}), "1,0"), (_cartan_list, "1"),
 ], ids=["repeated-term", "repeated-entry", "equivalent-word", "delta-part",
         "wrong-rank", "float-coordinate", "verified-string", "verified-int",
-        "verified-null", "verified-missing"])
+        "verified-null", "verified-missing", "type-float", "type-int",
+        "type-bool", "type-list", "type-dict", "cartan-list"])
 def test_cache_bad_weight_or_entry_is_error(tmp_path, capsys, edit, word):
     # each edit of the cached G_{s_1} = 1 - e[-L1] once loaded silently,
     # as a wrong G_w, a wrong verified flag or a late traceback

@@ -8,8 +8,9 @@ import pytest
 from affgroth.cartan import build_cartan, cartan_to_json, from_type
 from affgroth.coefq import CoefQ
 from affgroth.errors import CacheMismatch
-from affgroth.groth import GrothTable, _json_pieces, grothendieck
-from affgroth.kring import in_window, j_map, k_one, monomial, psi, to_json
+from affgroth.groth import GrothTable, grothendieck
+from affgroth.kring import (in_window, j_map, k_one, k_zero, monomial,
+                            psi, to_json)
 from affgroth import weyl
 
 import oracles
@@ -212,6 +213,11 @@ def test_save_bytes_empty_and_verified(tmp_path):
     table.save(str(path))
     assert path.read_bytes() == json_dumps_bytes(table)
     assert b"true" in path.read_bytes() and b"false" in path.read_bytes()
+    # an entry with no terms, as a loaded "terms": [] is
+    table.entries[weyl.canonicalize(cd, (1, 0))] = k_zero(cd)
+    table.save(str(path))
+    assert path.read_bytes() == json_dumps_bytes(table)
+    assert b'"terms": [],' in path.read_bytes()
 
 
 def test_save_bytes_twisted_and_negative(tmp_path):
@@ -235,16 +241,6 @@ def test_save_bytes_twisted_and_negative(tmp_path):
     table.save(str(path))
     assert path.read_bytes() == json_dumps_bytes(table)
     assert b'"type": null' in path.read_bytes()
-
-
-@pytest.mark.parametrize("obj", [
-    {}, [], 0, -7, 10 ** 40, True, None, "a\"b\\c\u00e9\n",
-    {"b": [1, [2, []], {}], "a": {"y": False, "x": [-1, 0, 2 ** 70]}},
-    [[True, 1], [None], ["s", 1], [[]]],
-], ids=lambda o: type(o).__name__)
-def test_json_pieces_match_json_dumps(obj):
-    assert ("".join(_json_pieces(obj, 0, []))
-            == json.dumps(obj, sort_keys=True, indent=1))
 
 
 def test_high_degree_table_bytes_pinned(tmp_path):
@@ -272,6 +268,21 @@ def test_load_without_cd_adopts_file_data(tmp_path):
     loaded = GrothTable.load(str(path))
     assert loaded.cd == cd
     assert loaded.entries == table.entries
+
+
+def test_from_json_obj_refuses_non_string_type():
+    # without cd the table adopts the file's data; a float type loaded and
+    # made the next save raise a bare TypeError
+    cd = from_type("A1~")
+    table = GrothTable(cd)
+    table.compute(weyl.canonicalize(cd, (0, 1)))
+    obj = json.loads(json_dumps_bytes(table))
+    obj["cartan"]["type"] = None
+    assert GrothTable.from_json_obj(obj).cd.type_string is None
+    for value in (1.5, 7, True, ["A"], {"x": 1}):
+        obj["cartan"]["type"] = value
+        with pytest.raises(CacheMismatch, match="Cartan type must be"):
+            GrothTable.from_json_obj(obj)
 
 
 def test_load_mismatch(tmp_path):

@@ -53,9 +53,7 @@ def test_descents_by_length():
         w = weyl.canonicalize(cd, oracles.random_word(cd, rng, max_len=5))
         for i in cd.labels:
             right = weyl.mul_gen(w, i).length < w.length
-            left = weyl.canonicalize(cd, (i,) + w.word).length < w.length
             assert (i in weyl.right_descents(w)) == right
-            assert (i in weyl.left_descents(w)) == left
 
 
 def test_inversion_set():
