@@ -3,6 +3,10 @@ two gcd routines (pgcd, the PRS; pgcd_cofactors, the heuristic gcd with
 both quotients) on the same products of (1 - q^k) factors.  Then the zero
 test of a sum of q-fractions two ways on the same parts over (1 - q^k)
 products: coefq.sum_is_zero (exact evaluation) and the canonical CoefQ sum.
+Last the character product on packed keys: denominator_inverse built cold
+(no packing kept from an earlier call) for A2~ to depth 10 and C2~ to depth
+12, and one over_denominator call, the Weyl-Kac numerator of L0 + L2 on C2~
+over the inverse denominator to depth 12, already built.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
@@ -16,8 +20,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 sys.path.insert(0, SRC)
 
-from affgroth import qpoly  # noqa: E402
+from affgroth import packed, qpoly  # noqa: E402
+from affgroth.cartan import from_type  # noqa: E402
+from affgroth.characters import (_weyl_kac_numerator,  # noqa: E402
+                                 denominator_inverse)
 from affgroth.coefq import ZERO, CoefQ, sum_is_zero  # noqa: E402
+from affgroth.weights import parse_weight  # noqa: E402
 
 
 def make_cases(rng, count, deg):
@@ -76,6 +84,11 @@ def canonical_is_zero(parts):
     return total.is_zero()
 
 
+def cold_denominator_inverse(cd, depth):
+    packed._PACKINGS.clear()
+    return denominator_inverse(cd, depth)
+
+
 def bench(fn, cases, repeat=5):
     best = None
     for _ in range(repeat):
@@ -104,6 +117,16 @@ def main():
                      ("CoefQ sum", canonical_is_zero)):
         t = bench(fn, [(p,) for p in sums])
         print("%-14s %8.1f us/call" % (name, 1e6 * t / len(sums)))
+    for type_string, depth in (("A2~", 10), ("C2~", 12)):
+        t = bench(cold_denominator_inverse, [(from_type(type_string), depth)])
+        print("%-14s %8.2f ms   denominator_inverse to depth %d, cold"
+              % (type_string, 1e3 * t, depth))
+    cd = from_type("C2~")
+    args = _weyl_kac_numerator(cd, parse_weight("L0 + L2", cd.rank), 12)
+    packed.packing(cd, 12).denominator_inverse(12)
+    t = bench(packed.over_denominator, [args])
+    print("%-14s %8.2f ms   over_denominator, L0 + L2 to depth 12"
+          % ("C2~", 1e3 * t))
 
 
 if __name__ == "__main__":

@@ -341,13 +341,18 @@ def _gcm_d(n):
 _TYPE_RE = re.compile(r"^([ACD])([0-9]+)~$")
 
 
-def from_type(type_string):
-    """Built-in affine families: A<n>~ (n>=1), C<n>~ (n>=2), D<n>~ (n>=4)."""
+def _parse_type(type_string):
+    """(family letter, n) of a built-in type string; BadShape otherwise."""
     mo = _TYPE_RE.match(type_string.strip())
     if mo is None:
         raise BadShape("cannot parse type %r (expected like 'A2~', 'C3~', 'D4~')"
                        % type_string)
-    fam, n = mo.group(1), int(mo.group(2))
+    return mo.group(1), int(mo.group(2))
+
+
+def from_type(type_string):
+    """Built-in affine families: A<n>~ (n>=1), C<n>~ (n>=2), D<n>~ (n>=4)."""
+    fam, n = _parse_type(type_string)
     if fam == "A" and n >= 1:
         gcm = _gcm_a(n)
     elif fam == "C" and n >= 2:
@@ -365,10 +370,22 @@ def cartan_to_json(cd):
 
 def cartan_from_json(obj):
     """Data from the form written by cartan_to_json; TypeError when obj is
-    not a dict, ValueError when "type" is neither a string nor null."""
+    not a dict, ValueError when "type" is neither null nor a built-in type
+    string whose matrix is the stored one."""
     gcm = obj["gcm"]
     type_string = obj.get("type")
     if type_string is not None and type(type_string) is not str:
         raise ValueError("Cartan type must be a string or null, not %r"
                          % (type_string,))
-    return build_cartan(gcm, type_string=type_string)
+    cd = build_cartan(gcm, type_string=type_string)
+    if type_string is not None:
+        try:
+            n = _parse_type(type_string)[1]
+            # the rank is checked first, so a huge n builds no matrix
+            named = from_type(type_string).gcm if n + 1 == cd.rank else None
+        except BadShape as ex:
+            raise ValueError("Cartan type %r: %s" % (type_string, ex)) from ex
+        if named != cd.gcm:
+            raise ValueError("Cartan type %r does not name the stored matrix"
+                             % (type_string,))
+    return cd

@@ -8,22 +8,44 @@ modules, relative local-cohomology characters of Schubert cells against G_w,
 and Euler characteristics of twisted structure sheaves.  Only the sheaf-level
 Euler characteristic is computed; individual cohomology groups are not.
 
-Every series is built the same way: an alternating numerator (a finite dict
-of keys) times the inverse of the Weyl-Kac denominator
-prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha}, cut by height: only keys of
-height sum(key.m) >= sum(top.m) - cutoff are kept.  The inverse denominator
-is the product of one binomial series per positive root; one copy per Cartan
-datum is kept at the deepest cutoff asked for, and shallower cutoffs are cut
-from it.
+Every series is built the same way: an alternating numerator times the
+inverse of the Weyl-Kac denominator prod_{alpha > 0} (1 - e^{-alpha})^{mult
+alpha}, cut by height: only keys of height sum(key.m) >= sum(top.m) - cutoff
+are kept.
+
+The product runs on packed integer keys (Kronecker substitution; the kernels
+are in packed.py).  A key's alpha-coordinates m become one int,
+m_0 + m_1 S + ... + m_{r-2} S^{r-2} + h S^{r-1}, with h = sum(m) its height
+as the top digit (m_{r-1} is h minus the others).  Adding keys is adding
+ints, ordering them orders their heights, and a height cut of a list sorted
+by depth is a prefix.  Lambda-parts are not packed: a numerator is a dict
+{Lambda-part: {key: coeff}}, each group is multiplied on its own, and the
+inverse denominator lies in Q.  Keys decode with balanced digits in
+(-S/2, S/2], a negative coordinate borrowing one from the digit above; the
+top digit is unbounded.  This is exact while every lower coordinate of every
+key, product keys included, has size at most S/2 - 1: factors whose
+coordinates have size <= M give products within 2M, so the base is
+S = 4M + 8.  One packed.Packing per Cartan datum holds, at one base, the
+inverse denominator (1 divided by (1 - e^{-beta}) once per unit of the
+multiplicity of each positive root beta, to the deepest depth asked for) and
+the alternating orbit of every regular dominant weight (to the deepest margin
+asked for), each sorted by depth so that a shallower one is a prefix; a call
+that needs a larger base starts a fresh Packing.  Weight objects appear only
+at the boundary: the G_w terms and twists that come in, the TruncatedSeries
+that weyl_kac_character, euler_character and local_cohomology_character
+return, and the fresh dict of denominator_inverse.
 
 Root multiplicities are hardwired for untwisted data (real 1, imaginary
 rank-1); twisted data is refused rather than guessed.
 """
 
+from bisect import bisect_right
+
 from . import weyl as weyl_mod
 from .errors import (NonQInput, NotDominant, NotNonNegativeLevel,
-                     NotUntwisted, WindowViolation)
+                     WindowViolation)
 from .kring import j_map
+from .packed import divide, over_denominator, packing
 from .weights import Weight, weight_from_json, weight_to_json
 
 
@@ -84,145 +106,22 @@ class TruncatedSeries:
                     for t in obj["coeffs"]})
 
 
-def positive_roots_with_mult(cd, N):
-    """Positive roots of depth <= N as (Weight in Q, multiplicity) pairs.
-
-    Real roots by reflection closure upward from the simple roots (any
-    positive real root descends to a simple one through positives of smaller
-    height, so the closure finds everything under the cutoff); imaginary
-    roots are the multiples of delta with multiplicity rank - 1.
-    """
-    if not cd.untwisted:
-        raise NotUntwisted("root multiplicities implemented for untwisted "
-                           "types only, got %r" % (cd.type_string,))
-    seen = set()
-    frontier = []
-    for i in cd.labels:
-        a = cd.alpha(i)
-        if sum(a.m) <= N:
-            seen.add(a)
-            frontier.append(a)
-    while frontier:
-        new = []
-        for b in frontier:
-            for i in cd.labels:
-                c = cd.reflect(i, b)
-                if (c not in seen and all(x >= 0 for x in c.m)
-                        and sum(c.m) <= N):
-                    seen.add(c)
-                    new.append(c)
-        frontier = new
-    out = [(b, 1) for b in seen]
-    h = sum(cd.marks)  # depth of delta
-    n = 1
-    while n * h <= N:
-        out.append((n * cd.delta(), cd.rank - 1))
-        n += 1
-    out.sort(key=lambda t: (sum(t[0].m), t[0].m))
-    return out
-
-
-# --- truncated series arithmetic on plain dicts ------------------------------
-# Keys are absolute Weights.  The height sum(key.m) of a product key is the
-# sum of the factor heights, so every product is cut by height alone.
-
-def _mul_trunc(A, B, floor):
-    """A * B on the keys of height >= floor."""
-    out = {}
-    items_b = sorted(((b, cb, sum(b.m)) for b, cb in B.items()),
-                     key=lambda t: -t[2])
-    for a, ca in A.items():
-        need = floor - sum(a.m)
-        for b, cb, hb in items_b:
-            if hb < need:
-                break
-            key = a + b
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return out
-
-
-_DINV = {}  # cd -> (cutoff, inverse denominator to that depth)
-
-
 def denominator_inverse(cd, N):
     """prod_{alpha > 0} (1 - e^{-alpha})^{-mult(alpha)} to depth N, as a dict
     on -Q_+ with integer coefficients; empty for N < 0.
 
-    The product runs over one binomial series per positive root,
-    (1 - e^{-beta})^{-m} = sum_k C(m+k-1, k) e^{-k beta}.  One series per
-    Cartan datum is kept, at the deepest cutoff asked for so far; a shallower
-    cutoff is that series cut by depth, which is exact because depth adds
-    under products.  Every call returns a fresh dict.
+    The series is 1 divided by (1 - e^{-beta}) mult(beta) times per positive
+    root beta, on packed keys.  One series per Cartan datum is kept, at the
+    deepest cutoff asked for so far; a shallower cutoff is a prefix of it,
+    which is exact because depth adds under products.  Every call returns a
+    fresh dict.
     """
     if N < 0:
         return {}
-    got = _DINV.get(cd)
-    if got is None or got[0] < N:
-        got = (N, _build_denominator_inverse(cd, N))
-        _DINV[cd] = got
-    depth, series = got
-    if depth == N:
-        return dict(series)
-    return {k: c for k, c in series.items() if -sum(k.m) <= N}
-
-
-def _build_denominator_inverse(cd, N):
-    zero = cd.zero()
-    X = {zero: 1}
-    for beta, mult in positive_roots_with_mult(cd, N):
-        step = sum(beta.m)
-        # (1 - e^{-beta})^{-mult}, cut at depth N
-        factor = {zero: 1}
-        coeff = 1
-        key = zero
-        for k in range(1, N // step + 1):
-            coeff = coeff * (mult + k - 1) // k
-            key = key - beta
-            factor[key] = coeff
-        X = _mul_trunc(X, factor, -N)
-    return X
-
-
-def _over_denominator(cd, num, top, N):
-    """num / prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha} on the keys of
-    height >= sum(top.m) - N.  The inverse denominator is taken just deep
-    enough to reach that floor from the highest numerator key."""
-    floor = sum(top.m) - N
-    reach = max((sum(k.m) for k in num), default=floor) - floor
-    return _mul_trunc(num, denominator_inverse(cd, reach), floor)
-
-
-def _numerator(cd, lamr, margin):
-    """Alternating sum over the orbit of the regular dominant lamr: keys
-    x(lamr) - rho with sign (-1)^len(x), pruned at the given depth margin.
-    Descent steps only; for regular dominant lamr each image is reached at a
-    single length, so layers by image are layers by length."""
-    rho = cd.rho()
-    out = {lamr - rho: 1}
-    frontier = {lamr}
-    seen = {lamr}
-    sign = 1
-    while frontier:
-        sign = -sign
-        new = set()
-        for v in frontier:
-            for i in cd.labels:
-                p = cd.pairing(i, v)
-                if p <= 0:
-                    continue
-                v2 = cd.reflect(i, v)
-                if v2 in seen or sum((lamr - v2).m) > margin:
-                    continue
-                seen.add(v2)
-                new.add(v2)
-        for v2 in new:
-            out[v2 - rho] = sign
-        frontier = new
-    return out
+    pk = packing(cd, N)
+    keys, coeffs, depths = pk.denominator_inverse(N)
+    n = bisect_right(depths, N)
+    return pk.weights({(0,) * cd.rank: dict(zip(keys[:n], coeffs[:n]))})
 
 
 def weyl_kac_character(cd, mu, N):
@@ -234,8 +133,19 @@ def weyl_kac_character(cd, mu, N):
     if cd.level(lamr) <= 0:
         raise NotNonNegativeLevel("mu + rho has level %d <= 0"
                                   % cd.level(lamr))
-    num = _numerator(cd, lamr, N)
-    return TruncatedSeries(cd, mu, N, _over_denominator(cd, num, mu, N))
+    pk, num, floor = _weyl_kac_numerator(cd, mu, N)
+    return TruncatedSeries(cd, mu, N, pk.weights(
+        over_denominator(pk, num, floor)))
+
+
+def _weyl_kac_numerator(cd, mu, N):
+    """(packing, packed alternating numerator, floor) of the character of
+    the dominant mu to depth N: the orbit of mu + rho placed at mu."""
+    pk = packing(cd, max(map(abs, mu.m)) + N)
+    keys, signs = pk.orbit(mu + cd.rho(), N)
+    top = pk.pack(mu.m)
+    return (pk, {mu.l: {top + k: s for k, s in zip(keys, signs)}},
+            sum(mu.m) - N)
 
 
 def _to_dominant_or_none(cd, v):
@@ -272,8 +182,12 @@ def euler_character(cd, w, mu, N, table):
     h = sum(cd.marks)
     delta = cd.delta()
     zeros = (0,) * cd.rank
-    parts = []  # (vd, margin, shift, scale): scale * shifted numerator of vd
+    floor = sum(mu.m) - N
+    # (vd, margin, at, scale): scale * the orbit of vd to depth margin,
+    # placed with its top key at the weight `at`
+    parts = []
     margins = {}  # vd -> largest margin any part needs
+    size = 0  # bounds every coordinate of num and the reach of the product
     for kappa, c in g.terms.items():
         lam = Weight(kappa.l, zeros)
         res = _to_dominant_or_none(cd, mu + kappa + rho)
@@ -286,31 +200,27 @@ def euler_character(cd, w, mu, N, table):
                             "root lattice" % (offset0,))
         s0 = sum(offset0.m)
         for n, cn in c.expand_down(-((N - s0) // h)):
-            margin = N - s0 + n * h
-            parts.append((vd, margin, n * delta - lam, sign * cn))
+            margin = N - s0 + n * h  # never negative
+            at = vd - rho + n * delta - lam
+            parts.append((vd, margin, at, sign * cn))
             margins[vd] = max(margin, margins.get(vd, margin))
-    # one numerator per dominant weight, at its largest margin, keys sorted
-    # by depth; a smaller margin (never negative) is a prefix, because
-    # _numerator's descent steps only deepen keys
-    orbits = {}
+            size = max(size, margin + max(map(abs, at.m)), sum(at.m) - floor)
+    pk = packing(cd, size)
     for vd, margin in margins.items():
-        top = sum((vd - rho).m)
-        orbits[vd] = sorted(((top - sum(key.m), key, coeff) for key, coeff
-                             in _numerator(cd, vd, margin).items()),
-                            key=lambda t: t[0])
+        pk.orbit(vd, margin)  # each orbit at the largest margin first
     num = {}
-    for vd, margin, shift, scale in parts:
-        for depth, key, coeff in orbits[vd]:
-            if depth > margin:
-                break
-            key = key + shift
-            tot = num.get(key, 0) + scale * coeff
-            if tot:
-                num[key] = tot
-            else:
-                num.pop(key, None)
+    for vd, margin, at, scale in parts:
+        keys, signs = pk.orbit(vd, margin)
+        at_key = pk.pack(at.m)
+        group = num.setdefault(at.l, {})
+        get = group.get
+        for key, s in zip(keys, signs):
+            key += at_key
+            group[key] = get(key, 0) + scale * s
+    num = {l: {k: c for k, c in group.items() if c}
+           for l, group in num.items()}
 
-    coeffs = _over_denominator(cd, num, mu, N)
+    coeffs = pk.weights(over_denominator(pk, num, floor))
     top = list(mu.m)
     for key in coeffs:
         top = [max(t, x) for t, x in zip(top, key.m)]
@@ -347,4 +257,4 @@ def local_cohomology_character(cd, w, x, mu, N, table):
         s_k = tsum - sum(kappa.m)
         for n, cn in c.expand_down(-((N - s_k) // h)):
             num[b0 + kappa + n * delta] = sign * cn
-    return TruncatedSeries(cd, base, N, _over_denominator(cd, num, base, N))
+    return TruncatedSeries(cd, base, N, divide(cd, num, sum(base.m) - N))

@@ -1,0 +1,236 @@
+"""Series on packed integer keys: the arithmetic under characters.py.
+
+A key is a weight's alpha-coordinates m packed into one int,
+m_0 + m_1 S + ... + m_{r-2} S^{r-2} + h S^{r-1}, with h = sum(m) its height
+as the top digit; characters.py's module docstring gives the layout, the
+grouping by Lambda-part and the bound on the base S.  A Packing holds, per
+Cartan datum and at one base, the inverse Weyl-Kac denominator and the
+alternating Weyl orbits; packing(cd, M) hands out one whose base fits keys
+with coordinates of size <= M.
+"""
+
+from bisect import bisect_right
+from itertools import islice
+
+from .errors import NotUntwisted
+from .weights import Weight
+
+
+def positive_roots_with_mult(cd, N):
+    """Positive roots of depth <= N as (Weight in Q, multiplicity) pairs.
+
+    Real roots by reflection closure upward from the simple roots (any
+    positive real root descends to a simple one through positives of smaller
+    height, so the closure finds everything under the cutoff); imaginary
+    roots are the multiples of delta with multiplicity rank - 1.
+    """
+    if not cd.untwisted:
+        raise NotUntwisted("root multiplicities implemented for untwisted "
+                           "types only, got %r" % (cd.type_string,))
+    seen = set()
+    frontier = []
+    for i in cd.labels:
+        a = cd.alpha(i)
+        if sum(a.m) <= N:
+            seen.add(a)
+            frontier.append(a)
+    while frontier:
+        new = []
+        for b in frontier:
+            for i in cd.labels:
+                c = cd.reflect(i, b)
+                if (c not in seen and all(x >= 0 for x in c.m)
+                        and sum(c.m) <= N):
+                    seen.add(c)
+                    new.append(c)
+        frontier = new
+    out = [(b, 1) for b in seen]
+    h = sum(cd.marks)  # depth of delta
+    n = 1
+    while n * h <= N:
+        out.append((n * cd.delta(), cd.rank - 1))
+        n += 1
+    out.sort(key=lambda t: (sum(t[0].m), t[0].m))
+    return out
+
+
+def mul_trunc(A, B, floor, T):
+    """A * B on the keys of height >= floor, where T = S^(rank-1).  A is a
+    packed {key: coeff}; B is parallel lists (keys, coeffs, depths) sorted by
+    depth, its keys of height -depth <= 0.  A key a of A meets the prefix of
+    B of depth <= height(a) - floor."""
+    keys, coeffs, depths = B
+    half = T // 2
+    out = {}
+    get = out.get
+    for ka, ca in A.items():
+        n = bisect_right(depths, (ka + half) // T - floor)
+        for kb, cb in islice(zip(keys, coeffs), n):
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    for k in [k for k, c in out.items() if not c]:
+        del out[k]
+    return out
+
+
+class Packing:
+    """The packed series of one Cartan datum at base S: the inverse
+    denominator as parallel lists (keys, coeffs, depths) sorted by depth, to
+    the deepest depth asked for, and per regular dominant weight lamr its
+    alternating orbit relative to lamr, as parallel lists (keys of
+    x(lamr) - lamr, signs (-1)^len(x), depths) sorted by depth, to the
+    deepest margin asked for.  A shallower one is a prefix."""
+
+    __slots__ = ("cd", "S", "T", "depth", "dinv", "orbits")
+
+    def __init__(self, cd, S):
+        self.cd = cd
+        self.S = S
+        self.T = S ** (cd.rank - 1)
+        self.depth = -1
+        self.dinv = None
+        self.orbits = {}  # lamr -> (margin, keys, signs, depths)
+
+    def pack(self, m):
+        S = self.S
+        key = sum(m)
+        for x in reversed(m[:-1]):
+            key = key * S + x
+        return key
+
+    def unpack(self, key):
+        """The coordinates m of a key: each lower digit balanced, a negative
+        one borrowing from the digit above; the height is what is left."""
+        S = self.S
+        half = S // 2
+        m = []
+        for _ in range(self.cd.rank - 1):
+            d = key % S
+            if d > half:
+                d -= S
+            m.append(d)
+            key = (key - d) // S
+        m.append(key - sum(m))
+        return tuple(m)
+
+    def height(self, key):
+        return (key + self.T // 2) // self.T
+
+    def weights(self, series):
+        """{Weight: coeff} of a packed {Lambda-part: {key: coeff}}."""
+        unpack = self.unpack
+        return {Weight(l, unpack(k)): c
+                for l, group in series.items() for k, c in group.items()}
+
+    def denominator_inverse(self, N):
+        """(keys, coeffs, depths) of the inverse denominator to depth at
+        least N: the stored lists themselves, not a copy."""
+        if self.depth < N:
+            self.dinv = self._build_denominator_inverse(N)
+            self.depth = N
+        return self.dinv
+
+    def _build_denominator_inverse(self, N):
+        """Divide 1 by (1 - e^{-beta}) mult times per positive root beta, to
+        depth N.  Y = X / (1 - e^{-beta}) is Y = X + e^{-beta} Y: down a
+        beta-string from its highest key in X, Y is the running sum of X.
+        X's keys go highest first, so a key already in Y lies on a string
+        walked from a higher key."""
+        T = self.T
+        half = T // 2
+        X = {0: 1}
+        for beta, mult in positive_roots_with_mult(self.cd, N):
+            step, kb = sum(beta.m), self.pack(beta.m)
+            for _ in range(mult):
+                Y = {}
+                get = X.get
+                for key in sorted(X, reverse=True):
+                    if key in Y:
+                        continue
+                    run, depth = 0, -((key + half) // T)
+                    while depth <= N:
+                        run += get(key, 0)
+                        Y[key] = run
+                        key -= kb
+                        depth += step
+                X = Y
+        keys = sorted(X, reverse=True)  # height descending: depth ascending
+        return keys, [X[k] for k in keys], [-self.height(k) for k in keys]
+
+    def orbit(self, lamr, margin):
+        """(keys, signs) of the orbit of lamr to depth margin."""
+        got = self.orbits.get(lamr)
+        if got is None or got[0] < margin:
+            got = self.orbits[lamr] = (margin,) + self._orbit(lamr, margin)
+        _, keys, signs, depths = got
+        n = bisect_right(depths, margin)
+        return keys[:n], signs[:n]
+
+    def _orbit(self, lamr, margin):
+        """Descent steps only; for regular dominant lamr each image is reached
+        at a single length, so layers by image are layers by length."""
+        l, gcm, labels = lamr.l, self.cd.gcm, self.cd.labels
+        top, key0 = sum(lamr.m), self.pack(lamr.m)
+        found = [(0, 0, 1)]  # (depth, key, sign)
+        frontier = {lamr.m}
+        seen = {lamr.m}
+        sign = 1
+        while frontier:
+            sign = -sign
+            new = set()
+            for m in frontier:
+                for i in labels:
+                    p = l[i] + sum(a * x for a, x in zip(gcm[i], m) if x)
+                    if p <= 0:
+                        continue
+                    m2 = m[:i] + (m[i] - p,) + m[i + 1:]
+                    if m2 in seen or top - sum(m2) > margin:
+                        continue
+                    seen.add(m2)
+                    new.add(m2)
+            found.extend((top - sum(m2), self.pack(m2) - key0, sign)
+                         for m2 in new)
+            frontier = new
+        found.sort(key=lambda t: t[0])
+        return ([k for _, k, _ in found], [s for _, _, s in found],
+                [d for d, _, _ in found])
+
+
+_PACKINGS = {}  # cd -> Packing
+
+
+def packing(cd, M):
+    """The packing of cd, at a base S >= 4M + 8: exact for products of
+    factors whose keys have coordinates of size <= M, and for an inverse
+    denominator or orbit of depth <= M.  A smaller stored base is replaced by
+    a fresh packing at max(4M + 8, twice it), which rebuilds on demand."""
+    need = 4 * max(M, 0) + 8  # a negative cutoff can make M negative
+    pk = _PACKINGS.get(cd)
+    if pk is None or pk.S < need:
+        pk = _PACKINGS[cd] = Packing(cd, max(need, 2 * pk.S) if pk else need)
+    return pk
+
+
+def over_denominator(pk, num, floor):
+    """num / prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha} on the keys of
+    height >= floor, for a packed num {Lambda-part: {key: coeff}}.  The
+    inverse denominator must reach that floor from the highest numerator
+    key, and is built that deep if it is not yet; the caller sizes pk for
+    both."""
+    reach = max((pk.height(max(g)) for g in num.values() if g),
+                default=floor) - floor
+    if reach < 0:
+        return {}
+    dinv = pk.denominator_inverse(reach)
+    return {l: mul_trunc(g, dinv, floor, pk.T) for l, g in num.items()}
+
+
+def divide(cd, num, floor):
+    """over_denominator for a numerator {Weight: coeff}, as {Weight: coeff}."""
+    size = max([abs(x) for k in num for x in k.m]
+               + [sum(k.m) - floor for k in num] + [0])
+    pk = packing(cd, size)
+    packed = {}
+    for k, c in num.items():
+        packed.setdefault(k.l, {})[pk.pack(k.m)] = c
+    return pk.weights(over_denominator(pk, packed, floor))

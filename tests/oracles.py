@@ -3,19 +3,23 @@
 Everything here is deliberately written from first principles against the
 basic Cartan data only (gcm, bilinear form, reflections), not against the
 modules it is used to check: character tests compare against the Freudenthal
-recursion, Demazure tests against explicit polynomial long division.  The one
-exception is the Euler-character oracle: it sums one Weyl-Kac character per
-term of G_w through the public API, the characters being checked against
-Freudenthal on their own.
+recursion, Demazure tests against explicit polynomial long division.  Two
+oracles go through the public API: the Euler-character oracle sums one
+Weyl-Kac character per term of G_w, the characters being checked against
+Freudenthal on their own, and the local-cohomology oracle multiplies the
+terms of j_x(G_w) by denominator_inverse, which is checked against the
+expanded denominator, with plain {Weight: int} products.
 """
 
 import os
 import random
 from fractions import Fraction
 
-from affgroth.characters import TruncatedSeries, weyl_kac_character
+from affgroth import weyl
+from affgroth.characters import (TruncatedSeries, denominator_inverse,
+                                 weyl_kac_character)
 from affgroth.coefq import CoefQ
-from affgroth.kring import from_terms, k_zero, monomial, reflect_act
+from affgroth.kring import from_terms, j_map, k_zero, monomial, reflect_act
 from affgroth.weights import Weight
 
 
@@ -172,6 +176,41 @@ def euler_by_terms(cd, w, mu, N, table):
     return TruncatedSeries(cd, Weight(mu.l, top), N,
                            {k: x for k, x in acc.items()
                             if sum(k.m) >= sum(top) - N})
+
+
+def plain_product(A, B, floor):
+    """A * B for {Weight: int} dicts, on the keys of height >= floor."""
+    out = {}
+    for a, ca in A.items():
+        for b, cb in B.items():
+            key = a + b
+            if sum(key.m) >= floor:
+                out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def over_denominator_by_terms(cd, num, floor):
+    """num / prod_{alpha > 0} (1 - e^{-alpha})^mult on the keys of height
+    >= floor, as a plain product with denominator_inverse."""
+    reach = max((sum(k.m) for k in num), default=floor) - floor
+    return plain_product(num, denominator_inverse(cd, reach), floor)
+
+
+def local_cohomology_by_terms(cd, w, x, mu, floor, table):
+    """(-1)^len(w) e^{x(mu+rho)-rho} j_x(G_w) / prod(1 - e^{-alpha})^mult on
+    the keys of height >= floor: every term c e^kappa of j_x(G_w) expanded
+    in q = e^delta down to that floor."""
+    rho = cd.rho()
+    h = sum(cd.marks)
+    b0 = weyl.act(x, mu + rho) - rho
+    sign = -1 if w.length % 2 else 1
+    num = {}
+    for kappa, c in j_map(x, table.compute(w)).terms.items():
+        h0 = sum((b0 + kappa).m)
+        for n, cn in c.expand_down(-((h0 - floor) // h)):
+            key = b0 + kappa + n * cd.delta()
+            num[key] = num.get(key, 0) + sign * cn
+    return over_denominator_by_terms(cd, num, floor)
 
 
 # --- seeded random data -------------------------------------------------------

@@ -232,6 +232,18 @@ def test_json_round_trip():
     assert cartan_from_json(cartan_to_json(anon)) == anon
 
 
+@pytest.mark.parametrize("label", ["C7~", "A2~", "C1~", "A99999999~", "A1",
+                                   ""])
+def test_json_type_must_name_the_matrix(label):
+    # the A1~ matrix under another label loaded as AffineCartanData(C7~),
+    # equal to from_type("A1~") because equality compares only the matrix
+    obj = cartan_to_json(from_type("A1~"))
+    obj["type"] = label
+    with pytest.raises(ValueError):
+        cartan_from_json(obj)
+    assert cartan_from_json(cartan_to_json(from_type("A1~"))).type_string == "A1~"
+
+
 def test_rho_j():
     cd = from_type("A2~")
     assert cd.rho_J(()) == cd.zero()

@@ -5,9 +5,11 @@ import pytest
 from affgroth.cartan import build_cartan, from_type
 from affgroth.characters import (TruncatedSeries, denominator_inverse,
                                  euler_character, local_cohomology_character,
-                                 positive_roots_with_mult, weyl_kac_character)
+                                 weyl_kac_character)
 from affgroth.errors import (NotDominant, NotNonNegativeLevel, NotUntwisted)
 from affgroth.groth import GrothTable
+from affgroth import packed
+from affgroth.packed import positive_roots_with_mult
 from affgroth.weights import Weight, parse_weight
 from affgroth import weyl
 
@@ -148,6 +150,65 @@ def test_euler_against_term_by_term_oracle():
     # non-dominant twists raise the base above mu, and (1 - q^k)
     # denominators give infinite q-expansions
     assert cases == 129 and raised and with_den
+
+
+def _level_twists(cd, level):
+    """Every dominant weight sum_i c_i L_i of the given level."""
+    out = []
+
+    def extend(coeffs, left):
+        i = len(coeffs)
+        if i == cd.rank:
+            if left == 0:
+                out.append(Weight(coeffs, (0,) * cd.rank))
+            return
+        for c in range(left // cd.comarks[i] + 1):
+            extend(coeffs + (c,), left - c * cd.comarks[i])
+
+    extend((), level)
+    return out
+
+
+@pytest.mark.parametrize("t,N,twist", [("C2~", 12, "L0 + L2"),
+                                       ("A2~", 10, "L0 + L1")])
+def test_euler_every_twist_of_the_level(t, N, twist):
+    # the euler benchmark cycles through these twists on its seeds other
+    # than 0, at these cutoffs
+    cd = from_type(t)
+    table = GrothTable(cd)
+    twists = _level_twists(cd, cd.level(parse_weight(twist, cd.rank)))
+    assert len(twists) == 6
+    for mu in twists:
+        for layer in weyl.enumerate_up_to(cd, 1):
+            for w in layer:
+                assert (euler_character(cd, w, mu, N, table)
+                        == oracles.euler_by_terms(cd, w, mu, N, table)), \
+                    (str(mu), w.word)
+
+
+def test_orbit_work_pinned(monkeypatch):
+    # each numerator orbit is built once per Cartan datum, at the deepest
+    # margin asked for: the euler benchmark's 19 characters need the orbits
+    # of 21 dominant weights, where one build per character and weight
+    # would make 58
+    monkeypatch.setattr(packed, "_PACKINGS", {})
+    builds = 0
+    build = packed.Packing._orbit
+
+    def counted_build(self, lamr, margin):
+        nonlocal builds
+        builds += 1
+        return build(self, lamr, margin)
+
+    monkeypatch.setattr(packed.Packing, "_orbit", counted_build)
+    for t, N, twist in (("C2~", 12, "L0 + L2"), ("A2~", 10, "L0 + L1")):
+        cd = from_type(t)
+        table = GrothTable(cd)
+        mu = parse_weight(twist, cd.rank)
+        for layer in weyl.enumerate_up_to(cd, 2):
+            for w in layer:
+                euler_character(cd, w, mu, N, table)
+    assert builds == 21
 
 
 def test_local_cohomology_dual_verma():

@@ -360,10 +360,12 @@ def _cartan_list(obj, entry):
     (_cartan_type(1.5), "1,0"), (_cartan_type(7), "1,0"),
     (_cartan_type(True), "1,0"), (_cartan_type(["A"]), "1,0"),
     (_cartan_type({"x": 1}), "1,0"), (_cartan_list, "1"),
+    (_cartan_type("C7~"), "1"),
 ], ids=["repeated-term", "repeated-entry", "equivalent-word", "delta-part",
         "wrong-rank", "float-coordinate", "verified-string", "verified-int",
         "verified-null", "verified-missing", "type-float", "type-int",
-        "type-bool", "type-list", "type-dict", "cartan-list"])
+        "type-bool", "type-list", "type-dict", "cartan-list",
+        "type-relabelled"])
 def test_cache_bad_weight_or_entry_is_error(tmp_path, capsys, edit, word):
     # each edit of the cached G_{s_1} = 1 - e[-L1] once loaded silently,
     # as a wrong G_w, a wrong verified flag or a late traceback

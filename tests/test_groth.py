@@ -285,6 +285,19 @@ def test_from_json_obj_refuses_non_string_type():
             GrothTable.from_json_obj(obj)
 
 
+def test_from_json_obj_refuses_relabelled_type():
+    # an A1~ cache edited to "type": "C7~" loaded as AffineCartanData(C7~)
+    # holding the A1~ matrix
+    cd = from_type("A1~")
+    table = GrothTable(cd)
+    table.compute(weyl.canonicalize(cd, (1,)))
+    obj = json.loads(json_dumps_bytes(table))
+    obj["cartan"]["type"] = "C7~"
+    for given in (None, cd):
+        with pytest.raises(CacheMismatch, match="does not name the stored"):
+            GrothTable.from_json_obj(obj, cd=given)
+
+
 def test_load_mismatch(tmp_path):
     cd = from_type("A1~")
     table = GrothTable(cd)
