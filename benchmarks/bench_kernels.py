@@ -1,12 +1,14 @@
 """Timing of the q-polynomial kernels, best of 5: pmul, pdivexact, and the
 two gcd routines (pgcd, the PRS; pgcd_cofactors, the heuristic gcd with
-both quotients) on the same products of (1 - q^k) factors.  Then the zero
-test of a sum of q-fractions two ways on the same parts over (1 - q^k)
-products: coefq.sum_is_zero (exact evaluation) and the canonical CoefQ sum.
-Last the character product on packed keys: denominator_inverse built cold
-(no packing kept from an earlier call) for A2~ to depth 10 and C2~ to depth
-12, and one over_denominator call, the Weyl-Kac numerator of L0 + L2 on C2~
-over the inverse denominator to depth 12, already built.
+both quotients) on the same products of (1 - q^k) factors.  Then verify's
+vanishing probes two ways on the same entry, G_w for w = s_1 s_2 s_0 s_1 in
+A2~ and every x of length <= 5 with w not <= x: one kring.nonvanishing_probes
+call (one evaluation point per entry, one Weyl letter per probe) and the
+canonical j_map(x, g).is_zero() per probe.  Last the character product on
+packed keys: denominator_inverse built cold (no packing kept from an earlier
+call) for A2~ to depth 10 and C2~ to depth 12, and one over_denominator
+call, the Weyl-Kac numerator of L0 + L2 on C2~ over the inverse denominator
+to depth 12, already built.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
@@ -20,11 +22,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 sys.path.insert(0, SRC)
 
-from affgroth import packed, qpoly  # noqa: E402
+from affgroth import packed, qpoly, weyl  # noqa: E402
 from affgroth.cartan import from_type  # noqa: E402
 from affgroth.characters import (_weyl_kac_numerator,  # noqa: E402
                                  denominator_inverse)
-from affgroth.coefq import ZERO, CoefQ, sum_is_zero  # noqa: E402
+from affgroth.groth import grothendieck  # noqa: E402
+from affgroth.kring import j_map, nonvanishing_probes  # noqa: E402
 from affgroth.weights import parse_weight  # noqa: E402
 
 
@@ -51,37 +54,19 @@ def cyclotomic_products(rng, count):
     return out
 
 
-def fraction_sums(rng, count):
-    # the sums verify's vanishing probes see: two or three parts per key over
-    # distinct (1 - q^k) products; half of them cancel
-    out = []
-    for _ in range(count):
-        parts = []
-        for _ in range(rng.randint(2, 3)):
-            den = (1,)
-            for _ in range(rng.randint(1, 3)):
-                k = rng.randint(1, 4)
-                den = qpoly.pmul(den, (1,) + (0,) * (k - 1) + (-1,))
-            num = tuple(rng.randint(-3, 3) for _ in range(3)) + (1,)
-            parts.append((rng.randint(-2, 2), num, den))
-        if rng.random() < 0.5:
-            # minus the first two parts, rewritten over the product of
-            # their denominators: cancels only as a polynomial identity
-            (s1, n1, d1), (s2, n2, d2) = parts[:2]
-            s = min(s1, s2)
-            num = qpoly.padd((0,) * (s1 - s) + qpoly.pmul(n1, d2),
-                             (0,) * (s2 - s) + qpoly.pmul(n2, d1))
-            parts = [(s1, n1, d1), (s, qpoly.pneg(num), qpoly.pmul(d1, d2)),
-                     (s2, n2, d2)]
-        out.append(parts)
-    return out
+def probe_case():
+    """(g, xs): G_w for w = s_1 s_2 s_0 s_1 in A2~ and verify's probes of it,
+    the x of length <= 5 with w not <= x, in layer order."""
+    cd = from_type("A2~")
+    word = (1, 2, 0, 1)
+    w = weyl.canonicalize(cd, word)
+    xs = [x for layer in weyl.enumerate_up_to(cd, len(word) + 1)
+          for x in layer if not weyl.bruhat_leq(w, x)]
+    return grothendieck(cd, word), xs
 
 
-def canonical_is_zero(parts):
-    total = ZERO
-    for shift, num, den in parts:
-        total = total + CoefQ.make(num, shift, den)
-    return total.is_zero()
+def canonical_probes(g, xs):
+    return [x for x in xs if not j_map(x, g).is_zero()]
 
 
 def cold_denominator_inverse(cd, depth):
@@ -110,13 +95,14 @@ def main():
                           ("pdivexact", div_cases)):
         t = bench(getattr(qpoly, kernel), cases)
         print("%-14s %8.1f us/call" % (kernel, 1e6 * t / len(cases)))
-    sums = fraction_sums(rng, 300)
-    if [sum_is_zero(p) for p in sums] != [canonical_is_zero(p) for p in sums]:
-        raise SystemExit("sum_is_zero disagrees with the canonical sum")
-    for name, fn in (("sum_is_zero", sum_is_zero),
-                     ("CoefQ sum", canonical_is_zero)):
-        t = bench(fn, [(p,) for p in sums])
-        print("%-14s %8.1f us/call" % (name, 1e6 * t / len(sums)))
+    g, xs = probe_case()
+    if nonvanishing_probes(g, xs) != canonical_probes(g, xs):
+        raise SystemExit("nonvanishing_probes disagrees with j_map")
+    for name, fn in (("probes", nonvanishing_probes),
+                     ("j_map probes", canonical_probes)):
+        t = bench(fn, [(g, xs)])
+        print("%-14s %8.2f ms   %d probes of %d terms"
+              % (name, 1e3 * t, len(xs), len(g)))
     for type_string, depth in (("A2~", 10), ("C2~", 12)):
         t = bench(cold_denominator_inverse, [(from_type(type_string), depth)])
         print("%-14s %8.2f ms   denominator_inverse to depth %d, cold"

@@ -20,7 +20,7 @@ den1 * (den2 / gcd), whose cofactors come from the same call.
 
 from math import gcd
 
-from .qpoly import (padd, pcontent, pdivexact, peval, pgcd, pgcd_cofactors,
+from .qpoly import (padd, pcontent, pdivexact, pgcd, pgcd_cofactors,
                     pmul, pneg, pstrip)
 
 
@@ -282,67 +282,6 @@ def shifted_sum(parts):
         for k, x in enumerate(num, sh - s):
             acc[k] += x
     return s, acc
-
-
-def sum_is_zero(parts):
-    """True iff the sum of q^shift * num / den over the (shift, num, den)
-    parts is zero; num and den are integer coefficient tuples, constant
-    term first, and every den is nonzero.  Exact and deterministic, and no
-    canonical form is built.
-
-    Parts with equal den tuples form a group; the group's numerators are
-    added as q-shifted integer lists, which is exact, and a group whose sum
-    cancels is dropped.  No group left means zero; one group q^s N / D with
-    N != 0 is nonzero.  For two or more groups g, let s_0 be the least
-    shift and clear the denominators:
-
-        P = sum_g q^(s_g - s_0) N_g prod_{h != g} D_h,
-
-    so the sum is q^(s_0) P / prod_h D_h and is zero iff P = 0.  P has
-    integer coefficients, and
-
-        |P|_inf <= |P|_1 <= B = sum_g |N_g|_1 prod_{h != g} |D_h|_1.
-
-    By Cauchy's bound every root z of a nonzero integer polynomial
-    p_0 + ... + p_n q^n with p_n != 0 has |z| < 1 + max|p_i| / |p_n|
-    <= 1 + |p|_inf.  At xi = B + 2 > 1 + |P|_inf, a nonzero P therefore has
-    P(xi) != 0, while P = 0 gives P(xi) = 0.  Every D_h has
-    |D_h|_inf <= |D_h|_1 <= B, because the term of B for any g != h has the
-    factor |D_h|_1 and its other factors are at least 1; so no D_h(xi) is
-    zero either.  The groups are evaluated at xi by Horner on Python ints
-    and added as fractions by cross-multiplying; the numerator that results
-    is exactly P(xi).
-
-    This is the evaluation step of the heuristic gcd GCDHEU (Char, Geddes
-    and Gonnet 1989), which qpoly.pgcd_cofactors runs, without the gcd: a
-    point beyond the root bound makes one integer comparison decide a
-    polynomial identity."""
-    groups = {}
-    for shift, num, den in parts:
-        groups.setdefault(den, []).append((shift, num))
-    sums = []  # (shift, num, den) per group, num != 0
-    for den, ps in groups.items():
-        if len(ps) == 1:
-            ((shift, num),) = ps
-        else:
-            shift, num = shifted_sum(ps)
-        if any(num):
-            sums.append((shift, num, den))
-    if len(sums) < 2:
-        return not sums
-    norms = [sum(map(abs, den)) for _, _, den in sums]
-    dprod = 1
-    for d in norms:
-        dprod *= d
-    xi = 2 + sum(sum(map(abs, num)) * (dprod // d)
-                 for (_, num, _), d in zip(sums, norms))
-    s0 = min(shift for shift, _, _ in sums)
-    top, bot = 0, 1
-    for shift, num, den in sums:
-        d = peval(den, xi)
-        top = top * d + peval(num, xi) * xi ** (shift - s0) * bot
-        bot *= d
-    return top == 0
 
 
 def _pair_dict(pairs):

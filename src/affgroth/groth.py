@@ -16,9 +16,11 @@ ambiguity, so G_w is well defined.  verify used afterwards cross-checks each
 entry against the Demazure recursion, localization supports, the bar
 involution, and the coefficient-denominator constraint.  The localization
 check compares j_w(G_w) with prod(1 - e^beta) as canonical forms; each
-vanishing probe j_x(G_w) = 0 (w not below x) only needs a yes or no, which
-kring.j_map_vanishes gets from the exact evaluation zero test
-coefq.sum_is_zero without building j_x(G_w).
+vanishing probe j_x(G_w) = 0 (w not below x) only needs a yes or no.
+kring.nonvanishing_probes answers all of an entry's probes in one call
+without building any j_x(G_w): it evaluates the entry's terms once at one
+point per entry, past the root bound of every key's cleared numerator, and
+reaches each probe by one Weyl letter from the probe below it.
 """
 
 import json
@@ -29,7 +31,7 @@ from .cartan import cartan_from_json, cartan_to_json
 from .cocycle import solve_coboundary
 from .errors import CacheMismatch, WindowViolation
 from .kring import (demazure, eta_embed, from_json, in_window, j_map,
-                    j_map_vanishes, k_one, monomial, psi, to_json)
+                    k_one, monomial, nonvanishing_probes, psi, to_json)
 
 
 class GrothTable:
@@ -116,19 +118,22 @@ class GrothTable:
                 inv_prod = inv_prod * (k_one(cd) - monomial(cd, beta))
             if j_map(w, g) != inv_prod:
                 fails.append("localization: j_w(G_w) != prod(1 - e^beta)")
-            for layer in weyl_mod.enumerate_up_to(cd, probe_length):
-                for x in layer:
-                    if (not weyl_mod.bruhat_leq(w, x)
-                            and not j_map_vanishes(x, g)):
-                        fails.append("localization: j_x nonzero at word %s"
-                                     % (x.word,))
+            probes = [x for layer in weyl_mod.enumerate_up_to(cd, probe_length)
+                      for x in layer if not weyl_mod.bruhat_leq(w, x)]
+            for x in nonvanishing_probes(g, probes):
+                fails.append("localization: j_x nonzero at word %s"
+                             % (x.word,))
 
         if "psi" in checks and psi(g) != self.compute(weyl_mod.inverse(w)):
             fails.append("bar involution: psi(G_w) != G_{w^-1}")
 
         if "ring" in checks:
+            in_ring = {}  # den -> verdict, one test per distinct denominator
             for mu, c in g.terms.items():
-                if not c.divides_q_products():
+                ok = in_ring.get(c.den)
+                if ok is None:
+                    ok = in_ring[c.den] = c.divides_q_products()
+                if not ok:
                     fails.append("coefficient ring: denominator at %s has a "
                                  "factor outside the (q^k - 1) products" % mu)
                     break

@@ -11,14 +11,18 @@ Every operator, sums and products included, is a sum of term images, and
 _collect is the one path that adds them: it delta-normalizes each image and
 adds the coefficients that land on one key.  + and - keep the larger
 operand's terms and send only the keys both operands carry through
-_collect's per-key sum.  j_map_vanishes groups j_map's images the same way
-but only asks whether every key cancels (coefq.sum_is_zero).
+_collect's per-key sum.  nonvanishing_probes only asks at which x
+j_map(x, f) has a key that does not cancel: it evaluates f's terms once per
+call at one point past the root bound of every key's cleared numerator,
+moves the term images one Weyl letter per probe, and compares integers.
 """
 
 import operator
+from math import prod
 
-from .coefq import CoefQ, ONE, ZERO, shifted_sum, sum_is_zero
+from .coefq import CoefQ, ONE, ZERO, shifted_sum
 from .errors import NonQInput
+from .qpoly import peval
 from .weights import Weight, weight_from_json, weight_to_json
 from . import weyl as weyl_mod
 
@@ -269,23 +273,94 @@ def j_map(w, f):
                            for mu, c in f.terms.items()))
 
 
-def j_map_vanishes(w, f):
-    """True iff j_map(w, f) is zero, without building it: the term images
-    are delta-normalized and grouped by key as in _collect, and each key's
-    (shift, num, den) parts go to coefq.sum_is_zero, an exact evaluation
-    zero test.  False at the first key that does not cancel; no Weight and
-    no CoefQ is made."""
+def nonvanishing_probes(f, xs):
+    """The x in xs, in order, at which j_map(x, f) is nonzero.  Exact and
+    deterministic; no Weight and no CoefQ is made.
+
+    Write term t of f as q^(s_t) N_t / D_h(t) e^(mu_t), with D_1..D_k the
+    distinct denominators of f.  Under j_x it lands on the key
+    normalize(x(mu_t)) with the q-power e_t = s_t + n_t, n_t the delta part
+    of x(mu_t).  Cleared by all k denominators, the sum on one key is
+    q^(e_min) P / prod_h D_h with
+
+        P = sum_t q^(e_t - e_min) N_t prod_{h != h(t)} D_h
+
+    over the terms on that key, so it is zero iff P = 0.  P has integer
+    coefficients, and for every probe and key
+
+        |P|_inf <= |P|_1 <= B = sum_t |N_t|_1 prod_{h != h(t)} |D_h|_1,
+
+    the sum now over all terms of f.  By Cauchy's bound every root z of a
+    nonzero integer polynomial p_0 + ... + p_n q^n with p_n != 0 has
+    |z| < 1 + max|p_i| / |p_n| <= 1 + |p|_inf.  At xi = B + 2 > 1 + |P|_inf a
+    nonzero P therefore has P(xi) != 0, while P = 0 gives P(xi) = 0.  So xi
+    and V_t = N_t(xi) prod_{h != h(t)} D_h(xi) are taken once per call, and
+    a key vanishes iff sum_t V_t xi^(e_t - e_low) = 0 for any e_low <= e_min;
+    a key with one term never does.  This is the evaluation step of the
+    heuristic gcd GCDHEU (Char, Geddes and Gonnet 1989), which
+    qpoly.pgcd_cofactors runs, without the gcd: a point beyond the root
+    bound makes one integer comparison decide a polynomial identity.
+
+    The images under x are those under s_i x, i = x.word[0], moved by s_i:
+    weyl._from_rho_image strips the smallest left descent first, so the
+    canonical word of s_i x is x.word[1:].  Images are kept per word for
+    the call, which costs one letter per probe and term.  For verify's
+    probes, the x with w not <= x, the parent s_i x < x of a probe is a
+    probe too (w <= s_i x would give w <= x), so no other element is
+    mapped."""
+    if not f.terms:
+        return []
     cd = f.cd
-    act_m = weyl_mod.act_m
-    node0, marks = cd.node0, cd.marks
-    keys = {}  # normalized alpha coordinates -> [(shift, num, den), ...]
-    for mu, c in f.terms.items():
-        m = act_m(w, mu.l, mu.m)
-        n = m[node0]
-        if n:
-            m = [mj - n * aj for mj, aj in zip(m, marks)]
-        keys.setdefault(tuple(m), []).append((c.shift + n, c.num, c.den))
-    return all(map(sum_is_zero, keys.values()))
+    norms = {c.den: sum(map(abs, c.den)) for c in f.terms.values()}
+    whole = prod(norms.values())
+    xi = 2 + sum(sum(map(abs, c.num)) * (whole // norms[c.den])
+                 for c in f.terms.values())
+    at = {den: peval(den, xi) for den in norms}
+    others = {den: prod(v for h, v in at.items() if h != den) for den in at}
+    values = [peval(c.num, xi) * others[c.den] for c in f.terms.values()]
+    ls = [mu.l for mu in f.terms]
+    memo = {(): ([mu.m for mu in f.terms],
+                 [c.shift for c in f.terms.values()])}
+    powers = [1]  # xi^k
+    out = []
+    for x in xs:
+        ms, es = _probe_images(cd, ls, memo, x.word)
+        low = min(es)
+        for _ in range(len(powers), max(es) - low + 1):
+            powers.append(powers[-1] * xi)
+        keys = {}
+        for m, e, v in zip(ms, es, values):
+            keys[m] = keys.get(m, 0) + v * powers[e - low]
+        if any(keys.values()):
+            out.append(x)
+    return out
+
+
+def _probe_images(cd, ls, memo, word):
+    """The (keys, q-powers) of the term images under the element with
+    canonical word `word`, from memo or by one letter from word[1:]."""
+    got = memo.get(word)
+    if got is None:
+        got = memo[word] = _reflect_images(
+            cd, word[0], ls, *_probe_images(cd, ls, memo, word[1:]))
+    return got
+
+
+def _reflect_images(cd, i, ls, ms, es):
+    """s_i applied to delta-normalized term images: image t has the
+    Lambda-part ls[t], alpha-part ms[t] and q-power es[t].  s_i moves m[i]
+    by -<h_i, mu>; for i = node0 the delta part that creates is normalized
+    away at once, into the q-power."""
+    row = cd.gcm[i]
+    mul = operator.mul
+    ps = [l[i] + sum(map(mul, row, m)) for l, m in zip(ls, ms)]
+    if i != cd.node0:
+        return [m[:i] + (m[i] - p,) + m[i + 1:] if p else m
+                for m, p in zip(ms, ps)], es
+    lift = tuple(0 if j == i else a for j, a in enumerate(cd.marks))
+    return ([tuple(mj + p * aj for mj, aj in zip(m, lift)) if p else m
+             for m, p in zip(ms, ps)],
+            [e - p for e, p in zip(es, ps)])
 
 
 def psi(f):

@@ -78,19 +78,15 @@ def _from_rho_image(cd, v):
 
 
 def act(w, x):
-    """w(x) for a Weight x; the Lambda coordinates never change."""
-    return Weight(x.l, act_m(w, x.l, x.m))
-
-
-def act_m(w, l, m):
-    """The alpha coordinates of w(x), as a list, for x with coordinates
-    (l, m); the rightmost letter acts first.  Each letter s_i does
-    m[i] -= <h_i, x> = l[i] + sum_j a_ij m[j] on one coordinate list."""
+    """w(x) for a Weight x; the rightmost letter acts first.  Each letter
+    s_i does m[i] -= <h_i, x> = l[i] + sum_j a_ij m[j] on one coordinate
+    list; the Lambda coordinates never change."""
     gcm = w.cd.gcm
-    m = list(m)
+    l = x.l
+    m = list(x.m)
     for i in reversed(w.word):
         m[i] -= l[i] + sum(map(operator.mul, gcm[i], m))
-    return m
+    return Weight(l, m)
 
 
 def mul_gen(w, i):

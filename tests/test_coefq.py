@@ -1,12 +1,17 @@
 """Scalars in Q(q): canonical form, arithmetic against rational evaluation,
-series expansion, ring membership."""
+series expansion, ring membership, and the exact zero test of a sum of
+q-fractions that verify's vanishing probes run."""
 
 from fractions import Fraction
 
 import pytest
 
-from affgroth.coefq import CoefQ, MINUS_ONE, ONE, Q, ZERO, sum_is_zero
+from affgroth import weyl
+from affgroth.cartan import from_type
+from affgroth.coefq import CoefQ, MINUS_ONE, ONE, Q, ZERO
+from affgroth.kring import from_terms, nonvanishing_probes
 from affgroth.qpoly import peval, pgcd, pmul
+from affgroth.weights import Weight
 
 import oracles
 
@@ -165,6 +170,19 @@ def _canonical_sum(parts):
     return total
 
 
+def sum_is_zero(parts):
+    """Whether the sum of q^shift * num / den over the (shift, num, den)
+    parts is zero, decided by kring.nonvanishing_probes at the identity.
+    Part k becomes the term at k Lam_1 + alpha_1 of one A2~ element: the
+    Lambda-parts differ, so the terms stay apart, and j_e sends all of them
+    to the one key alpha_1, whose sum is then the sum of the parts."""
+    cd = from_type("A2~")
+    f = from_terms(cd, ((Weight((0, k, 0), (0, 1, 0)),
+                         CoefQ.make(num, shift, den))
+                        for k, (shift, num, den) in enumerate(parts)))
+    return nonvanishing_probes(f, [weyl.identity(cd)]) == []
+
+
 def test_sum_is_zero_against_canonical_sum():
     # random parts over (1 - q^k) products with integer contents and mixed
     # shifts; half the draws append the negated sum rewritten over other
@@ -191,7 +209,8 @@ def test_sum_is_zero_against_canonical_sum():
         want = _canonical_sum(parts).is_zero()
         assert sum_is_zero(parts) is want, parts
         outcomes[want] += 1
-        evaluated += len({den for _, num, den in parts if any(num)}) > 1
+        evaluated += len({CoefQ.make(num, shift, den).den
+                          for shift, num, den in parts if any(num)}) > 1
     assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
     assert evaluated > 150, evaluated
 

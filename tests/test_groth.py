@@ -6,12 +6,12 @@ import json
 import pytest
 
 from affgroth.cartan import build_cartan, cartan_to_json, from_type
-from affgroth.coefq import CoefQ
+from affgroth.coefq import CoefQ, Q
 from affgroth.errors import CacheMismatch
 from affgroth.groth import GrothTable, grothendieck
-from affgroth.kring import (in_window, j_map, k_one, k_zero, monomial,
-                            psi, to_json)
-from affgroth import weyl
+from affgroth.kring import (KElement, in_window, j_map, k_one, k_zero,
+                            monomial, psi, to_json)
+from affgroth import kring, weyl
 
 import oracles
 
@@ -154,6 +154,71 @@ def test_verify_catches_edited_coefficient_in_loaded_table(tmp_path):
     assert len(probes) == sum(1 for layer in weyl.enumerate_up_to(cd, 3)
                               for x in layer if not weyl.bruhat_leq(w, x))
     assert w not in loaded.verified
+
+
+def test_ring_check_once_per_denominator(monkeypatch):
+    # divides_q_products runs once per distinct denominator of an entry;
+    # the failure line still names the first bad key in term order, once,
+    # when two keys share the bad denominator
+    calls = []
+    divides = CoefQ.divides_q_products
+
+    def counted(c):
+        calls.append(c.den)
+        return divides(c)
+
+    monkeypatch.setattr(CoefQ, "divides_q_products", counted)
+    cd = from_type("A2~")
+    table = GrothTable(cd)
+    for layer in weyl.enumerate_up_to(cd, 3):
+        for w in layer:
+            g = table.compute(w)
+            del calls[:]
+            assert table.verify(w, checks=("ring",)) == []
+            assert sorted(calls) == sorted({c.den for c in g.terms.values()})
+    w = weyl.canonicalize(cd, (1,))
+    good = CoefQ.make((1,), den=(1, 0, -1))
+    bad = CoefQ.make((1,), den=(1, 1, 0, 1))
+    keys = [cd.Lam(i) - cd.Lam(0) for i in (0, 1, 2)] + [cd.alpha(1)]
+    table.entries[w] = KElement(cd, dict(zip(keys, (good, bad, good,
+                                                    bad * Q))))
+    del calls[:]
+    assert table.verify(w, checks=("ring",)) == [
+        "coefficient ring: denominator at %s has a factor outside the "
+        "(q^k - 1) products" % keys[1]]
+    assert calls == [good.den, bad.den]
+
+
+def test_probe_work_pinned(monkeypatch):
+    # verify's vanishing probes reach each probe by one Weyl letter per term
+    # from the probe one letter shorter; the identity, a probe of every
+    # w != e, takes its images from the terms as they stand.  A change that
+    # re-walks whole words moves more images and fails here
+    moved = 0
+    reflect = kring._reflect_images
+
+    def counted(cd, i, ls, ms, es):
+        nonlocal moved
+        moved += len(ms)
+        return reflect(cd, i, ls, ms, es)
+
+    monkeypatch.setattr(kring, "_reflect_images", counted)
+    cd = from_type("A2~")
+    e = weyl.identity(cd)
+    table = GrothTable(cd)
+    images = 0
+    for layer in weyl.enumerate_up_to(cd, 4):
+        for w in layer:
+            terms = len(table.compute(w))
+            before = moved
+            assert table.verify(w, checks=("localization",)) == []
+            probes = [x for u in weyl.enumerate_up_to(cd, w.length + 1)
+                      for x in u if not weyl.bruhat_leq(w, x)]
+            assert (e in probes) == bool(w.length)
+            built = moved - before + (terms if probes else 0)
+            assert built == len(probes) * terms, w.word
+            images += built
+    assert images == 25266
 
 
 def test_save_load_round_trip(tmp_path):

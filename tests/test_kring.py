@@ -2,14 +2,14 @@
 
 import pytest
 
-from affgroth.cartan import from_type
+from affgroth.cartan import build_cartan, from_type
 from affgroth.coefq import CoefQ, ONE, Q
 from affgroth.errors import NonQInput
 from affgroth.groth import GrothTable
 from affgroth.kring import (demazure, demazure_word, eta_embed, from_json,
-                            from_terms, in_window, j_map, j_map_vanishes,
-                            k_one, k_scalar, k_zero, monomial, orbit_sum, psi,
-                            reflect_act, to_json, weyl_act)
+                            from_terms, in_window, j_map, k_one, k_scalar,
+                            k_zero, monomial, nonvanishing_probes, orbit_sum,
+                            psi, reflect_act, to_json, weyl_act)
 from affgroth import weyl
 from affgroth.weights import Weight
 
@@ -282,17 +282,21 @@ def test_j_map_equals_term_sum_on_groth():
 
 @pytest.mark.parametrize("t,length", [("A1~", 4), ("A2~", 3), ("C2~", 3)])
 def test_j_map_vanishes_agrees_on_groth(t, length):
-    # every (w, x) pair: the zero test answers as the canonical sum does
+    # every (w, x) pair: nonvanishing_probes answers as the canonical j_map
+    # does, on both sides of the probe: every x >= w is nonzero
     cd = from_type(t)
     table = GrothTable(cd)
     elems = [u for layer in weyl.enumerate_up_to(cd, length) for u in layer]
     seen = {True: 0, False: 0}
     for w in elems:
         g = table.compute(w)
-        for x in elems:
-            got = j_map_vanishes(x, g)
-            assert got == j_map(x, g).is_zero(), (t, w.word, x.word)
-            seen[got] += 1
+        got = nonvanishing_probes(g, elems)
+        assert got == [x for x in elems if not j_map(x, g).is_zero()], \
+            (t, w.word)
+        assert all(x in got for x in elems if weyl.bruhat_leq(w, x)), \
+            (t, w.word)
+        seen[False] += len(got)
+        seen[True] += len(elems) - len(got)
     assert seen[True] and seen[False], seen
 
 
@@ -319,11 +323,38 @@ def test_j_map_vanishes_on_cancelling_triples(t):
             pairs += [(mu, a), (mu + t1, b), (mu + t2, -(a + b))]
         f = from_terms(cd, pairs)
         assert j_map(x, f).is_zero()
-        assert j_map_vanishes(x, f), (t, x.word)
+        assert nonvanishing_probes(f, [x]) == [], (t, x.word)
         mu, c = pairs[rng.randrange(len(pairs))]
         bad = f + monomial(cd, mu, c * Q)
         assert not j_map(x, bad).is_zero()
-        assert not j_map_vanishes(x, bad), (t, x.word)
+        assert nonvanishing_probes(bad, [x]) == [x], (t, x.word)
+
+
+@pytest.mark.parametrize("name,gcm", oracles.CUSTOM_GCMS,
+                         ids=[n for n, _ in oracles.CUSTOM_GCMS])
+def test_nonvanishing_probes_on_custom_gcms(name, gcm):
+    # data given by a matrix, twisted included: for every w to length 2 the
+    # verdict at every x to length 3 is the canonical j_map's, for G_w and
+    # for G_w with the constant of its deepest-denominator numerator moved
+    # by one, which j_e must see
+    cd = build_cartan(gcm)
+    table = GrothTable(cd)
+    elems = [u for layer in weyl.enumerate_up_to(cd, 3) for u in layer]
+    for w in elems:
+        if w.length > 2:
+            break
+        g = table.compute(w)
+        mu = max(g.terms, key=lambda nu: len(g.terms[nu].den))
+        c = g.terms[mu]
+        edited = from_terms(cd, [(nu, d) for nu, d in g.terms.items()
+                                 if nu != mu] + [(mu, CoefQ.make(
+                                     (c.num[0] + 1,) + c.num[1:], c.shift,
+                                     c.den))])
+        for f in (g, edited):
+            assert nonvanishing_probes(f, elems) == [
+                x for x in elems if not j_map(x, f).is_zero()], (name, w.word)
+        if w.length:
+            assert weyl.identity(cd) in nonvanishing_probes(edited, elems)
 
 
 def _demazure_images(cd, i, f):
