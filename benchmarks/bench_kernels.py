@@ -4,11 +4,14 @@ both quotients) on the same products of (1 - q^k) factors.  Then verify's
 vanishing probes two ways on the same entry, G_w for w = s_1 s_2 s_0 s_1 in
 A2~ and every x of length <= 5 with w not <= x: one kring.nonvanishing_probes
 call (one evaluation point per entry, one Weyl letter per probe) and the
-canonical j_map(x, g).is_zero() per probe.  Last the character product on
+canonical j_map(x, g).is_zero() per probe.  Then the character product on
 packed keys: denominator_inverse built cold (no packing kept from an earlier
 call) for A2~ to depth 10 and C2~ to depth 12, and one over_denominator
 call, the Weyl-Kac numerator of L0 + L2 on C2~ over the inverse denominator
-to depth 12, already built.
+to depth 12, already built.  Last the table builds A3~ to length 4 and A1~
+to length 12, each from fresh Cartan data in layer order, with how many
+entries above e were solved and how many were transported from an
+orbit-mate along a diagram automorphism.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
@@ -22,11 +25,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 sys.path.insert(0, SRC)
 
-from affgroth import packed, qpoly, weyl  # noqa: E402
+from affgroth import groth, packed, qpoly, weyl  # noqa: E402
 from affgroth.cartan import from_type  # noqa: E402
 from affgroth.characters import (_weyl_kac_numerator,  # noqa: E402
                                  denominator_inverse)
-from affgroth.groth import grothendieck  # noqa: E402
+from affgroth.groth import GrothTable, grothendieck  # noqa: E402
 from affgroth.kring import j_map, nonvanishing_probes  # noqa: E402
 from affgroth.weights import parse_weight  # noqa: E402
 
@@ -74,6 +77,33 @@ def cold_denominator_inverse(cd, depth):
     return denominator_inverse(cd, depth)
 
 
+def table_build(type_string, max_length):
+    cd = from_type(type_string)
+    table = GrothTable(cd)
+    for layer in weyl.enumerate_up_to(cd, max_length):
+        for w in layer:
+            table.compute(w)
+    return table
+
+
+def solved_and_transported(type_string, max_length):
+    """(solved, transported) entries above e of one table build."""
+    solves = 0
+    solve = groth.solve_coboundary
+
+    def counted(*args):
+        nonlocal solves
+        solves += 1
+        return solve(*args)
+
+    groth.solve_coboundary = counted
+    try:
+        table = table_build(type_string, max_length)
+    finally:
+        groth.solve_coboundary = solve
+    return solves, len(table.entries) - 1 - solves
+
+
 def bench(fn, cases, repeat=5):
     best = None
     for _ in range(repeat):
@@ -113,6 +143,11 @@ def main():
     t = bench(packed.over_denominator, [args])
     print("%-14s %8.2f ms   over_denominator, L0 + L2 to depth 12"
           % ("C2~", 1e3 * t))
+    for type_string, max_length in (("A3~", 4), ("A1~", 12)):
+        t = bench(table_build, [(type_string, max_length)])
+        print("%-14s %8.2f ms   table to length %d: %d solved, %d transported"
+              % (type_string, 1e3 * t, max_length,
+                 *solved_and_transported(type_string, max_length)))
 
 
 if __name__ == "__main__":

@@ -98,7 +98,7 @@ class AffineCartanData:
 
     __slots__ = ("gcm", "labels", "marks", "comarks", "d", "node0", "orders",
                  "dual_coxeter", "type_string", "untwisted", "_weyl_mul",
-                 "_weyl_layers")
+                 "_weyl_layers", "_automorphisms")
 
     def __init__(self, gcm, marks, comarks, d, node0, orders, type_string, untwisted):
         self.gcm = gcm
@@ -113,11 +113,22 @@ class AffineCartanData:
         self.untwisted = untwisted
         self._weyl_mul = {}  # (rho image, i) -> w s_i, filled by weyl.mul_gen
         self._weyl_layers = []  # length layers, extended by weyl.enumerate_up_to
+        self._automorphisms = None  # found by automorphisms() on first call
 
     @property
     def rank(self):
         """Number of nodes (n + 1 for X_n^(1))."""
         return len(self.labels)
+
+    def automorphisms(self):
+        """The diagram automorphisms: every permutation p of the nodes with
+        gcm[p[i]][p[j]] == gcm[i][j], as tuples with p[i] the image of node
+        i, sorted, so the identity comes first.  Found on the first call and
+        kept."""
+        auts = self._automorphisms
+        if auts is None:
+            auts = self._automorphisms = _automorphisms(self.gcm)
+        return auts
 
     def __repr__(self):
         return "AffineCartanData(%s)" % (self.type_string or list(map(list, self.gcm)))
@@ -216,6 +227,58 @@ class AffineCartanData:
     def theta(self):
         """delta - alpha_{node0} as a Weight."""
         return self.delta() - self.alpha(self.node0)
+
+
+def _automorphisms(gcm):
+    """Sorted tuple of the permutations p with gcm[p[i]][p[j]] == gcm[i][j].
+
+    Backtracking over the nodes in breadth-first order, so every node but a
+    root has an earlier neighbour, its parent, and can only go to a
+    neighbour of the parent's image; the search never walks through the n!
+    permutations.  A candidate image is kept iff both its entries with the
+    image of each earlier neighbour equal the node's.  A complete map then
+    sends every edge of the diagram onto an edge with the same two entries;
+    being a bijection of a finite diagram onto itself, it also sends
+    non-edges onto non-edges, so it preserves the whole matrix."""
+    n = len(gcm)
+    nbrs = [[j for j in range(n) if j != i and gcm[i][j]] for i in range(n)]
+    order, parent = [], {}
+    for root in range(n):
+        if root in parent:
+            continue
+        parent[root] = None
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            i = order[head]
+            head += 1
+            for j in nbrs[i]:
+                if j not in parent:
+                    parent[j] = i
+                    order.append(j)
+    pos = {k: t for t, k in enumerate(order)}
+    earlier = {k: [j for j in nbrs[k] if pos[j] < pos[k]] for k in order}
+    img, used, out = [None] * n, set(), []
+
+    def extend(t):
+        if t == n:
+            out.append(tuple(img))
+            return
+        k = order[t]
+        par = parent[k]
+        row, back = gcm[k], earlier[k]
+        for p in (range(n) if par is None else nbrs[img[par]]):
+            if (p in used or gcm[p][p] != row[k]
+                    or any(gcm[p][img[j]] != row[j]
+                           or gcm[img[j]][p] != gcm[j][k] for j in back)):
+                continue
+            img[k] = p
+            used.add(p)
+            extend(t + 1)
+            used.discard(p)
+
+    extend(0)
+    return tuple(sorted(out))
 
 
 def build_cartan(gcm, type_string=None):
@@ -340,18 +403,28 @@ def _gcm_d(n):
 
 _TYPE_RE = re.compile(r"^([ACD])([0-9]+)~$")
 
+# the largest n of a built-in type: the exact null-space elimination of
+# build_cartan grows as n^3 and already takes seconds at n = 100
+MAX_TYPE_N = 100
+
 
 def _parse_type(type_string):
-    """(family letter, n) of a built-in type string; BadShape otherwise."""
+    """(family letter, n) of a built-in type string with n <= MAX_TYPE_N;
+    BadShape otherwise."""
     mo = _TYPE_RE.match(type_string.strip())
     if mo is None:
         raise BadShape("cannot parse type %r (expected like 'A2~', 'C3~', 'D4~')"
                        % type_string)
-    return mo.group(1), int(mo.group(2))
+    n = int(mo.group(2))
+    if n > MAX_TYPE_N:
+        raise BadShape("type %r is above the largest built-in n, %d"
+                       % (type_string, MAX_TYPE_N))
+    return mo.group(1), n
 
 
 def from_type(type_string):
-    """Built-in affine families: A<n>~ (n>=1), C<n>~ (n>=2), D<n>~ (n>=4)."""
+    """Built-in affine families: A<n>~ (n>=1), C<n>~ (n>=2), D<n>~ (n>=4),
+    all with n <= MAX_TYPE_N."""
     fam, n = _parse_type(type_string)
     if fam == "A" and n >= 1:
         gcm = _gcm_a(n)

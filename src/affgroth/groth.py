@@ -12,7 +12,26 @@ by the identity-localization image pushed through eta, yields G_w:
     G_w = e^{-rho_J} (B - eta(j_e(B)))
 
 B itself is only unique up to invariants; the correction removes exactly the
-ambiguity, so G_w is well defined.  verify used afterwards cross-checks each
+ambiguity, so G_w is well defined.
+
+A diagram automorphism sigma (a node permutation with a_{sigma i, sigma j}
+= a_ij, see AffineCartanData.automorphisms) transports entries:
+
+    G_{sigma(u)} = sigma(G_u),   sigma(e^mu) = e^{sigma(mu)}
+
+with sigma(Lambda_i) = Lambda_{sigma i} and sigma(alpha_i) = alpha_{sigma i}.
+This is exact.  sigma is a lattice automorphism with sigma s_i sigma^-1 =
+s_{sigma i}; it fixes delta (so q), rho and every level, and commutes with
+eta and with j_e.  So sigma maps the descent family of u, and each of its
+coboundaries B, to the descent family of sigma(u) and a coboundary of it.
+The invariant correction makes G_w independent of which coboundary is used,
+so sigma(G_u) is exactly what the solve for sigma(u) returns; the
+acceptance battery's reversed-order solve tests that independence.
+GrothTable.compute therefore solves only when no orbit-mate of w has an
+entry yet; otherwise it relabels the orbit-mate's keys and delta-normalizes
+them again, since sigma may move node0.
+
+verify used afterwards cross-checks each
 entry against the Demazure recursion, localization supports, the bar
 involution, and the coefficient-denominator constraint.  The localization
 check compares j_w(G_w) with prod(1 - e^beta) as canonical forms; each
@@ -31,7 +50,8 @@ from .cartan import cartan_from_json, cartan_to_json
 from .cocycle import solve_coboundary
 from .errors import CacheMismatch, WindowViolation
 from .kring import (demazure, eta_embed, from_json, in_window, j_map,
-                    k_one, monomial, nonvanishing_probes, psi, to_json)
+                    k_one, monomial, nonvanishing_probes, psi, relabel,
+                    to_json)
 
 
 class GrothTable:
@@ -43,7 +63,9 @@ class GrothTable:
         self.verified = set()  # elements that passed verify()
 
     def compute(self, w):
-        """G_w, computing and caching every element below it on the way."""
+        """G_w, computing and caching every element below it on the way:
+        transported from an orbit-mate under a diagram automorphism when one
+        has an entry, else by a coboundary solve."""
         got = self.entries.get(w)
         if got is not None:
             return got
@@ -53,22 +75,37 @@ class GrothTable:
             self.entries[w] = g
             return g
         J = weyl_mod.right_descents(w)
-        rho_J = cd.rho_J(J)
-        one = k_one(cd)
-        v = {}
-        for i in J:
-            g_down = self.compute(weyl_mod.mul_gen(w, i))
-            factor = monomial(cd, rho_J) * (one - monomial(cd, -cd.alpha(i)))
-            v[i] = factor * g_down
-        lev = cd.level(rho_J)
-        B = solve_coboundary(cd, v, (lev - cd.dual_coxeter, lev))
-        C = j_map(weyl_mod.identity(cd), B)
-        g = monomial(cd, -rho_J) * (B - eta_embed(C))
+        # the entries below come first either way, so a table ends up with
+        # the same elements whether w is transported or solved
+        downs = {i: self.compute(weyl_mod.mul_gen(w, i)) for i in J}
+        g = self._transported(w)
+        if g is None:
+            rho_J = cd.rho_J(J)
+            one = k_one(cd)
+            v = {}
+            for i, g_down in downs.items():
+                factor = monomial(cd, rho_J) * (one - monomial(cd, -cd.alpha(i)))
+                v[i] = factor * g_down
+            lev = cd.level(rho_J)
+            B = solve_coboundary(cd, v, (lev - cd.dual_coxeter, lev))
+            C = j_map(weyl_mod.identity(cd), B)
+            g = monomial(cd, -rho_J) * (B - eta_embed(C))
         if not in_window(g, -cd.dual_coxeter, 0):
             raise WindowViolation("G_w escaped the level window for word %s"
                                   % (w.word,))
         self.entries[w] = g
         return g
+
+    def _transported(self, w):
+        """G_w = tau^-1(G_u) for the first diagram automorphism tau, in the
+        order of cd.automorphisms(), whose u = tau(w) has an entry; None
+        when no orbit-mate of w has one.  See the module docstring for why
+        the transported element is the one the solve would give."""
+        for p in self.cd.automorphisms()[1:]:
+            g = self.entries.get(weyl_mod.relabel(w, p))
+            if g is not None:
+                return relabel(g, sorted(range(len(p)), key=p.__getitem__))
+        return None
 
     ALL_CHECKS = ("window", "demazure", "localization", "psi", "ring")
 

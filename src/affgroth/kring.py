@@ -218,6 +218,17 @@ def in_window(f, lo, hi):
 
 # --- operators ---------------------------------------------------------------
 
+def relabel(f, p):
+    """The image of f under the diagram automorphism sigma: node i -> p[i]
+    of its datum, e^mu -> e^{sigma(mu)} with sigma(Lambda_i) = Lambda_{p[i]}
+    and sigma(alpha_i) = alpha_{p[i]}.  sigma fixes delta, hence q, but may
+    move node0, so _collect re-normalizes every image."""
+    # node j of an image takes the coordinate of node p^-1(j)
+    gather = operator.itemgetter(*sorted(range(len(p)), key=p.__getitem__))
+    return _collect(f.cd, ((gather(mu.l), gather(mu.m), c)
+                           for mu, c in f.terms.items()))
+
+
 def weyl_act(w, f):
     """Term-wise q-twisted action: e^mu -> q^n e^nu, (n, nu) = normalize(w(mu))."""
     act = weyl_mod.act

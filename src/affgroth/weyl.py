@@ -99,6 +99,20 @@ def mul_gen(w, i):
     return x
 
 
+def relabel(w, p):
+    """sigma(w) for the diagram automorphism sigma: node i -> p[i], the
+    element s_{p[i_1]} ... s_{p[i_k]}.  Its rho image is sigma(w(rho)),
+    since sigma fixes rho; its word is the relabelled word of w, which is
+    reduced but not always the canonical one, so the element serves as a
+    lookup key (equality and hashing read only the rho image)."""
+    rho_image = w.rho_image
+    m = [0] * len(p)
+    for i, mi in zip(p, rho_image.m):
+        m[i] = mi
+    return WeylElement(w.cd, tuple(p[i] for i in w.word),
+                       Weight(rho_image.l, m))
+
+
 def inverse(w):
     return canonicalize(w.cd, tuple(reversed(w.word)))
 

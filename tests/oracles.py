@@ -8,7 +8,10 @@ oracles go through the public API: the Euler-character oracle sums one
 Weyl-Kac character per term of G_w, the characters being checked against
 Freudenthal on their own, and the local-cohomology oracle multiplies the
 terms of j_x(G_w) by denominator_inverse, which is checked against the
-expanded denominator, with plain {Weight: int} products.
+expanded denominator, with plain {Weight: int} products.  solved_entry runs
+the descent recursion with one coboundary solve per element and never
+transports an entry along a diagram automorphism, as GrothTable.compute
+does.
 """
 
 import os
@@ -19,7 +22,9 @@ from affgroth import weyl
 from affgroth.characters import (TruncatedSeries, denominator_inverse,
                                  weyl_kac_character)
 from affgroth.coefq import CoefQ
-from affgroth.kring import from_terms, j_map, k_zero, monomial, reflect_act
+from affgroth.cocycle import solve_coboundary
+from affgroth.kring import (eta_embed, from_terms, j_map, k_one, k_zero,
+                            monomial, reflect_act)
 from affgroth.weights import Weight
 
 
@@ -276,6 +281,35 @@ CUSTOM_GCMS = [
     ("A2^(2)", [[2, -4], [-1, 2]]),
     ("A4^(2)", [[2, -2, 0], [-1, 2, -2], [0, -1, 2]]),
 ]
+
+
+# --- the descent recursion without transport ---------------------------------
+
+def solved_entry(cd, w, memo, order_reversed=False):
+    """G_w by the descent recursion with its own coboundary solve for every
+    element, memoized in memo; order_reversed reverses the solver's variable
+    order, which the invariant correction must make irrelevant."""
+    got = memo.get(w)
+    if got is not None:
+        return got
+    if w.length == 0:
+        g = k_one(cd)
+    else:
+        J = weyl.right_descents(w)
+        rho_J = cd.rho_J(J)
+        one = k_one(cd)
+        v = {}
+        for i in J:
+            g_down = solved_entry(cd, weyl.mul_gen(w, i), memo, order_reversed)
+            v[i] = monomial(cd, rho_J) * (one - monomial(cd, -cd.alpha(i))) \
+                * g_down
+        lev = cd.level(rho_J)
+        B = solve_coboundary(cd, v, (lev - cd.dual_coxeter, lev),
+                             order_reversed=order_reversed)
+        C = j_map(weyl.identity(cd), B)
+        g = monomial(cd, -rho_J) * (B - eta_embed(C))
+    memo[w] = g
+    return g
 
 
 # --- golden fixtures ---------------------------------------------------------

@@ -1,12 +1,16 @@
 """Cartan data: built-in families, GCM validation, derived quantities."""
 
 import itertools
+import time
 
 import pytest
 
-from affgroth.cartan import (_is_positive_root_of_subsystem, build_cartan,
+from affgroth.cartan import (_automorphisms, _gcm_a,
+                             _is_positive_root_of_subsystem, build_cartan,
                              cartan_from_json, cartan_to_json, from_type)
 from affgroth.errors import BadLabel, BadShape, NonQInput, NotAffine
+from affgroth.groth import GrothTable
+from affgroth import weyl
 from affgroth.weights import Weight
 
 import oracles
@@ -251,3 +255,81 @@ def test_rho_j():
     assert cd.rho_J(cd.labels) == cd.rho()
     with pytest.raises(BadLabel):
         cd.rho_J((5,))
+
+
+# --- diagram automorphisms ----------------------------------------------------
+
+@pytest.mark.parametrize("type_string,order", [
+    ("A1~", 2), ("A2~", 6), ("A3~", 8), ("A4~", 10), ("A7~", 16),
+    ("C2~", 2), ("C3~", 2), ("C5~", 2), ("D4~", 24), ("D5~", 8), ("D6~", 8),
+    ("D9~", 8)])
+def test_automorphism_group_orders(type_string, order):
+    cd = from_type(type_string)
+    auts = cd.automorphisms()
+    assert len(auts) == len(set(auts)) == order
+    assert auts[0] == cd.labels
+    for p in auts:
+        assert sorted(p) == list(cd.labels)
+        assert all(cd.gcm[p[i]][p[j]] == cd.gcm[i][j]
+                   for i in cd.labels for j in cd.labels)
+
+
+def _random_pattern(rng, n):
+    """A matrix with diagonal 2 and a symmetric zero pattern whose two
+    entries at an edge are drawn independently from -1, -2: affine or not,
+    it has every symmetry the search must find or refuse."""
+    gcm = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.6:
+            gcm[i][j], gcm[j][i] = rng.choice((-1, -2)), rng.choice((-1, -2))
+    return gcm
+
+
+def test_automorphisms_against_all_permutations():
+    rng = oracles.rng_for("cartan-automorphisms")
+    patterns = [_random_pattern(rng, n) for n in (3, 4, 5) for _ in range(40)]
+    for gcm in [from_type(t).gcm for t in ("A4~", "C3~", "D5~")] + [
+            g for _, g in oracles.CUSTOM_GCMS] + patterns:
+        n = len(gcm)
+        want = tuple(sorted(
+            p for p in itertools.permutations(range(n))
+            if all(gcm[p[i]][p[j]] == gcm[i][j]
+                   for i in range(n) for j in range(n))))
+        assert _automorphisms(gcm) == want
+
+
+@pytest.mark.parametrize("name,gcm", oracles.CUSTOM_GCMS,
+                         ids=[n for n, _ in oracles.CUSTOM_GCMS])
+def test_custom_gcms_have_no_automorphism(name, gcm):
+    cd = build_cartan(gcm)
+    assert cd.automorphisms() == (cd.labels,)
+
+
+def test_automorphism_search_is_not_factorial():
+    # 61 nodes: a search through the permutations would never finish
+    gcm = _gcm_a(60)
+    t0 = time.perf_counter()
+    auts = _automorphisms(gcm)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(auts) == 122
+
+
+def test_automorphisms_found_on_first_use(tmp_path):
+    # neither building the data nor loading a table pays for the search
+    cd = from_type("A3~")
+    assert cd._automorphisms is None
+    table = GrothTable(cd)
+    table.compute(weyl.canonicalize(cd, (1, 0)))
+    assert cd._automorphisms is not None
+    assert cd.automorphisms() is cd.automorphisms()
+    path = str(tmp_path / "a3.json")
+    table.save(path)
+    assert GrothTable.load(path).cd._automorphisms is None
+    assert GrothTable.load(path, cd=from_type("A3~")).cd._automorphisms is None
+
+
+@pytest.mark.parametrize("label", ["A101~", "C101~", "D101~",
+                                   "A99999999999~"])
+def test_type_above_ceiling_is_bad_shape(label):
+    with pytest.raises(BadShape, match="largest built-in n"):
+        from_type(label)

@@ -197,6 +197,16 @@ def test_unknown_node_exit_2(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("label", ["A99999999999~", "D101~"])
+def test_type_above_ceiling_is_error(capsys, label):
+    # A99999999999~ died with a MemoryError traceback building its matrix
+    status, out, err = run(capsys, "cartan", "--type", label)
+    assert status == 1
+    assert out == ""
+    assert err == ("error: type %r is above the largest built-in n, 100\n"
+                   % label)
+
+
 def test_missing_type_usage_error(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["groth", "--word", "1"])

@@ -12,7 +12,7 @@ from affgroth.errors import (CocycleViolation, SupportGrowthExceeded,
                              WindowViolation)
 from affgroth.groth import GrothTable
 from affgroth.kring import in_window, k_one, k_zero, monomial, reflect_act
-from affgroth import cocycle, weyl
+from affgroth import cocycle, groth, weyl
 
 import oracles
 
@@ -191,25 +191,45 @@ def test_solver_fills_missing_labels():
     assert B == monomial(cd, lam)
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that the returned list's one item counts calls."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_solve_work_pinned(monkeypatch):
     # a solver that loses equations can still verify by growing the support
-    # and re-solving, so only the amount of work shows it: the C2~ table to
-    # length 5 takes 42 support rounds
-    calls = 0
-    solve = cocycle._solve_on_support
+    # and re-solving, so only the amount of work shows it: solving every
+    # element of C2~ to length 5 (the recursion without transport) takes 42
+    # support rounds
+    rounds = _count_calls(monkeypatch, cocycle, "_solve_on_support")
+    cd = from_type("C2~")
+    memo = {}
+    for layer in weyl.enumerate_up_to(cd, 5):
+        for w in layer:
+            oracles.solved_entry(cd, w, memo)
+    assert rounds[0] == 42
 
-    def counted_solve(*args):
-        nonlocal calls
-        calls += 1
-        return solve(*args)
 
-    monkeypatch.setattr(cocycle, "_solve_on_support", counted_solve)
+def test_table_solve_work_pinned(monkeypatch):
+    # GrothTable solves one element per orbit of the diagram flip of C2~
+    # and transports its mate: 23 solves in 24 rounds for the 40 elements
+    # of length 1 to 5 (the recursion without transport: 40 solves in 42)
+    solves = _count_calls(monkeypatch, groth, "solve_coboundary")
+    rounds = _count_calls(monkeypatch, cocycle, "_solve_on_support")
     cd = from_type("C2~")
     table = GrothTable(cd)
     for layer in weyl.enumerate_up_to(cd, 5):
         for w in layer:
             table.compute(w)
-    assert calls == 42
+    assert (solves[0], rounds[0]) == (23, 24)
 
 
 def _orbit(cd, mu):

@@ -11,7 +11,7 @@ from affgroth.errors import CacheMismatch
 from affgroth.groth import GrothTable, grothendieck
 from affgroth.kring import (KElement, in_window, j_map, k_one, k_zero,
                             monomial, psi, to_json)
-from affgroth import kring, weyl
+from affgroth import groth as groth_mod, kring, weyl
 
 import oracles
 
@@ -383,3 +383,82 @@ def test_cached_reuse():
     assert len(table.entries) == n
     # all prefixes along descents got cached
     assert weyl.identity(cd) in table.entries
+
+
+# --- transport along diagram automorphisms ------------------------------------
+
+def _relabelled_a3():
+    """A3~ with its nodes relabelled by 0, 1, 2, 3 -> 1, 3, 0, 2, built by
+    build_cartan: no label order follows the cycle, and node0 is the node
+    the automorphisms move like any other."""
+    gcm = from_type("A3~").gcm
+    p = (2, 0, 3, 1)
+    return build_cartan([[gcm[p[i]][p[j]] for j in range(4)]
+                         for i in range(4)])
+
+
+def _layer_table(cd, max_length):
+    table = GrothTable(cd)
+    elems = [w for layer in weyl.enumerate_up_to(cd, max_length)
+             for w in layer]
+    for w in elems:
+        table.compute(w)
+    return table, elems
+
+
+@pytest.mark.parametrize("cd,max_length", [
+    (from_type("A1~"), 8), (from_type("A2~"), 4), (from_type("A3~"), 4),
+    (from_type("A4~"), 3), (from_type("C2~"), 4), (from_type("C3~"), 3),
+    (from_type("D4~"), 3), (from_type("D5~"), 2), (_relabelled_a3(), 4)],
+    ids=["A1~", "A2~", "A3~", "A4~", "C2~", "C3~", "D4~", "D5~",
+         "A3~-relabelled"])
+def test_transported_table_equals_solved(monkeypatch, cd, max_length):
+    # G_{sigma(u)} = sigma(G_u): a table that solves one element per orbit
+    # and transports the rest holds exactly the entries of one coboundary
+    # solve per element
+    solves = [0]
+    solve = groth_mod.solve_coboundary
+
+    def counted(*args):
+        solves[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(groth_mod, "solve_coboundary", counted)
+    assert any(p[cd.node0] != cd.node0 for p in cd.automorphisms())
+    table, elems = _layer_table(cd, max_length)
+    assert 0 < solves[0] < len(elems) - 1
+    memo = {}
+    for w in elems:
+        assert table.compute(w) == oracles.solved_entry(cd, w, memo), w.word
+
+
+def test_transported_save_bytes_equal_solved(tmp_path):
+    cd = from_type("A3~")
+    table, elems = _layer_table(cd, 4)
+    solved = GrothTable(cd)
+    for w in elems:
+        solved.entries[w] = oracles.solved_entry(cd, w, solved.entries)
+    assert solved.entries.keys() == table.entries.keys()
+    for t, name in ((table, "transported.json"), (solved, "solved.json")):
+        t.save(str(tmp_path / name))
+    assert ((tmp_path / "transported.json").read_bytes()
+            == (tmp_path / "solved.json").read_bytes())
+
+
+def test_transported_entry_is_not_verified(monkeypatch):
+    # G_{s_0} of A1~ is the flip of a verified G_{s_1}; it is verified only
+    # once verify has run on it
+    cd = from_type("A1~")
+    table = GrothTable(cd)
+    s0, s1 = (weyl.canonicalize(cd, (i,)) for i in (0, 1))
+    assert table.verify(s1) == []
+    assert s1 in table.verified
+
+    def refused(*args):
+        raise AssertionError("an orbit-mate is present, nothing to solve")
+
+    monkeypatch.setattr(groth_mod, "solve_coboundary", refused)
+    assert table.compute(s0) == simple_expected(cd, 0)
+    assert s0 not in table.verified
+    assert table.verify(s0) == []
+    assert s0 in table.verified
