@@ -20,6 +20,11 @@ from .weights import Weight
 
 _ORDER_FROM_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
+# the largest n of a built-in type, and n + 1 the largest matrix size
+# build_cartan accepts: its exact null-space elimination grows as n^3 and
+# already takes seconds at n = 100
+MAX_TYPE_N = 100
+
 
 def _nullspace(rows):
     """Basis of the right null space of an integer matrix (Fraction vectors)."""
@@ -284,14 +289,18 @@ def _automorphisms(gcm):
 def build_cartan(gcm, type_string=None):
     """Validate an integer matrix as an affine GCM and derive all data.
 
-    Raises BadShape / NotSymmetrizable / NotAffine.  Non-untwisted (twisted)
-    affine data is accepted but flagged: cd.untwisted is False and the
-    character machinery refuses it.
+    Raises BadShape / NotSymmetrizable / NotAffine; BadShape for a matrix
+    of size above MAX_TYPE_N + 1, before any elimination.  Non-untwisted
+    (twisted) affine data is accepted but flagged: cd.untwisted is False
+    and the character machinery refuses it.
     """
     try:
         gcm = tuple(tuple(row) for row in gcm)
     except TypeError:
         raise BadShape("matrix rows must be sequences")
+    if len(gcm) > MAX_TYPE_N + 1:
+        raise BadShape("matrix of size %d is above the largest size, %d"
+                       % (len(gcm), MAX_TYPE_N + 1))
     if not all(type(x) is int for row in gcm for x in row):
         raise BadShape("matrix entries must be integers")
     n = len(gcm)
@@ -402,10 +411,6 @@ def _gcm_d(n):
 
 
 _TYPE_RE = re.compile(r"^([ACD])([0-9]+)~$")
-
-# the largest n of a built-in type: the exact null-space elimination of
-# build_cartan grows as n^3 and already takes seconds at n = 100
-MAX_TYPE_N = 100
 
 
 def _parse_type(type_string):

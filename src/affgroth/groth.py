@@ -40,6 +40,23 @@ kring.nonvanishing_probes answers all of an entry's probes in one call
 without building any j_x(G_w): it evaluates the entry's terms once at one
 point per entry, past the root bound of every key's cleared numerator, and
 reaches each probe by one Weyl letter from the probe below it.
+
+Every check is sigma-equivariant as well: sigma keeps length and Bruhat
+order (so it maps w's probe list onto sigma(w)'s), D_{sigma i}(sigma f) =
+sigma(D_i f), j_{sigma x}(sigma f) = sigma(j_x f), psi commutes with sigma,
+and relabelling keeps every denominator and level.  Besides w and
+probe_length the checks read only G_w, G_{w s_i} at the right descents i,
+and G_{w^-1}.  So when u = sigma(w) passed the full check set earlier on
+the same table at the same probe_length, and
+
+    G_w = sigma^-1(G_u),  G_{w s_i} = sigma^-1(G_{u s_{sigma i}}),
+    G_{w^-1} = sigma^-1(G_{u^-1})
+
+hold exactly for the entries u's pass read, w passes too, and verify
+records it without running the checks.  When any equality fails the full
+checks run, so every failure line is the one they give.  A loaded
+"verified" flag never counts as a pass, and a check subset always runs in
+full, so timing verify one check at a time shows none of this saving.
 """
 
 import json
@@ -61,6 +78,10 @@ class GrothTable:
         self.cd = cd
         self.entries = {}  # WeylElement -> KElement
         self.verified = set()  # elements that passed verify()
+        # w -> (probe_length, G_w, {i: G_{w s_i}}, G_{w^-1}) read by the
+        # latest pass of the full check set on this table, run or
+        # transported; never filled from a cache
+        self._passed = {}
 
     def compute(self, w):
         """G_w, computing and caching every element below it on the way:
@@ -104,7 +125,7 @@ class GrothTable:
         for p in self.cd.automorphisms()[1:]:
             g = self.entries.get(weyl_mod.relabel(w, p))
             if g is not None:
-                return relabel(g, sorted(range(len(p)), key=p.__getitem__))
+                return relabel(g, _inverse_permutation(p))
         return None
 
     ALL_CHECKS = ("window", "demazure", "localization", "psi", "ring")
@@ -130,12 +151,25 @@ class GrothTable:
         (empty means all selected checks passed).  probe_length bounds the
         length of the x probed for localization vanishing (default len(w)+1).
         Success with the full check set is recorded in self.verified.
-        checks is a collection of names from ALL_CHECKS (see check_names)."""
+        checks is a collection of names from ALL_CHECKS (see check_names).
+        With the full set, an orbit-mate's earlier pass on this table can
+        stand in for running the checks (_passes_by_transport); a subset
+        always runs in full."""
         cd = self.cd
         checks = self.check_names(checks)
         if probe_length is None:
             probe_length = w.length + 1
         g = self.compute(w)
+        full = set(self.ALL_CHECKS) <= set(checks)
+        if full:
+            read = (probe_length, g,
+                    {i: self.compute(weyl_mod.mul_gen(w, i))
+                     for i in weyl_mod.right_descents(w)},
+                    self.compute(weyl_mod.inverse(w)))
+            if self._passes_by_transport(w, read):
+                self._passed[w] = read
+                self.verified.add(w)
+                return []
         fails = []
 
         if "window" in checks and not in_window(g, -cd.dual_coxeter, 0):
@@ -175,9 +209,28 @@ class GrothTable:
                                  "factor outside the (q^k - 1) products" % mu)
                     break
 
-        if not fails and set(self.ALL_CHECKS) <= set(checks):
+        if not fails and full:
+            self._passed[w] = read
             self.verified.add(w)
         return fails
+
+    def _passes_by_transport(self, w, read):
+        """True when, for a diagram automorphism sigma other than the
+        identity, u = sigma(w) passed the full check set on this table at
+        the same probe_length and each entry in read is sigma^-1 of the one
+        u's pass read; w then passes every check (module docstring)."""
+        probe_length, g, downs, g_inv = read
+        for p in self.cd.automorphisms()[1:]:
+            passed = self._passed.get(weyl_mod.relabel(w, p))
+            if passed is None or passed[0] != probe_length:
+                continue
+            _, g_u, downs_u, inv_u = passed
+            q = _inverse_permutation(p)
+            if (relabel(g_u, q) == g and relabel(inv_u, q) == g_inv
+                    and all(relabel(downs_u[p[i]], q) == d
+                            for i, d in downs.items())):
+                return True
+        return False
 
     # --- persistence ---------------------------------------------------------
 
@@ -263,6 +316,11 @@ class GrothTable:
         except (OSError, ValueError) as ex:
             raise CacheMismatch("cannot read cache %s: %s" % (path, ex)) from ex
         return cls.from_json_obj(obj, cd=cd)
+
+
+def _inverse_permutation(p):
+    """p^-1 for a node permutation p: i -> p[i]."""
+    return sorted(range(len(p)), key=p.__getitem__)
 
 
 def _list(items, depth):

@@ -11,7 +11,8 @@ terms of j_x(G_w) by denominator_inverse, which is checked against the
 expanded denominator, with plain {Weight: int} products.  solved_entry runs
 the descent recursion with one coboundary solve per element and never
 transports an entry along a diagram automorphism, as GrothTable.compute
-does.
+does.  full_verdict runs verify on a table of its own, so no orbit-mate's
+pass stands in for the checks.
 """
 
 import os
@@ -23,6 +24,7 @@ from affgroth.characters import (TruncatedSeries, denominator_inverse,
                                  weyl_kac_character)
 from affgroth.coefq import CoefQ
 from affgroth.cocycle import solve_coboundary
+from affgroth.groth import GrothTable
 from affgroth.kring import (eta_embed, from_terms, j_map, k_one, k_zero,
                             monomial, reflect_act)
 from affgroth.weights import Weight
@@ -310,6 +312,26 @@ def solved_entry(cd, w, memo, order_reversed=False):
         g = monomial(cd, -rho_J) * (B - eta_embed(C))
     memo[w] = g
     return g
+
+
+def layer_table(cd, max_length):
+    """(table, elements): a GrothTable holding G_w for every element to
+    max_length, computed in layer order, and those elements in that order."""
+    table = GrothTable(cd)
+    elems = [w for layer in weyl.enumerate_up_to(cd, max_length)
+             for w in layer]
+    for w in elems:
+        table.compute(w)
+    return table, elems
+
+
+def full_verdict(table, w, probe_length=None):
+    """table.verify(w) run on a fresh GrothTable that holds a copy of
+    table's entries: no orbit-mate of w has passed there, so all five
+    checks run on w's own entries."""
+    fresh = GrothTable(table.cd)
+    fresh.entries = dict(table.entries)
+    return fresh.verify(w, probe_length=probe_length)
 
 
 # --- golden fixtures ---------------------------------------------------------

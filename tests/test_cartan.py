@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from affgroth.cartan import (_automorphisms, _gcm_a,
+from affgroth import cartan
+from affgroth.cartan import (MAX_TYPE_N, _automorphisms, _gcm_a,
                              _is_positive_root_of_subsystem, build_cartan,
                              cartan_from_json, cartan_to_json, from_type)
 from affgroth.errors import BadLabel, BadShape, NonQInput, NotAffine
@@ -84,6 +85,26 @@ def test_build_rejects_finite():
 def test_build_rejects_indefinite():
     with pytest.raises(NotAffine):
         build_cartan([[2, -3], [-3, 2]])
+
+
+def test_build_size_ceiling(monkeypatch):
+    # A130~ given as a matrix ran 16 s in the null-space elimination while
+    # --type A130~ was refused at once; a size above MAX_TYPE_N + 1 is now
+    # refused before any elimination, and MAX_TYPE_N + 1 still reaches it
+    class Reached(Exception):
+        pass
+
+    def reached(rows):
+        raise Reached
+
+    monkeypatch.setattr(cartan, "_nullspace", reached)
+    with pytest.raises(Reached):
+        build_cartan(_gcm_a(MAX_TYPE_N))
+    for n in (MAX_TYPE_N + 1, 130):
+        with pytest.raises(BadShape) as ei:
+            build_cartan(_gcm_a(n))
+        assert str(ei.value) == ("matrix of size %d is above the largest "
+                                 "size, %d" % (n + 1, MAX_TYPE_N + 1))
 
 
 def test_build_rejects_shape():

@@ -6,12 +6,14 @@ import sys
 
 import pytest
 
-from affgroth.cartan import from_type
+from affgroth.cartan import _gcm_a, build_cartan, from_type
 from affgroth.cli import main
 from affgroth.expr import parse_expression
 from affgroth.groth import GrothTable, grothendieck
-from affgroth.kring import k_one, to_json
-from affgroth import weyl
+from affgroth.kring import k_one, relabel, to_json
+from affgroth import cartan, weyl
+
+import oracles
 
 
 @pytest.fixture(autouse=True)
@@ -205,6 +207,41 @@ def test_type_above_ceiling_is_error(capsys, label):
     assert out == ""
     assert err == ("error: type %r is above the largest built-in n, 100\n"
                    % label)
+
+
+def test_gcm_above_ceiling_is_error(capsys, monkeypatch):
+    # the A130~ matrix as --gcm ran 16 s in the exact null-space elimination
+    # and exited 0, while --type A130~ was refused at once
+    def refused(rows):
+        raise AssertionError("an oversized matrix reached the elimination")
+
+    monkeypatch.setattr("affgroth.cartan._nullspace", refused)
+    status, out, err = run(capsys, "cartan", "--gcm",
+                           json.dumps(_gcm_a(130)))
+    assert (status, out) == (1, "")
+    assert err == "error: matrix of size 131 is above the largest size, 101\n"
+
+
+def test_cache_gcm_above_ceiling_is_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "a1.json"
+    assert run(capsys, "groth", "--type", "A1~", "--word", "1",
+               "--cache", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    obj["cartan"] = {"type": None, "gcm": [list(r) for r in _gcm_a(130)]}
+    path.write_text(json.dumps(obj))
+    before = path.read_bytes()
+    nullspace = cartan._nullspace
+
+    def bounded(rows):
+        assert len(rows) <= 101, "an oversized matrix reached the elimination"
+        return nullspace(rows)
+
+    monkeypatch.setattr(cartan, "_nullspace", bounded)
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    assert (status, out) == (1, "")
+    assert err == "error: matrix of size 131 is above the largest size, 101\n"
+    assert path.read_bytes() == before
 
 
 def test_missing_type_usage_error(capsys):
@@ -480,3 +517,131 @@ def test_cache_failed_replace_is_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: cannot write cache")
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+# --- verdicts transported along diagram automorphisms ------------------------
+
+def _oracle_verify(table, max_length):
+    """(exit status, stdout) that `verify --max-length` must give on table's
+    entries: each element verified on a table of its own, so every check
+    runs on every entry and no orbit-mate's verdict stands in."""
+    out, bad = [], 0
+    for layer in weyl.enumerate_up_to(table.cd, max_length):
+        for w in layer:
+            fails = oracles.full_verdict(table, w)
+            name = ",".join(map(str, w.word)) or "e"
+            out.extend("FAIL %s: %s\n" % (name, line) for line in fails)
+            if fails:
+                bad += 1
+            else:
+                out.append("ok %s\n" % name)
+    return 1 if bad else 0, "".join(out)
+
+
+def _verify_cache(capsys, table, path, max_length, *cartan_args):
+    """Save table to path, run `verify` on it, check status and stdout
+    against _oracle_verify, and check that the saved cache flags exactly
+    the elements printed ok and those table flagged.  Returns the stdout."""
+    table.save(str(path))
+    status, expect = _oracle_verify(table, max_length)
+    assert run(capsys, "verify", *cartan_args, "--max-length",
+               str(max_length), "--cache", str(path)) == (status, expect, "")
+    flagged = {",".join(map(str, e["word"])) or "e"
+               for e in json.loads(path.read_text())["entries"]
+               if e["verified"]}
+    oks = {line[3:] for line in expect.splitlines() if line.startswith("ok ")}
+    assert flagged == oks | {",".join(map(str, w.word)) or "e"
+                             for w in table.verified}
+    return expect
+
+
+@pytest.fixture(scope="module")
+def a2_table():
+    return oracles.layer_table(from_type("A2~"), 5)[0]
+
+
+def _reads(w):
+    """The elements whose entries verify(w) reads."""
+    return ({w, weyl.inverse(w)}
+            | {weyl.mul_gen(w, i) for i in weyl.right_descents(w)})
+
+
+def _edit_site(cd, max_length, where):
+    """(v, w): the entry v to edit, and the element w that the edit aims
+    at, the last in layer order to max_length with such a v.  u, the first
+    element of w's orbit in layer order, is not w, and only one of u and w
+    reads v:
+      representative  v = u; u fails, w passes
+      orbit-mate      v = w
+      descent         v = w s_i at a right descent i of w
+      inverse         v = w^-1, not w
+    In the last three u passes in full, and w would pass by transport
+    from u if transport tested G_w alone."""
+    elems = [x for layer in weyl.enumerate_up_to(cd, max_length)
+             for x in layer]
+    order = {x: n for n, x in enumerate(elems)}
+    for w in elems[::-1]:
+        u = elems[min(order[weyl.relabel(w, p)] for p in cd.automorphisms())]
+        sites = {"representative": [u], "orbit-mate": [w],
+                 "descent": [weyl.mul_gen(w, i)
+                             for i in weyl.right_descents(w)],
+                 "inverse": [weyl.inverse(w)]}[where]
+        for v in sites:
+            if (u != w and (v in _reads(u)) != (v in _reads(w))
+                    and (v == w) == (where == "orbit-mate")):
+                return v, w
+    raise AssertionError("no site for an edit in the %s" % where)
+
+
+@pytest.mark.parametrize("where", ["clean", "representative", "orbit-mate",
+                                   "descent", "inverse"])
+def test_verify_transport_matches_full_checks(tmp_path, capsys, a2_table,
+                                              where):
+    # verify passes an entry whose orbit-mate passed without running the
+    # checks; on a cache with one entry edited it must print what the
+    # checks print when every element runs them on its own
+    cd = a2_table.cd
+    table = GrothTable(cd)
+    table.entries = dict(a2_table.entries)
+    if where != "clean":
+        v, w = _edit_site(cd, 4, where)
+        table.entries[v] = table.entries[v] + k_one(cd)
+    out = _verify_cache(capsys, table, tmp_path / "a2.json", 4,
+                        "--type", "A2~")
+    if where == "clean":
+        assert "FAIL" not in out
+    else:
+        name = ",".join(map(str, w.word))
+        assert "FAIL %s:" % ",".join(map(str, v.word)) in out
+        assert ("ok %s\n" % name in out) == (where == "representative")
+
+
+def test_verify_custom_gcm_matches_full_checks(tmp_path, capsys):
+    # data given by a matrix has no diagram automorphism: every entry runs
+    # the full checks
+    name, gcm = oracles.CUSTOM_GCMS[1]
+    assert name == "G2~"
+    cd = build_cartan(gcm)
+    assert len(cd.automorphisms()) == 1
+    table = oracles.layer_table(cd, 4)[0]
+    v = weyl.enumerate_up_to(cd, 2)[2][0]
+    table.entries[v] = table.entries[v] + k_one(cd)
+    out = _verify_cache(capsys, table, tmp_path / "g2.json", 3,
+                        "--gcm", json.dumps(gcm))
+    assert "FAIL %s:" % ",".join(map(str, v.word)) in out
+
+
+def test_verify_consistent_orbit_edit_fails_both(tmp_path, capsys):
+    # G_{s_0} and G_{s_1} of A1~ get the same edit (constant 1 -> 6), so the
+    # flip still maps one onto the other, and the cache flags both verified:
+    # neither the loaded flag nor the transport equality passes either
+    cd = from_type("A1~")
+    table = oracles.layer_table(cd, 3)[0]
+    s0, s1 = (weyl.canonicalize(cd, (i,)) for i in (0, 1))
+    for s in (s0, s1):
+        table.entries[s] = table.entries[s] + 5 * k_one(cd)
+        table.verified.add(s)
+    assert relabel(table.entries[s1], (1, 0)) == table.entries[s0]
+    out = _verify_cache(capsys, table, tmp_path / "a1.json", 2,
+                        "--type", "A1~")
+    assert "FAIL 0:" in out and "FAIL 1:" in out

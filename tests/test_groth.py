@@ -221,6 +221,56 @@ def test_probe_work_pinned(monkeypatch):
     assert images == 25266
 
 
+def _count_full_runs(monkeypatch):
+    """A one-item list counting verify's runs of the localization check:
+    each decides its vanishing probes in one nonvanishing_probes call."""
+    runs = [0]
+    probes = groth_mod.nonvanishing_probes
+
+    def counted(*args):
+        runs[0] += 1
+        return probes(*args)
+
+    monkeypatch.setattr(groth_mod, "nonvanishing_probes", counted)
+    return runs
+
+
+def test_verify_work_pinned(monkeypatch):
+    # the full check set runs once per diagram-automorphism orbit of the
+    # elements verified (each run decides its vanishing probes in one
+    # nonvanishing_probes call); the other entries pass by transport.  A
+    # check subset runs in full on every entry
+    runs = _count_full_runs(monkeypatch)
+    for t, max_length, orbits in (("A2~", 4, 8), ("C2~", 4, 17),
+                                  ("A3~", 3, 8)):
+        table, elems = oracles.layer_table(from_type(t), max_length + 1)
+        todo = [w for w in elems if w.length <= max_length]
+        runs[0] = 0
+        for w in todo:
+            assert table.verify(w, checks=("localization",)) == []
+        assert runs[0] == len(todo), t
+        runs[0] = 0
+        for w in todo:
+            assert table.verify(w) == []
+            assert w in table.verified
+        assert runs[0] == orbits, t
+
+
+def test_verify_transport_needs_same_probe_length(monkeypatch):
+    # a pass stands in for an orbit-mate only at the probe_length it ran
+    # with, another probe list being another set of checks; each element
+    # keeps its latest pass
+    runs = _count_full_runs(monkeypatch)
+    cd = from_type("A1~")
+    table = GrothTable(cd)
+    s0, s1 = (weyl.canonicalize(cd, (i,)) for i in (0, 1))
+    for w, probe_length, ran in ((s1, 1, 1), (s0, 2, 1), (s1, 2, 0),
+                                 (s0, 1, 1), (s1, 1, 0), (s1, 3, 1)):
+        runs[0] = 0
+        assert table.verify(w, probe_length=probe_length) == []
+        assert runs[0] == ran, (w.word, probe_length)
+
+
 def test_save_load_round_trip(tmp_path):
     cd = from_type("A2~")
     table = GrothTable(cd)
@@ -397,15 +447,6 @@ def _relabelled_a3():
                          for i in range(4)])
 
 
-def _layer_table(cd, max_length):
-    table = GrothTable(cd)
-    elems = [w for layer in weyl.enumerate_up_to(cd, max_length)
-             for w in layer]
-    for w in elems:
-        table.compute(w)
-    return table, elems
-
-
 @pytest.mark.parametrize("cd,max_length", [
     (from_type("A1~"), 8), (from_type("A2~"), 4), (from_type("A3~"), 4),
     (from_type("A4~"), 3), (from_type("C2~"), 4), (from_type("C3~"), 3),
@@ -425,7 +466,7 @@ def test_transported_table_equals_solved(monkeypatch, cd, max_length):
 
     monkeypatch.setattr(groth_mod, "solve_coboundary", counted)
     assert any(p[cd.node0] != cd.node0 for p in cd.automorphisms())
-    table, elems = _layer_table(cd, max_length)
+    table, elems = oracles.layer_table(cd, max_length)
     assert 0 < solves[0] < len(elems) - 1
     memo = {}
     for w in elems:
@@ -434,7 +475,7 @@ def test_transported_table_equals_solved(monkeypatch, cd, max_length):
 
 def test_transported_save_bytes_equal_solved(tmp_path):
     cd = from_type("A3~")
-    table, elems = _layer_table(cd, 4)
+    table, elems = oracles.layer_table(cd, 4)
     solved = GrothTable(cd)
     for w in elems:
         solved.entries[w] = oracles.solved_entry(cd, w, solved.entries)
