@@ -9,12 +9,14 @@ packed keys: denominator_inverse built cold (no packing kept from an earlier
 call) for A2~ to depth 10 and C2~ to depth 12, and one over_denominator
 call, the Weyl-Kac numerator of L0 + L2 on C2~ over the inverse denominator
 to depth 12, already built.  Last the table builds A3~ to length 4 and A1~
-to length 12, each from fresh Cartan data in layer order, with how many
-entries above e were solved and how many were transported from an
-orbit-mate along a diagram automorphism.  Then a full verify of every A3~
-element to length 3 on a table built to length 4, the way `affgroth verify`
-runs on a cache one length deeper, with how many elements ran the checks;
-the others pass by an orbit-mate's verdict.
+to length 12, each from fresh Cartan data in layer order and with CoefQ's
+gcd caches cleared, as in a new process, with how many entries above e were
+solved and how many were transported from an orbit-mate along a diagram
+automorphism, and the hits and misses of each gcd cache in one build.  Then
+GrothTable.save of those two tables, with the bytes written.  Then a full
+verify of every A3~ element to length 3 on a table built to length 4, the
+way `affgroth verify` runs on a cache one length deeper, with how many
+elements ran the checks; the others pass by an orbit-mate's verdict.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
@@ -22,13 +24,14 @@ Usage: python3 benchmarks/bench_kernels.py
 import os
 import random
 import sys
+import tempfile
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 sys.path.insert(0, SRC)
 
-from affgroth import groth, packed, qpoly, weyl  # noqa: E402
+from affgroth import coefq, groth, packed, qpoly, weyl  # noqa: E402
 from affgroth.cartan import from_type  # noqa: E402
 from affgroth.characters import (_weyl_kac_numerator,  # noqa: E402
                                  denominator_inverse)
@@ -80,7 +83,12 @@ def cold_denominator_inverse(cd, depth):
     return denominator_inverse(cd, depth)
 
 
+GCD_CACHES = (("make", coefq._reduced), ("add", coefq._den_cofactors))
+
+
 def table_build(type_string, max_length):
+    for _, cache in GCD_CACHES:
+        cache.cache_clear()
     cd = from_type(type_string)
     table = GrothTable(cd)
     for layer in weyl.enumerate_up_to(cd, max_length):
@@ -105,6 +113,13 @@ def solved_and_transported(type_string, max_length):
     finally:
         groth.solve_coboundary = solve
     return solves, len(table.entries) - 1 - solves
+
+
+def gcd_cache_counts():
+    """"name hits/misses" of each gcd cache since it was last cleared."""
+    return ", ".join("%s %d/%d" % (name, cache.cache_info().hits,
+                                   cache.cache_info().misses)
+                     for name, cache in GCD_CACHES)
 
 
 def verify_all(table, elems):
@@ -175,11 +190,22 @@ def main():
     t = bench(packed.over_denominator, [args])
     print("%-14s %8.2f ms   over_denominator, L0 + L2 to depth 12"
           % ("C2~", 1e3 * t))
+    saves = []
     for type_string, max_length in (("A3~", 4), ("A1~", 12)):
         t = bench(table_build, [(type_string, max_length)])
         print("%-14s %8.2f ms   table to length %d: %d solved, %d transported"
               % (type_string, 1e3 * t, max_length,
                  *solved_and_transported(type_string, max_length)))
+        print("%-14s %11s   gcd cache hits/misses: %s"
+              % ("", "", gcd_cache_counts()))
+        saves.append((type_string, max_length,
+                      table_build(type_string, max_length)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        for type_string, max_length, table in saves:
+            t = bench(table.save, [(path,)])
+            print("%-14s %8.2f ms   save to length %d: %d bytes"
+                  % (type_string, 1e3 * t, max_length, os.path.getsize(path)))
     table = table_build("A3~", 4)
     elems = [w for layer in weyl.enumerate_up_to(table.cd, 3) for w in layer]
     t = bench(verify_all, [(table, elems)])

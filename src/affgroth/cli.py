@@ -75,7 +75,9 @@ def _load_table(cd, args):
 
 
 def _table_state(table):
-    return len(table.entries), len(table.verified)
+    # the flags themselves, not their count: verify can clear one flag and
+    # set another
+    return len(table.entries), frozenset(table.verified)
 
 
 def _save_table(table, path, prior_state):

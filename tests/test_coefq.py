@@ -2,11 +2,12 @@
 series expansion, ring membership, and the exact zero test of a sum of
 q-fractions that verify's vanishing probes run."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from affgroth import weyl
+from affgroth import coefq, weyl
 from affgroth.cartan import from_type
 from affgroth.coefq import CoefQ, MINUS_ONE, ONE, Q, ZERO
 from affgroth.kring import from_terms, nonvanishing_probes
@@ -142,6 +143,80 @@ def test_pairs_round_trip():
         assert CoefQ.from_pairs(a.num_pairs(), a.den_pairs()) == a
     with pytest.raises(ValueError):
         CoefQ.from_pairs([[0, 1]], [[-1, 1]])
+
+
+def _clear_gcd_caches():
+    coefq._reduced.cache_clear()
+    coefq._den_cofactors.cache_clear()
+
+
+def _fractions(rng, count):
+    """count distinct (num, shift, den) inputs of make: random fractions,
+    some with a negative leading denominator or non-unit content, some with
+    q-powers on either side, and (1, -2, 0, -1) on each side."""
+    fixed = [((1, -2, 0, -1), 0, (1, -1)), ((1, 1), 2, (1, -2, 0, -1)),
+             ((2, 4), 0, (-6, 0, -2)), ((0, 3, -3), -1, (0, 0, 6, -6)),
+             ((1, -2, 0, -1), 5, (1, -2, 0, -1)),
+             ((0, 1, -2, 0, -1), 3, (1, -1))]  # inputs[0] times q^4
+    out = set(fixed)
+    while len(out) < count:
+        num = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
+        den = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
+        if any(num) and any(den):
+            out.add((num, rng.randint(-2, 2), den))
+    return fixed + sorted(out - set(fixed))
+
+
+def test_make_cache_matches_fresh():
+    # make's reduction and the cofactors of a sum come from bounded caches;
+    # a result from a cold cache, a warm one and one refilled after
+    # eviction must be the same canonical form
+    inputs = _fractions(oracles.rng_for("coefq-cache"), 2 * coefq._GCD_CACHE)
+
+    def form(c):
+        return c.shift, c.num, c.den
+
+    fresh = []
+    for num, shift, den in inputs:
+        _clear_gcd_caches()
+        fresh.append(form(CoefQ.make(num, shift, den)))
+    assert fresh[0] == (0, (-1, 2, 0, 1), (-1, 1))  # den led negative
+    assert fresh[2] == (0, (-1, -2), (3, 0, 1))  # content 2, den led negative
+    assert fresh[5] == (4,) + fresh[0][1:]
+    _clear_gcd_caches()
+    warm = []
+    for num, shift, den in inputs:
+        CoefQ.make(num, shift, den)
+        warm.append(form(CoefQ.make(num, shift, den)))
+    info = coefq._reduced.cache_info()
+    assert info.hits >= len(inputs) // 2
+    assert info.currsize == coefq._GCD_CACHE  # the first inputs were evicted
+    assert warm == fresh
+    assert [form(CoefQ.make(*x)) for x in inputs] == fresh
+
+    pairs = list(zip(inputs[::2], inputs[1::2]))
+    sums = []
+    for a, b in pairs:
+        _clear_gcd_caches()
+        sums.append(form(CoefQ.make(*a) + CoefQ.make(*b)))
+    _clear_gcd_caches()
+    for _ in range(2):
+        assert [form(CoefQ.make(*a) + CoefQ.make(*b))
+                for a, b in pairs] == sums
+    assert coefq._den_cofactors.cache_info().hits
+
+
+def test_from_pairs_refuses_bool_after_int():
+    # (0, True) == (0, 1) with the same hash, so a cache keyed on raw pairs
+    # would pass the bool; the caches sit after from_pairs' checks
+    for den, value in (("[[0, 1]]", ONE),
+                       ("[[0, 1], [1, -1]]", CoefQ.one_minus_q_power(1).inv())):
+        den = json.loads(den)
+        assert CoefQ.from_pairs(json.loads("[[0, 1]]"), den) == value
+        with pytest.raises(ValueError, match="not two ints"):
+            CoefQ.from_pairs(json.loads("[[0, true]]"), den)
+        with pytest.raises(ValueError, match="not two ints"):
+            CoefQ.from_pairs([[0, 1]], json.loads("[[0, true], [1, -1]]"))
 
 
 def test_divides_q_products():

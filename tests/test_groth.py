@@ -11,7 +11,7 @@ from affgroth.errors import CacheMismatch
 from affgroth.groth import GrothTable, grothendieck
 from affgroth.kring import (KElement, in_window, j_map, k_one, k_zero,
                             monomial, psi, to_json)
-from affgroth import groth as groth_mod, kring, weyl
+from affgroth import coefq, groth as groth_mod, kring, weyl
 
 import oracles
 
@@ -254,6 +254,19 @@ def test_verify_work_pinned(monkeypatch):
             assert table.verify(w) == []
             assert w in table.verified
         assert runs[0] == orbits, t
+
+
+def test_gcd_work_pinned():
+    # CoefQ runs each distinct reduction once: building A1~ to length 12
+    # makes 748 distinct make reductions and 391 distinct denominator pairs
+    # in sums, and runs no gcd twice (3,402 pgcd_cofactors calls uncached).
+    # The caches bind pgcd_cofactors, so they count the gcds themselves
+    caches = (coefq._reduced, coefq._den_cofactors)
+    for cache in caches:
+        cache.cache_clear()
+    oracles.layer_table(from_type("A1~"), 12)
+    misses = [cache.cache_info().misses for cache in caches]
+    assert misses == [748, 391]
 
 
 def test_verify_transport_needs_same_probe_length(monkeypatch):
