@@ -13,6 +13,7 @@ untwisted families this is the standard affine node 0.
 
 from fractions import Fraction
 from math import gcd
+import operator
 import re
 
 from .errors import BadLabel, BadShape, NonQInput, NotAffine, NotSymmetrizable
@@ -177,12 +178,11 @@ class AffineCartanData:
 
     def pairing(self, i, w):
         """<h_i, w> = l_i + sum_j a_ij m_j."""
-        row = self.gcm[i]
-        return w.l[i] + sum(row[j] * mj for j, mj in enumerate(w.m) if mj)
+        return w.l[i] + sum(map(operator.mul, self.gcm[i], w.m))
 
     def level(self, w):
         """<c, w> = sum_i comark_i l_i; alpha coordinates contribute nothing."""
-        return sum(c * li for c, li in zip(self.comarks, w.l))
+        return sum(map(operator.mul, self.comarks, w.l))
 
     def is_dominant(self, w):
         return all(self.pairing(i, w) >= 0 for i in self.labels)

@@ -46,7 +46,7 @@ from .errors import (NonQInput, NotDominant, NotNonNegativeLevel,
                      WindowViolation)
 from .kring import j_map
 from .packed import divide, over_denominator, packing
-from .weights import Weight, weight_from_json, weight_to_json
+from .weights import Weight, weight_to_json
 
 
 class TruncatedSeries:
@@ -99,12 +99,6 @@ class TruncatedSeries:
                 "coeffs": [{"weight": weight_to_json(k), "coeff": c}
                            for k, c in self.items_by_depth()]}
 
-    @classmethod
-    def from_json(cls, cd, obj):
-        return cls(cd, weight_from_json(obj["base"], cd.rank), obj["cutoff"],
-                   {weight_from_json(t["weight"], cd.rank): t["coeff"]
-                    for t in obj["coeffs"]})
-
 
 def denominator_inverse(cd, N):
     """prod_{alpha > 0} (1 - e^{-alpha})^{-mult(alpha)} to depth N, as a dict
@@ -148,20 +142,6 @@ def _weyl_kac_numerator(cd, mu, N):
             sum(mu.m) - N)
 
 
-def _to_dominant_or_none(cd, v):
-    """(sign, dominant image) of a positive-level weight under the Weyl
-    group, or None when the stabilizer is nontrivial (some pairing zero)."""
-    sign = 1
-    while True:
-        i = next((i for i in cd.labels if cd.pairing(i, v) < 0), None)
-        if i is None:
-            if any(cd.pairing(i, v) == 0 for i in cd.labels):
-                return None
-            return sign, v
-        v = cd.reflect(i, v)
-        sign = -sign
-
-
 def euler_character(cd, w, mu, N, table):
     """Euler characteristic character sum_k (-1)^k ch H^k of the twisting of
     the w-th Schubert structure sheaf by mu, truncated at depth N.
@@ -190,10 +170,10 @@ def euler_character(cd, w, mu, N, table):
     size = 0  # bounds every coordinate of num and the reach of the product
     for kappa, c in g.terms.items():
         lam = Weight(kappa.l, zeros)
-        res = _to_dominant_or_none(cd, mu + kappa + rho)
-        if res is None:
-            continue
-        sign, vd = res
+        word, vd = weyl_mod.to_dominant(cd, mu + kappa + rho)
+        if not all(cd.pairing(i, vd) for i in cd.labels):
+            continue  # a nontrivial stabilizer
+        sign = -1 if len(word) % 2 else 1
         offset0 = mu + lam - (vd - rho)
         if any(offset0.l):
             raise NonQInput("offset %s to the dominant twist is not in the "

@@ -7,6 +7,7 @@ back when they added entries.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -65,23 +66,21 @@ def _parse_word(text, cd, parser):
     return word
 
 
-def _load_table(cd, args):
-    path = getattr(args, "cache", None) or os.environ.get("AFFGROTH_CACHE")
+@contextlib.contextmanager
+def _cached_table(cd, args):
+    """The GrothTable of the cache file (--cache, else $AFFGROTH_CACHE), or
+    a fresh one when there is no file; saved back when the block exits
+    normally and has added entries or changed verified flags."""
+    path = args.cache or os.environ.get("AFFGROTH_CACHE")
     if path and os.path.exists(path):
         table = GrothTable.load(path, cd=cd)
     else:
         table = GrothTable(cd)
-    return table, path
-
-
-def _table_state(table):
     # the flags themselves, not their count: verify can clear one flag and
     # set another
-    return len(table.entries), frozenset(table.verified)
-
-
-def _save_table(table, path, prior_state):
-    if path and _table_state(table) != prior_state:
+    prior = len(table.entries), frozenset(table.verified)
+    yield table
+    if path and (len(table.entries), frozenset(table.verified)) != prior:
         table.save(path)
 
 
@@ -107,17 +106,16 @@ def cmd_cartan(args, parser):
 def cmd_groth(args, parser):
     cd = _cartan_of(args, parser)
     word = _parse_word(args.word, cd, parser)
-    table, path = _load_table(cd, args)
-    prior = _table_state(table)
-    w = weyl_mod.canonicalize(cd, word)
-    g = table.compute(w)
-    status = 0
-    if args.verify:
-        fails = table.verify(w)
-        for line in fails:
-            sys.stderr.write("FAIL %s: %s\n" % (",".join(map(str, w.word)), line))
-        status = 1 if fails else 0
-    _save_table(table, path, prior)
+    with _cached_table(cd, args) as table:
+        w = weyl_mod.canonicalize(cd, word)
+        g = table.compute(w)
+        status = 0
+        if args.verify:
+            fails = table.verify(w)
+            for line in fails:
+                sys.stderr.write("FAIL %s: %s\n"
+                                 % (",".join(map(str, w.word)), line))
+            status = 1 if fails else 0
     sys.stdout.write(print_element(g, args.format) + "\n")
     return status
 
@@ -130,14 +128,12 @@ def _require_nonnegative(parser, flag, value):
 def cmd_table(args, parser):
     _require_nonnegative(parser, "--max-length", args.max_length)
     cd = _cartan_of(args, parser)
-    table, path = _load_table(cd, args)
-    prior = _table_state(table)
-    layers = weyl_mod.enumerate_up_to(cd, args.max_length)
-    for length, layer in enumerate(layers):
-        total = sum(len(table.compute(w)) for w in layer)
-        sys.stdout.write("length %d: %d elements, %d terms\n"
-                         % (length, len(layer), total))
-    _save_table(table, path, prior)
+    with _cached_table(cd, args) as table:
+        layers = weyl_mod.enumerate_up_to(cd, args.max_length)
+        for length, layer in enumerate(layers):
+            total = sum(len(table.compute(w)) for w in layer)
+            sys.stdout.write("length %d: %d elements, %d terms\n"
+                             % (length, len(layer), total))
     return 0
 
 
@@ -150,21 +146,19 @@ def cmd_verify(args, parser):
     except ValueError as ex:
         parser.error(str(ex))
     cd = _cartan_of(args, parser)
-    table, path = _load_table(cd, args)
-    prior = _table_state(table)
     bad = 0
-    for layer in weyl_mod.enumerate_up_to(cd, args.max_length):
-        for w in layer:
-            fails = table.verify(w, checks=checks,
-                                 probe_length=args.probe_length)
-            name = ",".join(map(str, w.word)) or "e"
-            if fails:
-                bad += 1
-                for line in fails:
-                    sys.stdout.write("FAIL %s: %s\n" % (name, line))
-            else:
-                sys.stdout.write("ok %s\n" % name)
-    _save_table(table, path, prior)
+    with _cached_table(cd, args) as table:
+        for layer in weyl_mod.enumerate_up_to(cd, args.max_length):
+            for w in layer:
+                fails = table.verify(w, checks=checks,
+                                     probe_length=args.probe_length)
+                name = ",".join(map(str, w.word)) or "e"
+                if fails:
+                    bad += 1
+                    for line in fails:
+                        sys.stdout.write("FAIL %s: %s\n" % (name, line))
+                else:
+                    sys.stdout.write("ok %s\n" % name)
     return 1 if bad else 0
 
 
@@ -172,17 +166,16 @@ def cmd_char(args, parser):
     _require_nonnegative(parser, "--cutoff", args.cutoff)
     cd = _cartan_of(args, parser)
     mu = parse_weight(args.weight, cd.rank)
-    table, path = _load_table(cd, args)
-    prior = _table_state(table)
-    w = weyl_mod.canonicalize(cd, _parse_word(args.word, cd, parser))
-    if args.local is not None:
-        x = weyl_mod.canonicalize(cd, _parse_word(args.local, cd, parser))
-        series = local_cohomology_character(cd, w, x, mu, args.cutoff, table)
-    elif args.euler:
-        series = euler_character(cd, w, mu, args.cutoff, table)
-    else:
-        series = weyl_kac_character(cd, mu, args.cutoff)
-    _save_table(table, path, prior)
+    with _cached_table(cd, args) as table:
+        w = weyl_mod.canonicalize(cd, _parse_word(args.word, cd, parser))
+        if args.local is not None:
+            x = weyl_mod.canonicalize(cd, _parse_word(args.local, cd, parser))
+            series = local_cohomology_character(cd, w, x, mu, args.cutoff,
+                                                table)
+        elif args.euler:
+            series = euler_character(cd, w, mu, args.cutoff, table)
+        else:
+            series = weyl_kac_character(cd, mu, args.cutoff)
     for kappa, c in series.items_by_depth():
         sys.stdout.write("%s * e[%s]\n" % (c, format_weight(kappa)))
     return 0
@@ -190,12 +183,10 @@ def cmd_char(args, parser):
 
 def cmd_localize(args, parser):
     cd = _cartan_of(args, parser)
-    table, path = _load_table(cd, args)
-    prior = _table_state(table)
-    w = weyl_mod.canonicalize(cd, _parse_word(args.word, cd, parser))
-    x = weyl_mod.canonicalize(cd, _parse_word(args.at, cd, parser))
-    g = table.compute(w)
-    _save_table(table, path, prior)
+    with _cached_table(cd, args) as table:
+        w = weyl_mod.canonicalize(cd, _parse_word(args.word, cd, parser))
+        x = weyl_mod.canonicalize(cd, _parse_word(args.at, cd, parser))
+        g = table.compute(w)
     sys.stdout.write(print_element(j_map(x, g), args.format) + "\n")
     return 0
 

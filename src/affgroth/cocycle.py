@@ -42,7 +42,10 @@ MAX_GROW = 8
 
 
 def _family(cd, v):
-    """Fill missing labels with zero; sanity-check the index set."""
+    """v with every missing label filled with zero; BadLabel for a key of v
+    that is not a label of cd."""
+    for i in v:
+        cd.check_node(i)
     full = {}
     for i in cd.labels:
         vi = v.get(i)

@@ -26,7 +26,7 @@ from .errors import ParseError
 from .kring import (classical_antidominant, k_scalar, monomial, orbit_sum,
                     to_json)
 from .qpoly import pdivexact
-from .weights import format_weight, parse_weight
+from .weights import format_weight, join_signed, parse_weight
 
 _TOKEN = re.compile(r"""\s*(?:
     (?P<rat>\d+(?:\s*/\s*\d+)?)
@@ -194,20 +194,12 @@ def _poly_bits(poly, shift):
     return bits
 
 
-def _join_bits(bits):
-    if not bits:
-        return "0"
-    sign, body = bits[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in bits[1:]:
-        out += " %s %s" % (sign, body)
-    return out
-
-
 def _factor_q_products(den):
     """den as a multiset {k: power} of (1 - q^k) factors times a sign,
-    or None when den is not such a product.  Canonical dens from R always
-    factor; (1 - q^k) = -(q^k - 1) contributes one sign flip each."""
+    or None when den is not such a product; (1 - q^k) = -(q^k - 1)
+    contributes one sign flip each.  A den from R need not be one: 1 + q
+    divides 1 - q^2 but is no such product, so (1 + q)^-1 * e[L1] on A1~
+    prints through the caller's fallback."""
     factors = {}
     sign = 1
     deg = len(den) - 1
@@ -245,7 +237,7 @@ def _scalar_bits(c, sym_body=None):
         if body == "1":
             return [(sign, sym_body)]
         return [(sign, "%s*%s" % (body, sym_body))]
-    return [("+", "(%s)*%s" % (_join_bits(bits), sym_body))]
+    return [("+", "(%s)*%s" % (join_signed(bits), sym_body))]
 
 
 def print_element(f, mode="terms"):
@@ -263,13 +255,13 @@ def print_element(f, mode="terms"):
             if c.den == (1,):
                 bits.extend(_scalar_bits(c, sym))
             else:
-                den_bits = "(%s)^{-1}" % _join_bits(_poly_bits(c.den, 0))
-                num = _join_bits(_scalar_bits(c, None))
+                den_bits = "(%s)^{-1}" % join_signed(_poly_bits(c.den, 0))
+                num = join_signed(_scalar_bits(c, None))
                 body = "%s(%s)" % (den_bits, num)
                 if sym is not None:
                     body += "*%s" % sym
                 bits.append(("+", body))
-        return _join_bits(bits)
+        return join_signed(bits)
     if mode == "orbit":
         return _print_orbit(f)
     raise ValueError("unknown mode %r" % mode)
@@ -295,12 +287,12 @@ def _print_orbit(f):
         if den == (1,):
             pieces.extend(bits)
         elif factors_sign is None:
-            den_txt = "(%s)^{-1}" % _join_bits(_poly_bits(den, 0))
-            pieces.append(("+", "%s{%s}" % (den_txt, _join_bits(bits))))
+            den_txt = "(%s)^{-1}" % join_signed(_poly_bits(den, 0))
+            pieces.append(("+", "%s{%s}" % (den_txt, join_signed(bits))))
         else:
             pieces.append(("+", "%s{%s}" % (_den_prefix(factors_sign[0]),
-                                            _join_bits(bits))))
-    return _join_bits(pieces)
+                                            join_signed(bits))))
+    return join_signed(pieces)
 
 
 def _orbit_group(cd, terms):

@@ -117,15 +117,22 @@ class GrothTable:
         return g
 
     def _transported(self, w):
-        """G_w = tau^-1(G_u) for the first diagram automorphism tau, in the
-        order of cd.automorphisms(), whose u = tau(w) has an entry; None
-        when no orbit-mate of w has one.  See the module docstring for why
-        the transported element is the one the solve would give."""
-        for p in self.cd.automorphisms()[1:]:
-            g = self.entries.get(weyl_mod.relabel(w, p))
-            if g is not None:
-                return relabel(g, _inverse_permutation(p))
+        """G_w = sigma^-1(G_u) for the first diagram automorphism sigma, in
+        the order of cd.automorphisms(), whose u = sigma(w) has an entry;
+        None when no orbit-mate of w has one.  See the module docstring for
+        why the transported element is the one the solve would give."""
+        for p, g in self._orbit_mates(w, self.entries):
+            return relabel(g, p)
         return None
+
+    def _orbit_mates(self, w, found):
+        """(p, found[u]) for each diagram automorphism sigma: node i -> p[i]
+        other than the identity, in the order of cd.automorphisms(), whose
+        u = sigma(w) is a key of found."""
+        for p in self.cd.automorphisms()[1:]:
+            got = found.get(weyl_mod.relabel(w, p))
+            if got is not None:
+                yield p, got
 
     ALL_CHECKS = ("window", "demazure", "localization", "psi", "ring")
 
@@ -223,14 +230,11 @@ class GrothTable:
         the same probe_length and each entry in read is sigma^-1 of the one
         u's pass read; w then passes every check (module docstring)."""
         probe_length, g, downs, g_inv = read
-        for p in self.cd.automorphisms()[1:]:
-            passed = self._passed.get(weyl_mod.relabel(w, p))
-            if passed is None or passed[0] != probe_length:
-                continue
-            _, g_u, downs_u, inv_u = passed
-            q = _inverse_permutation(p)
-            if (relabel(g_u, q) == g and relabel(inv_u, q) == g_inv
-                    and all(relabel(downs_u[p[i]], q) == d
+        for p, (length_u, g_u, downs_u, inv_u) in self._orbit_mates(
+                w, self._passed):
+            if (length_u == probe_length and relabel(g_u, p) == g
+                    and relabel(inv_u, p) == g_inv
+                    and all(relabel(downs_u[p[i]], p) == d
                             for i, d in downs.items())):
                 return True
         return False
@@ -319,11 +323,6 @@ class GrothTable:
         except (OSError, ValueError) as ex:
             raise CacheMismatch("cannot read cache %s: %s" % (path, ex)) from ex
         return cls.from_json_obj(obj, cd=cd)
-
-
-def _inverse_permutation(p):
-    """p^-1 for a node permutation p: i -> p[i]."""
-    return sorted(range(len(p)), key=p.__getitem__)
 
 
 def _list(items, depth):

@@ -9,12 +9,11 @@ exp(Q) along eta, and classical orbit sums.
 
 Every operator, sums and products included, is a sum of term images, and
 _collect is the one path that adds them: it delta-normalizes each image and
-adds the coefficients that land on one key.  + and - keep the larger
-operand's terms and send only the keys both operands carry through
-_collect's per-key sum.  nonvanishing_probes only asks at which x
-j_map(x, f) has a key that does not cancel: it evaluates f's terms once per
-call at one point past the root bound of every key's cleared numerator,
-moves the term images one Weyl letter per probe, and compares integers.
+adds the coefficients that land on one key.  nonvanishing_probes only asks
+at which x j_map(x, f) has a key that does not cancel: it evaluates f's
+terms once per call at one point past the root bound of every key's cleared
+numerator, moves the term images one Weyl letter per probe, and compares
+integers.
 """
 
 import operator
@@ -48,10 +47,11 @@ class KElement:
         return len(self.terms)
 
     def __add__(self, other):
-        return _plus(self.cd, self.terms, other.terms, False)
+        return _collect(self.cd, [(mu.l, mu.m, c) for f in (self, other)
+                                  for mu, c in f.terms.items()])
 
     def __sub__(self, other):
-        return _plus(self.cd, self.terms, other.terms, True)
+        return self + -other
 
     def __neg__(self):
         return KElement(self.cd, {mu: -c for mu, c in self.terms.items()})
@@ -151,28 +151,6 @@ def _key_sum(groups):
     return c
 
 
-def _plus(cd, a, b, negate):
-    """The element a + b (a - b with negate) of two term dicts.  The larger
-    dict is copied as it stands; only the keys of the smaller one are
-    added in, a key both carry as the canonical CoefQ sum."""
-    if negate:
-        b = {mu: -c for mu, c in b.items()}
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    for mu, c in b.items():
-        d = out.get(mu)
-        if d is None:
-            out[mu] = c
-            continue
-        s = d + c
-        if s.num:
-            out[mu] = s
-        else:
-            del out[mu]
-    return KElement(cd, out)
-
-
 def _group_sum(parts, den):
     """The canonical sum of q^shift * num / den over the (shift, num) parts."""
     if len(parts) == 1:
@@ -219,12 +197,12 @@ def in_window(f, lo, hi):
 # --- operators ---------------------------------------------------------------
 
 def relabel(f, p):
-    """The image of f under the diagram automorphism sigma: node i -> p[i]
-    of its datum, e^mu -> e^{sigma(mu)} with sigma(Lambda_i) = Lambda_{p[i]}
-    and sigma(alpha_i) = alpha_{p[i]}.  sigma fixes delta, hence q, but may
-    move node0, so _collect re-normalizes every image."""
-    # node j of an image takes the coordinate of node p^-1(j)
-    gather = operator.itemgetter(*sorted(range(len(p)), key=p.__getitem__))
+    """The pull-back of f along the diagram automorphism sigma: node i -> p[i]
+    of its datum, that is sigma^-1(f), e^mu -> e^{sigma^-1(mu)} with
+    sigma(Lambda_i) = Lambda_{p[i]} and sigma(alpha_i) = alpha_{p[i]}: node i
+    of an image takes the coordinate of node p[i].  sigma fixes delta, hence
+    q, but may move node0, so _collect re-normalizes every image."""
+    gather = operator.itemgetter(*p)  # a tuple: the rank is >= 2
     return _collect(f.cd, ((gather(mu.l), gather(mu.m), c)
                            for mu, c in f.terms.items()))
 

@@ -74,11 +74,16 @@ def format_weight(w):
             mag = abs(c)
             body = "%s%d" % (sym, i) if mag == 1 else "%d*%s%d" % (mag, sym, i)
             parts.append((sign, body))
-    if not parts:
+    return join_signed(parts)
+
+
+def join_signed(bits):
+    """The text of a sum of (sign, body) bits: "-a + b - c", "0" when empty."""
+    if not bits:
         return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
+    sign, body = bits[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in bits[1:]:
         out += " %s %s" % (sign, body)
     return out
 

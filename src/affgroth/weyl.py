@@ -29,9 +29,6 @@ class WeylElement:
     def length(self):
         return len(self.word)
 
-    def __len__(self):
-        return len(self.word)
-
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
@@ -62,19 +59,27 @@ def canonicalize(cd, word):
 
 
 def _from_rho_image(cd, v):
-    out = []
-    u = v
-    while True:
-        i = next((i for i in cd.labels if cd.pairing(i, u) < 0), None)
-        if i is None:
-            break
-        out.append(i)
-        u = cd.reflect(i, u)
-        if len(out) > 10 ** 6:
-            raise BadWord("word does not reduce (non-dominant rho image?)")
+    word, u = to_dominant(cd, v)
     if u != cd.rho():
         raise BadWord("invalid rho image")
-    return WeylElement(cd, tuple(out), v)
+    return WeylElement(cd, word, v)
+
+
+def to_dominant(cd, v):
+    """(word, u) with u the dominant weight of v's Weyl orbit, reached by
+    reflecting at the smallest label i with <h_i, v> < 0 at each step, and
+    word = (i_1, .., i_k) those labels in order, so v = s_{i_1} .. s_{i_k} u.
+    BadWord when no dominant weight comes within 10^6 steps (v of level
+    <= 0)."""
+    word = []
+    while True:
+        i = next((i for i in cd.labels if cd.pairing(i, v) < 0), None)
+        if i is None:
+            return tuple(word), v
+        word.append(i)
+        v = cd.reflect(i, v)
+        if len(word) > 10 ** 6:
+            raise BadWord("word does not reduce (non-dominant rho image?)")
 
 
 def act(w, x):
@@ -142,17 +147,18 @@ def inversion_set(w):
 
 
 def bruhat_leq(x, w):
-    """x <= w in Bruhat order (descent recursion)."""
-    if len(w.word) == 0:
-        return len(x.word) == 0
-    if len(x.word) > len(w.word):
-        return False
-    i = w.word[-1]  # a right descent of w
-    wsi = mul_gen(w, i)
-    xsi = mul_gen(x, i)
-    if len(xsi.word) < len(x.word):
-        return bruhat_leq(xsi, wsi)
-    return bruhat_leq(x, wsi)
+    """x <= w in Bruhat order, by the descent recursion: with s = s_i for
+    the last letter i of w's word, a right descent of w, x <= w iff
+    min(x, xs) <= ws.  Each step shortens w by one letter."""
+    while w.word:
+        if len(x.word) > len(w.word):
+            return False
+        i = w.word[-1]
+        xsi = mul_gen(x, i)
+        if len(xsi.word) < len(x.word):
+            x = xsi
+        w = mul_gen(w, i)
+    return not x.word
 
 
 def enumerate_up_to(cd, max_length):

@@ -250,8 +250,6 @@ def test_series_validation_and_json():
     cd = from_type("A1~")
     mu = cd.Lam(0)
     ch = weyl_kac_character(cd, mu, 4)
-    back = TruncatedSeries.from_json(cd, ch.to_json())
-    assert back == ch
     with pytest.raises(ValueError):
         TruncatedSeries(cd, mu, 3, {mu + cd.alpha(1): 1})
     assert ch.depth(mu) == 0

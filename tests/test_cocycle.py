@@ -8,8 +8,8 @@ import pytest
 from affgroth.cartan import build_cartan, from_type
 from affgroth.coefq import ONE
 from affgroth.cocycle import check_cocycle, solve_coboundary
-from affgroth.errors import (CocycleViolation, SupportGrowthExceeded,
-                             WindowViolation)
+from affgroth.errors import (BadLabel, CocycleViolation,
+                             SupportGrowthExceeded, WindowViolation)
 from affgroth.groth import GrothTable
 from affgroth.kring import in_window, k_one, k_zero, monomial, reflect_act
 from affgroth import cocycle, groth, weyl
@@ -140,6 +140,17 @@ def test_window_checks():
     v = {0: monomial(cd, cd.Lam(0))}  # level 1 term, window (-2, 0]
     with pytest.raises(WindowViolation):
         solve_coboundary(cd, v, (-2, 0))
+
+
+def test_family_label_outside_datum_is_refused():
+    # a v_i at a label the datum lacks is an error, not dropped: dropping
+    # it solved the empty family and found no violation
+    cd = from_type("A1~")
+    v = {7: k_one(cd)}
+    with pytest.raises(BadLabel):
+        solve_coboundary(cd, v, (-2, 0))
+    with pytest.raises(BadLabel):
+        check_cocycle(cd, v)
 
 
 def test_precheck_raises():

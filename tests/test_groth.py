@@ -258,15 +258,16 @@ def test_verify_work_pinned(monkeypatch):
 
 def test_gcd_work_pinned():
     # CoefQ runs each distinct reduction once: building A1~ to length 12
-    # makes 748 distinct make reductions and 391 distinct denominator pairs
-    # in sums, and runs no gcd twice (3,402 pgcd_cofactors calls uncached).
+    # makes 748 distinct make reductions and 330 distinct unordered
+    # denominator pairs in sums, and runs no gcd twice (3,402
+    # pgcd_cofactors calls uncached).
     # The caches bind pgcd_cofactors, so they count the gcds themselves
     caches = (coefq._reduced, coefq._den_cofactors)
     for cache in caches:
         cache.cache_clear()
     oracles.layer_table(from_type("A1~"), 12)
     misses = [cache.cache_info().misses for cache in caches]
-    assert misses == [748, 391]
+    assert misses == [748, 330]
 
 
 def test_verify_transport_needs_same_probe_length(monkeypatch):

@@ -1,5 +1,6 @@
 """Weyl group elements: canonical words, actions, Bruhat order."""
 
+import sys
 from itertools import combinations
 
 from affgroth.cartan import from_type
@@ -177,3 +178,24 @@ def test_results_carry_callers_datum():
         assert weyl.mul_gen(w, 2).cd is cd
         assert all(x.cd is cd for layer in weyl.enumerate_up_to(cd, 3)
                    for x in layer)
+
+
+def test_bruhat_leq_takes_no_frame_per_letter():
+    # the descent recursion runs as a loop: under a recursion limit a
+    # hundred frames above the caller, words of 300 letters still compare
+    cd = from_type("A1~")
+    x = weyl.canonicalize(cd, (1, 0) * 150)
+    s0, s1 = (weyl.canonicalize(cd, (i,)) for i in cd.labels)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = [weyl.bruhat_leq(s0, x), weyl.bruhat_leq(s1, x),
+               weyl.bruhat_leq(x, x), weyl.bruhat_leq(x, s1)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [True, True, True, False]
