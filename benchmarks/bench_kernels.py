@@ -7,8 +7,9 @@ call (one evaluation point per entry, one Weyl letter per probe) and the
 canonical j_map(x, g).is_zero() per probe.  Then the character product on
 packed keys: denominator_inverse built cold (no packing kept from an earlier
 call) for A2~ to depth 10 and C2~ to depth 12, and one over_denominator
-call, the Weyl-Kac numerator of L0 + L2 on C2~ over the inverse denominator
-to depth 12, already built.  Last the table builds A3~ to length 4 and A1~
+call, the Weyl-Kac numerator of L0 + L2 on C2~ (its alternating orbit from
+packed.Packing.orbit) over the inverse denominator to depth 12, already
+built.  Last the table builds A3~ to length 4 and A1~
 to length 12, each from fresh Cartan data in layer order and with CoefQ's
 gcd caches cleared, as in a new process, with how many entries above e were
 solved and how many were transported from an orbit-mate along a diagram
@@ -33,8 +34,7 @@ sys.path.insert(0, SRC)
 
 from affgroth import coefq, groth, packed, qpoly, weyl  # noqa: E402
 from affgroth.cartan import from_type  # noqa: E402
-from affgroth.characters import (_weyl_kac_numerator,  # noqa: E402
-                                 denominator_inverse)
+from affgroth.characters import denominator_inverse  # noqa: E402
 from affgroth.groth import GrothTable, grothendieck  # noqa: E402
 from affgroth.kring import j_map, nonvanishing_probes  # noqa: E402
 from affgroth.weights import parse_weight  # noqa: E402
@@ -81,6 +81,17 @@ def canonical_probes(g, xs):
 def cold_denominator_inverse(cd, depth):
     packed._PACKINGS.clear()
     return denominator_inverse(cd, depth)
+
+
+def weyl_kac_numerator(cd, mu, depth):
+    """over_denominator's arguments (packing, packed numerator, floor) for
+    the Weyl-Kac character of the dominant mu to the given depth: the
+    alternating orbit of mu + rho, placed with its top key at mu."""
+    pk = packed.packing(cd, max(map(abs, mu.m)) + depth)
+    keys, signs = pk.orbit(mu + cd.rho(), depth)
+    top = pk.pack(mu.m)
+    return (pk, {mu.l: {top + k: s for k, s in zip(keys, signs)}},
+            sum(mu.m) - depth)
 
 
 GCD_CACHES = (("make", coefq._reduced), ("add", coefq._den_cofactors))
@@ -185,7 +196,7 @@ def main():
         print("%-14s %8.2f ms   denominator_inverse to depth %d, cold"
               % (type_string, 1e3 * t, depth))
     cd = from_type("C2~")
-    args = _weyl_kac_numerator(cd, parse_weight("L0 + L2", cd.rank), 12)
+    args = weyl_kac_numerator(cd, parse_weight("L0 + L2", cd.rank), 12)
     packed.packing(cd, 12).denominator_inverse(12)
     t = bench(packed.over_denominator, [args])
     print("%-14s %8.2f ms   over_denominator, L0 + L2 to depth 12"

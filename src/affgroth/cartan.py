@@ -366,48 +366,37 @@ def build_cartan(gcm, type_string=None):
 
 # --- built-in families -------------------------------------------------------
 
+def _gcm(size, bonds):
+    """The size x size GCM with 2 on the diagonal, a_ij at each (i, j, a_ij)
+    of bonds and 0 elsewhere."""
+    rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
+    for i, j, a in bonds:
+        rows[i][j] = a
+    return tuple(map(tuple, rows))
+
+
+def _edges(pairs):
+    """The bonds a_ij = a_ji = -1 of the simple edges {i, j} in pairs."""
+    return [b for i, j in pairs for b in ((i, j, -1), (j, i, -1))]
+
+
 def _gcm_a(n):
+    # a cycle 0 - 1 - ... - n - 0; A1~ is 0 <=> 1
     if n == 1:
-        return ((2, -2), (-2, 2))
-    size = n + 1
-    rows = []
-    for i in range(size):
-        row = [0] * size
-        row[i] = 2
-        row[(i + 1) % size] = -1
-        row[(i - 1) % size] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
+        return _gcm(2, [(0, 1, -2), (1, 0, -2)])
+    return _gcm(n + 1, _edges((i, (i + 1) % (n + 1)) for i in range(n + 1)))
 
 
 def _gcm_c(n):
     # 0 => 1 - 2 - ... - (n-1) <= n
-    size = n + 1
-    rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = 2
-    rows[0][1] = -1
-    rows[1][0] = -2
-    for i in range(1, n - 1):
-        rows[i][i + 1] = -1
-        rows[i + 1][i] = -1
-    rows[n - 1][n] = -2
-    rows[n][n - 1] = -1
-    return tuple(tuple(r) for r in rows)
+    return _gcm(n + 1, [(0, 1, -1), (1, 0, -2), (n - 1, n, -2), (n, n - 1, -1)]
+                + _edges((i, i + 1) for i in range(1, n - 1)))
 
 
 def _gcm_d(n):
     # leaves 0,1 on node 2; chain 2..n-2; leaves n-1,n on node n-2
-    size = n + 1
-    rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = 2
-    edges = [(0, 2), (1, 2), (n - 1, n - 2), (n, n - 2)]
-    edges += [(i, i + 1) for i in range(2, n - 2)]
-    for i, j in edges:
-        rows[i][j] = -1
-        rows[j][i] = -1
-    return tuple(tuple(r) for r in rows)
+    return _gcm(n + 1, _edges([(0, 2), (1, 2), (n - 1, n - 2), (n, n - 2)]
+                              + [(i, i + 1) for i in range(2, n - 2)]))
 
 
 _TYPE_RE = re.compile(r"^([ACD])([0-9]+)~$")

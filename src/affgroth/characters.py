@@ -11,29 +11,16 @@ Euler characteristic is computed; individual cohomology groups are not.
 Every series is built the same way: an alternating numerator times the
 inverse of the Weyl-Kac denominator prod_{alpha > 0} (1 - e^{-alpha})^{mult
 alpha}, cut by height: only keys of height sum(key.m) >= sum(top.m) - cutoff
-are kept.
+are kept.  The Weyl-Kac character of a dominant mu is the Euler series of
+G_e = 1, the class of the structure sheaf of the whole flag manifold,
+twisted by mu, so weyl_kac_character and euler_character share one core.
 
-The product runs on packed integer keys (Kronecker substitution; the kernels
-are in packed.py).  A key's alpha-coordinates m become one int,
-m_0 + m_1 S + ... + m_{r-2} S^{r-2} + h S^{r-1}, with h = sum(m) its height
-as the top digit (m_{r-1} is h minus the others).  Adding keys is adding
-ints, ordering them orders their heights, and a height cut of a list sorted
-by depth is a prefix.  Lambda-parts are not packed: a numerator is a dict
-{Lambda-part: {key: coeff}}, each group is multiplied on its own, and the
-inverse denominator lies in Q.  Keys decode with balanced digits in
-(-S/2, S/2], a negative coordinate borrowing one from the digit above; the
-top digit is unbounded.  This is exact while every lower coordinate of every
-key, product keys included, has size at most S/2 - 1: factors whose
-coordinates have size <= M give products within 2M, so the base is
-S = 4M + 8.  One packed.Packing per Cartan datum holds, at one base, the
-inverse denominator (1 divided by (1 - e^{-beta}) once per unit of the
-multiplicity of each positive root beta, to the deepest depth asked for) and
-the alternating orbit of every regular dominant weight (to the deepest margin
-asked for), each sorted by depth so that a shallower one is a prefix; a call
-that needs a larger base starts a fresh Packing.  Weight objects appear only
-at the boundary: the G_w terms and twists that come in, the TruncatedSeries
-that weyl_kac_character, euler_character and local_cohomology_character
-return, and the fresh dict of denominator_inverse.
+The product runs on packed integer keys; packed.py gives the key layout,
+the grouping of a numerator by Lambda-part and the bound on the base.
+Weight objects appear only at the boundary: the G_w terms and twists that
+come in, the TruncatedSeries that weyl_kac_character, euler_character and
+local_cohomology_character return, and the fresh dict of
+denominator_inverse.
 
 Root multiplicities are hardwired for untwisted data (real 1, imaginary
 rank-1); twisted data is refused rather than guessed.
@@ -44,7 +31,7 @@ from bisect import bisect_right
 from . import weyl as weyl_mod
 from .errors import (NonQInput, NotDominant, NotNonNegativeLevel,
                      WindowViolation)
-from .kring import j_map
+from .kring import j_map, k_one
 from .packed import divide, over_denominator, packing
 from .weights import Weight, weight_to_json
 
@@ -120,33 +107,27 @@ def denominator_inverse(cd, N):
 
 def weyl_kac_character(cd, mu, N):
     """Character of the integrable highest-weight module with highest weight
-    mu, truncated at depth N below mu."""
+    mu, truncated at depth N below mu: the Euler series of G_e = 1 twisted
+    by the dominant mu."""
     if not cd.is_dominant(mu):
         raise NotDominant("highest weight %s is not dominant" % (mu,))
-    lamr = mu + cd.rho()
-    if cd.level(lamr) <= 0:
-        raise NotNonNegativeLevel("mu + rho has level %d <= 0"
-                                  % cd.level(lamr))
-    pk, num, floor = _weyl_kac_numerator(cd, mu, N)
-    return TruncatedSeries(cd, mu, N, pk.weights(
-        over_denominator(pk, num, floor)))
-
-
-def _weyl_kac_numerator(cd, mu, N):
-    """(packing, packed alternating numerator, floor) of the character of
-    the dominant mu to depth N: the orbit of mu + rho placed at mu."""
-    pk = packing(cd, max(map(abs, mu.m)) + N)
-    keys, signs = pk.orbit(mu + cd.rho(), N)
-    top = pk.pack(mu.m)
-    return (pk, {mu.l: {top + k: s for k, s in zip(keys, signs)}},
-            sum(mu.m) - N)
+    return _euler_series(cd, k_one(cd), mu, N)
 
 
 def euler_character(cd, w, mu, N, table):
     """Euler characteristic character sum_k (-1)^k ch H^k of the twisting of
-    the w-th Schubert structure sheaf by mu, truncated at depth N.
+    the w-th Schubert structure sheaf by mu, truncated at depth N."""
+    if cd.level(mu) < 0:
+        raise NotNonNegativeLevel("twist %s has level %d < 0"
+                                  % (mu, cd.level(mu)))
+    return _euler_series(cd, table.compute(w), mu, N)
 
-    Expands G_w term by term: a term c * e^{lambda + alpha} contributes
+
+def _euler_series(cd, g, mu, N):
+    """The Euler series of the element g twisted by mu of level >= 0, to
+    depth N.
+
+    Expands g term by term: a term c * e^{lambda + alpha} contributes
     c-expanded-in-q times e^{-lambda} chi_{mu+lambda+alpha}.  The Weyl-Kac
     character is linear in its alternating numerator, so each term adds its
     shifted numerator to one sum, and the sum is divided by the denominator
@@ -154,10 +135,6 @@ def euler_character(cd, w, mu, N, table):
     weights contribute nothing.  A twist that is not dominant can raise keys
     above mu; the series is based at the coordinatewise top of its keys.
     """
-    if cd.level(mu) < 0:
-        raise NotNonNegativeLevel("twist %s has level %d < 0"
-                                  % (mu, cd.level(mu)))
-    g = table.compute(w)
     rho = cd.rho()
     h = sum(cd.marks)
     delta = cd.delta()
@@ -201,9 +178,7 @@ def euler_character(cd, w, mu, N, table):
            for l, group in num.items()}
 
     coeffs = pk.weights(over_denominator(pk, num, floor))
-    top = list(mu.m)
-    for key in coeffs:
-        top = [max(t, x) for t, x in zip(top, key.m)]
+    top = [max(c) for c in zip(mu.m, *(k.m for k in coeffs))]
     base = Weight(mu.l, top)
     if cd.is_dominant(mu) and base != mu:
         raise WindowViolation("support escaped the cone below a dominant "

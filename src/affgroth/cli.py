@@ -51,19 +51,19 @@ def _cartan_of(args, parser):
     return from_type(args.type)
 
 
-def _parse_word(text, cd, parser):
+def _element(text, cd, parser):
+    """The Weyl group element of a word given as comma-separated node
+    labels; "" and "e" give the identity."""
     text = (text or "").strip()
-    if text in ("", "e"):
-        return ()
     try:
-        word = tuple(int(p) for p in text.split(","))
+        word = () if text in ("", "e") else tuple(map(int, text.split(",")))
     except ValueError:
         parser.error("word must be comma-separated node labels, got %r" % text)
     for i in word:
         if not 0 <= i < cd.rank:
             raise UnknownNode("node label %d out of range (rank %d)"
                               % (i, cd.rank))
-    return word
+    return weyl_mod.canonicalize(cd, word)
 
 
 @contextlib.contextmanager
@@ -105,9 +105,8 @@ def cmd_cartan(args, parser):
 
 def cmd_groth(args, parser):
     cd = _cartan_of(args, parser)
-    word = _parse_word(args.word, cd, parser)
+    w = _element(args.word, cd, parser)
     with _cached_table(cd, args) as table:
-        w = weyl_mod.canonicalize(cd, word)
         g = table.compute(w)
         status = 0
         if args.verify:
@@ -142,7 +141,7 @@ def cmd_verify(args, parser):
     _require_nonnegative(parser, "--probe-length", args.probe_length)
     try:
         checks = GrothTable.check_names(
-            args.checks.split(",") if args.checks else None)
+            args.checks.split(",") if args.checks is not None else None)
     except ValueError as ex:
         parser.error(str(ex))
     cd = _cartan_of(args, parser)
@@ -167,9 +166,9 @@ def cmd_char(args, parser):
     cd = _cartan_of(args, parser)
     mu = parse_weight(args.weight, cd.rank)
     with _cached_table(cd, args) as table:
-        w = weyl_mod.canonicalize(cd, _parse_word(args.word, cd, parser))
+        w = _element(args.word, cd, parser)
         if args.local is not None:
-            x = weyl_mod.canonicalize(cd, _parse_word(args.local, cd, parser))
+            x = _element(args.local, cd, parser)
             series = local_cohomology_character(cd, w, x, mu, args.cutoff,
                                                 table)
         elif args.euler:
@@ -184,8 +183,8 @@ def cmd_char(args, parser):
 def cmd_localize(args, parser):
     cd = _cartan_of(args, parser)
     with _cached_table(cd, args) as table:
-        w = weyl_mod.canonicalize(cd, _parse_word(args.word, cd, parser))
-        x = weyl_mod.canonicalize(cd, _parse_word(args.at, cd, parser))
+        w = _element(args.word, cd, parser)
+        x = _element(args.at, cd, parser)
         g = table.compute(w)
     sys.stdout.write(print_element(j_map(x, g), args.format) + "\n")
     return 0

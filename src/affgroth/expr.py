@@ -249,8 +249,7 @@ def print_element(f, mode="terms"):
         return "0"
     if mode == "terms":
         bits = []
-        for mu in f.support():
-            c = f.terms[mu]
+        for mu, c in f.sorted_terms():
             sym = None if mu.is_zero() else "e[%s]" % format_weight(mu)
             if c.den == (1,):
                 bits.extend(_scalar_bits(c, sym))
@@ -272,8 +271,8 @@ def _print_orbit(f):
     shared coefficient into E-terms."""
     cd = f.cd
     buckets = {}  # den tuple -> list of (mu, CoefQ)
-    for mu in f.support():
-        buckets.setdefault(f.terms[mu].den, []).append((mu, f.terms[mu]))
+    for mu, c in f.sorted_terms():
+        buckets.setdefault(c.den, []).append((mu, c))
     pieces = []
     for den in sorted(buckets, key=lambda d: (len(d), d)):
         terms = buckets[den]

@@ -167,12 +167,13 @@ class GrothTable:
         if probe_length is None:
             probe_length = w.length + 1
         g = self.compute(w)
+        downs = {i: self.compute(weyl_mod.mul_gen(w, i))
+                 for i in weyl_mod.right_descents(w)}
+        g_inv = (self.compute(weyl_mod.inverse(w)) if "psi" in checks
+                 else None)
         full = set(self.ALL_CHECKS) <= set(checks)
         if full:
-            read = (probe_length, g,
-                    {i: self.compute(weyl_mod.mul_gen(w, i))
-                     for i in weyl_mod.right_descents(w)},
-                    self.compute(weyl_mod.inverse(w)))
+            read = (probe_length, g, downs, g_inv)
             if self._passes_by_transport(w, read):
                 self._passed[w] = read
                 self.verified.add(w)
@@ -183,11 +184,8 @@ class GrothTable:
             fails.append("window: support leaves (-%d, 0]" % cd.dual_coxeter)
 
         if "demazure" in checks:
-            descents = set(weyl_mod.right_descents(w))
             for i in cd.labels:
-                expect = (self.compute(weyl_mod.mul_gen(w, i))
-                          if i in descents else g)
-                if demazure(i, g) != expect:
+                if demazure(i, g) != downs.get(i, g):
                     fails.append("demazure: D_%d disagrees" % i)
 
         if "localization" in checks:
@@ -202,7 +200,7 @@ class GrothTable:
                 fails.append("localization: j_x nonzero at word %s"
                              % (x.word,))
 
-        if "psi" in checks and psi(g) != self.compute(weyl_mod.inverse(w)):
+        if "psi" in checks and psi(g) != g_inv:
             fails.append("bar involution: psi(G_w) != G_{w^-1}")
 
         if "ring" in checks:
@@ -361,14 +359,13 @@ def _pairs(pairs):
 
 def _terms(g):
     """The "terms" list of g's entry laid out at depth 3: to_json(g) in
-    json.dumps' layout, one _TERM per (Weight, CoefQ) term in to_json's
-    order."""
+    json.dumps' layout, one _TERM per (Weight, CoefQ) term of
+    g.sorted_terms()."""
     return _list([_TERM % (
         _pairs([(i, x) for i, x in enumerate(c.den) if x]),
         _pairs([(c.shift + i, x) for i, x in enumerate(c.num) if x]),
         _COORD_SEP.join(map(str, mu.l)), _COORD_SEP.join(map(str, mu.m)))
-        for mu, c in sorted(g.terms.items(),
-                            key=lambda t: g.cd_term_key(t[0]))], 3)
+        for mu, c in g.sorted_terms()], 3)
 
 
 def grothendieck(cd, word):

@@ -77,12 +77,12 @@ class KElement:
     def coeff(self, mu):
         return self.terms.get(mu, ZERO)
 
-    def support(self):
-        return sorted(self.terms, key=self.cd_term_key)
-
-    def cd_term_key(self, mu):
-        # highest level first: constant term leads, deeper keys follow
-        return (-self.cd.level(mu), mu.l, mu.m)
+    def sorted_terms(self):
+        """The (key, coefficient) pairs in print and save order: highest
+        level first, so the constant term leads, then by key."""
+        level = self.cd.level
+        return sorted(self.terms.items(),
+                      key=lambda t: (-level(t[0]), t[0].l, t[0].m))
 
     def inverse_monomial(self):
         """Inverse of a single-term element; raises for anything else."""
@@ -102,8 +102,7 @@ class KElement:
     def __repr__(self):
         if not self.terms:
             return "K<0>"
-        bits = ["(%r)e[%s]" % (c, mu) for mu, c in
-                sorted(self.terms.items(), key=lambda t: self.cd_term_key(t[0]))]
+        bits = ["(%r)e[%s]" % (c, mu) for mu, c in self.sorted_terms()]
         return "K<" + " + ".join(bits) + ">"
 
 
@@ -403,7 +402,7 @@ def classical_antidominant(cd, mu):
 def to_json(f):
     return [{"weight": weight_to_json(mu),
              "num_coeffs": c.num_pairs(), "den_coeffs": c.den_pairs()}
-            for mu, c in sorted(f.terms.items(), key=lambda t: f.cd_term_key(t[0]))]
+            for mu, c in f.sorted_terms()]
 
 
 def from_json(cd, data):

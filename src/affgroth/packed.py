@@ -1,12 +1,27 @@
-"""Series on packed integer keys: the arithmetic under characters.py.
+"""Series on packed integer keys: the arithmetic under characters.py,
+whose module docstring says which series are built and how.
 
-A key is a weight's alpha-coordinates m packed into one int,
+The product runs on packed integer keys (Kronecker substitution).  A key's
+alpha-coordinates m become one int,
 m_0 + m_1 S + ... + m_{r-2} S^{r-2} + h S^{r-1}, with h = sum(m) its height
-as the top digit; characters.py's module docstring gives the layout, the
-grouping by Lambda-part and the bound on the base S.  A Packing holds, per
-Cartan datum and at one base, the inverse Weyl-Kac denominator and the
-alternating Weyl orbits; packing(cd, M) hands out one whose base fits keys
-with coordinates of size <= M.
+as the top digit (m_{r-1} is h minus the others).  Adding keys is adding
+ints, ordering them orders their heights, and a height cut of a list sorted
+by depth is a prefix.  Lambda-parts are not packed: a numerator is a dict
+{Lambda-part: {key: coeff}}, each group is multiplied on its own, and the
+inverse denominator lies in Q.  Keys decode with balanced digits in
+(-S/2, S/2], a negative coordinate borrowing one from the digit above; the
+top digit is unbounded.  This is exact while every lower coordinate of every
+key, product keys included, has size at most S/2 - 1: factors whose
+coordinates have size <= M give products within 2M, so the base is
+S = 4M + 8.
+
+One Packing per Cartan datum holds, at one base, the inverse denominator
+(1 divided by (1 - e^{-beta}) once per unit of the multiplicity of each
+positive root beta, to the deepest depth asked for) and the alternating
+orbit of every regular dominant weight (to the deepest margin asked for),
+each sorted by depth so that a shallower one is a prefix; packing(cd, M)
+hands out one whose base fits keys with coordinates of size <= M, and a
+call that needs a larger base starts a fresh Packing.
 """
 
 from bisect import bisect_right

@@ -148,16 +148,16 @@ def inversion_set(w):
 
 def bruhat_leq(x, w):
     """x <= w in Bruhat order, by the descent recursion: with s = s_i for
-    the last letter i of w's word, a right descent of w, x <= w iff
-    min(x, xs) <= ws.  Each step shortens w by one letter."""
-    while w.word:
-        if len(x.word) > len(w.word):
+    the last letter i of a reduced word of w, a right descent of w, x <= w
+    iff min(x, xs) <= ws.  A prefix of a reduced word is reduced, so w's
+    canonical word is walked from the right and only x is multiplied."""
+    word = w.word
+    for k in range(len(word), 0, -1):
+        if len(x.word) > k:
             return False
-        i = w.word[-1]
-        xsi = mul_gen(x, i)
+        xsi = mul_gen(x, word[k - 1])
         if len(xsi.word) < len(x.word):
             x = xsi
-        w = mul_gen(w, i)
     return not x.word
 
 

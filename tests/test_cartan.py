@@ -58,6 +58,31 @@ def test_c_family():
     assert cd3.orders[(0, 2)] == 2
 
 
+def test_built_in_matrices_pinned():
+    assert from_type("C3~").gcm == ((2, -1, 0, 0),
+                                    (-2, 2, -1, 0),
+                                    (0, -1, 2, -2),
+                                    (0, 0, -1, 2))
+    assert from_type("C4~").gcm == ((2, -1, 0, 0, 0),
+                                    (-2, 2, -1, 0, 0),
+                                    (0, -1, 2, -1, 0),
+                                    (0, 0, -1, 2, -2),
+                                    (0, 0, 0, -1, 2))
+    assert from_type("D5~").gcm == ((2, 0, -1, 0, 0, 0),
+                                    (0, 2, -1, 0, 0, 0),
+                                    (-1, -1, 2, -1, 0, 0),
+                                    (0, 0, -1, 2, -1, -1),
+                                    (0, 0, 0, -1, 2, 0),
+                                    (0, 0, 0, -1, 0, 2))
+    assert from_type("D6~").gcm == ((2, 0, -1, 0, 0, 0, 0),
+                                    (0, 2, -1, 0, 0, 0, 0),
+                                    (-1, -1, 2, -1, 0, 0, 0),
+                                    (0, 0, -1, 2, -1, 0, 0),
+                                    (0, 0, 0, -1, 2, -1, -1),
+                                    (0, 0, 0, 0, -1, 2, 0),
+                                    (0, 0, 0, 0, -1, 0, 2))
+
+
 def test_d4_tilde():
     cd = from_type("D4~")
     assert cd.rank == 5

@@ -103,7 +103,7 @@ def test_verify_checks_subset(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("checks", ["bogus", "window,bogus"])
+@pytest.mark.parametrize("checks", ["bogus", "window,bogus", ""])
 def test_verify_unknown_check_usage_error(tmp_path, capsys, checks):
     path = tmp_path / "a1.json"
     with pytest.raises(SystemExit) as ei:
@@ -112,7 +112,7 @@ def test_verify_unknown_check_usage_error(tmp_path, capsys, checks):
     assert ei.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "unknown check 'bogus'" in err
+    assert "unknown check %r" % checks.split(",")[-1] in err
     assert not path.exists()
 
 

@@ -89,6 +89,19 @@ def test_verify_partial_checks_not_recorded():
     assert w not in table.verified
 
 
+def test_verify_subset_reads_no_further_entries():
+    # G_{w^-1} is read only for the psi check: a window check of
+    # w = s_1 s_0 leaves the entries compute(w) made, s_0 s_1 not among them
+    cd = from_type("A2~")
+    w = weyl.canonicalize(cd, (1, 0))
+    made = GrothTable(cd)
+    made.compute(w)
+    table = GrothTable(cd)
+    assert table.verify(w, checks=("window",)) == []
+    assert set(table.entries) == set(made.entries)
+    assert weyl.inverse(w) not in table.entries
+
+
 @pytest.mark.parametrize("checks", [("localisation",), ("window", "Ring"),
                                     "window", "demazure,ring"],
                          ids=["unknown", "miscased", "bare-name", "comma-str"])

@@ -180,6 +180,24 @@ def test_results_carry_callers_datum():
                    for x in layer)
 
 
+def test_bruhat_leq_work_pinned(monkeypatch):
+    # only x is multiplied, one letter of w at a time: comparing s_1 with an
+    # element of length 600 builds a handful of elements, not one per prefix
+    cd = from_type("A1~")
+    x = weyl.canonicalize(cd, (1, 0) * 300)
+    s1 = weyl.canonicalize(cd, (1,))
+    calls = [0]
+    canonicalize = weyl.canonicalize
+
+    def counted(*args):
+        calls[0] += 1
+        return canonicalize(*args)
+
+    monkeypatch.setattr(weyl, "canonicalize", counted)
+    assert weyl.bruhat_leq(s1, x)
+    assert calls[0] <= 4
+
+
 def test_bruhat_leq_takes_no_frame_per_letter():
     # the descent recursion runs as a loop: under a recursion limit a
     # hundred frames above the caller, words of 300 letters still compare
