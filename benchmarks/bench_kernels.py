@@ -14,7 +14,10 @@ to length 12, each from fresh Cartan data in layer order and with CoefQ's
 gcd caches cleared, as in a new process, with how many entries above e were
 solved and how many were transported from an orbit-mate along a diagram
 automorphism, and the hits and misses of each gcd cache in one build.  Then
-GrothTable.save of those two tables, with the bytes written.  Then a full
+GrothTable.save of those two tables, with the bytes written, and
+GrothTable.load of each saved file with CoefQ's gcd caches cleared, as in a
+new process, with the file's terms and its distinct weights and
+coefficients: a load decodes each distinct value once.  Then a full
 verify of every A3~ element to length 3 on a table built to length 4, the
 way `affgroth verify` runs on a cache one length deeper, with how many
 elements ran the checks; the others pass by an orbit-mate's verdict.
@@ -22,6 +25,7 @@ elements ran the checks; the others pass by an orbit-mate's verdict.
 Usage: python3 benchmarks/bench_kernels.py
 """
 
+import json
 import os
 import random
 import sys
@@ -133,6 +137,21 @@ def gcd_cache_counts():
                      for name, cache in GCD_CACHES)
 
 
+def cold_load(path, cd):
+    for _, cache in GCD_CACHES:
+        cache.cache_clear()
+    return GrothTable.load(path, cd=cd)
+
+
+def distinct_values(path):
+    """(terms, distinct weights, distinct coefficients) of a saved table."""
+    with open(path) as fh:
+        terms = [t for ent in json.load(fh)["entries"] for t in ent["terms"]]
+    weights = {json.dumps(t["weight"], sort_keys=True) for t in terms}
+    coefs = {json.dumps([t["num_coeffs"], t["den_coeffs"]]) for t in terms}
+    return len(terms), len(weights), len(coefs)
+
+
 def verify_all(table, elems):
     """verify every element on a fresh table holding table's entries, so
     no pass of an earlier call stands in for the checks."""
@@ -217,6 +236,10 @@ def main():
             t = bench(table.save, [(path,)])
             print("%-14s %8.2f ms   save to length %d: %d bytes"
                   % (type_string, 1e3 * t, max_length, os.path.getsize(path)))
+            t = bench(cold_load, [(path, table.cd)])
+            print("%-14s %8.2f ms   load: %d terms, %d distinct weights, "
+                  "%d distinct coefficients"
+                  % (type_string, 1e3 * t, *distinct_values(path)))
     table = table_build("A3~", 4)
     elems = [w for layer in weyl.enumerate_up_to(table.cd, 3) for w in layer]
     t = bench(verify_all, [(table, elems)])

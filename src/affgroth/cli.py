@@ -43,7 +43,8 @@ def _cartan_of(args, parser):
     if args.gcm:
         try:
             rows = json.loads(args.gcm)
-        except json.JSONDecodeError as ex:
+        except (json.JSONDecodeError, RecursionError) as ex:
+            # RecursionError: lists nested too deep for json, never a GCM
             parser.error("--gcm is not valid JSON: %s" % ex)
         return build_cartan(rows)
     if not args.type:

@@ -247,7 +247,9 @@ class GrothTable:
         order.  Each entry has the one shape _ENTRY and _TERM lay out, with
         the term values of kring.to_json laid out straight from each (Weight,
         CoefQ) term by _terms; entries are laid out and written one at a
-        time, and no object tree is built for them.  The cartan
+        time, and no object tree is built for them.  The text of each
+        distinct weight and each distinct denominator is laid out once per
+        save and reused by every term that has it.  The cartan
         head is json.dumps'd and moved one level in: JSON escapes newlines
         inside strings, so every newline there belongs to the layout.  The
         bytes go to a temporary file in the same directory that then
@@ -262,9 +264,11 @@ class GrothTable:
                 fh.write('{\n "cartan": ' + head.replace("\n", "\n ")
                          + ',\n "entries": [')
                 sep = "\n  "
+                weights, dens = {}, {}  # shared by every entry: see _terms
                 for w, g in entries:
                     fh.write(sep + _ENTRY % (
-                        _terms(g), "true" if w in self.verified else "false",
+                        _terms(g, weights, dens),
+                        "true" if w in self.verified else "false",
                         _list(w.word, 3)))
                     sep = ",\n  "
                 fh.write(("\n ]" if entries else "]") + ',\n "format": 1\n}\n')
@@ -282,7 +286,10 @@ class GrothTable:
         """Table from the JSON form written by save; CacheMismatch when the
         object does not have that form ("format" is the int 1, word letters
         are ints and each entry's "verified" is a JSON bool; JSON true is
-        not an int) or was built for other data."""
+        not an int) or was built for other data.  The entries share one
+        weight memo and one coefficient memo (kring.from_json), so each
+        distinct weight and coefficient of the file is checked and decoded
+        once, and equal terms share one Weight and one CoefQ."""
         try:
             if (not isinstance(obj, dict) or type(obj.get("format")) is not int
                     or obj["format"] != 1):
@@ -292,6 +299,7 @@ class GrothTable:
                 raise CacheMismatch("cache was built for different Cartan "
                                     "data")
             table = cls(cd if cd is not None else file_cd)
+            weights, coefs = {}, {}  # shared by every entry: see from_json
             for ent in obj["entries"]:
                 word = tuple(ent["word"])
                 if any(type(i) is not int for i in word):
@@ -301,7 +309,8 @@ class GrothTable:
                 if w in table.entries:
                     raise ValueError("two entries for the element %s"
                                      % list(w.word))
-                table.entries[w] = from_json(table.cd, ent["terms"])
+                table.entries[w] = from_json(table.cd, ent["terms"],
+                                             weights, coefs)
                 verified = ent["verified"]
                 if type(verified) is not bool:
                     raise ValueError("verified must be true or false, not %r"
@@ -318,7 +327,9 @@ class GrothTable:
         try:
             with open(path) as fh:
                 obj = json.load(fh)
-        except (OSError, ValueError) as ex:
+        except (OSError, ValueError, RecursionError) as ex:
+            # RecursionError: json gives up on lists or objects nested too
+            # deep, which no cache has
             raise CacheMismatch("cannot read cache %s: %s" % (path, ex)) from ex
         return cls.from_json_obj(obj, cd=cd)
 
@@ -333,12 +344,14 @@ def _list(items, depth):
             + "\n" + " " * depth + "]")
 
 
-# json.dumps' layout of one to_json term at depth 4 and one entry at depth
-# 2, keys in sorted order.  A term's weight coordinates are joined by
-# _COORD_SEP into its two lists, which are never empty: the rank is >= 2
+# json.dumps' layout of one to_json term at depth 4, of its weight at depth
+# 5 and of one entry at depth 2, keys in sorted order.  A weight's
+# coordinates are joined by _COORD_SEP into its two lists, which are never
+# empty: the rank is >= 2
 _TERM = ('{\n     "den_coeffs": %s,\n     "num_coeffs": %s,'
-         '\n     "weight": {\n      "l": [\n       %s\n      ],'
-         '\n      "m": [\n       %s\n      ]\n     }\n    }')
+         '\n     "weight": %s\n    }')
+_WEIGHT = ('{\n      "l": [\n       %s\n      ],'
+           '\n      "m": [\n       %s\n      ]\n     }')
 _COORD_SEP = ",\n       "
 _ENTRY = '{\n   "terms": %s,\n   "verified": %s,\n   "word": %s\n  }'
 # a nonempty list of [exponent, coefficient] pairs at depth 5 is the pairs
@@ -357,15 +370,27 @@ def _pairs(pairs):
             + _PAIRS_CLOSE)
 
 
-def _terms(g):
+def _terms(g, weights, dens):
     """The "terms" list of g's entry laid out at depth 3: to_json(g) in
     json.dumps' layout, one _TERM per (Weight, CoefQ) term of
-    g.sorted_terms()."""
-    return _list([_TERM % (
-        _pairs([(i, x) for i, x in enumerate(c.den) if x]),
-        _pairs([(c.shift + i, x) for i, x in enumerate(c.num) if x]),
-        _COORD_SEP.join(map(str, mu.l)), _COORD_SEP.join(map(str, mu.m)))
-        for mu, c in g.sorted_terms()], 3)
+    g.sorted_terms().  weights (Weight -> text) and dens (denominator tuple
+    -> text) are memos that the entries of one save share, so each distinct
+    weight and denominator is laid out once.  Numerators are laid out per
+    term: about half of a deep table's coefficients are distinct, and a memo
+    of them would hold more text than it saves."""
+    out = []
+    for mu, c in g.sorted_terms():
+        w = weights.get(mu)
+        if w is None:
+            w = weights[mu] = _WEIGHT % (_COORD_SEP.join(map(str, mu.l)),
+                                         _COORD_SEP.join(map(str, mu.m)))
+        d = dens.get(c.den)
+        if d is None:
+            d = dens[c.den] = _pairs([(i, x) for i, x in enumerate(c.den)
+                                      if x])
+        out.append(_TERM % (
+            d, _pairs([(c.shift + i, x) for i, x in enumerate(c.num) if x]), w))
+    return _list(out, 3)
 
 
 def grothendieck(cd, word):

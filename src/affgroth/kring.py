@@ -17,12 +17,13 @@ integers.
 """
 
 import operator
+from itertools import chain
 from math import prod
 
 from .coefq import CoefQ, ONE, ZERO, shifted_sum
 from .errors import NonQInput
 from .qpoly import peval
-from .weights import Weight, weight_from_json, weight_to_json
+from .weights import _INT, Weight, weight_coords_from_json, weight_to_json
 from . import weyl as weyl_mod
 
 
@@ -405,17 +406,45 @@ def to_json(f):
             for mu, c in f.sorted_terms()]
 
 
-def from_json(cd, data):
+def from_json(cd, data, weights=None, coefs=None):
     """Element from the form written by to_json.  ValueError unless every
-    weight has the JSON form of weight_from_json at cd.rank with m[node0] = 0,
-    as delta-normalized keys have, and no weight repeats."""
+    weight has the JSON form of weight_coords_from_json at cd.rank with
+    m[node0] = 0, as delta-normalized keys have, and no weight repeats.
+
+    weights and coefs are memos that the entries of one load share, so each
+    distinct value is decoded once and equal terms share one Weight and one
+    CoefQ: weights maps checked coordinate tuples (l, m) to Weight, coefs
+    maps (num_pairs, den_pairs) as tuples of tuples to the CoefQ from_pairs
+    made of them.  A coefs hit counts only when every item of the key is
+    exactly an int: (0, True) == (0, 1) with the same hash, so a bool or a
+    float could match a key an int made, and from_pairs refuses it instead.
+    """
+    if weights is None:
+        weights = {}
+    if coefs is None:
+        coefs = {}
+    rank, node0 = cd.rank, cd.node0
     out = {}
     for t in data:
-        mu = weight_from_json(t["weight"], cd.rank)
-        if mu.m[cd.node0]:
-            raise ValueError("weight has a delta part: m[%d] = %d"
-                             % (cd.node0, mu.m[cd.node0]))
-        out[mu] = CoefQ.from_pairs(t["num_coeffs"], t["den_coeffs"])
+        coords = weight_coords_from_json(t["weight"], rank)
+        mu = weights.get(coords)
+        if mu is None:
+            if coords[1][node0]:
+                raise ValueError("weight has a delta part: m[%d] = %d"
+                                 % (node0, coords[1][node0]))
+            mu = weights[coords] = Weight(*coords)
+        num_pairs, den_pairs = t["num_coeffs"], t["den_coeffs"]
+        try:
+            key = tuple(map(tuple, num_pairs)), tuple(map(tuple, den_pairs))
+            c = coefs.get(key)
+        except TypeError:  # not lists of pairs: from_pairs gives the error
+            key = c = None
+        if c is None or not _INT.issuperset(
+                map(type, chain(*key[0], *key[1]))):
+            c = CoefQ.from_pairs(num_pairs, den_pairs)
+            if key is not None:
+                coefs[key] = c
+        out[mu] = c
     if len(out) != len(data):
         raise ValueError("a weight repeats within one entry")
     return KElement(cd, {mu: c for mu, c in out.items() if not c.is_zero()})

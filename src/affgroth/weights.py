@@ -159,14 +159,20 @@ def weight_to_json(w):
 _INT = {int}  # the one type a JSON coordinate may have; bool is refused
 
 
-def weight_from_json(obj, rank):
-    """Weight from the JSON form {"l": [...], "m": [...]}.  ValueError unless
-    obj is a dict whose l and m are lists of rank ints (bools and floats are
-    refused)."""
+def weight_coords_from_json(obj, rank):
+    """The coordinate tuples (l, m) of the JSON form {"l": [...], "m":
+    [...]}.  ValueError unless obj is a dict whose l and m are lists of rank
+    ints (bools and floats are refused), so the pair is safe to use as a key:
+    no bool or float in it can equal an int."""
     l = m = None
     if type(obj) is dict:
         l, m = obj.get("l"), obj.get("m")
     if not (type(l) is type(m) is list and len(l) == len(m) == rank
             and _INT.issuperset(map(type, l + m))):
         raise ValueError("weight coordinates must be lists of %d ints" % rank)
-    return Weight(l, m)
+    return tuple(l), tuple(m)
+
+
+def weight_from_json(obj, rank):
+    """Weight from the JSON form, checked as by weight_coords_from_json."""
+    return Weight(*weight_coords_from_json(obj, rank))

@@ -358,6 +358,20 @@ GOLDEN = [
 ]
 
 
+def count_calls(monkeypatch, obj, name):
+    """Wrap obj.name (a module function or a class's static method) so that
+    the returned list's one item counts calls."""
+    calls = [0]
+    fn = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
 def golden_text(name):
     with open(os.path.join(GOLDEN_DIR, name + ".txt")) as fh:
         return fh.read()

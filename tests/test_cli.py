@@ -466,6 +466,82 @@ def test_gcm_non_integer_entry_is_error(capsys, gcm):
     assert err == "error: matrix entries must be integers\n"
 
 
+def _last_term(obj):
+    """The last term of the last entry, which a load decodes after G_e = 1
+    and every other entry."""
+    return obj["entries"][-1]["terms"][-1]
+
+
+def _coefficient_as(num, den):
+    def edit(obj):
+        _last_term(obj).update(num_coeffs=num, den_coeffs=den)
+    return edit
+
+
+def _weight_coordinate_true(obj):
+    # the first saved weight with a coordinate 1, that coordinate made true:
+    # equal to and hashed as the weight decoded in an earlier entry
+    for ent in obj["entries"][:-1]:
+        for t in ent["terms"]:
+            for part in ("l", "m"):
+                coords = t["weight"][part]
+                if 1 in coords:
+                    weight = json.loads(json.dumps(t["weight"]))
+                    weight[part][coords.index(1)] = True
+                    _last_term(obj)["weight"] = weight
+                    return
+    raise AssertionError("no weight coordinate 1 in the cache")
+
+
+@pytest.mark.parametrize("edit", [
+    _coefficient_as([[0, True]], [[0, 1]]),
+    _coefficient_as([[0, 1]], [[0, True]]),
+    _coefficient_as([[False, 1]], [[0, 1]]),
+    _coefficient_as([[0, 1.0]], [[0, 1]]),
+    _weight_coordinate_true,
+], ids=["num-true", "den-true", "exponent-false", "num-float",
+        "weight-true"])
+def test_cache_bool_after_int_is_error(tmp_path, capsys, edit):
+    # the load decodes each distinct weight and coefficient once and keys
+    # them on their values; (0, True) == (0, 1) with the same hash, so the
+    # edited last term equals a value decoded earlier in the same load
+    path = tmp_path / "a1.json"
+    assert run(capsys, "table", "--type", "A1~", "--max-length", "2",
+               "--cache", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: malformed cache") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cache_nested_too_deep_is_error(tmp_path, capsys):
+    # json's decoder raises RecursionError, not ValueError, on lists nested
+    # deeper than the interpreter's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: cannot read cache") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert path.read_text() == "[" * 100000
+
+
+def test_gcm_nested_too_deep_usage_error(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["cartan", "--gcm", "[" * 3000 + "]" * 3000])
+    assert ei.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--gcm is not valid JSON" in err and "Traceback" not in err
+
+
 def test_cache_failed_save_keeps_old_file(tmp_path, monkeypatch):
     cd = from_type("A1~")
     table = GrothTable(cd)
@@ -479,11 +555,11 @@ def test_cache_failed_save_keeps_old_file(tmp_path, monkeypatch):
     calls = []
     terms = groth._terms
 
-    def broken(g):
+    def broken(g, *args):
         calls.append(g)
         if len(calls) == 2:
             raise RuntimeError("interrupted")
-        return terms(g)
+        return terms(g, *args)
 
     monkeypatch.setattr(groth, "_terms", broken)
     with pytest.raises(RuntimeError):

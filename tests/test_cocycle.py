@@ -202,25 +202,12 @@ def test_solver_fills_missing_labels():
     assert B == monomial(cd, lam)
 
 
-def _count_calls(monkeypatch, module, name):
-    """Wrap module.name so that the returned list's one item counts calls."""
-    calls = [0]
-    fn = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_solve_work_pinned(monkeypatch):
     # a solver that loses equations can still verify by growing the support
     # and re-solving, so only the amount of work shows it: solving every
     # element of C2~ to length 5 (the recursion without transport) takes 42
     # support rounds
-    rounds = _count_calls(monkeypatch, cocycle, "_solve_on_support")
+    rounds = oracles.count_calls(monkeypatch, cocycle, "_solve_on_support")
     cd = from_type("C2~")
     memo = {}
     for layer in weyl.enumerate_up_to(cd, 5):
@@ -233,8 +220,8 @@ def test_table_solve_work_pinned(monkeypatch):
     # GrothTable solves one element per orbit of the diagram flip of C2~
     # and transports its mate: 23 solves in 24 rounds for the 40 elements
     # of length 1 to 5 (the recursion without transport: 40 solves in 42)
-    solves = _count_calls(monkeypatch, groth, "solve_coboundary")
-    rounds = _count_calls(monkeypatch, cocycle, "_solve_on_support")
+    solves = oracles.count_calls(monkeypatch, groth, "solve_coboundary")
+    rounds = oracles.count_calls(monkeypatch, cocycle, "_solve_on_support")
     cd = from_type("C2~")
     table = GrothTable(cd)
     for layer in weyl.enumerate_up_to(cd, 5):

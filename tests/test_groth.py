@@ -283,6 +283,35 @@ def test_gcd_work_pinned():
     assert misses == [748, 330]
 
 
+def test_load_decodes_each_distinct_value_once(tmp_path, monkeypatch):
+    # one load decodes each distinct (num_coeffs, den_coeffs) once, and
+    # equal weights share one Weight: a saved A3~ <= 4 table repeats a few
+    # hundred weights and a few dozen coefficients over 2,895 terms
+    table, _ = oracles.layer_table(from_type("A3~"), 4)
+    path = tmp_path / "a3.json"
+    table.save(str(path))
+    terms = [t for ent in json.loads(path.read_text())["entries"]
+             for t in ent["terms"]]
+    coefs = {json.dumps([t["num_coeffs"], t["den_coeffs"]]) for t in terms}
+    weights = {json.dumps(t["weight"], sort_keys=True) for t in terms}
+    decodes = oracles.count_calls(monkeypatch, CoefQ, "from_pairs")
+    loaded = GrothTable.load(str(path), cd=table.cd)
+    assert loaded.entries == table.entries
+    assert decodes[0] == len(coefs) < len(terms)
+    held = {id(mu) for g in loaded.entries.values() for mu in g.terms}
+    assert len(held) <= len(weights) < len(terms)
+
+
+def test_save_lays_out_each_denominator_once(tmp_path, monkeypatch):
+    # _pairs lays out one pair list: each term's numerator, and each
+    # distinct denominator once per save
+    table, _ = oracles.layer_table(from_type("A3~"), 4)
+    coefs = [c for g in table.entries.values() for c in g.terms.values()]
+    layouts = oracles.count_calls(monkeypatch, groth_mod, "_pairs")
+    table.save(str(tmp_path / "a3.json"))
+    assert layouts[0] == len(coefs) + len({c.den for c in coefs})
+
+
 def test_verify_transport_needs_same_probe_length(monkeypatch):
     # a pass stands in for an orbit-mate only at the probe_length it ran
     # with, another probe list being another set of checks; each element

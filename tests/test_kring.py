@@ -1,5 +1,7 @@
 """Group ring operators: twisted action, Demazure, localization, bar, eta."""
 
+import json
+
 import pytest
 
 from affgroth.cartan import build_cartan, from_type
@@ -209,6 +211,33 @@ def test_json_round_trip():
         f = oracles.random_element(cd, rng)
         assert from_json(cd, to_json(f)) == f
     assert from_json(cd, to_json(k_zero(cd))).is_zero()
+
+
+@pytest.mark.parametrize("part,value", [
+    ("num_coeffs", [[0, True]]), ("den_coeffs", [[0, True]]),
+    ("den_coeffs", [[False, 1]]), ("num_coeffs", [[0, 1.0]]),
+    ("l", True), ("m", True)])
+def test_from_json_memos_refuse_bool_after_int(part, value):
+    # memos shared by two calls, as one cache load shares them between its
+    # entries: the second term equals the first as a key, (0, True) ==
+    # (0, 1) with the same hash, and is still refused
+    cd = from_type("A1~")
+    f = monomial(cd, cd.Lam(1) + cd.alpha(1))  # both coordinates 1 at node 1
+    good = to_json(f)
+    assert good[0]["num_coeffs"] == good[0]["den_coeffs"] == [[0, 1]]
+    weights, coefs = {}, {}
+    assert from_json(cd, good, weights, coefs) == f
+    bad = json.loads(json.dumps(good))
+    if part in ("l", "m"):
+        bad[0]["weight"][part][1] = value
+    else:
+        bad[0][part] = value
+    with pytest.raises(ValueError):
+        from_json(cd, bad, weights, coefs)
+    # the good term decoded again is the one value each memo holds
+    (mu, c), = from_json(cd, good, weights, coefs).terms.items()
+    assert len(weights) == 1 and mu is weights[mu.l, mu.m]
+    assert len(coefs) == 1 and c is coefs[((0, 1),), ((0, 1),)]
 
 
 def _by_reflections(cd, x, mu):
