@@ -6,7 +6,8 @@ A2~ and every x of length <= 5 with w not <= x: one kring.nonvanishing_probes
 call (one evaluation point per entry, one Weyl letter per probe) and the
 canonical j_map(x, g).is_zero() per probe.  Then the character product on
 packed keys: denominator_inverse built cold (no packing kept from an earlier
-call) for A2~ to depth 10 and C2~ to depth 12, and one over_denominator
+call; the inverse of the alternating orbit of rho, orbit included) for A2~
+to depths 10 and 20 and C2~ to depths 12 and 20, and one over_denominator
 call, the Weyl-Kac numerator of L0 + L2 on C2~ (its alternating orbit from
 packed.Packing.orbit) over the inverse denominator to depth 12, already
 built.  Last the table builds A3~ to length 4 and A1~
@@ -210,7 +211,8 @@ def main():
         t = bench(fn, [(g, xs)])
         print("%-14s %8.2f ms   %d probes of %d terms"
               % (name, 1e3 * t, len(xs), len(g)))
-    for type_string, depth in (("A2~", 10), ("C2~", 12)):
+    for type_string, depth in (("A2~", 10), ("C2~", 12), ("A2~", 20),
+                               ("C2~", 20)):
         t = bench(cold_denominator_inverse, [(from_type(type_string), depth)])
         print("%-14s %8.2f ms   denominator_inverse to depth %d, cold"
               % (type_string, 1e3 * t, depth))

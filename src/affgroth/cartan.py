@@ -290,9 +290,8 @@ def build_cartan(gcm, type_string=None):
     """Validate an integer matrix as an affine GCM and derive all data.
 
     Raises BadShape / NotSymmetrizable / NotAffine; BadShape for a matrix
-    of size above MAX_TYPE_N + 1, before any elimination.  Non-untwisted
-    (twisted) affine data is accepted but flagged: cd.untwisted is False
-    and the character machinery refuses it.
+    of size above MAX_TYPE_N + 1, before any elimination.  Twisted affine
+    data is accepted and flagged: cd.untwisted is False.
     """
     try:
         gcm = tuple(tuple(row) for row in gcm)

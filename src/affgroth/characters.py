@@ -22,15 +22,17 @@ come in, the TruncatedSeries that weyl_kac_character, euler_character and
 local_cohomology_character return, and the fresh dict of
 denominator_inverse.
 
-Root multiplicities are hardwired for untwisted data (real 1, imaginary
-rank-1); twisted data is refused rather than guessed.
+The denominator is never formed from roots: by the denominator identity it
+is the alternating orbit sum_w (-1)^len(w) e^{w rho - rho}, built like any
+numerator orbit, and packed.py inverts it one depth at a time.  No root
+multiplicity enters, so every affine datum the code accepts, twisted or
+not, has its characters.
 """
 
 from bisect import bisect_right
 
 from . import weyl as weyl_mod
-from .errors import (NonQInput, NotDominant, NotNonNegativeLevel,
-                     WindowViolation)
+from .errors import NotDominant, NotNonNegativeLevel, WindowViolation
 from .kring import j_map, k_one
 from .packed import divide, over_denominator, packing
 from .weights import Weight, weight_to_json
@@ -91,8 +93,9 @@ def denominator_inverse(cd, N):
     """prod_{alpha > 0} (1 - e^{-alpha})^{-mult(alpha)} to depth N, as a dict
     on -Q_+ with integer coefficients; empty for N < 0.
 
-    The series is 1 divided by (1 - e^{-beta}) mult(beta) times per positive
-    root beta, on packed keys.  One series per Cartan datum is kept, at the
+    The series is the inverse of the alternating orbit of rho, which the
+    denominator identity makes equal to the product, solved one depth at a
+    time on packed keys.  One series per Cartan datum is kept, at the
     deepest cutoff asked for so far; a shallower cutoff is a prefix of it,
     which is exact because depth adds under products.  Every call returns a
     fresh dict.
@@ -151,11 +154,7 @@ def _euler_series(cd, g, mu, N):
         if not all(cd.pairing(i, vd) for i in cd.labels):
             continue  # a nontrivial stabilizer
         sign = -1 if len(word) % 2 else 1
-        offset0 = mu + lam - (vd - rho)
-        if any(offset0.l):
-            raise NonQInput("offset %s to the dominant twist is not in the "
-                            "root lattice" % (offset0,))
-        s0 = sum(offset0.m)
+        s0 = sum((mu + lam - (vd - rho)).m)  # reflections change only m
         for n, cn in c.expand_down(-((N - s0) // h)):
             margin = N - s0 + n * h  # never negative
             at = vd - rho + n * delta - lam

@@ -63,10 +63,6 @@ class NotNonNegativeLevel(AffGrothError):
     """Weight has negative level where a non-negative one is required."""
 
 
-class NotUntwisted(AffGrothError):
-    """Character machinery only knows root multiplicities of untwisted types."""
-
-
 class CacheMismatch(AffGrothError):
     """Cache file is unreadable, unwritable, malformed, or was produced for
     different Cartan data."""

@@ -247,12 +247,6 @@ def _demazure_terms(cd, i, f):
                 yield l, head + (mi + k,) + tail, c
 
 
-def demazure_word(word, f):
-    for i in word:
-        f = demazure(i, f)
-    return f
-
-
 def j_map(w, f):
     """Localization at w: e^{lambda + alpha} -> e^{w(lambda + alpha) - lambda}
     (lambda the Lambda-part); lands in exp(Q) with q-powers from delta."""

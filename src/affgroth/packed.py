@@ -16,57 +16,23 @@ coordinates have size <= M give products within 2M, so the base is
 S = 4M + 8.
 
 One Packing per Cartan datum holds, at one base, the inverse denominator
-(1 divided by (1 - e^{-beta}) once per unit of the multiplicity of each
-positive root beta, to the deepest depth asked for) and the alternating
-orbit of every regular dominant weight (to the deepest margin asked for),
-each sorted by depth so that a shallower one is a prefix; packing(cd, M)
-hands out one whose base fits keys with coordinates of size <= M, and a
-call that needs a larger base starts a fresh Packing.
+(to the deepest depth asked for) and the alternating orbit of every regular
+dominant weight (to the deepest margin asked for), each sorted by depth so
+that a shallower one is a prefix.  The denominator is itself an orbit: by
+the denominator identity, which holds for every symmetrizable Kac-Moody
+algebra (Kac, Infinite-dimensional Lie algebras, 10.4),
+prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha} = sum_w (-1)^len(w)
+e^{w rho - rho}, so its inverse is solved from the orbit of rho one depth
+at a time and needs neither the positive roots nor their multiplicities,
+on twisted and untwisted data alike.  packing(cd, M) hands out one whose
+base fits keys with coordinates of size <= M, and a call that needs a
+larger base starts a fresh Packing.
 """
 
 from bisect import bisect_right
 from itertools import islice
 
-from .errors import NotUntwisted
 from .weights import Weight
-
-
-def positive_roots_with_mult(cd, N):
-    """Positive roots of depth <= N as (Weight in Q, multiplicity) pairs.
-
-    Real roots by reflection closure upward from the simple roots (any
-    positive real root descends to a simple one through positives of smaller
-    height, so the closure finds everything under the cutoff); imaginary
-    roots are the multiples of delta with multiplicity rank - 1.
-    """
-    if not cd.untwisted:
-        raise NotUntwisted("root multiplicities implemented for untwisted "
-                           "types only, got %r" % (cd.type_string,))
-    seen = set()
-    frontier = []
-    for i in cd.labels:
-        a = cd.alpha(i)
-        if sum(a.m) <= N:
-            seen.add(a)
-            frontier.append(a)
-    while frontier:
-        new = []
-        for b in frontier:
-            for i in cd.labels:
-                c = cd.reflect(i, b)
-                if (c not in seen and all(x >= 0 for x in c.m)
-                        and sum(c.m) <= N):
-                    seen.add(c)
-                    new.append(c)
-        frontier = new
-    out = [(b, 1) for b in seen]
-    h = sum(cd.marks)  # depth of delta
-    n = 1
-    while n * h <= N:
-        out.append((n * cd.delta(), cd.rank - 1))
-        n += 1
-    out.sort(key=lambda t: (sum(t[0].m), t[0].m))
-    return out
 
 
 def mul_trunc(A, B, floor, T):
@@ -146,31 +112,31 @@ class Packing:
         return self.dinv
 
     def _build_denominator_inverse(self, N):
-        """Divide 1 by (1 - e^{-beta}) mult times per positive root beta, to
-        depth N.  Y = X / (1 - e^{-beta}) is Y = X + e^{-beta} Y: down a
-        beta-string from its highest key in X, Y is the running sum of X.
-        X's keys go highest first, so a key already in Y lies on a string
-        walked from a higher key."""
-        T = self.T
-        half = T // 2
-        X = {0: 1}
-        for beta, mult in positive_roots_with_mult(self.cd, N):
-            step, kb = sum(beta.m), self.pack(beta.m)
-            for _ in range(mult):
-                Y = {}
-                get = X.get
-                for key in sorted(X, reverse=True):
-                    if key in Y:
-                        continue
-                    run, depth = 0, -((key + half) // T)
-                    while depth <= N:
-                        run += get(key, 0)
-                        Y[key] = run
-                        key -= kb
-                        depth += step
-                X = Y
-        keys = sorted(X, reverse=True)  # height descending: depth ascending
-        return keys, [X[k] for k in keys], [-self.height(k) for k in keys]
+        """Solve D * Y = 1 to depth N, where D = sum_w (-1)^len(w)
+        e^{w rho - rho} is the alternating orbit of rho: by the denominator
+        identity it is prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha}, so no
+        root or multiplicity is needed.  D has constant term 1, so Y is
+        found one depth at a time: once every shallower key has pushed
+        -(D - 1) * Y[key] into the deeper layers, the keys of a depth are
+        final."""
+        orbit = zip(*self.orbit(self.cd.rho(), N))
+        next(orbit)  # the constant term 1
+        steps = [(k, s, -self.height(k)) for k, s in orbit]
+        layers = [{} for _ in range(N + 1)]
+        layers[0][0] = 1
+        keys, coeffs, depths = [], [], []
+        for d, layer in enumerate(layers):
+            for key in sorted(layer, reverse=True):
+                c = layer[key]  # a partition count: never 0 on -Q_+
+                keys.append(key)
+                coeffs.append(c)
+                depths.append(d)
+                for k, s, dk in steps:  # sorted by depth
+                    if d + dk > N:
+                        break
+                    deeper = layers[d + dk]
+                    deeper[key + k] = deeper.get(key + k, 0) - s * c
+        return keys, coeffs, depths
 
     def orbit(self, lamr, margin):
         """(keys, signs) of the orbit of lamr to depth margin."""

@@ -171,8 +171,3 @@ def weight_coords_from_json(obj, rank):
             and _INT.issuperset(map(type, l + m))):
         raise ValueError("weight coordinates must be lists of %d ints" % rank)
     return tuple(l), tuple(m)
-
-
-def weight_from_json(obj, rank):
-    """Weight from the JSON form, checked as by weight_coords_from_json."""
-    return Weight(*weight_coords_from_json(obj, rank))

@@ -8,7 +8,10 @@ oracles go through the public API: the Euler-character oracle sums one
 Weyl-Kac character per term of G_w, the characters being checked against
 Freudenthal on their own, and the local-cohomology oracle multiplies the
 terms of j_x(G_w) by denominator_inverse, which is checked against the
-expanded denominator, with plain {Weight: int} products.  solved_entry runs
+expanded denominator, with plain {Weight: int} products.  The positive roots
+and their multiplicities behind the Freudenthal recursion and that expanded
+denominator come from reflection closure and Kac's table (KAC_IMAGINARY);
+the character code itself needs neither.  solved_entry runs
 the descent recursion with one coboundary solve per element and never
 transports an entry along a diagram automorphism, as GrothTable.compute
 does.  full_verdict runs verify on a table of its own, so no orbit-mate's
@@ -59,26 +62,46 @@ def positive_real_roots(cd, depth):
     return roots
 
 
-def freudenthal_multiplicities(cd, mu, depth):
+# mult(j delta) of the imaginary roots of each CUSTOM_GCMS datum, from Kac,
+# Infinite-dimensional Lie algebras, Cor. 8.3: rank - 1 for an untwisted
+# datum (G2~), l for A_2l^(2), and 2 or 1 for D4^(3) as 3 divides j or not
+KAC_IMAGINARY = {
+    "D4^(3)": lambda j: 2 if j % 3 == 0 else 1,
+    "G2~": lambda j: 2,
+    "A2^(2)": lambda j: 1,
+    "A4^(2)": lambda j: 2,
+}
+
+
+def positive_roots(cd, depth, imaginary=None):
+    """(root, multiplicity) for every positive root of height <= depth:
+    the real roots with multiplicity 1 and each j delta with imaginary(j).
+    imaginary=None stands for an untwisted datum, rank - 1 for every j."""
+    assert imaginary or cd.untwisted, \
+        "give the imaginary multiplicities of %s" % (cd.type_string,)
+    roots = [(a, 1) for a in positive_real_roots(cd, depth)]
+    j = 1
+    while j * sum(cd.marks) <= depth:
+        roots.append((j * cd.delta(),
+                      imaginary(j) if imaginary else cd.rank - 1))
+        j += 1
+    return roots
+
+
+def freudenthal_multiplicities(cd, mu, depth, imaginary=None):
     """Weight multiplicities of the irreducible highest weight module V(mu),
     keyed by the coordinate tuple of beta = mu - lambda in the simple root
     basis, for all beta in Q_+ with height(beta) <= depth.
 
     Freudenthal:  (|mu+rho|^2 - |lam+rho|^2) m_lam =
                   2 sum_{a > 0} mult(a) sum_{k >= 1} m_{lam+ka} (lam+ka, a).
-    Untwisted imaginary roots n*delta carry multiplicity rank - 1.
+    The imaginary roots j*delta carry multiplicity imaginary(j), as in
+    positive_roots.
     """
     rank = cd.rank
     rho = cd.rho()
     zero = (0,) * rank
-
-    # (root weight, multiplicity); imaginary part up to height depth
-    roots = [(a, 1) for a in positive_real_roots(cd, depth)]
-    hdel = sum(cd.marks)
-    n = 1
-    while n * hdel <= depth:
-        roots.append((Weight(zero, tuple(n * a for a in cd.marks)), rank - 1))
-        n += 1
+    roots = positive_roots(cd, depth, imaginary)
 
     betas_by_height = [[] for _ in range(depth + 1)]
 

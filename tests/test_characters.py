@@ -6,56 +6,49 @@ from affgroth.cartan import build_cartan, from_type
 from affgroth.characters import (TruncatedSeries, denominator_inverse,
                                  euler_character, local_cohomology_character,
                                  weyl_kac_character)
-from affgroth.errors import (NotDominant, NotNonNegativeLevel, NotUntwisted)
+from affgroth.errors import NotDominant, NotNonNegativeLevel
 from affgroth.groth import GrothTable
 from affgroth import packed
-from affgroth.packed import positive_roots_with_mult
 from affgroth.weights import Weight, parse_weight
 from affgroth import weyl
 
 import oracles
 
 
-def freudenthal_series(cd, mu, depth):
+def freudenthal_series(cd, mu, depth, imaginary=None):
     """Oracle multiplicities repackaged on absolute weight keys."""
-    mult = oracles.freudenthal_multiplicities(cd, mu, depth)
+    mult = oracles.freudenthal_multiplicities(cd, mu, depth, imaginary)
     return {Weight(mu.l, tuple(-b for b in beta)): m
             for beta, m in mult.items() if m}
 
 
-def test_positive_roots_with_mult():
-    for t in ("A1~", "A2~", "C2~"):
-        cd = from_type(t)
-        N = 7
-        got = positive_roots_with_mult(cd, N)
-        real = {r.m for r in oracles.positive_real_roots(cd, N)}
-        h = sum(cd.marks)
-        for beta, mult in got:
-            if beta.m in real:
-                assert mult == 1
-            else:
-                # imaginary: a multiple of delta
-                n = sum(beta.m) // h
-                assert beta == n * cd.delta()
-                assert mult == cd.rank - 1
-        assert len(got) == len(real) + N // h
+def datum(name):
+    """(Cartan data, Kac's imaginary multiplicities) of a CUSTOM_GCMS name,
+    or (Cartan data, None) of a built-in type, which is untwisted."""
+    gcm = dict(oracles.CUSTOM_GCMS).get(name)
+    if gcm is None:
+        return from_type(name), None
+    return build_cartan(gcm), oracles.KAC_IMAGINARY[name]
 
 
-def test_positive_roots_refuse_twisted():
-    cd = build_cartan([[2, -4], [-1, 2]])
-    with pytest.raises(NotUntwisted):
-        positive_roots_with_mult(cd, 3)
+CUSTOM_NAMES = [name for name, _ in oracles.CUSTOM_GCMS]
 
 
 def test_weyl_kac_vs_freudenthal():
     cases = [("A1~", (1, 0), 6), ("A1~", (0, 1), 5), ("A1~", (2, 0), 5),
              ("A2~", (1, 0, 0), 4), ("C2~", (1, 0, 0), 4)]
+    # every fundamental weight of every custom datum, twisted ones included,
+    # deep enough for 3 delta (height 12 in D4^(3), where mult is 2, not 1)
+    for name, gcm in oracles.CUSTOM_GCMS:
+        cases += [(name, tuple(int(j == i) for j in range(len(gcm))), 12)
+                  for i in range(len(gcm))]
     for t, lcoords, depth in cases:
-        cd = from_type(t)
+        cd, imaginary = datum(t)
         mu = Weight(lcoords, (0,) * cd.rank)
         ch = weyl_kac_character(cd, mu, depth)
         assert ch.base == mu and ch.cutoff == depth
-        assert ch.coeffs == freudenthal_series(cd, mu, depth), (t, lcoords)
+        assert ch.coeffs == freudenthal_series(cd, mu, depth, imaginary), \
+            (t, lcoords)
 
 
 def test_weyl_kac_head():
@@ -76,8 +69,8 @@ def test_weyl_kac_rejects():
 def test_denominator_identity():
     # the zero highest weight gives the trivial module: the full Weyl-Kac
     # quotient collapses to 1, which is exactly the denominator identity
-    for t in ("A1~", "A2~"):
-        cd = from_type(t)
+    for t in ["A1~", "A2~"] + CUSTOM_NAMES:
+        cd, _ = datum(t)
         ch = weyl_kac_character(cd, cd.zero(), 8)
         assert ch.coeffs == {cd.zero(): 1}, t
 
@@ -152,6 +145,26 @@ def test_euler_against_term_by_term_oracle():
     assert cases == 129 and raised and with_den
 
 
+def test_euler_twisted_against_term_by_term_oracle():
+    # A2^(2): the Euler core on a twisted datum, non-dominant twists and
+    # (1 - q^k) denominators included
+    cd, _ = datum("A2^(2)")
+    table = GrothTable(cd)
+    cases = raised = with_den = 0
+    for text in ("L1", "L0 + L1", "2*L1 - L0", "0"):
+        mu = parse_weight(text, cd.rank)
+        for layer in weyl.enumerate_up_to(cd, 4):
+            for w in layer:
+                ch = euler_character(cd, w, mu, 5, table)
+                assert ch == oracles.euler_by_terms(cd, w, mu, 5, table), \
+                    (text, w.word)
+                cases += 1
+                raised += ch.base != mu
+                with_den += any(c.den != (1,)
+                                for c in table.compute(w).terms.values())
+    assert cases == 36 and raised and with_den
+
+
 def _level_twists(cd, level):
     """Every dominant weight sum_i c_i L_i of the given level."""
     out = []
@@ -187,10 +200,11 @@ def test_euler_every_twist_of_the_level(t, N, twist):
 
 
 def test_orbit_work_pinned(monkeypatch):
-    # each numerator orbit is built once per Cartan datum, at the deepest
-    # margin asked for: the euler benchmark's 19 characters need the orbits
-    # of 21 dominant weights, where one build per character and weight
-    # would make 58
+    # each orbit is built once per Cartan datum, at the deepest margin asked
+    # for: the euler benchmark's 19 characters need the numerator orbits of
+    # 21 dominant weights, where one build per character and weight would
+    # make 58, and the inverse denominator needs the orbit of rho of each
+    # datum, which A2~'s numerators share and C2~'s do not: 22 builds
     monkeypatch.setattr(packed, "_PACKINGS", {})
     builds = 0
     build = packed.Packing._orbit
@@ -208,7 +222,7 @@ def test_orbit_work_pinned(monkeypatch):
         for layer in weyl.enumerate_up_to(cd, 2):
             for w in layer:
                 euler_character(cd, w, mu, N, table)
-    assert builds == 21
+    assert builds == 22
 
 
 def test_local_cohomology_dual_verma():
@@ -268,12 +282,13 @@ def test_series_eq_compares_cartan_data():
     assert ch != 0
 
 
-def _oracle_denominator(cd, N):
-    """prod_{alpha > 0} (1 - e^{-alpha})^mult on root coordinates m, expanded
-    with plain tuple arithmetic and cut at depth N."""
+def _oracle_denominator(cd, N, imaginary):
+    """prod_{alpha > 0} (1 - e^{-alpha})^mult on root coordinates m, from
+    the oracle's positive roots with Kac's multiplicities, expanded with
+    plain tuple arithmetic and cut at depth N."""
     zero = (0,) * cd.rank
     D = {zero: 1}
-    for beta, mult in positive_roots_with_mult(cd, N):
+    for beta, mult in oracles.positive_roots(cd, N, imaginary):
         for _ in range(mult):
             nxt = dict(D)
             for m, c in D.items():
@@ -284,9 +299,9 @@ def _oracle_denominator(cd, N):
     return D
 
 
-def _times_oracle(cd, dinv, N):
+def _times_oracle(cd, dinv, N, imaginary):
     out = {}
-    for m, c in _oracle_denominator(cd, N).items():
+    for m, c in _oracle_denominator(cd, N, imaginary).items():
         for k, ck in dinv.items():
             assert not any(k.l)
             key = tuple(x + y for x, y in zip(m, k.m))
@@ -296,15 +311,16 @@ def _times_oracle(cd, dinv, N):
 
 
 @pytest.mark.parametrize("t,N", [("A1~", 10), ("A2~", 7), ("C2~", 7),
-                                 ("A3~", 5), ("D4~", 4)])
+                                 ("A3~", 5), ("D4~", 4)]
+                         + [(name, 12) for name in CUSTOM_NAMES])
 def test_denominator_inverse_against_product(t, N):
-    cd = from_type(t)
+    cd, imaginary = datum(t)
     one = {(0,) * cd.rank: 1}
     # deep, then shallow (cut from the stored series), then deeper (rebuilt)
     for n in (N, N - 3, N + 1):
         dinv = denominator_inverse(cd, n)
         assert all(-sum(k.m) <= n for k in dinv), (t, n)
-        assert _times_oracle(cd, dinv, n) == one, (t, n)
+        assert _times_oracle(cd, dinv, n, imaginary) == one, (t, n)
 
 
 def test_denominator_inverse_returns_fresh_dicts():

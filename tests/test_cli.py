@@ -11,6 +11,7 @@ from affgroth.cli import main
 from affgroth.expr import parse_expression
 from affgroth.groth import GrothTable, grothendieck
 from affgroth.kring import k_one, relabel
+from affgroth.weights import format_weight, parse_weight
 from affgroth import cartan, groth, weyl
 
 import oracles
@@ -140,11 +141,24 @@ def test_char_local_empty_below(capsys):
     assert out.strip() == ""
 
 
-def test_char_refuses_twisted(capsys):
-    status, _, err = run(capsys, "char", "--gcm", "[[2,-4],[-1,2]]",
-                         "--weight", "L1", "--cutoff", "2")
-    assert status == 1
-    assert "error:" in err
+def test_char_twisted(capsys):
+    # A2^(2): the character of L1 is the Freudenthal series with Kac's
+    # imaginary multiplicity 1, and the Euler series of s_1 s_0 matches the
+    # term-by-term oracle
+    args = ["--gcm", "[[2,-4],[-1,2]]", "--weight", "L1", "--cutoff", "3"]
+    status, out, err = run(capsys, "char", *args)
+    assert (status, err) == (0, "")
+    assert out.splitlines() == ["1 * e[L1]", "1 * e[L1 - a1]",
+                                "1 * e[L1 - a0 - a1]",
+                                "1 * e[L1 - 2*a0 - a1]"]
+    status, out, err = run(capsys, "char", "--euler", "--word", "1,0", *args)
+    assert (status, err) == (0, "")
+    cd = build_cartan([[2, -4], [-1, 2]])
+    want = oracles.euler_by_terms(cd, weyl.canonicalize(cd, (1, 0)),
+                                  parse_weight("L1", cd.rank), 3,
+                                  GrothTable(cd))
+    assert len(want) and out.splitlines() == [
+        "%s * e[%s]" % (c, format_weight(k)) for k, c in want.items_by_depth()]
 
 
 def test_localize(capsys):
@@ -531,6 +545,26 @@ def test_cache_nested_too_deep_is_error(tmp_path, capsys):
     assert err.startswith("error: cannot read cache") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert path.read_text() == "[" * 100000
+
+
+def test_cache_exponent_above_ceiling_is_error(tmp_path, capsys):
+    # a sparse coefficient with a huge exponent span would make the load's
+    # gcd run for minutes; from_pairs refuses it first
+    path = tmp_path / "a1.json"
+    assert run(capsys, "table", "--type", "A1~", "--max-length", "1",
+               "--cache", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    entry = next(e for e in obj["entries"] if e["word"] == [1])
+    term = next(t for t in entry["terms"] if not any(t["weight"]["l"]))
+    term.update(num_coeffs=[[0, 1], [1000000, 1]],
+                den_coeffs=[[0, 1], [200000, -1]])
+    path.write_text(json.dumps(obj))
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: malformed cache") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_gcm_nested_too_deep_usage_error(capsys):

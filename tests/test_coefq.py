@@ -38,7 +38,7 @@ def assert_same(c, model):
 
 def test_constants():
     assert ZERO.is_zero()
-    assert ONE.is_one()
+    assert ONE == CoefQ.make((1,))
     assert Q == CoefQ.q_power(1)
     assert CoefQ.from_int(0) is ZERO
     assert CoefQ.from_int(5) == CoefQ(0, (5,), (1,))
@@ -81,7 +81,7 @@ def test_arithmetic_vs_evaluation():
         assert_same(-a, lambda x: -ev(a, x))
         if not b.is_zero():
             assert_same(a / b, lambda x: ev(a, x) / ev(b, x))
-            assert (b * b.inv()).is_one()
+            assert b * b.inv() == ONE
         assert_same(a ** 3, lambda x: ev(a, x) ** 3)
         if not a.is_zero():
             assert_same(a ** -2, lambda x: ev(a, x) ** -2)
@@ -92,7 +92,7 @@ def test_equality_is_canonical():
     a = (ONE - Q) * (ONE + Q)
     b = ONE - CoefQ.q_power(2)
     assert a == b and hash(a) == hash(b)
-    assert CoefQ.one_minus_q_power(2) == b
+    assert CoefQ.make((1, 0, -1)) == b
 
 
 def test_subs_q_inverse():
@@ -106,11 +106,11 @@ def test_subs_q_inverse():
 
 
 def test_top_exponent_and_expand_down():
-    c = CoefQ.q_power(3) * CoefQ.one_minus_q_power(2)  # q^3 - q^5
+    c = CoefQ.q_power(3) * (ONE - CoefQ.q_power(2))  # q^3 - q^5
     assert c.top_exponent() == 5
     assert list(c.expand_down(0)) == [(5, -1), (3, 1)]
     # 1/(1-q) = -q^{-1} - q^{-2} - ... in the descending direction
-    g = CoefQ.one_minus_q_power(1).inv()
+    g = (ONE - CoefQ.q_power(1)).inv()
     assert g.top_exponent() == -1
     assert list(g.expand_down(-4)) == [(-1, -1), (-2, -1), (-3, -1), (-4, -1)]
     with pytest.raises(ValueError):
@@ -209,7 +209,7 @@ def test_from_pairs_refuses_bool_after_int():
     # (0, True) == (0, 1) with the same hash, so a cache keyed on raw pairs
     # would pass the bool; the caches sit after from_pairs' checks
     for den, value in (("[[0, 1]]", ONE),
-                       ("[[0, 1], [1, -1]]", CoefQ.one_minus_q_power(1).inv())):
+                       ("[[0, 1], [1, -1]]", (ONE - CoefQ.q_power(1)).inv())):
         den = json.loads(den)
         assert CoefQ.from_pairs(json.loads("[[0, 1]]"), den) == value
         with pytest.raises(ValueError, match="not two ints"):
@@ -218,9 +218,20 @@ def test_from_pairs_refuses_bool_after_int():
             CoefQ.from_pairs([[0, 1]], json.loads("[[0, true], [1, -1]]"))
 
 
+def test_from_pairs_exponent_ceiling():
+    top = coefq.MAX_EXPONENT
+    c = CoefQ.from_pairs([[-top, 1], [top, 1]], [[0, 1], [2000, -1]])
+    assert c.shift == -top and len(c.num) == 2 * top + 1
+    for num, den in (([[0, 1], [top + 1, 1]], [[0, 1]]),
+                     ([[-top - 1, 1]], [[0, 1]]),
+                     ([[0, 1]], [[0, 1], [top + 1, -1]])):
+        with pytest.raises(ValueError, match="ceiling"):
+            CoefQ.from_pairs(num, den)
+
+
 def test_divides_q_products():
     assert ONE.divides_q_products()
-    assert (CoefQ.one_minus_q_power(1) * CoefQ.one_minus_q_power(2)).inv() \
+    assert ((ONE - CoefQ.q_power(1)) * (ONE - CoefQ.q_power(2))).inv() \
         .divides_q_products()
     assert CoefQ.make((1,), den=(1, 1)).divides_q_products()  # 1+q | q^2-1
     assert CoefQ.make((1,), den=(1, 1, 1)).divides_q_products()

@@ -48,7 +48,7 @@ def test_powers():
         parse_expression("1 + 2q + q^2", cd)
     # a pure-q sum is a single term of the ring, so it inverts
     assert parse_expression("((1 - q)(1 - q^2))^{-1}", cd) == k_scalar(
-        cd, (CoefQ.one_minus_q_power(1) * CoefQ.one_minus_q_power(2)).inv())
+        cd, ((ONE - CoefQ.q_power(1)) * (ONE - CoefQ.q_power(2))).inv())
     assert parse_expression("{1 - q}^{-1}{1 - q}", cd) == k_one(cd)
 
 
@@ -98,8 +98,8 @@ def test_round_trip_terms_and_orbit():
 def test_round_trip_with_denominators():
     cd = from_type("A1~")
     rng = oracles.rng_for("expr-dens")
-    dens = [CoefQ.one_minus_q_power(1).inv(),
-            (CoefQ.one_minus_q_power(1) * CoefQ.one_minus_q_power(2)).inv(),
+    dens = [(ONE - CoefQ.q_power(1)).inv(),
+            ((ONE - CoefQ.q_power(1)) * (ONE - CoefQ.q_power(2))).inv(),
             CoefQ.make((1,), den=(1, 1, 1))]
     for _ in range(20):
         f = oracles.random_element(cd, rng, max_terms=4)

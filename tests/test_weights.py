@@ -4,7 +4,7 @@ import pytest
 
 from affgroth.errors import ParseError, UnknownNode
 from affgroth.weights import (Weight, format_weight, parse_weight,
-                              weight_from_json, weight_to_json)
+                              weight_coords_from_json, weight_to_json)
 
 import oracles
 
@@ -74,7 +74,7 @@ def test_json_round_trip():
     for _ in range(20):
         w = Weight(tuple(rng.randint(-3, 3) for _ in range(3)),
                    tuple(rng.randint(-3, 3) for _ in range(3)))
-        assert weight_from_json(weight_to_json(w), 3) == w
+        assert Weight(*weight_coords_from_json(weight_to_json(w), 3)) == w
 
 
 def test_eq_foreign_type():
