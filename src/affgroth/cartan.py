@@ -229,10 +229,6 @@ class AffineCartanData:
     def classical_nodes(self):
         return tuple(j for j in self.labels if j != self.node0)
 
-    def theta(self):
-        """delta - alpha_{node0} as a Weight."""
-        return self.delta() - self.alpha(self.node0)
-
 
 def _automorphisms(gcm):
     """Sorted tuple of the permutations p with gcm[p[i]][p[j]] == gcm[i][j].
@@ -319,9 +315,8 @@ def build_cartan(gcm, type_string=None):
     if len(null) != 1:
         raise NotAffine("corank is %d, need exactly 1" % len(null))
     marks = _primitive_positive(null[0], "right (marks)")
+    # the transpose has the same rank, so its null space is a line too
     null_t = _nullspace([tuple(gcm[j][i] for j in range(n)) for i in range(n)])
-    if len(null_t) != 1:
-        raise NotAffine("transpose corank is %d, need exactly 1" % len(null_t))
     comarks = _primitive_positive(null_t[0], "left (comarks)")
 
     d = tuple(Fraction(cm, mk) for cm, mk in zip(comarks, marks))
@@ -336,10 +331,11 @@ def build_cartan(gcm, type_string=None):
             continue
         nodes = [j for j in range(n) if j != i]
         coords = [marks[j] if j != i else 0 for j in range(n)]
-        ok = _is_positive_root_of_subsystem(gcm, nodes, coords)
-        if not ok and all(c % 2 == 0 for c in coords):
-            ok = _is_positive_root_of_subsystem(gcm, nodes, [c // 2 for c in coords])
-        if ok:
+        theta_is_root = _is_positive_root_of_subsystem(gcm, nodes, coords)
+        if theta_is_root or (
+                all(c % 2 == 0 for c in coords)
+                and _is_positive_root_of_subsystem(gcm, nodes,
+                                                   [c // 2 for c in coords])):
             node0 = i
             break
     if node0 is None:
@@ -352,13 +348,11 @@ def build_cartan(gcm, type_string=None):
                 orders[(i, j)] = _ORDER_FROM_PRODUCT.get(gcm[i][j] * gcm[j][i])
 
     # untwisted iff theta = delta - alpha_node0 is the highest root of the
-    # classical subsystem (irreducible: theta has full support there)
-    nodes = [j for j in range(n) if j != node0]
-    theta = [marks[j] if j != node0 else 0 for j in range(n)]
-    untwisted = (_is_positive_root_of_subsystem(gcm, nodes, theta)
-                 and not any(_is_positive_root_of_subsystem(
-                     gcm, nodes, [t + (k == j) for k, t in enumerate(theta)])
-                     for j in nodes))
+    # classical subsystem.  A root theta has full support there, so that
+    # subsystem is irreducible, and theta is dominant for it: the highest
+    # root or the highest short root.  (theta, theta) = (alpha_node0,
+    # alpha_node0) = 2 d_node0, so theta is the highest root iff it is long.
+    untwisted = theta_is_root and d[node0] == max(d)
     return AffineCartanData(gcm, marks, comarks, d, node0, orders, type_string,
                             untwisted)
 
@@ -401,24 +395,18 @@ def _gcm_d(n):
 _TYPE_RE = re.compile(r"^([ACD])([0-9]+)~$")
 
 
-def _parse_type(type_string):
-    """(family letter, n) of a built-in type string with n <= MAX_TYPE_N;
-    BadShape otherwise."""
+def _type_gcm(type_string):
+    """(canonical name, matrix) of a built-in type string: A<n>~ (n >= 1),
+    C<n>~ (n >= 2) or D<n>~ (n >= 4), with n <= MAX_TYPE_N; BadShape
+    otherwise."""
     mo = _TYPE_RE.match(type_string.strip())
     if mo is None:
         raise BadShape("cannot parse type %r (expected like 'A2~', 'C3~', 'D4~')"
                        % type_string)
-    n = int(mo.group(2))
+    fam, n = mo.group(1), int(mo.group(2))
     if n > MAX_TYPE_N:
         raise BadShape("type %r is above the largest built-in n, %d"
                        % (type_string, MAX_TYPE_N))
-    return mo.group(1), n
-
-
-def from_type(type_string):
-    """Built-in affine families: A<n>~ (n>=1), C<n>~ (n>=2), D<n>~ (n>=4),
-    all with n <= MAX_TYPE_N."""
-    fam, n = _parse_type(type_string)
     if fam == "A" and n >= 1:
         gcm = _gcm_a(n)
     elif fam == "C" and n >= 2:
@@ -427,7 +415,14 @@ def from_type(type_string):
         gcm = _gcm_d(n)
     else:
         raise BadShape("no built-in matrix for type %r" % type_string)
-    return build_cartan(gcm, type_string="%s%d~" % (fam, n))
+    return "%s%d~" % (fam, n), gcm
+
+
+def from_type(type_string):
+    """Built-in affine families: A<n>~ (n>=1), C<n>~ (n>=2), D<n>~ (n>=4),
+    all with n <= MAX_TYPE_N."""
+    name, gcm = _type_gcm(type_string)
+    return build_cartan(gcm, type_string=name)
 
 
 def cartan_to_json(cd):
@@ -446,9 +441,7 @@ def cartan_from_json(obj):
     cd = build_cartan(gcm, type_string=type_string)
     if type_string is not None:
         try:
-            n = _parse_type(type_string)[1]
-            # the rank is checked first, so a huge n builds no matrix
-            named = from_type(type_string).gcm if n + 1 == cd.rank else None
+            named = _type_gcm(type_string)[1]
         except BadShape as ex:
             raise ValueError("Cartan type %r: %s" % (type_string, ex)) from ex
         if named != cd.gcm:

@@ -60,9 +60,6 @@ class TruncatedSeries:
         d = sum(diff.m)
         return d if d <= self.cutoff else None
 
-    def coeff(self, kappa):
-        return self.coeffs.get(kappa, 0)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -162,20 +162,6 @@ class CoefQ:
             raise ZeroDivisionError("inverting zero")
         return CoefQ.make(self.den, -self.shift, self.num)
 
-    def __truediv__(self, other):
-        if not isinstance(other, CoefQ):
-            return NotImplemented
-        return self * other.inv()
-
-    def __pow__(self, k):
-        if k == 0:
-            return ONE
-        base = self if k > 0 else self.inv()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
-
     def subs_q_inverse(self):
         """The scalar with q replaced by q^{-1}."""
         if not self.num:
@@ -264,10 +250,17 @@ class CoefQ:
         """True iff den divides a product of polynomials q^k - 1 (possibly
         repeated), i.e. the scalar lies in the ring R.  Only k up to
         4*deg^2 + 4 need trying: a factor Phi_n of den has phi(n) <= deg, and
-        phi(n) >= sqrt(n/2)."""
+        phi(n) >= sqrt(n/2).  Such a divisor is +-prod Phi_d (Gauss's lemma),
+        with Phi_1 = q - 1 anti-palindromic and every other Phi_d
+        palindromic, so a den whose end coefficients are not +-1, or which
+        is neither its reversal nor minus it, is refused before the loop."""
         den = self.den
         if den == (1,):
             return True
+        rev = den[::-1]
+        if (den[0] not in (1, -1) or den[-1] not in (1, -1)
+                or rev != den and rev != pneg(den)):
+            return False
         deg = len(den) - 1
         for k in range(1, 4 * deg * deg + 5):
             qk1 = (-1,) + (0,) * (k - 1) + (1,)  # q^k - 1

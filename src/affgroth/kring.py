@@ -20,7 +20,7 @@ import operator
 from itertools import chain
 from math import prod
 
-from .coefq import CoefQ, ONE, ZERO, shifted_sum
+from .coefq import CoefQ, ONE, shifted_sum
 from .errors import NonQInput
 from .qpoly import peval
 from .weights import _INT, Weight, weight_coords_from_json, weight_to_json
@@ -74,9 +74,6 @@ class KElement:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def coeff(self, mu):
-        return self.terms.get(mu, ZERO)
 
     def sorted_terms(self):
         """The (key, coefficient) pairs in print and save order: highest

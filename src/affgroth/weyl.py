@@ -41,9 +41,6 @@ class WeylElement:
     def __repr__(self):
         return "W[%s]" % ("e" if not self.word else "".join(map(str, self.word)))
 
-    def __mul__(self, other):
-        return canonicalize(self.cd, self.word + other.word)
-
 
 def identity(cd):
     return WeylElement(cd, (), cd.rho())
@@ -181,14 +178,3 @@ def enumerate_up_to(cd, max_length):
         new.sort(key=lambda w: w.word)
         layers.append(new)
     return [list(layer) for layer in layers[:max(max_length, 0) + 1]]
-
-
-def reduced_words(w):
-    """All reduced words of w (recursion over right descents)."""
-    if len(w.word) == 0:
-        return [()]
-    out = []
-    for i in right_descents(w):
-        for prefix in reduced_words(mul_gen(w, i)):
-            out.append(prefix + (i,))
-    return out

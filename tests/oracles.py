@@ -62,6 +62,19 @@ def positive_real_roots(cd, depth):
     return roots
 
 
+def untwisted_by_roots(cd):
+    """True iff theta = delta - alpha_node0 is a root of the classical
+    subsystem and no theta + alpha_j (j classical) is one: theta is its
+    highest root.  The roots asked for are the positive real roots of
+    height at most height(delta) with no alpha_node0 part."""
+    roots = {a.m for a in positive_real_roots(cd, sum(cd.marks))
+             if a.m[cd.node0] == 0}
+    theta = (cd.delta() - cd.alpha(cd.node0)).m
+    return theta in roots and not any(
+        tuple(t + (k == j) for k, t in enumerate(theta)) in roots
+        for j in cd.classical_nodes())
+
+
 # mult(j delta) of the imaginary roots of each CUSTOM_GCMS datum, from Kac,
 # Infinite-dimensional Lie algebras, Cor. 8.3: rank - 1 for an untwisted
 # datum (G2~), l for A_2l^(2), and 2 or 1 for D4^(3) as 3 divides j or not
@@ -161,7 +174,7 @@ def demazure_by_division(cd, i, f):
         if guard > 100000:
             raise AssertionError("long division did not terminate")
         mu = max(rem.terms, key=lambda t: (cd.pairing(i, t), t.l, t.m))
-        t = monomial(cd, mu, rem.coeff(mu))
+        t = monomial(cd, mu, rem.terms[mu])
         quo = quo + t
         rem = rem - t + t * step
     return quo
@@ -241,6 +254,19 @@ def local_cohomology_by_terms(cd, w, x, mu, floor, table):
             key = b0 + kappa + n * cd.delta()
             num[key] = num.get(key, 0) + sign * cn
     return over_denominator_by_terms(cd, num, floor)
+
+
+# --- reduced words -----------------------------------------------------------
+
+def reduced_words(w):
+    """All reduced words of w (recursion over right descents)."""
+    if len(w.word) == 0:
+        return [()]
+    out = []
+    for i in weyl.right_descents(w):
+        for prefix in reduced_words(weyl.mul_gen(w, i)):
+            out.append(prefix + (i,))
+    return out
 
 
 # --- seeded random data -------------------------------------------------------

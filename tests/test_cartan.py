@@ -247,7 +247,11 @@ def test_classical_positive_roots():
         roots = [b for b in itertools.product(*box)
                  if _is_positive_root_of_subsystem(cd.gcm, nodes, b)]
         assert len(roots) == count, t
-        assert cd.theta().m in roots
+        assert (cd.delta() - cd.alpha(cd.node0)).m in roots
+
+
+def _transpose(gcm):
+    return [list(r) for r in zip(*gcm)]
 
 
 def test_untwisted_flag():
@@ -261,12 +265,54 @@ def test_untwisted_flag():
                      "A4^(2)": False}
     # the transpose of C2~ is the twisted D3^(2)
     c2 = from_type("C2~").gcm
-    assert not build_cartan([list(r) for r in zip(*c2)]).untwisted
+    assert not build_cartan(_transpose(c2)).untwisted
+
+
+def test_untwisted_against_root_oracle():
+    # the flag is read off root lengths; the oracle asks the roots whether
+    # theta is one and no theta + alpha_j is
+    data = [from_type("%s%d~" % (fam, n))
+            for fam, lo in (("A", 1), ("C", 2), ("D", 4))
+            for n in range(lo, 13)]
+    data += [build_cartan(g) for _, gcm in oracles.CUSTOM_GCMS
+             for g in (gcm, _transpose(gcm))]
+    data += [build_cartan(_transpose(from_type("C%d~" % n).gcm))
+             for n in range(2, 13)]
+    flags = [cd.untwisted for cd in data]
+    assert flags == [oracles.untwisted_by_roots(cd) for cd in data]
+    assert flags.count(False) == 6 + 11
+
+
+def test_one_root_search_per_built_in_build(monkeypatch):
+    # theta = delta - alpha_0 is a root of every built-in type, so the
+    # search that picks node0 also decides the untwisted flag
+    searches = oracles.count_calls(monkeypatch, cartan,
+                                   "_is_positive_root_of_subsystem")
+    for fam, lo in (("A", 1), ("C", 2), ("D", 4)):
+        for n in (lo, lo + 1, 7, 12, 30):
+            before = searches[0]
+            from_type("%s%d~" % (fam, n))
+            assert searches[0] - before == 1, (fam, n)
+
+
+def test_typed_header_builds_once(tmp_path, monkeypatch):
+    # the type string is checked against the built-in matrix, not against
+    # a second build; a load given its data builds the file's once too
+    cd = from_type("D5~")
+    obj = cartan_to_json(cd)
+    path = str(tmp_path / "d5.json")
+    GrothTable(cd).save(path)
+    builds = oracles.count_calls(monkeypatch, cartan, "build_cartan")
+    assert cartan_from_json(obj).type_string == "D5~"
+    assert builds[0] == 1
+    assert GrothTable.load(path).cd == cd
+    assert GrothTable.load(path, cd=cd).cd is cd
+    assert builds[0] == 3
 
 
 def test_theta():
     cd = from_type("C2~")
-    th = cd.theta()
+    th = cd.delta() - cd.alpha(cd.node0)
     # highest root of the classical subsystem, at node0 coordinate 0
     assert th.m == (0, 2, 1)
     assert cd.level(th) == 0

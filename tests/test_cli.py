@@ -12,7 +12,7 @@ from affgroth.expr import parse_expression
 from affgroth.groth import GrothTable, grothendieck
 from affgroth.kring import k_one, relabel
 from affgroth.weights import format_weight, parse_weight
-from affgroth import cartan, groth, weyl
+from affgroth import cartan, coefq, groth, qpoly, weyl
 
 import oracles
 
@@ -565,6 +565,29 @@ def test_cache_exponent_above_ceiling_is_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: malformed cache") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+def test_ring_check_refuses_non_cyclotomic_shape_at_once(tmp_path, capsys,
+                                                         monkeypatch):
+    # 1 + 2q^16 ran the ring check's 4 deg^2 + 4 gcd loop for seconds; a
+    # divisor of a product of q^k - 1 has end coefficients +-1, so it is
+    # refused without a gcd
+    path = tmp_path / "a1.json"
+    assert run(capsys, "table", "--type", "A1~", "--max-length", "1",
+               "--cache", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    entry = next(e for e in obj["entries"] if e["word"] == [1])
+    term = next(t for t in entry["terms"] if not any(t["weight"]["l"]))
+    term["den_coeffs"] = [[0, 1], [16, 2]]
+    path.write_text(json.dumps(obj))
+    gcds = [oracles.count_calls(monkeypatch, mod, "pgcd")
+            for mod in (qpoly, coefq)]
+    status, out, _ = run(capsys, "verify", "--type", "A1~", "--max-length",
+                         "1", "--checks", "ring", "--cache", str(path))
+    assert status == 1
+    assert out == ("ok e\nok 0\nFAIL 1: coefficient ring: denominator at 0 "
+                   "has a factor outside the (q^k - 1) products\n")
+    assert [n[0] for n in gcds] == [0, 0]
 
 
 def test_gcm_nested_too_deep_usage_error(capsys):

@@ -73,7 +73,8 @@ def test_weyl_act_compose():
         f = oracles.random_element(cd, rng)
         u = weyl.canonicalize(cd, oracles.random_word(cd, rng))
         v = weyl.canonicalize(cd, oracles.random_word(cd, rng))
-        assert weyl_act(u, weyl_act(v, f)) == weyl_act(u * v, f)
+        uv = weyl.canonicalize(cd, u.word + v.word)
+        assert weyl_act(u, weyl_act(v, f)) == weyl_act(uv, f)
         for i in cd.labels:
             si = weyl.canonicalize(cd, (i,))
             assert reflect_act(cd, i, f) == weyl_act(si, f)

@@ -53,3 +53,53 @@ def test_no_unused_imports():
                     if bound not in read:
                         found.append("%s:%d %s" % (name, node.lineno, bound))
     assert found == []
+
+
+# library entry points no module of the repo calls: the weight constructor
+# Lam, the invariant form bilinear and the README's parse_expression
+_API_WITHOUT_CALLER = {"Lam", "bilinear", "parse_expression"}
+
+
+def _reads(tree, out, enclosing=()):
+    """Append (name, enclosing definitions) for every name and attribute
+    that tree loads."""
+    for child in ast.iter_child_nodes(tree):
+        inner = enclosing
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = enclosing + (child,)
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            out.append((child.id, inner))
+        elif (isinstance(child, ast.Attribute)
+              and isinstance(child.ctx, ast.Load)):
+            out.append((child.attr, inner))
+        _reads(child, out, inner)
+
+
+def test_every_definition_has_a_reader():
+    # a function, class or method of the package is read, by name, outside
+    # its own body in the package, perfbench/ or benchmarks/, or is
+    # exported through affgroth.__all__; tests alone do not keep a name
+    repo = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    package = list(_package_trees())
+    trees = [tree for _, tree in package]
+    for sub in ("perfbench", "benchmarks"):
+        for path in sorted(glob.glob(os.path.join(repo, sub, "*.py"))):
+            with open(path) as fh:
+                trees.append(ast.parse(fh.read(), path))
+    reads = []
+    for tree in trees:
+        _reads(tree, reads)
+    keep = set(affgroth.__all__) | _API_WITHOUT_CALLER
+    found = []
+    for name, tree in package:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and node.name not in keep
+                    and not any(n == node.name and node not in inner
+                                for n, inner in reads)):
+                found.append("%s:%d %s" % (name, node.lineno, node.name))
+    assert found == []
