@@ -22,6 +22,9 @@ coefficients: a load decodes each distinct value once.  Then a full
 verify of every A3~ element to length 3 on a table built to length 4, the
 way `affgroth verify` runs on a cache one length deeper, with how many
 elements ran the checks; the others pass by an orbit-mate's verdict.
+Last the deep regime, where CoefQ's gcd work dominates: A1~ to length 24,
+built as above, best of 3, with its entries, its terms and the hits and
+misses of each gcd cache in one build.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
@@ -99,7 +102,7 @@ def weyl_kac_numerator(cd, mu, depth):
             sum(mu.m) - depth)
 
 
-GCD_CACHES = (("make", coefq._reduced), ("add", coefq._den_cofactors))
+GCD_CACHES = (("make", coefq._reduced), ("add", coefq._den_lcm))
 
 
 def table_build(type_string, max_length):
@@ -182,6 +185,15 @@ def full_check_runs(table, elems):
     return runs
 
 
+def deep_table(type_string, max_length):
+    """(best time of 3 table_builds, the last table): a deep table takes
+    seconds, so it is built three times, not five."""
+    tables = []
+    t = bench(lambda: tables.append(table_build(type_string, max_length)),
+              [()], repeat=3)
+    return t, tables[-1]
+
+
 def bench(fn, cases, repeat=5):
     best = None
     for _ in range(repeat):
@@ -247,6 +259,12 @@ def main():
     t = bench(verify_all, [(table, elems)])
     print("%-14s %8.2f ms   verify to length 3: %d elements, %d checked"
           % ("A3~", 1e3 * t, len(elems), full_check_runs(table, elems)))
+    t, table = deep_table("A1~", 24)
+    print("%-14s %8.2f s    deep table to length 24: %d entries, %d terms"
+          % ("A1~", t, len(table.entries),
+             sum(len(g) for g in table.entries.values())))
+    print("%-14s %11s   gcd cache hits/misses: %s"
+          % ("", "", gcd_cache_counts()))
 
 
 if __name__ == "__main__":

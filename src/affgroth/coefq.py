@@ -8,14 +8,17 @@ polynomial factor and their integer contents are coprime.  Zero is
 
 The subring R of interest is generated by q^{+-1} and (1 - q^n)^{-1}; a
 membership test (denominator divides a product of q^k - 1) is provided but
-not enforced during arithmetic.
+not enforced during arithmetic.  It divides out cyclotomic polynomials
+Phi_n, each built once by exact division of q^n - 1 and kept in a bounded
+cache, _cyclotomic.
 
 Canonicalization cancels the polynomial gcd of num and den with
 qpoly.pgcd_cofactors: the heuristic gcd (one big-integer gcd of the values at
 a point xi >= 2 min(|num|, |den|) + 2, checked by exact division), with the
 primitive PRS as fallback.  The gcd is unique, so either route gives the same
-canonical form.  A sum with unequal denominators is taken over their lcm,
-den1 * (den2 / gcd), whose cofactors come from the same call.
+canonical form.  A sum with unequal denominators d1, d2 is taken over their
+lcm, d1 * (d2 / g) with g their gcd: each numerator is scaled by its
+cofactor, the lcm over its own denominator, and the sum is reduced once.
 
 A table's coefficients lie in R, so it holds few distinct fractions and
 fewer distinct denominators, and the same reductions come back again and
@@ -23,21 +26,24 @@ again.  Two process-wide caches, each
 functools.lru_cache bounded at _GCD_CACHE = 256 entries, run each distinct
 reduction once while it stays in use: _reduced, make's gcd, content and sign
 step keyed by the q-power-free (num, den) tuples (the shift stays out of the
-key), and _den_cofactors, the pgcd_cofactors of the two denominators of a
-sum, taken in sorted order so that a + b and b + a share one entry.
+key), and _den_lcm, the lcm of two denominators of a sum together with both
+cofactors, taken in sorted order so that a + b and b + a share one entry.
+kring adds a key's terms over several denominators through the same pair
+cache, folding the lcm, and reduces the key's sum once.
 Sharing them across tables and callers is safe: both are pure
 functions of tuples of ints, and what they return is tuples of ints, which
 no caller can change.  The bound keeps their memory small (about 0.3 MB
 of peak RSS on A1~ to length 12) while losing almost no hits: building A1~
-to length 12 runs 1,078 gcds with 256 entries, each distinct reduction
-once, 1,153 with 64 and 1,404 with 32, against 3,402 uncached.
+to length 12 runs 842 gcds with 256 entries (548 reductions, 294
+denominator pairs), each distinct one once, 908 with 64 and 1,148 with 32,
+against 3,147 uncached.
 """
 
 from functools import lru_cache
 from math import gcd
 
-from .qpoly import (padd, pcontent, pdivexact, pgcd, pgcd_cofactors,
-                    pmul, pneg, pstrip)
+from .qpoly import (padd, pcontent, pdivexact, pgcd_cofactors, pmul, pneg,
+                    pstrip)
 
 # from_pairs refuses an exponent of size above this.  Tables stay far below
 # it (A1~ to length 30 reaches degree 435), and it bounds the gcd work of a
@@ -124,12 +130,8 @@ class CoefQ:
         b = _qshift(other.num, other.shift - s)
         if self.den == other.den:
             return CoefQ.make(padd(a, b), s, self.den)
-        if self.den < other.den:
-            _, da, db = _den_cofactors(self.den, other.den)
-        else:
-            _, db, da = _den_cofactors(other.den, self.den)
-        return CoefQ.make(padd(pmul(a, db), pmul(b, da)),
-                          s, pmul(self.den, db))
+        den, ca, cb = common_den(self.den, other.den)
+        return CoefQ.make(padd(pmul(a, ca), pmul(b, cb)), s, den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -248,12 +250,14 @@ class CoefQ:
 
     def divides_q_products(self):
         """True iff den divides a product of polynomials q^k - 1 (possibly
-        repeated), i.e. the scalar lies in the ring R.  Only k up to
-        4*deg^2 + 4 need trying: a factor Phi_n of den has phi(n) <= deg, and
-        phi(n) >= sqrt(n/2).  Such a divisor is +-prod Phi_d (Gauss's lemma),
-        with Phi_1 = q - 1 anti-palindromic and every other Phi_d
-        palindromic, so a den whose end coefficients are not +-1, or which
-        is neither its reversal nor minus it, is refused before the loop."""
+        repeated), i.e. the scalar lies in the ring R.  Such a divisor is
+        +-prod Phi_n (Gauss's lemma), with Phi_1 = q - 1 anti-palindromic
+        and every other Phi_n palindromic, so a den whose end coefficients
+        are not +-1, or which is neither its reversal nor minus it, is
+        refused at once.  Otherwise every Phi_n that fits in what is left of
+        den, phi(n) <= its degree, is divided out exactly as often as it
+        divides, for n up to 2 deg^2 of that remainder (phi(n) >=
+        sqrt(n/2)); den is in R iff nothing is left.  No gcd runs."""
         den = self.den
         if den == (1,):
             return True
@@ -261,16 +265,16 @@ class CoefQ:
         if (den[0] not in (1, -1) or den[-1] not in (1, -1)
                 or rev != den and rev != pneg(den)):
             return False
-        deg = len(den) - 1
-        for k in range(1, 4 * deg * deg + 5):
-            qk1 = (-1,) + (0,) * (k - 1) + (1,)  # q^k - 1
-            while len(den) > 1:
-                g = pgcd(den, qk1)
-                if len(g) == 1:
-                    break
-                den = pdivexact(den, g)
-            if len(den) == 1:
-                break
+        n = 0
+        while len(den) > 1 and n < 2 * (len(den) - 1) ** 2:
+            n += 1
+            if _totient(n) < len(den):
+                cyc = _cyclotomic(n)
+                try:
+                    while True:
+                        den = pdivexact(den, cyc)
+                except ValueError:
+                    pass
         return den == (1,)
 
     def __repr__(self):
@@ -309,7 +313,48 @@ def _reduced(num, den):
     return num, den
 
 
-_den_cofactors = lru_cache(maxsize=_GCD_CACHE)(pgcd_cofactors)
+def common_den(d1, d2):
+    """(den, den / d1, den / d2) for the common denominator den of two
+    sums' denominators d1 != d2, their lcm, from the cache _den_lcm."""
+    if d1 < d2:
+        return _den_lcm(d1, d2)
+    den, c2, c1 = _den_lcm(d2, d1)
+    return den, c1, c2
+
+
+@lru_cache(maxsize=_GCD_CACHE)
+def _den_lcm(d1, d2):
+    """(lcm, lcm / d1, lcm / d2) for denominators d1 < d2: the lcm is
+    d1 * (d2 / g) with g = pgcd(d1, d2) (primitive, so up to an integer
+    factor), and the cofactors are d2 / g and d1 / g, all from one
+    pgcd_cofactors call."""
+    _, c1, c2 = pgcd_cofactors(d1, d2)
+    return pmul(d1, c2), c2, c1
+
+
+def _totient(n):
+    """Euler's phi(n), by trial division."""
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
+@lru_cache(maxsize=_GCD_CACHE)
+def _cyclotomic(n):
+    """Phi_n: q^n - 1 divided exactly by Phi_d for each proper divisor d
+    of n."""
+    cyc = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n // 2 + 1):
+        if n % d == 0:
+            cyc = pdivexact(cyc, _cyclotomic(d))
+    return cyc
 
 
 def _pair_dict(pairs):

@@ -20,9 +20,9 @@ import operator
 from itertools import chain
 from math import prod
 
-from .coefq import CoefQ, ONE, shifted_sum
+from .coefq import CoefQ, ONE, common_den, shifted_sum
 from .errors import NonQInput
-from .qpoly import peval
+from .qpoly import peval, pmul
 from .weights import _INT, Weight, weight_coords_from_json, weight_to_json
 from . import weyl as weyl_mod
 
@@ -108,10 +108,9 @@ def _collect(cd, terms):
     """The element sum c * e^{l, m} over the (l, m, c) coordinate triples in
     terms; m may have a delta part.  Each term is delta-normalized (its
     q-power moves into the shift of c) and grouped by key and denominator.
-    A one-term group is already canonical; a larger group adds its q-shifted
-    numerators as integer lists and is canonicalized by one CoefQ.make.  The
-    groups of a key are then added as CoefQ, keys whose sum is zero are
-    dropped, and one Weight is built per surviving key."""
+    A one-term key is already canonical; any other key is summed by
+    _key_sum with one CoefQ.make.  Keys whose sum is zero are dropped, and
+    one Weight is built per surviving key."""
     node0, marks = cd.node0, cd.marks
     keys = {}  # (l, m) -> (c, n) for one term, else {den: [(shift, num), ...]}
     for l, m, c in terms:
@@ -139,21 +138,19 @@ def _collect(cd, terms):
 
 
 def _key_sum(groups):
-    """The canonical sum of one key's {den: [(shift, num), ...]} groups:
-    each group by _group_sum, then the groups added as CoefQ."""
-    c = None
-    for den, parts in groups.items():
-        s = _group_sum(parts, den)
-        c = s if c is None else c + s
-    return c
-
-
-def _group_sum(parts, den):
-    """The canonical sum of q^shift * num / den over the (shift, num) parts."""
-    if len(parts) == 1:
-        ((shift, num),) = parts
-        return CoefQ(shift, num, den)
+    """The canonical sum of one key's {den: [(shift, num), ...]} groups, by
+    one CoefQ.make.  Each group's q-shifted numerators are added as integer
+    lists (shifted_sum).  Over two or more denominators, the lcm is folded
+    through common_den, the running numerator and each new group's are
+    scaled by their cached cofactors, and the two are added as integer
+    lists: no reduction runs before the last."""
+    it = iter(groups.items())
+    den, parts = next(it)
     shift, acc = shifted_sum(parts)
+    for d, parts in it:
+        s, num = shifted_sum(parts)
+        den, ca, cb = common_den(den, d)
+        shift, acc = shifted_sum(((shift, pmul(acc, ca)), (s, pmul(num, cb))))
     return CoefQ.make(acc, shift, den)
 
 

@@ -27,6 +27,7 @@ a multiple of 2310, none failed.
 """
 
 from math import gcd
+from operator import add, sub
 
 BACKEND = "pure"  # the only implementation; reported by benchmark harnesses
 
@@ -52,14 +53,26 @@ def pneg(a):
 
 
 def pmul(a, b):
+    """The product a * b, row by row: the outer loop runs over the nonzero
+    coefficients x of the shorter operand, and each adds x times the longer
+    operand into its row of the result with no zero test, as one C-level
+    map; x = +-1, most coefficients of R's denominators and their
+    cofactors, adds or subtracts that operand without multiplying."""
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
+    if len(a) > len(b):
+        a, b = b, a
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+            row = out[i:i + n]
+            if x == 1:
+                out[i:i + n] = map(add, row, b)
+            elif x == -1:
+                out[i:i + n] = map(sub, row, b)
+            else:
+                out[i:i + n] = map(add, row, map(x.__mul__, b))
     return pstrip(out)
 
 

@@ -30,6 +30,7 @@ from affgroth.cocycle import solve_coboundary
 from affgroth.groth import GrothTable
 from affgroth.kring import (eta_embed, from_terms, j_map, k_one, k_zero,
                             monomial, reflect_act)
+from affgroth.qpoly import pdivexact, pgcd, pmul
 from affgroth.weights import Weight
 
 
@@ -267,6 +268,62 @@ def reduced_words(w):
         for prefix in reduced_words(weyl.mul_gen(w, i)):
             out.append(prefix + (i,))
     return out
+
+
+# --- ring membership ---------------------------------------------------------
+
+def cyclotomic(n):
+    """Phi_n as a coefficient tuple, by Moebius inversion of
+    q^n - 1 = prod_{d | n} Phi_d: the product of the q^d - 1 with
+    mu(n / d) = 1, divided by those with mu(n / d) = -1."""
+    def mobius(k):
+        out, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if k > 1 else out
+
+    def q_minus_one(d):
+        return (-1,) + (0,) * (d - 1) + (1,)
+
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    out = (1,)
+    for d in divisors:
+        if mobius(n // d) == 1:
+            out = pmul(out, q_minus_one(d))
+    for d in divisors:
+        if mobius(n // d) == -1:
+            out = pdivexact(out, q_minus_one(d))
+    return out
+
+
+def divides_q_products_by_gcd(den):
+    """Whether den divides a product of polynomials q^k - 1: the shape
+    precheck, then the remaining den divided by its gcd with q^k - 1 for
+    k = 1 .. 4 deg^2 + 4 (a factor Phi_n of den has phi(n) <= deg, and
+    phi(n) >= sqrt(n/2)).  The PRS gcd loop CoefQ.divides_q_products ran
+    before it divided out cyclotomic polynomials."""
+    if den == (1,):
+        return True
+    rev = den[::-1]
+    if (den[0] not in (1, -1) or den[-1] not in (1, -1)
+            or rev != den and rev != tuple(-x for x in den)):
+        return False
+    deg = len(den) - 1
+    for k in range(1, 4 * deg * deg + 5):
+        qk1 = (-1,) + (0,) * (k - 1) + (1,)
+        while len(den) > 1:
+            g = pgcd(den, qk1)
+            if len(g) == 1:
+                break
+            den = pdivexact(den, g)
+        if len(den) == 1:
+            break
+    return den == (1,)
 
 
 # --- seeded random data -------------------------------------------------------

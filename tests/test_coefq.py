@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from affgroth import coefq, weyl
+from affgroth import coefq, qpoly, weyl
 from affgroth.cartan import from_type
 from affgroth.coefq import CoefQ, ONE, Q, ZERO
 from affgroth.kring import from_terms, nonvanishing_probes
@@ -143,7 +143,7 @@ def test_pairs_round_trip():
 
 def _clear_gcd_caches():
     coefq._reduced.cache_clear()
-    coefq._den_cofactors.cache_clear()
+    coefq._den_lcm.cache_clear()
 
 
 def _fractions(rng, count):
@@ -164,8 +164,8 @@ def _fractions(rng, count):
 
 
 def test_make_cache_matches_fresh():
-    # make's reduction and the cofactors of a sum come from bounded caches;
-    # a result from a cold cache, a warm one and one refilled after
+    # make's reduction and a sum's lcm and cofactors come from bounded
+    # caches; a result from a cold cache, a warm one and one refilled after
     # eviction must be the same canonical form
     inputs = _fractions(oracles.rng_for("coefq-cache"), 2 * coefq._GCD_CACHE)
 
@@ -190,7 +190,7 @@ def test_make_cache_matches_fresh():
     assert warm == fresh
     assert [form(CoefQ.make(*x)) for x in inputs] == fresh
 
-    pairs = list(zip(inputs[::2], inputs[1::2]))
+    pairs = list(zip(inputs, inputs[1:]))
     sums = []
     for a, b in pairs:
         _clear_gcd_caches()
@@ -199,7 +199,9 @@ def test_make_cache_matches_fresh():
     for _ in range(2):
         assert [form(CoefQ.make(*a) + CoefQ.make(*b))
                 for a, b in pairs] == sums
-    assert coefq._den_cofactors.cache_info().hits
+    info = coefq._den_lcm.cache_info()
+    assert info.hits
+    assert info.currsize == coefq._GCD_CACHE  # the first pairs were evicted
 
 
 def test_from_pairs_refuses_bool_after_int():
@@ -244,9 +246,64 @@ def test_divides_q_products_refuses_shape_without_gcd(monkeypatch):
         (1,) + zeros + (2,),
         (2, 1, 2),  # palindromic, ends 2
         (1, 3, 0, 1))]
-    gcds = oracles.count_calls(monkeypatch, coefq, "pgcd")
+    gcds = oracles.count_calls(monkeypatch, qpoly, "pgcd")
     assert not any(c.divides_q_products() for c in refused)
     assert gcds[0] == 0
+
+
+def test_divides_q_products_palindromes_outside_r_run_no_gcd(monkeypatch):
+    # 1 + 3q^8 + q^16 and 1 + 3q^16 + q^32 are monic and palindromic, so
+    # they pass the shape precheck; the PRS loop over q^k - 1 took seconds
+    # on the first and minutes on the second.  Dividing out each Phi_n with
+    # phi(n) <= the remaining degree decides both without a gcd
+    found = [CoefQ.make((1,), den=(1,) + (0,) * (k - 1) + (3,)
+                        + (0,) * (k - 1) + (1,)) for k in (8, 16)]
+    gcds = oracles.count_calls(monkeypatch, qpoly, "pgcd")
+    cofactors = oracles.count_calls(monkeypatch, coefq, "pgcd_cofactors")
+    assert [c.divides_q_products() for c in found] == [False, False]
+    assert gcds[0] == cofactors[0] == 0
+
+
+def _membership_dens(rng, count):
+    """count distinct polynomials, canonical denominators or not: products
+    of Phi_1 .. Phi_14; products of Phi_1 .. Phi_6 times a factor outside
+    R, a sign or a content; and random polynomials of degree <= 6,
+    palindromic ones included.  Outside R the gcd loop runs all
+    4 deg^2 + 4 rounds, so those stay of degree <= 6."""
+    out = set()
+    while len(out) < count:
+        kind = rng.randint(0, 3)
+        d = (1,)
+        if kind == 0:
+            for _ in range(rng.randint(1, 4)):
+                d = pmul(d, oracles.cyclotomic(rng.randint(1, 14)))
+        elif kind == 1:
+            for _ in range(rng.randint(0, 2)):
+                d = pmul(d, oracles.cyclotomic(rng.randint(1, 6)))
+            d = pmul(d, rng.choice(((1, 3, 1), (1, -3, 1), (2,), (-1,),
+                                    (1, 0, 1, 1), (2, 1))))
+        elif kind == 2:
+            half = [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
+            d = tuple([rng.choice((1, -1))] + half + half[::-1] + [1])
+        else:
+            d = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 7)))
+        if len(d) <= 7 or kind == 0:
+            if any(d) and d[-1] and d[0]:
+                out.add(d)
+    return sorted(out)
+
+
+def test_divides_q_products_against_gcd_loop():
+    # the same verdict as the PRS loop it replaced, on the canonical form
+    # of each denominator
+    dens = _membership_dens(oracles.rng_for("coefq-ring"), 496)
+    verdicts = {True: 0, False: 0}
+    for d in dens:
+        c = CoefQ.make((1,), den=d)
+        want = oracles.divides_q_products_by_gcd(c.den)
+        assert c.divides_q_products() is want, d
+        verdicts[want] += 1
+    assert verdicts[True] > 150 and verdicts[False] > 150, verdicts
 
 
 def _one_minus_q_products(rng, count):

@@ -271,16 +271,19 @@ def test_verify_work_pinned(monkeypatch):
 
 def test_gcd_work_pinned():
     # CoefQ runs each distinct reduction once: building A1~ to length 12
-    # makes 748 distinct make reductions and 330 distinct unordered
+    # makes 548 distinct make reductions and 294 distinct unordered
     # denominator pairs in sums, and runs no gcd twice (3,402
-    # pgcd_cofactors calls uncached).
+    # pgcd_cofactors calls uncached).  Before a key's terms over several
+    # denominators were added over one lcm with one make, these were 748
+    # and 330: each denominator group of such a key was reduced, then the
+    # groups were added pairwise with one make each.
     # The caches bind pgcd_cofactors, so they count the gcds themselves
-    caches = (coefq._reduced, coefq._den_cofactors)
+    caches = (coefq._reduced, coefq._den_lcm)
     for cache in caches:
         cache.cache_clear()
     oracles.layer_table(from_type("A1~"), 12)
     misses = [cache.cache_info().misses for cache in caches]
-    assert misses == [748, 330]
+    assert misses == [548, 294]
 
 
 def test_load_decodes_each_distinct_value_once(tmp_path, monkeypatch):

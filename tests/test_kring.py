@@ -407,6 +407,58 @@ def _demazure_images(cd, i, f):
     return out
 
 
+# make's denominators for test_collect_one_lcm_sum_equals_add_fold: in R,
+# outside it (1 + 3q + q^2, 1 + q^3 + q^4 has a factor outside R), led
+# negative, with a content, and with a q-power
+_SUM_DENS = [(1, -1), (1, 0, -1), (1, 1), (1, 1, 1), (-1, 0, 0, 1),
+             (1, 3, 1), (1, 0, 0, 1, 1), (-3, 1), (2, 0, 2), (3, 3),
+             (0, 1, -1), (0, 0, 2, -2), (1,)]
+
+
+def test_collect_one_lcm_sum_equals_add_fold():
+    # _collect adds a key's terms over two or more denominators as integer
+    # lists over one lcm and reduces once; the result must be the left fold
+    # of CoefQ + over the same terms in the same order.  The terms carry
+    # q-shifts in the numerator, the denominator and the key's delta part;
+    # a key holds 2-6 distinct denominators; a third of the keys add each
+    # term's negation split over another denominator, so the key's sum is
+    # zero and the key is dropped
+    cd = from_type("A2~")
+    rng = oracles.rng_for("kring-collect-lcm")
+    delta = cd.delta()
+    mu, nu = cd.Lam(1) - cd.alpha(2), cd.alpha(1)
+    split = CoefQ.make((1,), den=(1, 1))  # -c = -c/(1+q) - c q/(1+q)
+    seen = {"dens": set(), "cancelled": 0, "kept": 0}
+    for _ in range(150):
+        pairs = []
+        for den in rng.sample(_SUM_DENS, rng.randint(2, 6)):
+            for _ in range(rng.randint(1, 2)):
+                content = rng.choice((1, 1, 2, -3))
+                num = tuple(content * rng.randint(-3, 3)
+                            for _ in range(rng.randint(1, 3)))
+                c = CoefQ.make(num, rng.randint(-2, 2), den)
+                if not c.is_zero():
+                    pairs.append((mu + rng.randint(-2, 2) * delta, c))
+        cancel = rng.random() < 1 / 3
+        if cancel:
+            pairs += [(key, -c * x) for key, c in list(pairs)
+                      for x in (split, ONE - split)]
+            rng.shuffle(pairs)
+        pairs.append((nu, CoefQ.make((1, 2), 0, (1, 0, -1))))
+        want = oracles.term_sum(cd, pairs)
+        assert from_terms(cd, pairs).terms == want, pairs
+        dens = {c.den for key, c in pairs if key != nu}
+        if len(dens) > 1:
+            seen["dens"].add(len(dens))
+            if cancel:
+                assert len(want) == 1
+                seen["cancelled"] += 1
+            else:
+                seen["kept"] += len(want) == 2
+    assert seen["dens"] >= {2, 3, 4, 5, 6}, seen
+    assert seen["cancelled"] > 30 and seen["kept"] > 60, seen
+
+
 @pytest.mark.parametrize("t", ["A1~", "A2~", "C2~", "A3~", "D4~"])
 def test_operators_equal_term_sum(t):
     # every operator equals the term-by-term sum of its per-term images; the

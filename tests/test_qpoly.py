@@ -38,6 +38,37 @@ def test_ring_axioms():
         assert py.pmul(a, ()) == ()
 
 
+def _convolution(a, b):
+    """a * b by the textbook double sum, stripped."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return py.pstrip(out)
+
+
+def test_pmul_against_convolution():
+    # row-wise pmul runs over the shorter operand's nonzeros and adds whole
+    # rows of the longer one: zeros inside and at the ends of either
+    # operand, +-1 rows, lists, and both argument orders
+    rng = oracles.rng_for("qpoly-pmul")
+    fixed = [((0, 1), (1, 0, 0, -1)), ((1, 0, -1), (0, 0, 2, 0, 0, -3)),
+             ((-1,), (0, 4, 0, 1)), ((0, 0, 5), (1,)), ((1, -1), ()),
+             ([0, 2, 0, 0], [1, 0, 0, 0, -1, 0])]
+    cases = fixed + [
+        ([rng.choice((0, 0, 1, -1, rng.randint(-9, 9)))
+          for _ in range(rng.randint(1, 12))],
+         [rng.choice((0, 0, 1, -1, rng.randint(-9, 9)))
+          for _ in range(rng.randint(1, 12))]) for _ in range(300)]
+    inside = 0
+    for a, b in cases:
+        want = _convolution(a, b)
+        assert py.pmul(a, b) == want, (a, b)
+        assert py.pmul(b, a) == want, (a, b)
+        inside += 0 in a[1:-1] and 0 in b[1:-1]
+    assert inside > 50, inside
+
+
 def test_pdivexact():
     rng = oracles.rng_for("qpoly-div")
     for _ in range(60):
