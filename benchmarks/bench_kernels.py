@@ -3,8 +3,13 @@ two gcd routines (pgcd, the PRS; pgcd_cofactors, the heuristic gcd with
 both quotients) on the same products of (1 - q^k) factors.  Then verify's
 vanishing probes two ways on the same entry, G_w for w = s_1 s_2 s_0 s_1 in
 A2~ and every x of length <= 5 with w not <= x: one kring.nonvanishing_probes
-call (one evaluation point per entry, one Weyl letter per probe) and the
-canonical j_map(x, g).is_zero() per probe.  Then the character product on
+call (one evaluation point per entry, one Weyl letter per probe on packed
+pairing keys) and the canonical j_map(x, g).is_zero() per probe, each with
+the bit width of one key digit; then the one call again with the probes to
+length 7, whose longer words widen the digits.  Then CoefQ's ring check,
+divides_q_products, on the monic palindromes 1 + 3q^k + q^2k outside R of
+degree 64, 256 and 1024, and on the distinct denominators (all in R) of
+A1~ to length 12, A2~ and C2~ to 5 and A3~ to 4.  Then the character product on
 packed keys: denominator_inverse built cold (no packing kept from an earlier
 call; the inverse of the alternating orbit of rho, orbit included) for A2~
 to depths 10 and 20 and C2~ to depths 12 and 20, and one over_denominator
@@ -40,9 +45,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 sys.path.insert(0, SRC)
 
-from affgroth import coefq, groth, packed, qpoly, weyl  # noqa: E402
+from affgroth import coefq, groth, kring, packed, qpoly, weyl  # noqa: E402
 from affgroth.cartan import from_type  # noqa: E402
 from affgroth.characters import denominator_inverse  # noqa: E402
+from affgroth.coefq import CoefQ  # noqa: E402
 from affgroth.groth import GrothTable, grothendieck  # noqa: E402
 from affgroth.kring import j_map, nonvanishing_probes  # noqa: E402
 from affgroth.weights import parse_weight  # noqa: E402
@@ -71,19 +77,46 @@ def cyclotomic_products(rng, count):
     return out
 
 
-def probe_case():
+def probe_case(probe_length=5):
     """(g, xs): G_w for w = s_1 s_2 s_0 s_1 in A2~ and verify's probes of it,
-    the x of length <= 5 with w not <= x, in layer order."""
+    the x of length <= probe_length with w not <= x, in layer order."""
     cd = from_type("A2~")
     word = (1, 2, 0, 1)
     w = weyl.canonicalize(cd, word)
-    xs = [x for layer in weyl.enumerate_up_to(cd, len(word) + 1)
+    xs = [x for layer in weyl.enumerate_up_to(cd, probe_length)
           for x in layer if not weyl.bruhat_leq(w, x)]
     return grothendieck(cd, word), xs
 
 
 def canonical_probes(g, xs):
     return [x for x in xs if not j_map(x, g).is_zero()]
+
+
+def digit_bits(g, xs):
+    """The width in bits of one digit of the packed pairing keys that
+    nonvanishing_probes(g, xs) moves."""
+    steps, _ = kring._pairing_keys(g.cd, g, max(x.length for x in xs))
+    return steps[0][1].bit_length()
+
+
+def palindrome_outside_r(degree):
+    """1 + 3q^(degree/2) + q^degree as a CoefQ: monic and palindromic, so
+    only the cyclotomic division decides that it lies outside R."""
+    k = degree // 2
+    return CoefQ.make((1,), den=(1,) + (0,) * (k - 1) + (3,) + (0,) * (k - 1)
+                      + (1,))
+
+
+def ring_dens(tables):
+    """One CoefQ 1/den per distinct denominator of the tables' entries."""
+    dens = {c.den for table in tables for g in table.entries.values()
+            for c in g.terms.values()}
+    return [CoefQ.make((1,), den=d) for d in sorted(dens)]
+
+
+def ring_checks(cs):
+    for c in cs:
+        c.divides_q_products()
 
 
 def cold_denominator_inverse(cd, depth):
@@ -218,11 +251,26 @@ def main():
     g, xs = probe_case()
     if nonvanishing_probes(g, xs) != canonical_probes(g, xs):
         raise SystemExit("nonvanishing_probes disagrees with j_map")
-    for name, fn in (("probes", nonvanishing_probes),
-                     ("j_map probes", canonical_probes)):
-        t = bench(fn, [(g, xs)])
-        print("%-14s %8.2f ms   %d probes of %d terms"
-              % (name, 1e3 * t, len(xs), len(g)))
+    t = bench(nonvanishing_probes, [(g, xs)])
+    print("%-14s %8.2f ms   %d probes of %d terms, %d-bit digits"
+          % ("probes", 1e3 * t, len(xs), len(g), digit_bits(g, xs)))
+    t = bench(canonical_probes, [(g, xs)])
+    print("%-14s %8.2f ms   %d probes of %d terms"
+          % ("j_map probes", 1e3 * t, len(xs), len(g)))
+    g, xs = probe_case(7)
+    t = bench(nonvanishing_probes, [(g, xs)])
+    print("%-14s %8.2f ms   %d probes of %d terms to length 7, %d-bit digits"
+          % ("long probes", 1e3 * t, len(xs), len(g), digit_bits(g, xs)))
+    for degree in (64, 256, 1024):
+        t = bench(ring_checks, [([palindrome_outside_r(degree)],)])
+        print("%-14s %8.2f ms   1 + 3q^%d + q^%d, outside R"
+              % ("ring check", 1e3 * t, degree // 2, degree))
+    dens = ring_dens(table_build(type_string, max_length)
+                     for type_string, max_length in (("A1~", 12), ("A2~", 5),
+                                                     ("C2~", 5), ("A3~", 4)))
+    t = bench(ring_checks, [(dens,)])
+    print("%-14s %8.2f ms   %d distinct denominators of A1~ <= 12, A2~ <= 5, "
+          "C2~ <= 5, A3~ <= 4, in R" % ("ring check", 1e3 * t, len(dens)))
     for type_string, depth in (("A2~", 10), ("C2~", 12), ("A2~", 20),
                                ("C2~", 20)):
         t = bench(cold_denominator_inverse, [(from_type(type_string), depth)])

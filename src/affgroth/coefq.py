@@ -9,8 +9,9 @@ polynomial factor and their integer contents are coprime.  Zero is
 The subring R of interest is generated by q^{+-1} and (1 - q^n)^{-1}; a
 membership test (denominator divides a product of q^k - 1) is provided but
 not enforced during arithmetic.  It divides out cyclotomic polynomials
-Phi_n, each built once by exact division of q^n - 1 and kept in a bounded
-cache, _cyclotomic.
+Phi_n over exactly the n with phi(n) at most the degree, each tried only
+when the integer Phi_n(2) divides den(2), and each built once by exact
+division of q^n - 1 and kept in a bounded cache, _cyclotomic.
 
 Canonicalization cancels the polynomial gcd of num and den with
 qpoly.pgcd_cofactors: the heuristic gcd (one big-integer gcd of the values at
@@ -40,10 +41,11 @@ against 3,147 uncached.
 """
 
 from functools import lru_cache
-from math import gcd
+from itertools import accumulate, combinations
+from math import gcd, isqrt, prod
 
-from .qpoly import (padd, pcontent, pdivexact, pgcd_cofactors, pmul, pneg,
-                    pstrip)
+from .qpoly import (padd, pcontent, pdivexact, peval, pgcd_cofactors, pmul,
+                    pneg, pstrip)
 
 # from_pairs refuses an exponent of size above this.  Tables stay far below
 # it (A1~ to length 30 reaches degree 435), and it bounds the gcd work of a
@@ -256,8 +258,14 @@ class CoefQ:
         are not +-1, or which is neither its reversal nor minus it, is
         refused at once.  Otherwise every Phi_n that fits in what is left of
         den, phi(n) <= its degree, is divided out exactly as often as it
-        divides, for n up to 2 deg^2 of that remainder (phi(n) >=
-        sqrt(n/2)); den is in R iff nothing is left.  No gcd runs."""
+        divides, in increasing n over exactly the n with phi(n) <= deg
+        (_small_totients); den is in R iff nothing is left.  Phi_1 = q - 1,
+        which every factor 1 - q^k brings, comes out by running sums while
+        den(1) = 0.  Any other division is tried only while the integer
+        Phi_n(2) divides den(2), which is divided along as factors come
+        out, so most n cost one integer remainder.  den(2) != 0 once the
+        ends are +-1: a root 2 would divide the constant term.  No gcd
+        runs."""
         den = self.den
         if den == (1,):
             return True
@@ -265,16 +273,20 @@ class CoefQ:
         if (den[0] not in (1, -1) or den[-1] not in (1, -1)
                 or rev != den and rev != pneg(den)):
             return False
-        n = 0
-        while len(den) > 1 and n < 2 * (len(den) - 1) ** 2:
-            n += 1
-            if _totient(n) < len(den):
-                cyc = _cyclotomic(n)
-                try:
-                    while True:
-                        den = pdivexact(den, cyc)
-                except ValueError:
-                    pass
+        while not sum(den):  # den = (q - 1) b: b_i = -(den_0 + ... + den_i)
+            den = tuple([-s for s in accumulate(den[:-1])])
+        value = peval(den, 2)
+        for n, phi, primes in _small_totients(len(den) - 1):
+            if len(den) == 1:
+                break
+            if n > 1 and phi < len(den):
+                at2 = _cyclotomic_at_2(n, primes)
+                while value % at2 == 0:
+                    try:
+                        den = pdivexact(den, _cyclotomic(n))
+                    except ValueError:
+                        break
+                    value //= at2
         return den == (1,)
 
     def __repr__(self):
@@ -332,18 +344,59 @@ def _den_lcm(d1, d2):
     return pmul(d1, c2), c2, c1
 
 
-def _totient(n):
-    """Euler's phi(n), by trial division."""
-    out, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            out -= out // p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
+def _small_totients(limit):
+    """Yield (n, phi(n), the primes dividing n) for every n with phi(n) <=
+    limit, in increasing n.  phi is multiplicative with phi(p^k) =
+    p^(k-1) (p - 1), so each n is built from prime powers in increasing
+    prime order, over the primes p with p - 1 <= limit, and a branch stops
+    once its phi passes the limit.  The n come in blocks (low, high], high
+    growing fourfold from 16, each built and sorted when the one before is
+    used up, so a caller that stops early builds little past where it
+    stopped."""
+    sieve = bytearray([1]) * (limit + 2)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit + 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 2, p)))
+    primes = [p for p, is_prime in enumerate(sieve) if is_prime]
+    low, high, more = 0, 16, True
+    while more:
+        block, more = [], False
+        stack = [(0, 1, 1, ())]
+        while stack:
+            start, n, phi, ps = stack.pop()
+            if n > low:
+                block.append((n, phi, ps))
+            for j in range(start, len(primes)):
+                p = primes[j]
+                m, f = n * p, phi * (p - 1)
+                if f > limit:
+                    break
+                while f <= limit and m <= high:
+                    stack.append((j + 1, m, f, ps + (p,)))
+                    m, f = m * p, f * p
+                if f <= limit:  # m passed high: n beyond this block remain
+                    more = True
+                    if m == n * p:
+                        break
+        block.sort()
+        yield from block
+        low, high = high, 4 * high
+
+
+def _cyclotomic_at_2(n, primes):
+    """Phi_n(2) = prod_{d | n} (2^d - 1)^mu(n/d), primes the primes
+    dividing n: only squarefree n/d, the products of subsets of primes,
+    have mu(n/d) != 0."""
+    num = den = 1
+    for k in range(len(primes) + 1):
+        for sub in combinations(primes, k):
+            v = (1 << n // prod(sub)) - 1
+            if k % 2:
+                den *= v
+            else:
+                num *= v
+    return num // den
 
 
 @lru_cache(maxsize=_GCD_CACHE)

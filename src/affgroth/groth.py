@@ -39,7 +39,9 @@ vanishing probe j_x(G_w) = 0 (w not below x) only needs a yes or no.
 kring.nonvanishing_probes answers all of an entry's probes in one call
 without building any j_x(G_w): it evaluates the entry's terms once at one
 point per entry, past the root bound of every key's cleared numerator, and
-reaches each probe by one Weyl letter from the probe below it.
+reaches each probe by one Weyl letter from the probe below it, each term
+image one int that packs the pairings <h_j, alpha> of its alpha-part, which
+name its j_x key.
 
 Every check is sigma-equivariant as well: sigma keeps length and Bruhat
 order (so it maps w's probe list onto sigma(w)'s), D_{sigma i}(sigma f) =
@@ -53,7 +55,8 @@ the same table at the same probe_length, and
     G_{w^-1} = sigma^-1(G_{u^-1})
 
 hold exactly for the entries u's pass read, w passes too, and verify
-records it without running the checks.  When any equality fails the full
+records it without running the checks; kring.relabel_equals decides each
+equality without building sigma^-1(G_u).  When any equality fails the full
 checks run, so every failure line is the one they give.  A loaded
 "verified" flag never counts as a pass, and a check subset always runs in
 full, so timing verify one check at a time shows none of this saving.
@@ -67,7 +70,8 @@ from .cartan import cartan_from_json, cartan_to_json
 from .cocycle import solve_coboundary
 from .errors import CacheMismatch, WindowViolation
 from .kring import (demazure, eta_embed, from_json, in_window, j_map,
-                    k_one, monomial, nonvanishing_probes, psi, relabel)
+                    k_one, monomial, nonvanishing_probes, psi, relabel,
+                    relabel_equals)
 
 
 class GrothTable:
@@ -230,9 +234,9 @@ class GrothTable:
         probe_length, g, downs, g_inv = read
         for p, (length_u, g_u, downs_u, inv_u) in self._orbit_mates(
                 w, self._passed):
-            if (length_u == probe_length and relabel(g_u, p) == g
-                    and relabel(inv_u, p) == g_inv
-                    and all(relabel(downs_u[p[i]], p) == d
+            if (length_u == probe_length and relabel_equals(g_u, p, g)
+                    and relabel_equals(inv_u, p, g_inv)
+                    and all(relabel_equals(downs_u[p[i]], p, d)
                             for i, d in downs.items())):
                 return True
         return False

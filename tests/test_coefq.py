@@ -4,6 +4,7 @@ q-fractions that verify's vanishing probes run."""
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -262,6 +263,58 @@ def test_divides_q_products_palindromes_outside_r_run_no_gcd(monkeypatch):
     cofactors = oracles.count_calls(monkeypatch, coefq, "pgcd_cofactors")
     assert [c.divides_q_products() for c in found] == [False, False]
     assert gcds[0] == cofactors[0] == 0
+
+
+def test_divides_q_products_work_is_bounded(monkeypatch):
+    # 1 + 3q^128 + q^256 is a monic palindrome outside R.  Trying every n
+    # up to 2 deg^2 (a trial-division totient and a Phi_n division each)
+    # took 1.3 s on it; now only the 504 n > 1 with phi(n) <= 256 are
+    # tried, each by the integer test Phi_n(2) | den(2).  Only Phi_4(2) = 5
+    # passes it, so one exact division runs, and fails, besides the three
+    # that build Phi_2 and Phi_4 from a cleared cache
+    c = CoefQ.make((1,), den=(1,) + (0,) * 127 + (3,) + (0,) * 127 + (1,))
+    coefq._cyclotomic.cache_clear()
+    tried = oracles.count_calls(monkeypatch, coefq, "_cyclotomic_at_2")
+    divisions = oracles.count_calls(monkeypatch, coefq, "pdivexact")
+    assert c.divides_q_products() is False
+    assert tried[0] == 504 and divisions[0] == 4
+
+
+@pytest.mark.parametrize("limit", [1, 2, 6, 12, 24])
+def test_small_totients_and_cyclotomic_values(limit):
+    # exactly the n with phi(n) <= limit, in increasing order, with phi(n)
+    # and the primes of n; Phi_n(2) from them agrees with the polynomial
+    def phi(n):
+        return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+    got = list(coefq._small_totients(limit))
+    assert [(n, f) for n, f, _ in got] == [
+        (n, phi(n)) for n in range(1, 2 * limit * limit + 3)
+        if phi(n) <= limit]
+    for n, _, primes in got:
+        assert primes == tuple(p for p in range(2, n + 1)
+                               if n % p == 0 and phi(p) == p - 1)
+        assert coefq._cyclotomic_at_2(n, primes) == peval(
+            coefq._cyclotomic(n), 2)
+
+
+def test_divides_q_products_on_high_degree_dens():
+    # products of up to six factors 1 - q^k, k <= 40, lie in R, and not
+    # once multiplied by a palindrome outside R; Phi_15^2 lies in R, and
+    # not once multiplied by 1 + 3q + q^2
+    rng = oracles.rng_for("coefq-ring-high")
+    for _ in range(12):
+        d = (1,)
+        for _ in range(rng.randint(1, 6)):
+            k = rng.randint(1, 40)
+            d = pmul(d, (1,) + (0,) * (k - 1) + (-1,))
+        assert CoefQ.make((1,), den=d).divides_q_products(), d
+        bad = pmul(d, rng.choice(((1, 3, 1), (1, -3, 1), (1, 0, 3, 0, 1))))
+        assert not CoefQ.make((1,), den=bad).divides_q_products(), d
+    cyc = oracles.cyclotomic(15)
+    assert CoefQ.make((1,), den=pmul(cyc, cyc)).divides_q_products()
+    assert not CoefQ.make((1,), den=pmul(pmul(cyc, cyc), (1, 3, 1))) \
+        .divides_q_products()
 
 
 def _membership_dens(rng, count):

@@ -210,10 +210,10 @@ def test_probe_work_pinned(monkeypatch):
     moved = 0
     reflect = kring._reflect_images
 
-    def counted(cd, i, ls, ms, es):
+    def counted(step, ks, es):
         nonlocal moved
-        moved += len(ms)
-        return reflect(cd, i, ls, ms, es)
+        moved += len(ks)
+        return reflect(step, ks, es)
 
     monkeypatch.setattr(kring, "_reflect_images", counted)
     cd = from_type("A2~")

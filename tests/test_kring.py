@@ -8,11 +8,12 @@ from affgroth.cartan import build_cartan, from_type
 from affgroth.coefq import CoefQ, ONE, Q
 from affgroth.errors import NonQInput
 from affgroth.groth import GrothTable
-from affgroth.kring import (demazure, eta_embed, from_json, from_terms,
-                            in_window, j_map, k_one, k_scalar, k_zero,
-                            monomial, nonvanishing_probes, orbit_sum, psi,
-                            reflect_act, to_json, weyl_act)
-from affgroth import weyl
+from affgroth.kring import (KElement, demazure, eta_embed, from_json,
+                            from_terms, in_window, j_map, k_one, k_scalar,
+                            k_zero, monomial, nonvanishing_probes, orbit_sum,
+                            psi, reflect_act, relabel, relabel_equals,
+                            to_json, weyl_act)
+from affgroth import kring, weyl
 from affgroth.weights import Weight
 
 import oracles
@@ -336,34 +337,94 @@ def test_j_map_vanishes_agrees_on_groth(t, length):
     assert seen[True] and seen[False], seen
 
 
+def _cancelling_triples(cd, rng, x, span=2):
+    """(f, bad): f sums one to four triples mu, mu + x^-1(Lam_k) and
+    mu + x^-1(Lam_k + Lam_j), which share their j_x image, with
+    coefficients a/(1 - q^i), b/(1 - q^k) and -(a + b), which cancel there
+    over three denominators; bad is f with one coefficient of a triple
+    changed.  Each mu has coordinates of size <= span."""
+    xinv = weyl.inverse(x)
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        mu = oracles.random_weight(cd, rng, l_span=span, m_span=span)
+        lam = cd.Lam(rng.choice(cd.labels))
+        t1 = weyl.act(xinv, lam)
+        t2 = weyl.act(xinv, lam + cd.Lam(rng.choice(cd.labels)))
+        a = oracles.random_coefq(rng, shift_span=2) * \
+            (ONE - CoefQ.q_power(rng.randint(1, 3))).inv()
+        b = oracles.random_coefq(rng, shift_span=2) * \
+            (ONE - CoefQ.q_power(rng.randint(1, 3))).inv()
+        pairs += [(mu, a), (mu + t1, b), (mu + t2, -(a + b))]
+    f = from_terms(cd, pairs)
+    mu, c = pairs[rng.randrange(len(pairs))]
+    return f, f + monomial(cd, mu, c * Q)
+
+
 @pytest.mark.parametrize("t", ["A1~", "A2~", "C2~", "A3~"])
 def test_j_map_vanishes_on_cancelling_triples(t):
-    # mu, mu + x^-1(Lam_k) and mu + x^-1(Lam_k + Lam_j) share their j_x
-    # image; coefficients a/(1 - q^i), b/(1 - q^k) and -(their sum) cancel
-    # there over three denominators, and changing one of them does not
+    # the triples of _cancelling_triples vanish under j_x, and changing
+    # one coefficient of them does not
     cd = from_type(t)
     rng = oracles.rng_for("kring-vanishes-" + t)
     for _ in range(10):
         x = weyl.canonicalize(cd, oracles.random_word(cd, rng, max_len=5))
-        xinv = weyl.inverse(x)
-        pairs = []
-        for _ in range(rng.randint(1, 4)):
-            mu = oracles.random_weight(cd, rng)
-            lam = cd.Lam(rng.choice(cd.labels))
-            t1 = weyl.act(xinv, lam)
-            t2 = weyl.act(xinv, lam + cd.Lam(rng.choice(cd.labels)))
-            a = oracles.random_coefq(rng, shift_span=2) * \
-                (ONE - CoefQ.q_power(rng.randint(1, 3))).inv()
-            b = oracles.random_coefq(rng, shift_span=2) * \
-                (ONE - CoefQ.q_power(rng.randint(1, 3))).inv()
-            pairs += [(mu, a), (mu + t1, b), (mu + t2, -(a + b))]
-        f = from_terms(cd, pairs)
+        f, bad = _cancelling_triples(cd, rng, x)
         assert j_map(x, f).is_zero()
         assert nonvanishing_probes(f, [x]) == [], (t, x.word)
-        mu, c = pairs[rng.randrange(len(pairs))]
-        bad = f + monomial(cd, mu, c * Q)
         assert not j_map(x, bad).is_zero()
         assert nonvanishing_probes(bad, [x]) == [x], (t, x.word)
+
+
+@pytest.mark.parametrize("name", ["G2~", "A2^(2)"])
+def test_nonvanishing_probes_large_coordinates_long_words(name):
+    # the packed pairing keys at their widest: coordinates up to 1,000,
+    # |a_ij| up to 3 (G2~) and 4 (A2^(2)) and probes to length 9, so each
+    # letter can multiply the digits by 1 + |a_ij|.  The triples of
+    # _cancelling_triples at an x of length >= 8 vanish there, one changed
+    # coefficient does not, and at every probe the verdict is the
+    # canonical j_map's
+    cd = build_cartan(dict(oracles.CUSTOM_GCMS)[name])
+    rng = oracles.rng_for("kring-long-probes-" + name)
+    elems = [u for layer in weyl.enumerate_up_to(cd, 9) for u in layer]
+    longest = [u for u in elems if u.length >= 8]
+    seen = {True: 0, False: 0}
+    for _ in range(4):
+        x = rng.choice(longest)
+        f, bad = _cancelling_triples(cd, rng, x, span=1000)
+        for g in (f, bad):
+            got = nonvanishing_probes(g, elems)
+            assert got == [u for u in elems if not j_map(u, g).is_zero()], \
+                (name, x.word)
+            seen[True] += len(elems) - len(got)
+            seen[False] += len(got)
+            _assert_packed_images(g, elems)
+        assert x not in nonvanishing_probes(f, elems)
+        assert nonvanishing_probes(bad, [x]) == [x]
+    assert seen[True] and seen[False], seen
+
+
+def _assert_packed_images(f, xs):
+    """Every packed image that nonvanishing_probes makes of f's terms on
+    the way to xs holds the pairings <h_j, alpha> of the alpha-part of the
+    delta-normalized x(mu), each digit within (0, 2^b) with no carry, and
+    the q-power shift + delta part.  A wrong image can still leave a
+    verdict right, as when every term on a key is moved alike, so the
+    images are compared themselves."""
+    cd = f.cd
+    steps, keys = kring._pairing_keys(cd, f, max(x.length for x in xs))
+    b = steps[0][1].bit_length()
+    half = 1 << (b - 1)
+    memo = {(): (keys, [c.shift for c in f.terms.values()])}
+    for x in xs:
+        ks, es = kring._probe_images(steps, memo, x.word)
+        for (mu, c), k, e in zip(f.terms.items(), ks, es):
+            n, nu = cd.normalize(weyl.act(x, mu))
+            want = [sum(a * m for a, m in zip(row, nu.m)) for row in cd.gcm]
+            digits = [(k >> b * j) % (1 << b) for j in range(cd.rank)]
+            assert [d - half for d in digits] == want, (x.word, mu)
+            assert 0 not in digits
+            assert k == sum(d << b * j for j, d in enumerate(digits))
+            assert e == c.shift + n
 
 
 @pytest.mark.parametrize("name,gcm", oracles.CUSTOM_GCMS,
@@ -391,6 +452,40 @@ def test_nonvanishing_probes_on_custom_gcms(name, gcm):
                 x for x in elems if not j_map(x, f).is_zero()], (name, w.word)
         if w.length:
             assert weyl.identity(cd) in nonvanishing_probes(edited, elems)
+
+
+@pytest.mark.parametrize("t", ["A2~", "C2~", "A3~"])
+def test_relabel_equals_near_misses(t):
+    # relabel_equals(f, p, g) is relabel(f, p) == g without building the
+    # relabelled element: true on the image, false on its near misses, one
+    # coefficient q-shifted by one either way, a term dropped, a term
+    # added, and one key moved by a simple root at the same size.  Every
+    # non-identity automorphism of these types moves node0, so some images
+    # carry a delta part n != 0 into their q-shift
+    cd = from_type(t)
+    table = GrothTable(cd)
+    elems = [u for layer in weyl.enumerate_up_to(cd, 3) for u in layer]
+    step = cd.alpha(next(i for i in cd.labels if i != cd.node0))
+    moved = 0
+    for p in cd.automorphisms()[1:]:
+        for w in elems[1::3]:
+            f = table.compute(w)
+            h = relabel(f, p)
+            assert relabel_equals(f, p, h)
+            moved += sum(1 for _, _, n, _ in kring._relabel_images(f, p)
+                         if n)
+            for mu, c in list(h.terms.items())[:3]:
+                rest = {nu: d for nu, d in h.terms.items() if nu != mu}
+                nu = mu + step
+                near = [{**h.terms, mu: c * Q}, rest,
+                        {**h.terms, mu: c * CoefQ.q_power(-1)}]
+                if nu not in h.terms:
+                    near += [{**h.terms, nu: ONE}, {**rest, nu: c}]
+                for terms in near:
+                    assert relabel(f, p) != KElement(cd, terms)
+                    assert not relabel_equals(f, p, KElement(cd, terms)), \
+                        (t, p, w.word)
+    assert moved
 
 
 def _demazure_images(cd, i, f):
