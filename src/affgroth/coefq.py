@@ -359,7 +359,7 @@ def _small_totients(limit):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, limit + 2, p)))
     primes = [p for p, is_prime in enumerate(sieve) if is_prime]
-    low, high, more = 0, 16, True
+    low, high, more = 0, 16, limit >= 1
     while more:
         block, more = [], False
         stack = [(0, 1, 1, ())]

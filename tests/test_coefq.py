@@ -280,7 +280,7 @@ def test_divides_q_products_work_is_bounded(monkeypatch):
     assert tried[0] == 504 and divisions[0] == 4
 
 
-@pytest.mark.parametrize("limit", [1, 2, 6, 12, 24])
+@pytest.mark.parametrize("limit", [0, 1, 2, 6, 12, 24])
 def test_small_totients_and_cyclotomic_values(limit):
     # exactly the n with phi(n) <= limit, in increasing order, with phi(n)
     # and the primes of n; Phi_n(2) from them agrees with the polynomial
