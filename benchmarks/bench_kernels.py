@@ -2,7 +2,7 @@
 two gcd routines (pgcd, the PRS; pgcd_cofactors, the heuristic gcd with
 both quotients) on the same products of (1 - q^k) factors.  Then verify's
 vanishing probes two ways on the same entry, G_w for w = s_1 s_2 s_0 s_1 in
-A2~ and every x of length <= 5 with w not <= x: one kring.nonvanishing_probes
+A2~ and every x of length <= 5 with w not <= x: one probes.nonvanishing_probes
 call (one evaluation point per entry, one Weyl letter per probe on packed
 pairing keys) and the canonical j_map(x, g).is_zero() per probe, each with
 the bit width of one key digit; then the one call again with the probes to
@@ -45,12 +45,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 sys.path.insert(0, SRC)
 
-from affgroth import coefq, groth, kring, packed, qpoly, weyl  # noqa: E402
+from affgroth import coefq, groth, packed, probes, qpoly, weyl  # noqa: E402
 from affgroth.cartan import from_type  # noqa: E402
 from affgroth.characters import denominator_inverse  # noqa: E402
 from affgroth.coefq import CoefQ  # noqa: E402
 from affgroth.groth import GrothTable, grothendieck  # noqa: E402
-from affgroth.kring import j_map, nonvanishing_probes  # noqa: E402
+from affgroth.kring import j_map  # noqa: E402
+from affgroth.probes import nonvanishing_probes  # noqa: E402
 from affgroth.weights import parse_weight  # noqa: E402
 
 
@@ -95,7 +96,7 @@ def canonical_probes(g, xs):
 def digit_bits(g, xs):
     """The width in bits of one digit of the packed pairing keys that
     nonvanishing_probes(g, xs) moves."""
-    steps, _ = kring._pairing_keys(g.cd, g, max(x.length for x in xs))
+    steps, _ = probes._pairing_keys(g.cd, g, max(x.length for x in xs))
     return steps[0][1].bit_length()
 
 

@@ -36,7 +36,7 @@ entry against the Demazure recursion, localization supports, the bar
 involution, and the coefficient-denominator constraint.  The localization
 check compares j_w(G_w) with prod(1 - e^beta) as canonical forms; each
 vanishing probe j_x(G_w) = 0 (w not below x) only needs a yes or no.
-kring.nonvanishing_probes answers all of an entry's probes in one call
+probes.nonvanishing_probes answers all of an entry's probes in one call
 without building any j_x(G_w): it evaluates the entry's terms once at one
 point per entry, past the root bound of every key's cleared numerator, and
 reaches each probe by one Weyl letter from the probe below it, each term
@@ -70,8 +70,8 @@ from .cartan import cartan_from_json, cartan_to_json
 from .cocycle import solve_coboundary
 from .errors import CacheMismatch, WindowViolation
 from .kring import (demazure, eta_embed, from_json, in_window, j_map,
-                    k_one, monomial, nonvanishing_probes, psi, relabel,
-                    relabel_equals)
+                    k_one, monomial, psi, relabel, relabel_equals)
+from .probes import nonvanishing_probes
 
 
 class GrothTable:

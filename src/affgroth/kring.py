@@ -9,25 +9,19 @@ exp(Q) along eta, and classical orbit sums.
 
 Every operator, sums and products included, is a sum of term images, and
 _collect is the one path that adds them: it delta-normalizes each image and
-adds the coefficients that land on one key.  nonvanishing_probes only asks
-at which x j_map(x, f) has a key that does not cancel: it evaluates f's
-terms once per call at one point past the root bound of every key's cleared
-numerator, moves the term images one Weyl letter per probe, and compares
-integers.  There a term image is one int, the pairings <h_j, alpha> of its
-alpha-part packed as digits of a proven width: they name the j_x key
-without delta-normalization, and a letter is a digit read and one
-multiple of a packed GCM column.  relabel, the transport along a diagram
-automorphism, maps keys one to one, so it sums nothing, and relabel_equals
-compares its image with an element without building it.
+adds the coefficients that land on one key (probes.nonvanishing_probes
+decides whether j_map(x, f) is zero without building it).  relabel, the
+transport along a diagram automorphism, maps keys one to one, so it sums
+nothing, and relabel_equals compares its image with an element without
+building it.
 """
 
 import operator
 from itertools import chain
-from math import prod
 
 from .coefq import CoefQ, ONE, common_den, shifted_sum
 from .errors import NonQInput
-from .qpoly import peval, pmul
+from .qpoly import pmul
 from .weights import _INT, Weight, weight_coords_from_json, weight_to_json
 from . import weyl as weyl_mod
 
@@ -284,167 +278,6 @@ def j_map(w, f):
     zero_l = (0,) * f.cd.rank
     return _collect(f.cd, ((zero_l, act(w, mu).m, c)
                            for mu, c in f.terms.items()))
-
-
-def nonvanishing_probes(f, xs):
-    """The x in xs, in order, at which j_map(x, f) is nonzero.  Exact and
-    deterministic; no Weight and no CoefQ is made.
-
-    Write term t of f as q^(s_t) N_t / D_h(t) e^(mu_t), with D_1..D_k the
-    distinct denominators of f.  Under j_x it lands on the key
-    normalize(x(mu_t)) with the q-power e_t = s_t + n_t, n_t the delta part
-    of x(mu_t).  Cleared by all k denominators, the sum on one key is
-    q^(e_min) P / prod_h D_h with
-
-        P = sum_t q^(e_t - e_min) N_t prod_{h != h(t)} D_h
-
-    over the terms on that key, so it is zero iff P = 0.  P has integer
-    coefficients, and for every probe and key
-
-        |P|_inf <= |P|_1 <= B = sum_t |N_t|_1 prod_{h != h(t)} |D_h|_1,
-
-    the sum now over all terms of f.  By Cauchy's bound every root z of a
-    nonzero integer polynomial p_0 + ... + p_n q^n with p_n != 0 has
-    |z| < 1 + max|p_i| / |p_n| <= 1 + |p|_inf.  At xi = B + 2 > 1 + |P|_inf a
-    nonzero P therefore has P(xi) != 0, while P = 0 gives P(xi) = 0.  So xi
-    and V_t = N_t(xi) prod_{h != h(t)} D_h(xi) are taken once per call, and
-    a key vanishes iff sum_t V_t xi^(e_t - e_low) = 0 for any e_low <= e_min;
-    a key with one term never does.  e_low is the probe's lowest q-power
-    unless the probe's q-powers spread over more than _WIDE; then each key
-    takes its own (_spread_keys_nonzero), so no integer is wider than one
-    key's spread.  This is the evaluation step of the heuristic gcd GCDHEU
-    (Char, Geddes and Gonnet 1989), which qpoly.pgcd_cofactors runs,
-    without the gcd: a point beyond the root bound makes one integer
-    comparison decide a polynomial identity.
-
-    A term image is one int, the key K: the vector Q = A m of the pairings
-    <h_j, alpha> of its alpha-part alpha = sum m_j alpha_j, packed with
-    digits Q_j + 2^(b-1) in base 2^b (digit j at bit b j).  Q names the
-    j_x key: A delta = 0 makes Q blind to delta-normalization, and on
-    normalized alpha (m[node0] = 0) Q is injective, for ker A = Z delta
-    and marks[node0] = 1.  So two images share a K exactly when they share
-    a key of j_x, and a letter needs no normalization.  s_i moves alpha by
-    -p alpha_i with p = <h_i, mu> = l_i + Q_i, which changes Q by -p times
-    column i of A: with C_i that column packed, p = l_i + digit_i(K) and
-    K -= p C_i, and for i = node0 the delta part -p delta moves into the
-    q-power, e -= p.
-
-    The digits never carry.  With a = max |a_ij|, R = max |l_i| over the
-    terms and Q0 >= max |Q_j| at the start (taken as max|m_j| times the
-    largest row sum of |a_ij|), a letter gives |p| <= R + |Q|_inf and
-    |Q'_j| <= |Q_j| + a |p|, so |Q'|_inf + R <= (1 + a)(|Q|_inf + R), and
-    after k letters |Q|_inf + R <= (1 + a)^k (Q0 + R).  b is the least
-    width with 2^(b-1) > that bound at k the longest probe word, so every
-    digit stays in (0, 2^b) on every image the call makes.
-
-    The images under x are those under s_i x, i = x.word[0], moved by s_i:
-    weyl._from_rho_image strips the smallest left descent first, so the
-    canonical word of s_i x is x.word[1:].  Images are kept per word for
-    the call, which costs one letter per probe and term.  For verify's
-    probes, the x with w not <= x, the parent s_i x < x of a probe is a
-    probe too (w <= s_i x would give w <= x), so no other element is
-    mapped."""
-    xs = list(xs)
-    if not f.terms or not xs:
-        return []
-    cd = f.cd
-    norms = {c.den: sum(map(abs, c.den)) for c in f.terms.values()}
-    whole = prod(norms.values())
-    xi = 2 + sum(sum(map(abs, c.num)) * (whole // norms[c.den])
-                 for c in f.terms.values())
-    at = {den: peval(den, xi) for den in norms}
-    others = {den: prod(v for h, v in at.items() if h != den) for den in at}
-    values = [peval(c.num, xi) * others[c.den] for c in f.terms.values()]
-    steps, keys = _pairing_keys(cd, f, max(len(x.word) for x in xs))
-    memo = {(): (keys, [c.shift for c in f.terms.values()])}
-    powers = [1]  # xi^k
-    out = []
-    for x in xs:
-        ks, es = _probe_images(steps, memo, x.word)
-        low = min(es)
-        spread = max(es) - low
-        if spread > _WIDE:
-            if _spread_keys_nonzero(ks, es, values, xi):
-                out.append(x)
-            continue
-        for _ in range(len(powers), spread + 1):
-            powers.append(powers[-1] * xi)
-        sums = {}
-        get = sums.get
-        for k, e, v in zip(ks, es, values):
-            sums[k] = get(k, 0) + v * powers[e - low]
-        if any(sums.values()):
-            out.append(x)
-    return out
-
-
-# the widest spread of q-powers over one probe's images that
-# nonvanishing_probes sums from the probe's lowest power.  verify's probes
-# spread over at most 10 on A3~ <= 4 and 17 on A2~, C2~ <= 5, but up to 132
-# on A1~ <= 12, whose localization checks run in 0.43 s with per-key sums
-# beyond 16 and in 0.72 s with none (2-CPU x86 host)
-_WIDE = 16
-
-
-def _spread_keys_nonzero(ks, es, values, xi):
-    """Whether some key's sum of V_t xi^(e_t - e_low) is nonzero, e_low the
-    lowest q-power on that key: for images whose q-powers spread wider than
-    _WIDE, which a probe-wide lowest power would turn into integers as wide
-    as the spread."""
-    groups = {}
-    for k, e, v in zip(ks, es, values):
-        groups.setdefault(k, []).append((e, v))
-    for group in groups.values():
-        low = min(e for e, _ in group)
-        if sum(v * xi ** (e - low) for e, v in group):
-            return True
-    return False
-
-
-def _pairing_keys(cd, f, letters):
-    """(steps, keys) for nonvanishing_probes: the packed pairing key K of
-    each term of f, at the digit width that holds every image after up to
-    `letters` letters, and per node i the letter's data (bit offset of
-    digit i, digit mask, l_i - 2^(b-1) per term, C_i, i == node0)."""
-    gcm, rank = cd.gcm, cd.rank
-    ls = [mu.l for mu in f.terms]
-    ms = [mu.m for mu in f.terms]
-    a = max(abs(x) for row in gcm for x in row)
-    r = max(map(abs, chain.from_iterable(ls)))
-    q0 = (max(map(abs, chain.from_iterable(ms)))
-          * max(sum(map(abs, row)) for row in gcm))
-    b = ((1 + a) ** letters * (q0 + r)).bit_length() + 1
-    half = 1 << (b - 1)
-    cols = [sum(gcm[j][i] << b * j for j in range(rank)) for i in range(rank)]
-    offset = sum(half << b * j for j in range(rank))
-    mul = operator.mul
-    keys = [offset + sum(map(mul, m, cols)) for m in ms]
-    mask = (1 << b) - 1
-    steps = [(b * i, mask, [l[i] - half for l in ls], cols[i], i == cd.node0)
-             for i in range(rank)]
-    return steps, keys
-
-
-def _probe_images(steps, memo, word):
-    """The (keys, q-powers) of the term images under the element with
-    canonical word `word`, from memo or by one letter from word[1:]."""
-    got = memo.get(word)
-    if got is None:
-        got = memo[word] = _reflect_images(
-            steps[word[0]], *_probe_images(steps, memo, word[1:]))
-    return got
-
-
-def _reflect_images(step, ks, es):
-    """s_i applied to term images with packed pairing keys ks and q-powers
-    es, step being node i's letter data from _pairing_keys."""
-    shift, mask, lows, col, node0 = step
-    if not node0:
-        return [k - (low + (k >> shift & mask)) * col
-                for k, low in zip(ks, lows)], es
-    ps = [low + (k >> shift & mask) for k, low in zip(ks, lows)]
-    return ([k - p * col for k, p in zip(ks, ps)],
-            list(map(operator.sub, es, ps)))
 
 
 def psi(f):

@@ -11,7 +11,8 @@ import pytest
 from affgroth import coefq, qpoly, weyl
 from affgroth.cartan import from_type
 from affgroth.coefq import CoefQ, ONE, Q, ZERO
-from affgroth.kring import from_terms, nonvanishing_probes
+from affgroth.kring import from_terms
+from affgroth.probes import nonvanishing_probes
 from affgroth.qpoly import peval, pgcd, pmul
 from affgroth.weights import Weight
 
@@ -377,7 +378,7 @@ def _canonical_sum(parts):
 
 def sum_is_zero(parts):
     """Whether the sum of q^shift * num / den over the (shift, num, den)
-    parts is zero, decided by kring.nonvanishing_probes at the identity.
+    parts is zero, decided by probes.nonvanishing_probes at the identity.
     Part k becomes the term at k Lam_1 + alpha_1 of one A2~ element: the
     Lambda-parts differ, so the terms stay apart, and j_e sends all of them
     to the one key alpha_1, whose sum is then the sum of the parts."""

@@ -11,7 +11,7 @@ from affgroth.errors import CacheMismatch
 from affgroth.groth import GrothTable, grothendieck
 from affgroth.kring import (KElement, in_window, j_map, k_one, k_zero,
                             monomial, psi, to_json)
-from affgroth import coefq, groth as groth_mod, kring, weyl
+from affgroth import coefq, groth as groth_mod, probes as probes_mod, weyl
 
 import oracles
 
@@ -208,14 +208,14 @@ def test_probe_work_pinned(monkeypatch):
     # w != e, takes its images from the terms as they stand.  A change that
     # re-walks whole words moves more images and fails here
     moved = 0
-    reflect = kring._reflect_images
+    reflect = probes_mod._reflect_images
 
     def counted(step, ks, es):
         nonlocal moved
         moved += len(ks)
         return reflect(step, ks, es)
 
-    monkeypatch.setattr(kring, "_reflect_images", counted)
+    monkeypatch.setattr(probes_mod, "_reflect_images", counted)
     cd = from_type("A2~")
     e = weyl.identity(cd)
     table = GrothTable(cd)

@@ -10,10 +10,10 @@ from affgroth.errors import NonQInput
 from affgroth.groth import GrothTable
 from affgroth.kring import (KElement, demazure, eta_embed, from_json,
                             from_terms, in_window, j_map, k_one, k_scalar,
-                            k_zero, monomial, nonvanishing_probes, orbit_sum,
-                            psi, reflect_act, relabel, relabel_equals,
-                            to_json, weyl_act)
-from affgroth import kring, weyl
+                            k_zero, monomial, orbit_sum, psi, reflect_act,
+                            relabel, relabel_equals, to_json, weyl_act)
+from affgroth.probes import nonvanishing_probes
+from affgroth import kring, probes, weyl
 from affgroth.weights import Weight
 
 import oracles
@@ -411,12 +411,12 @@ def _assert_packed_images(f, xs):
     verdict right, as when every term on a key is moved alike, so the
     images are compared themselves."""
     cd = f.cd
-    steps, keys = kring._pairing_keys(cd, f, max(x.length for x in xs))
+    steps, keys = probes._pairing_keys(cd, f, max(x.length for x in xs))
     b = steps[0][1].bit_length()
     half = 1 << (b - 1)
     memo = {(): (keys, [c.shift for c in f.terms.values()])}
     for x in xs:
-        ks, es = kring._probe_images(steps, memo, x.word)
+        ks, es = probes._probe_images(steps, memo, x.word)
         for (mu, c), k, e in zip(f.terms.items(), ks, es):
             n, nu = cd.normalize(weyl.act(x, mu))
             want = [sum(a * m for a, m in zip(row, nu.m)) for row in cd.gcm]
