@@ -345,43 +345,31 @@ def _den_lcm(d1, d2):
 
 
 def _small_totients(limit):
-    """Yield (n, phi(n), the primes dividing n) for every n with phi(n) <=
-    limit, in increasing n.  phi is multiplicative with phi(p^k) =
-    p^(k-1) (p - 1), so each n is built from prime powers in increasing
-    prime order, over the primes p with p - 1 <= limit, and a branch stops
-    once its phi passes the limit.  The n come in blocks (low, high], high
-    growing fourfold from 16, each built and sorted when the one before is
-    used up, so a caller that stops early builds little past where it
-    stopped."""
+    """(n, phi(n), the primes dividing n) for every n with phi(n) <= limit,
+    in increasing n.  phi is multiplicative with phi(p^k) = p^(k-1) (p - 1),
+    so each n is built from prime powers in increasing prime order, over the
+    primes p with p - 1 <= limit, and a branch stops once its phi passes
+    the limit."""
     sieve = bytearray([1]) * (limit + 2)
-    sieve[:2] = b"\0\0"
     for p in range(2, isqrt(limit + 1) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, limit + 2, p)))
-    primes = [p for p, is_prime in enumerate(sieve) if is_prime]
-    low, high, more = 0, 16, limit >= 1
-    while more:
-        block, more = [], False
-        stack = [(0, 1, 1, ())]
-        while stack:
-            start, n, phi, ps = stack.pop()
-            if n > low:
-                block.append((n, phi, ps))
-            for j in range(start, len(primes)):
-                p = primes[j]
-                m, f = n * p, phi * (p - 1)
-                if f > limit:
-                    break
-                while f <= limit and m <= high:
-                    stack.append((j + 1, m, f, ps + (p,)))
-                    m, f = m * p, f * p
-                if f <= limit:  # m passed high: n beyond this block remain
-                    more = True
-                    if m == n * p:
-                        break
-        block.sort()
-        yield from block
-        low, high = high, 4 * high
+    primes = [p for p in range(2, limit + 2) if sieve[p]]
+    out = []
+    stack = [(0, 1, 1, ())] if limit >= 1 else []
+    while stack:
+        start, n, phi, ps = stack.pop()
+        out.append((n, phi, ps))
+        for j in range(start, len(primes)):
+            p = primes[j]
+            m, f = n * p, phi * (p - 1)
+            if f > limit:
+                break
+            while f <= limit:
+                stack.append((j + 1, m, f, ps + (p,)))
+                m, f = m * p, f * p
+    out.sort()
+    return out
 
 
 def _cyclotomic_at_2(n, primes):
