@@ -9,8 +9,14 @@ the bit width of one key digit; then the one call again with the probes to
 length 7, whose longer words widen the digits.  Then CoefQ's ring check,
 divides_q_products, on the monic palindromes 1 + 3q^k + q^2k outside R of
 degree 64, 256 and 1024, and on the distinct denominators (all in R) of
-A1~ to length 12, A2~ and C2~ to 5 and A3~ to 4.  Then the character product on
-packed keys: denominator_inverse built cold (no packing kept from an earlier
+A1~ to length 12, A2~ and C2~ to 5 and A3~ to 4.  Then the coefficient
+sums that one A3~ to length 4 and one A1~ to length 12 build run,
+captured once and replayed with CoefQ's gcd caches cleared: the operand
+pairs of every CoefQ +, and the term lists that kring's key sums and
+cocycle's check (v_i(mu) + q^-n B(sigma)) hand to coefq.q_shifted_sum,
+each counted by its number of terms and of distinct denominators.  Then
+the character product on packed keys: denominator_inverse built cold (no
+packing kept from an earlier
 call; the inverse of the alternating orbit of rho, orbit included) for A2~
 to depths 10 and 20 and C2~ to depths 12 and 20, and one over_denominator
 call, the Weyl-Kac numerator of L0 + L2 on C2~ (its alternating orbit from
@@ -45,7 +51,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 sys.path.insert(0, SRC)
 
-from affgroth import coefq, groth, packed, probes, qpoly, weyl  # noqa: E402
+from affgroth import (  # noqa: E402
+    cocycle, coefq, groth, kring, packed, probes, qpoly, weyl)
 from affgroth.cartan import from_type  # noqa: E402
 from affgroth.characters import denominator_inverse  # noqa: E402
 from affgroth.coefq import CoefQ  # noqa: E402
@@ -118,6 +125,63 @@ def ring_dens(tables):
 def ring_checks(cs):
     for c in cs:
         c.divides_q_products()
+
+
+def captured_sums(type_string, max_length):
+    """(pairs, sums) that one table_build runs: the operand pairs of every
+    CoefQ +, and for kring and cocycle the (c, n) term lists each hands to
+    q_shifted_sum directly, captured by wrapping both."""
+    pairs, sums = [], {kring: [], cocycle: []}
+    add, q_shifted_sum = CoefQ.__add__, coefq.q_shifted_sum
+
+    def wrapped_add(a, b):
+        pairs.append((a, b))
+        return add(a, b)
+
+    def wrapped(module):
+        def wrapped_sum(terms):
+            terms = list(terms)
+            sums[module].append(terms)
+            return q_shifted_sum(terms)
+        return wrapped_sum
+
+    CoefQ.__add__ = wrapped_add
+    for module in sums:
+        module.q_shifted_sum = wrapped(module)
+    try:
+        table_build(type_string, max_length)
+    finally:
+        CoefQ.__add__ = add
+        for module in sums:
+            module.q_shifted_sum = q_shifted_sum
+    return pairs, sums
+
+
+def replay_adds(pairs):
+    for _, cache in GCD_CACHES:
+        cache.cache_clear()
+    for a, b in pairs:
+        a + b
+
+
+def replay_sums(sums):
+    for _, cache in GCD_CACHES:
+        cache.cache_clear()
+    for terms in sums:
+        coefq.q_shifted_sum(terms)
+
+
+def shape_counts(term_lists):
+    """"terms k: count" and "dens k: count" over the term lists, the
+    number of terms and of distinct denominators among the nonzero ones."""
+    terms, dens = {}, {}
+    for ts in term_lists:
+        terms[len(ts)] = terms.get(len(ts), 0) + 1
+        k = len({c.den for c in ts if c.num})
+        dens[k] = dens.get(k, 0) + 1
+    return "terms %s; dens %s" % tuple(
+        " ".join("%d:%d" % kv for kv in sorted(d.items()))
+        for d in (terms, dens))
 
 
 def cold_denominator_inverse(cd, depth):
@@ -272,6 +336,17 @@ def main():
     t = bench(ring_checks, [(dens,)])
     print("%-14s %8.2f ms   %d distinct denominators of A1~ <= 12, A2~ <= 5, "
           "C2~ <= 5, A3~ <= 4, in R" % ("ring check", 1e3 * t, len(dens)))
+    for type_string, max_length in (("A3~", 4), ("A1~", 12)):
+        pairs, sums = captured_sums(type_string, max_length)
+        t = bench(replay_adds, [(pairs,)])
+        print("%-14s %8.2f ms   %d + pairs of the table to length %d: %s"
+              % (type_string, 1e3 * t, len(pairs), max_length,
+                 shape_counts(pairs)))
+        for module, what in ((kring, "key sums"), (cocycle, "check sums")):
+            t = bench(replay_sums, [(sums[module],)])
+            print("%-14s %8.2f ms   %d %s: %s"
+                  % ("", 1e3 * t, len(sums[module]), what, shape_counts(
+                      [[c for c, _ in ts] for ts in sums[module]])))
     for type_string, depth in (("A2~", 10), ("C2~", 12), ("A2~", 20),
                                ("C2~", 20)):
         t = bench(cold_denominator_inverse, [(from_type(type_string), depth)])

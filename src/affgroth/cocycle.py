@@ -32,7 +32,7 @@ growth round verifies, to name the failure (CocycleViolation) before the
 solver's own error.
 """
 
-from .coefq import CoefQ, ONE, ZERO
+from .coefq import CoefQ, ONE, ZERO, q_shifted_sum
 from .errors import (CocycleViolation, Inconsistent, SupportGrowthExceeded,
                      WindowViolation)
 from .kring import KElement, k_zero, reflect_act, weyl_act
@@ -180,7 +180,7 @@ def _verified(cd, v, sol, memo):
             rhs = vi.get(mu, ZERO)
             b = sol.get(sig)
             if b is not None:
-                rhs = rhs + b * CoefQ.q_power(-n)
+                rhs = q_shifted_sum(((rhs, 0), (b, -n)))
             if sol.get(mu, ZERO) != rhs:
                 return False
     return True

@@ -17,9 +17,13 @@ Canonicalization cancels the polynomial gcd of num and den with
 qpoly.pgcd_cofactors: the heuristic gcd (one big-integer gcd of the values at
 a point xi >= 2 min(|num|, |den|) + 2, checked by exact division), with the
 primitive PRS as fallback.  The gcd is unique, so either route gives the same
-canonical form.  A sum with unequal denominators d1, d2 is taken over their
-lcm, d1 * (d2 / g) with g their gcd: each numerator is scaled by its
-cofactor, the lcm over its own denominator, and the sum is reduced once.
+canonical form.  Every sum is q_shifted_sum, the sum of c * q^n over (c, n)
+pairs: CoefQ + hands it two pairs, kring one key's terms, and cocycle's
+check v_i(mu) + q^-n B(sigma) its two terms without multiplying.  It adds the
+numerators over one denominator as integer lists, folds unequal
+denominators d1, d2 into their lcm, d1 * (d2 / g) with g their gcd,
+scaling each numerator by its cofactor, the lcm over its own denominator,
+and reduces the sum once.
 
 A table's coefficients lie in R, so it holds few distinct fractions and
 fewer distinct denominators, and the same reductions come back again and
@@ -29,8 +33,6 @@ reduction once while it stays in use: _reduced, make's gcd, content and sign
 step keyed by the q-power-free (num, den) tuples (the shift stays out of the
 key), and _den_lcm, the lcm of two denominators of a sum together with both
 cofactors, taken in sorted order so that a + b and b + a share one entry.
-kring adds a key's terms over several denominators through the same pair
-cache, folding the lcm, and reduces the key's sum once.
 Sharing them across tables and callers is safe: both are pure
 functions of tuples of ints, and what they return is tuples of ints, which
 no caller can change.  The bound keeps their memory small (about 0.3 MB
@@ -41,11 +43,11 @@ against 3,147 uncached.
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import gcd, isqrt, prod
 
-from .qpoly import (padd, pcontent, pdivexact, peval, pgcd_cofactors, pmul,
-                    pneg, pstrip)
+from .qpoly import (pcontent, pdivexact, peval, pgcd_cofactors, pmul, pneg,
+                    pstrip)
 
 # from_pairs refuses an exponent of size above this.  Tables stay far below
 # it (A1~ to length 30 reaches degree 435), and it bounds the gcd work of a
@@ -123,17 +125,12 @@ class CoefQ:
     def __add__(self, other):
         if not isinstance(other, CoefQ):
             return NotImplemented
+        # most + of a coboundary solve have a zero operand: no grouping
         if not self.num:
             return other
         if not other.num:
             return self
-        s = min(self.shift, other.shift)
-        a = _qshift(self.num, self.shift - s)
-        b = _qshift(other.num, other.shift - s)
-        if self.den == other.den:
-            return CoefQ.make(padd(a, b), s, self.den)
-        den, ca, cb = common_den(self.den, other.den)
-        return CoefQ.make(padd(pmul(a, ca), pmul(b, cb)), s, den)
+        return q_shifted_sum(((self, 0), (other, 0)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -259,13 +256,12 @@ class CoefQ:
         refused at once.  Otherwise every Phi_n that fits in what is left of
         den, phi(n) <= its degree, is divided out exactly as often as it
         divides, in increasing n over exactly the n with phi(n) <= deg
-        (_small_totients); den is in R iff nothing is left.  Phi_1 = q - 1,
-        which every factor 1 - q^k brings, comes out by running sums while
-        den(1) = 0.  Any other division is tried only while the integer
-        Phi_n(2) divides den(2), which is divided along as factors come
-        out, so most n cost one integer remainder.  den(2) != 0 once the
-        ends are +-1: a root 2 would divide the constant term.  No gcd
-        runs."""
+        (_small_totients); den is in R iff nothing is left.  A division is
+        tried only while the integer Phi_n(2) divides den(2), which is
+        divided along as factors come out, so most n cost one integer
+        remainder; Phi_1(2) = 1 always passes, and q - 1 is divided out
+        until it no longer divides.  den(2) != 0 once the ends are +-1: a
+        root 2 would divide the constant term.  No gcd runs."""
         den = self.den
         if den == (1,):
             return True
@@ -273,13 +269,11 @@ class CoefQ:
         if (den[0] not in (1, -1) or den[-1] not in (1, -1)
                 or rev != den and rev != pneg(den)):
             return False
-        while not sum(den):  # den = (q - 1) b: b_i = -(den_0 + ... + den_i)
-            den = tuple([-s for s in accumulate(den[:-1])])
         value = peval(den, 2)
         for n, phi, primes in _small_totients(len(den) - 1):
             if len(den) == 1:
                 break
-            if n > 1 and phi < len(den):
+            if phi < len(den):
                 at2 = _cyclotomic_at_2(n, primes)
                 while value % at2 == 0:
                     try:
@@ -295,15 +289,53 @@ class CoefQ:
         return "CoefQ(q^%d*%s/%s)" % (self.shift, list(self.num), list(self.den))
 
 
-def shifted_sum(parts):
-    """(s, acc) with q^s * acc the sum of q^shift * num over the (shift, num)
-    parts, added exactly as integer lists; acc is a list and may carry zeros
-    at either end."""
-    s = min(sh for sh, _ in parts)
-    acc = [0] * max(sh - s + len(num) for sh, num in parts)
-    for sh, num in parts:
-        for k, x in enumerate(num, sh - s):
-            acc[k] += x
+def q_shifted_sum(terms):
+    """The canonical sum of c * q^n over the (CoefQ c, int n) terms, by at
+    most one make.  Nonzero terms are grouped by denominator, and each
+    group's q-shifted numerators are added into one integer list
+    (_shifted_add).  Over two or more denominators the lcm is folded
+    through _den_lcm: the running numerator and each new group's are scaled
+    by their cofactors and added as integer lists, so no reduction runs
+    before the last.  A lone nonzero term is already canonical and runs no
+    make."""
+    groups = {}  # den -> (shift, numerator)
+    for c, n in terms:
+        num = c.num
+        if num:
+            den = c.den
+            if den in groups:
+                groups[den] = _shifted_add(*groups[den], c.shift + n, num)
+            else:
+                groups[den] = c.shift + n, num
+    if not groups:
+        return ZERO
+    (den, (shift, acc)), *rest = groups.items()
+    for d, (s, num) in rest:
+        if den < d:
+            den, ca, cb = _den_lcm(den, d)
+        else:
+            den, cb, ca = _den_lcm(d, den)
+        shift, acc = _shifted_add(shift, pmul(acc, ca), s, pmul(num, cb))
+    if type(acc) is tuple:  # one term: already canonical
+        return CoefQ(shift, acc, den)
+    return CoefQ.make(acc, shift, den)
+
+
+def _shifted_add(s, acc, sh, num):
+    """(s', acc') with q^s' * acc' = q^s * acc + q^sh * num, added exactly as
+    integer lists; acc' is a list, acc itself when acc is one, and may carry
+    zeros at either end."""
+    if type(acc) is not list:
+        acc = list(acc)
+    k = sh - s
+    if k < 0:
+        acc[:0] = [0] * -k
+        s, k = sh, 0
+    extra = k + len(num) - len(acc)
+    if extra > 0:
+        acc += [0] * extra
+    for i, x in enumerate(num, k):
+        acc[i] += x
     return s, acc
 
 
@@ -323,15 +355,6 @@ def _reduced(num, den):
         num = tuple(x // c for x in num)
         den = tuple(x // c for x in den)
     return num, den
-
-
-def common_den(d1, d2):
-    """(den, den / d1, den / d2) for the common denominator den of two
-    sums' denominators d1 != d2, their lcm, from the cache _den_lcm."""
-    if d1 < d2:
-        return _den_lcm(d1, d2)
-    den, c2, c1 = _den_lcm(d2, d1)
-    return den, c1, c2
 
 
 @lru_cache(maxsize=_GCD_CACHE)
@@ -410,12 +433,6 @@ def _pair_dict(pairs):
             raise ValueError("exponent %d appears twice" % e)
         out[e] = c
     return out
-
-
-def _qshift(a, k):
-    if k == 0 or not a:
-        return a
-    return (0,) * k + tuple(a)
 
 
 _UNITS = ((1,), (-1,))

@@ -9,19 +9,18 @@ exp(Q) along eta, and classical orbit sums.
 
 Every operator, sums and products included, is a sum of term images, and
 _collect is the one path that adds them: it delta-normalizes each image and
-adds the coefficients that land on one key (probes.nonvanishing_probes
-decides whether j_map(x, f) is zero without building it).  relabel, the
-transport along a diagram automorphism, maps keys one to one, so it sums
-nothing, and relabel_equals compares its image with an element without
-building it.
+hands the coefficients that land on one key, with their q-powers, to
+coefq.q_shifted_sum (probes.nonvanishing_probes decides whether j_map(x, f)
+is zero without building it).  relabel, the transport along a diagram
+automorphism, maps keys one to one, so it sums nothing, and relabel_equals
+compares its image with an element without building it.
 """
 
 import operator
 from itertools import chain
 
-from .coefq import CoefQ, ONE, common_den, shifted_sum
+from .coefq import CoefQ, ONE, q_shifted_sum
 from .errors import NonQInput
-from .qpoly import pmul
 from .weights import _INT, Weight, weight_coords_from_json, weight_to_json
 from . import weyl as weyl_mod
 
@@ -106,12 +105,12 @@ class KElement:
 def _collect(cd, terms):
     """The element sum c * e^{l, m} over the (l, m, c) coordinate triples in
     terms; m may have a delta part.  Each term is delta-normalized (its
-    q-power moves into the shift of c) and grouped by key and denominator.
-    A one-term key is already canonical; any other key is summed by
-    _key_sum with one CoefQ.make.  Keys whose sum is zero are dropped, and
-    one Weight is built per surviving key."""
+    q-power n moves into the shift of c) and grouped by key.  A one-term
+    key is already canonical; any other key's (c, n) pairs are summed by
+    q_shifted_sum.  Keys whose sum is zero are dropped, and one Weight is
+    built per surviving key."""
     node0, marks = cd.node0, cd.marks
-    keys = {}  # (l, m) -> (c, n) for one term, else {den: [(shift, num), ...]}
+    keys = {}  # (l, m) -> (c, n) for one term, else [(c, n), ...]
     for l, m, c in terms:
         n = m[node0]
         if n:
@@ -120,9 +119,8 @@ def _collect(cd, terms):
         g = keys.setdefault((l, m), one)
         if g is not one:
             if type(g) is tuple:
-                first, n0 = g
-                g = keys[l, m] = {first.den: [(first.shift + n0, first.num)]}
-            g.setdefault(c.den, []).append((c.shift + n, c.num))
+                g = keys[l, m] = [g]
+            g.append(one)
     out = {}
     for (l, m), g in keys.items():
         if type(g) is tuple:
@@ -130,27 +128,10 @@ def _collect(cd, terms):
             if n:
                 c = CoefQ(c.shift + n, c.num, c.den)
         else:
-            c = _key_sum(g)
+            c = q_shifted_sum(g)
         if c.num:
             out[Weight(l, m)] = c
     return KElement(cd, out)
-
-
-def _key_sum(groups):
-    """The canonical sum of one key's {den: [(shift, num), ...]} groups, by
-    one CoefQ.make.  Each group's q-shifted numerators are added as integer
-    lists (shifted_sum).  Over two or more denominators, the lcm is folded
-    through common_den, the running numerator and each new group's are
-    scaled by their cached cofactors, and the two are added as integer
-    lists: no reduction runs before the last."""
-    it = iter(groups.items())
-    den, parts = next(it)
-    shift, acc = shifted_sum(parts)
-    for d, parts in it:
-        s, num = shifted_sum(parts)
-        den, ca, cb = common_den(den, d)
-        shift, acc = shifted_sum(((shift, pmul(acc, ca)), (s, pmul(num, cb))))
-    return CoefQ.make(acc, shift, den)
 
 
 def k_zero(cd):
@@ -334,7 +315,7 @@ def to_json(f):
             for mu, c in f.sorted_terms()]
 
 
-def from_json(cd, data, weights=None, coefs=None):
+def from_json(cd, data, weights, coefs):
     """Element from the form written by to_json.  ValueError unless every
     weight has the JSON form of weight_coords_from_json at cd.rank with
     m[node0] = 0, as delta-normalized keys have, and no weight repeats.
@@ -347,10 +328,6 @@ def from_json(cd, data, weights=None, coefs=None):
     exactly an int: (0, True) == (0, 1) with the same hash, so a bool or a
     float could match a key an int made, and from_pairs refuses it instead.
     """
-    if weights is None:
-        weights = {}
-    if coefs is None:
-        coefs = {}
     rank, node0 = cd.rank, cd.node0
     out = {}
     for t in data:

@@ -33,19 +33,12 @@ BACKEND = "pure"  # the only implementation; reported by benchmark harnesses
 
 
 def pstrip(c):
+    if c and c[-1]:
+        return tuple(c)
     c = list(c)
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return pstrip(out)
 
 
 def pneg(a):

@@ -367,6 +367,14 @@ def random_word(cd, rng, max_len=4, length=None):
 
 # --- term sums ---------------------------------------------------------------
 
+def evaluate(c, x):
+    """The CoefQ c at q = x, a Fraction: the independent model of a scalar.
+    ZeroDivisionError when x is a pole of c."""
+    num = sum(Fraction(a) * x ** i for i, a in enumerate(c.num))
+    den = sum(Fraction(a) * x ** i for i, a in enumerate(c.den))
+    return x ** c.shift * num / den
+
+
 def term_sum(cd, pairs):
     """The terms of the sum of c * e^mu over (Weight, CoefQ) pairs, added one
     term at a time: each weight delta-normalized by cd.normalize, its q-power

@@ -10,7 +10,7 @@ import pytest
 
 from affgroth import coefq, qpoly, weyl
 from affgroth.cartan import from_type
-from affgroth.coefq import CoefQ, ONE, Q, ZERO
+from affgroth.coefq import CoefQ, ONE, Q, ZERO, q_shifted_sum
 from affgroth.kring import from_terms
 from affgroth.probes import nonvanishing_probes
 from affgroth.qpoly import peval, pgcd, pmul
@@ -19,12 +19,7 @@ from affgroth.weights import Weight
 import oracles
 
 
-def ev(c, x):
-    """Evaluate at q = x (a Fraction), the independent model of a scalar."""
-    num = sum(Fraction(a) * x ** i for i, a in enumerate(c.num))
-    den = sum(Fraction(a) * x ** i for i, a in enumerate(c.den))
-    return x ** c.shift * num / den
-
+ev = oracles.evaluate
 
 POINTS = [Fraction(7, 5), Fraction(-3, 2), Fraction(2), Fraction(-5, 7)]
 
@@ -84,6 +79,76 @@ def test_arithmetic_vs_evaluation():
         if not b.is_zero():
             assert_same(a * b.inv(), lambda x: ev(a, x) / ev(b, x))
             assert b * b.inv() == ONE
+
+
+# denominators for test_q_shifted_sum: products of (1 - q^k), others
+# outside R, with a content and led negative; none vanishes at q = 2 or 5
+_SUM_DENS = [(1, -1), (1, 0, -1), (1, 1), (1, 1, 1), (1, -2, 0, -1),
+             (1, 3, 1), (-3, 1), (2, 0, 2), (-1, 0, 0, 1), (1,)]
+
+
+def test_q_shifted_sum_edge_cases(monkeypatch):
+    # no terms and zero terms sum to ZERO; one nonzero term, among zeros
+    # or not, comes back q-shifted by its n and runs no make
+    c = CoefQ.make((1, 2), 1, (1, 0, -1))
+    d = CoefQ.make((1,), 0, (1, 1))
+    makes = oracles.count_calls(monkeypatch, CoefQ, "make")
+    assert q_shifted_sum([]) is ZERO
+    assert q_shifted_sum([(ZERO, 3), (ZERO, -1)]) is ZERO
+    assert q_shifted_sum([(c, 0)]) == c
+    assert q_shifted_sum([(ZERO, 2), (c, -3), (ZERO, 0)]) == \
+        c * CoefQ.q_power(-3)
+    assert makes[0] == 0
+    # equal denominators add their numerators in one make; q^2/(1+q) +
+    # q/(1+q) = q
+    assert q_shifted_sum([(d, 2), (d, 1)]) == Q
+    assert makes[0] == 1
+    # exact cancellation over one and over two denominators
+    assert q_shifted_sum([(c, 1), (-c, 0), (c * Q, -1), (-c, 1)]) is ZERO
+    half = CoefQ.make((1,), den=(1, 1))  # c = c/(1+q) + c q/(1+q)
+    assert q_shifted_sum([(c, 2), (-c * half, 2), (-c * half, 3)]) is ZERO
+
+
+def test_q_shifted_sum_against_evaluation():
+    # the sum of c q^n over 1-6 denominators, each with one to three
+    # terms and their own n, equals the CoefQ + fold of c * q^n and, by a
+    # model that shares no code with either, its value at q = 2, 3 and 5
+    # (q = 3 is skipped where a term has a pole there).  A third of the
+    # draws add each term's negation over another denominator, so the sum
+    # is ZERO
+    rng = oracles.rng_for("coefq-q-shifted-sum")
+    half = CoefQ.make((1,), den=(1, 1))
+    seen = {"dens": set(), "zero": 0}
+    for _ in range(200):
+        terms = []
+        for den in rng.sample(_SUM_DENS, rng.randint(1, 6)):
+            for _ in range(rng.randint(1, 3)):
+                num = tuple(rng.choice((1, 2, -3)) * rng.randint(-3, 3)
+                            for _ in range(rng.randint(1, 3)))
+                terms.append((CoefQ.make(num, rng.randint(-2, 2), den),
+                              rng.randint(-3, 3)))
+        cancel = rng.random() < 1 / 3
+        if cancel:
+            terms += [(-c * x, n) for c, n in list(terms)
+                      for x in (half, ONE - half)]
+            rng.shuffle(terms)
+        got = q_shifted_sum(terms)
+        fold = ZERO
+        for c, n in terms:
+            fold = fold + c * CoefQ.q_power(n)
+        assert got == fold, terms
+        for x in (Fraction(2), Fraction(3), Fraction(5)):
+            try:
+                want = sum(ev(c, x) * x ** n for c, n in terms)
+            except ZeroDivisionError:
+                continue
+            assert (ev(got, x) if got.num else 0) == want, (terms, x)
+        seen["dens"].add(len({c.den for c, _ in terms if c.num}))
+        if cancel:
+            assert got is ZERO
+            seen["zero"] += 1
+    assert seen["dens"] >= {1, 2, 3, 4, 5, 6}, seen
+    assert seen["zero"] > 40, seen
 
 
 def test_equality_is_canonical():
@@ -269,16 +334,16 @@ def test_divides_q_products_palindromes_outside_r_run_no_gcd(monkeypatch):
 def test_divides_q_products_work_is_bounded(monkeypatch):
     # 1 + 3q^128 + q^256 is a monic palindrome outside R.  Trying every n
     # up to 2 deg^2 (a trial-division totient and a Phi_n division each)
-    # took 1.3 s on it; now only the 504 n > 1 with phi(n) <= 256 are
-    # tried, each by the integer test Phi_n(2) | den(2).  Only Phi_4(2) = 5
-    # passes it, so one exact division runs, and fails, besides the three
-    # that build Phi_2 and Phi_4 from a cleared cache
+    # took 1.3 s on it; now only the 505 n with phi(n) <= 256 are tried,
+    # each by the integer test Phi_n(2) | den(2).  Only Phi_1(2) = 1 and
+    # Phi_4(2) = 5 pass it, so two exact divisions run, and fail, besides
+    # the three that build Phi_2 and Phi_4 from a cleared cache
     c = CoefQ.make((1,), den=(1,) + (0,) * 127 + (3,) + (0,) * 127 + (1,))
     coefq._cyclotomic.cache_clear()
     tried = oracles.count_calls(monkeypatch, coefq, "_cyclotomic_at_2")
     divisions = oracles.count_calls(monkeypatch, coefq, "pdivexact")
     assert c.divides_q_products() is False
-    assert tried[0] == 504 and divisions[0] == 4
+    assert tried[0] == 505 and divisions[0] == 5
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 6, 12, 24])

@@ -123,7 +123,7 @@ def test_json_mode():
     doc = json.loads(print_element(f, "json"))
     assert doc["cartan_type"] == "A2~"
     assert doc["terms"] == json.loads(json.dumps(to_json(f)))
-    assert from_json(cd, doc["terms"]) == f
+    assert from_json(cd, doc["terms"], {}, {}) == f
 
 
 def test_unknown_mode():

@@ -1,6 +1,7 @@
 """Group ring operators: twisted action, Demazure, localization, bar, eta."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -217,8 +218,8 @@ def test_json_round_trip():
     rng = oracles.rng_for("kring-json")
     for _ in range(15):
         f = oracles.random_element(cd, rng)
-        assert from_json(cd, to_json(f)) == f
-    assert from_json(cd, to_json(k_zero(cd))).is_zero()
+        assert from_json(cd, to_json(f), {}, {}) == f
+    assert from_json(cd, to_json(k_zero(cd)), {}, {}).is_zero()
 
 
 @pytest.mark.parametrize("part,value", [
@@ -517,7 +518,10 @@ def test_collect_one_lcm_sum_equals_add_fold():
     # q-shifts in the numerator, the denominator and the key's delta part;
     # a key holds 2-6 distinct denominators; a third of the keys add each
     # term's negation split over another denominator, so the key's sum is
-    # zero and the key is dropped
+    # zero and the key is dropped.  oracles.term_sum adds with CoefQ +,
+    # which runs the same q_shifted_sum as _collect, so every key's sum is
+    # also checked by its value at q = 2, 3 and 5, with Fractions (q = 3 is
+    # skipped where a term has a pole there)
     cd = from_type("A2~")
     rng = oracles.rng_for("kring-collect-lcm")
     delta = cd.delta()
@@ -542,6 +546,18 @@ def test_collect_one_lcm_sum_equals_add_fold():
         pairs.append((nu, CoefQ.make((1, 2), 0, (1, 0, -1))))
         want = oracles.term_sum(cd, pairs)
         assert from_terms(cd, pairs).terms == want, pairs
+        for x in (Fraction(2), Fraction(3), Fraction(5)):
+            values = {}
+            try:
+                for weight, c in pairs:
+                    n, key = cd.normalize(weight)
+                    values[key] = values.get(key, 0) + \
+                        oracles.evaluate(c, x) * x ** n
+            except ZeroDivisionError:
+                continue
+            assert set(want) <= set(values)
+            assert all(v == (oracles.evaluate(want[key], x) if key in want
+                             else 0) for key, v in values.items()), (pairs, x)
         dens = {c.den for key, c in pairs if key != nu}
         if len(dens) > 1:
             seen["dens"].add(len(dens))

@@ -22,18 +22,29 @@ def test_pstrip():
     assert py.pstrip((0, 1)) == (0, 1)
 
 
+def _padd(a, b):
+    """a + b coefficient by coefficient, stripped: the package adds
+    polynomials only inside coefq.q_shifted_sum, so the ring axioms of
+    pmul are checked against this adder."""
+    out = [0] * max(len(a), len(b))
+    for p in (a, b):
+        for i, x in enumerate(p):
+            out[i] += x
+    return py.pstrip(out)
+
+
 def test_ring_axioms():
     rng = oracles.rng_for("qpoly-ring")
     for _ in range(60):
         a = rand_poly(rng)
         b = rand_poly(rng)
         c = rand_poly(rng)
-        assert py.padd(a, b) == py.padd(b, a)
+        assert _padd(a, b) == _padd(b, a)
         assert py.pmul(a, b) == py.pmul(b, a)
-        assert py.padd(py.padd(a, b), c) == py.padd(a, py.padd(b, c))
+        assert _padd(_padd(a, b), c) == _padd(a, _padd(b, c))
         assert py.pmul(py.pmul(a, b), c) == py.pmul(a, py.pmul(b, c))
-        assert py.pmul(a, py.padd(b, c)) == py.padd(py.pmul(a, b), py.pmul(a, c))
-        assert py.padd(a, py.pneg(a)) == ()
+        assert py.pmul(a, _padd(b, c)) == _padd(py.pmul(a, b), py.pmul(a, c))
+        assert _padd(a, py.pneg(a)) == ()
         assert py.pmul(a, (1,)) == a
         assert py.pmul(a, ()) == ()
 
