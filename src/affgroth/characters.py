@@ -147,7 +147,7 @@ def _euler_series(cd, g, mu, N):
     size = 0  # bounds every coordinate of num and the reach of the product
     for kappa, c in g.terms.items():
         lam = Weight(kappa.l, zeros)
-        word, vd = weyl_mod.to_dominant(cd, mu + kappa + rho)
+        word, vd = weyl_mod.to_dominant(cd, mu + kappa + rho, cd.labels)
         if not all(cd.pairing(i, vd) for i in cd.labels):
             continue  # a nontrivial stabilizer
         sign = -1 if len(word) % 2 else 1

@@ -13,10 +13,13 @@ Biased graphs I, JCTB 1989): unknowns are vertices, two-unknown equations are
 edges whose gains are powers of q, and the neighbours of mu are its
 normalized reflections.  The graph is never built: _solve_on_support walks
 it breadth-first straight from the support, _sigma and v.  Each component's
-root carries one unknown t, a tree edge writes the key it reaches as A + C*t,
-and every other equation becomes a check k*t = c.  A cycle fixes t through
-(1 - q^k) t = c, which is where the (1 - q^k) denominators of G_w come from.
-A component nothing fixes gets t = 0.
+root carries one unknown t.  Every gain is a power of q, so a tree edge
+writes the key it reaches as A + q^e t and the walk keeps the pair (A, e):
+the exponent e is the sum of the gains along the tree path.  Every other
+equation becomes a check k*t = c, where k is q^e at the support's boundary
+and a difference q^a - q^b of two q-powers on a cycle.  A cycle fixes t
+through (q^a - q^b) t = c, which is where the (1 - q^k) denominators of
+G_w come from.  A component nothing fixes gets t = 0.
 
 Only one equation per label i and s_i-orbit {mu, sigma} is used, read at
 whichever key of the orbit the walk reaches first.  That assumes the cocycle
@@ -189,50 +192,53 @@ def _verified(cd, v, sol, memo):
 def _solve_on_support(cd, v, support, order_reversed, memo):
     """Solve for B supported on `support` by walking the gain graph (see the
     module docstring).  Roots are taken in term order, reversed under
-    order_reversed.  At a walked key mu and label i, with r = v_i(mu):
+    order_reversed.  A walked key mu holds (A, e), meaning
+    x_mu = A + q^e t.  At mu and label i, with r = v_i(mu):
       - sigma already walked (mu itself when s_i fixes mu): the orbit's
         equation is used, skip;
-      - sigma outside the support: check C_mu t = r - A_mu;
-      - sigma not yet reached: tree edge, x_sigma = q^n (x_mu - r);
-      - sigma reached but not walked: check
-        (q^n C_mu - C_sigma) t = A_sigma - q^n (A_mu - r).
+      - sigma outside the support: check q^e t = r - A;
+      - sigma not yet reached: tree edge, x_sigma = q^n (x_mu - r), so
+        sigma holds (q^n (A - r), e + n);
+      - sigma reached but not walked, holding (A_sigma, e_sigma): check
+        (q^(e+n) - q^(e_sigma)) t = A_sigma - q^n (A - r), whose factor is
+        zero exactly when the two exponents are equal.
     The first check with k != 0 fixes t, every other one must agree.
     Returns dict weight -> CoefQ, or None if inconsistent."""
     key = lambda mu: (cd.level(mu), mu.l, mu.m)
-    value = {}  # mu -> (A, C) with x_mu = A + C*t
+    value = {}  # mu -> (A, e) with x_mu = A + q^e t
     walked = set()
     solution = {}
     for root in sorted(support, key=key, reverse=order_reversed):
         if root in value:
             continue
-        value[root] = (ZERO, ONE)
+        value[root] = (ZERO, 0)
         component = [root]
         checks = []  # (k, c) with k*t = c
         for mu in component:  # grows while walked: breadth-first
             walked.add(mu)
-            a_mu, c_mu = value[mu]
+            a_mu, e_mu = value[mu]
             for i in cd.labels:
                 n, sig = _sigma(cd, i, mu, memo)
                 if sig in walked:
                     continue
                 r = v[i].terms.get(mu, ZERO)
                 if sig not in support:
-                    checks.append((c_mu, r - a_mu))
+                    checks.append((CoefQ.q_power(e_mu), r - a_mu))
                     continue
-                g = CoefQ.q_power(n)
-                a, c = g * (a_mu - r), g * c_mu
+                a, e = q_shifted_sum(((a_mu, n), (-r, n))), e_mu + n
                 got = value.get(sig)
                 if got is None:
-                    value[sig] = (a, c)
+                    value[sig] = (a, e)
                     component.append(sig)
                 else:
-                    checks.append((c - got[1], got[0] - a))
+                    k = q_shifted_sum(((ONE, e), (-ONE, got[1])))
+                    checks.append((k, got[0] - a))
         t = next((c * k.inv() for k, c in checks if not k.is_zero()), ZERO)
         if any(k * t != c for k, c in checks):
             return None
         for mu in component:
-            a_mu, c_mu = value[mu]
-            x = a_mu + c_mu * t
+            a_mu, e_mu = value[mu]
+            x = q_shifted_sum(((a_mu, 0), (t, e_mu)))
             if not x.is_zero():
                 solution[mu] = x
     return solution

@@ -6,12 +6,16 @@ nonzero constant term and positive leading coefficient, num and den share no
 polynomial factor and their integer contents are coprime.  Zero is
 (shift=0, num=(), den=(1,)).  Equality is therefore syntactic.
 
-The subring R of interest is generated by q^{+-1} and (1 - q^n)^{-1}; a
-membership test (denominator divides a product of q^k - 1) is provided but
-not enforced during arithmetic.  It divides out cyclotomic polynomials
-Phi_n over exactly the n with phi(n) at most the degree, each tried only
-when the integer Phi_n(2) divides den(2), and each built once by exact
-division of q^n - 1 and kept in a bounded cache, _cyclotomic.
+The subring R of interest is generated by q^{+-1} and (1 - q^n)^{-1}, so
+a denominator of R is a product of cyclotomic polynomials Phi_n.  One
+factorization, cyclotomic_exponents, finds its exponents {n: e_n}, or
+None outside R; two readers share it: the membership test
+divides_q_products (provided, not enforced during arithmetic), and the
+orbit printer, which groups the Phi_n into (1 - q^k) factors.  It divides
+out cyclotomic polynomials Phi_n over exactly the n with phi(n) at most
+the degree, each tried only when the integer Phi_n(2) divides den(2), and
+each built once by exact division of q^n - 1 and kept in a bounded cache,
+_cyclotomic.
 
 Canonicalization cancels the polynomial gcd of num and den with
 qpoly.pgcd_cofactors: the heuristic gcd (one big-integer gcd of the values at
@@ -249,44 +253,51 @@ class CoefQ:
 
     def divides_q_products(self):
         """True iff den divides a product of polynomials q^k - 1 (possibly
-        repeated), i.e. the scalar lies in the ring R.  Such a divisor is
-        +-prod Phi_n (Gauss's lemma), with Phi_1 = q - 1 anti-palindromic
-        and every other Phi_n palindromic, so a den whose end coefficients
-        are not +-1, or which is neither its reversal nor minus it, is
-        refused at once.  Otherwise every Phi_n that fits in what is left of
-        den, phi(n) <= its degree, is divided out exactly as often as it
-        divides, in increasing n over exactly the n with phi(n) <= deg
-        (_small_totients); den is in R iff nothing is left.  A division is
-        tried only while the integer Phi_n(2) divides den(2), which is
-        divided along as factors come out, so most n cost one integer
-        remainder; Phi_1(2) = 1 always passes, and q - 1 is divided out
-        until it no longer divides.  den(2) != 0 once the ends are +-1: a
-        root 2 would divide the constant term.  No gcd runs."""
-        den = self.den
-        if den == (1,):
-            return True
-        rev = den[::-1]
-        if (den[0] not in (1, -1) or den[-1] not in (1, -1)
-                or rev != den and rev != pneg(den)):
-            return False
-        value = peval(den, 2)
-        for n, phi, primes in _small_totients(len(den) - 1):
-            if len(den) == 1:
-                break
-            if phi < len(den):
-                at2 = _cyclotomic_at_2(n, primes)
-                while value % at2 == 0:
-                    try:
-                        den = pdivexact(den, _cyclotomic(n))
-                    except ValueError:
-                        break
-                    value //= at2
-        return den == (1,)
+        repeated), i.e. the scalar lies in the ring R: iff den has a
+        cyclotomic factorization (cyclotomic_exponents)."""
+        return cyclotomic_exponents(self.den) is not None
 
     def __repr__(self):
         if not self.num:
             return "CoefQ(0)"
         return "CoefQ(q^%d*%s/%s)" % (self.shift, list(self.num), list(self.den))
+
+
+def cyclotomic_exponents(den):
+    """{n: e_n} with den = +-prod Phi_n^e_n, or None when den is no such
+    product, i.e. when it divides no product of polynomials q^k - 1.  Such
+    a divisor is +-prod Phi_n (Gauss's lemma), with Phi_1 = q - 1
+    anti-palindromic and every other Phi_n palindromic, so a den whose end
+    coefficients are not +-1, or which is neither its reversal nor minus
+    it, is refused at once.  Otherwise every Phi_n that fits in what is
+    left of den, phi(n) <= its degree, is divided out exactly as often as
+    it divides, in increasing n over exactly the n with phi(n) <= deg
+    (_small_totients), and e_n counts the divisions; den is such a product
+    iff nothing but +-1 is left.  A division is tried only while the
+    integer Phi_n(2) divides den(2), which is divided along as factors come
+    out, so most n cost one integer remainder; Phi_1(2) = 1 always passes,
+    and q - 1 is divided out until it no longer divides.  den(2) != 0 once
+    the ends are +-1: a root 2 would divide the constant term.  No gcd
+    runs."""
+    rev = den[::-1]
+    if (den[0] not in (1, -1) or den[-1] not in (1, -1)
+            or rev != den and rev != pneg(den)):
+        return None
+    exponents = {}
+    value = peval(den, 2)
+    for n, phi, primes in _small_totients(len(den) - 1):
+        if len(den) == 1:
+            break
+        if phi < len(den):
+            at2 = _cyclotomic_at_2(n, primes)
+            while value % at2 == 0:
+                try:
+                    den = pdivexact(den, _cyclotomic(n))
+                except ValueError:
+                    break
+                value //= at2
+                exponents[n] = exponents.get(n, 0) + 1
+    return exponents if len(den) == 1 else None
 
 
 def q_shifted_sum(terms):

@@ -21,11 +21,10 @@ import json
 import re
 from fractions import Fraction
 
-from .coefq import CoefQ, Q
+from .coefq import CoefQ, Q, cyclotomic_exponents
 from .errors import ParseError
 from .kring import (classical_antidominant, k_scalar, monomial, orbit_sum,
                     to_json)
-from .qpoly import pdivexact
 from .weights import format_weight, join_signed, parse_weight
 
 _TOKEN = re.compile(r"""\s*(?:
@@ -196,29 +195,29 @@ def _poly_bits(poly, shift):
 
 def _factor_q_products(den):
     """den as a multiset {k: power} of (1 - q^k) factors times a sign,
-    or None when den is not such a product; (1 - q^k) = -(q^k - 1)
-    contributes one sign flip each.  A den from R need not be one: 1 + q
-    divides 1 - q^2 but is no such product, so (1 + q)^-1 * e[L1] on A1~
-    prints through the caller's fallback."""
-    factors = {}
-    sign = 1
-    deg = len(den) - 1
-    k = deg
-    while len(den) > 1 and k >= 1:
-        qk1 = (-1,) + (0,) * (k - 1) + (1,)
-        try:
-            den2 = pdivexact(den, qk1)
-        except ValueError:
-            k -= 1
-            continue
-        den = den2
-        factors[k] = factors.get(k, 0) + 1
-        sign = -sign
-    if len(den) != 1 or den[0] not in (1, -1):
+    or None when den is not such a product.  It reads den's cyclotomic
+    exponents {d: e_d} (coefq.cyclotomic_exponents): q^k - 1 is the product
+    of Phi_d over the divisors d of k, so the largest k whose divisors all
+    have e_d >= 1 is taken, one is taken away from each e_d, and this
+    repeats; den is such a product iff every e_d reaches 0.  Each
+    (1 - q^k) = -(q^k - 1) contributes one sign flip, and a den that leads
+    negative one more (canonical ones lead positive).  A den from R need
+    not be one: 1 + q divides 1 - q^2 but is no such product, so
+    (1 + q)^-1 * e[L1] on A1~ prints through the caller's fallback."""
+    exponents = cyclotomic_exponents(den)
+    if exponents is None:
         return None
-    if den[0] < 0:
-        sign = -sign
-    return factors, sign
+    factors = {}
+    for k in sorted(exponents, reverse=True):
+        divisors = [d for d in range(1, k + 1) if k % d == 0]
+        while all(exponents.get(d) for d in divisors):
+            for d in divisors:
+                exponents[d] -= 1
+            factors[k] = factors.get(k, 0) + 1
+    if any(exponents.values()):
+        return None
+    sign = -1 if sum(factors.values()) % 2 else 1
+    return factors, sign if den[-1] > 0 else -sign
 
 
 def _den_prefix(factors):

@@ -300,13 +300,9 @@ def orbit_sum(cd, lam):
 
 
 def classical_antidominant(cd, mu):
-    """The unique classical-antidominant representative of the classical orbit."""
-    nodes = cd.classical_nodes()
-    while True:
-        i = next((i for i in nodes if cd.pairing(i, mu) > 0), None)
-        if i is None:
-            return mu
-        mu = cd.reflect(i, mu)
+    """The unique classical-antidominant representative of the classical
+    orbit: minus the classical-dominant representative of -mu."""
+    return -weyl_mod.to_dominant(cd, -mu, cd.classical_nodes())[1]
 
 
 def to_json(f):

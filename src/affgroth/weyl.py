@@ -56,21 +56,23 @@ def canonicalize(cd, word):
 
 
 def _from_rho_image(cd, v):
-    word, u = to_dominant(cd, v)
+    word, u = to_dominant(cd, v, cd.labels)
     if u != cd.rho():
         raise BadWord("invalid rho image")
     return WeylElement(cd, word, v)
 
 
-def to_dominant(cd, v):
-    """(word, u) with u the dominant weight of v's Weyl orbit, reached by
-    reflecting at the smallest label i with <h_i, v> < 0 at each step, and
-    word = (i_1, .., i_k) those labels in order, so v = s_{i_1} .. s_{i_k} u.
-    BadWord when no dominant weight comes within 10^6 steps (v of level
-    <= 0)."""
+def to_dominant(cd, v, nodes):
+    """(word, u) with u the weight of v's orbit under the reflections s_i,
+    i in nodes, that is dominant at those nodes, reached by reflecting at
+    the first i of nodes with <h_i, v> < 0 at each step, and word =
+    (i_1, .., i_k) those labels in order, so v = s_{i_1} .. s_{i_k} u.
+    nodes is cd.labels for the affine Weyl group and cd.classical_nodes()
+    for the classical one.  BadWord when no dominant weight comes within
+    10^6 steps (v of level <= 0 under the affine group)."""
     word = []
     while True:
-        i = next((i for i in cd.labels if cd.pairing(i, v) < 0), None)
+        i = next((i for i in nodes if cd.pairing(i, v) < 0), None)
         if i is None:
             return tuple(word), v
         word.append(i)

@@ -326,6 +326,31 @@ def divides_q_products_by_gcd(den):
     return den == (1,)
 
 
+def factor_q_products_by_division(den):
+    """den as a multiset {k: power} of (1 - q^k) factors times a sign, or
+    None when den is no such product, by greedy trial division: q^k - 1
+    for k from deg down to 1, each divided out as often as it divides.
+    The orbit printer ran this before it read den's cyclotomic exponents."""
+    factors = {}
+    sign = 1
+    k = len(den) - 1
+    while len(den) > 1 and k >= 1:
+        qk1 = (-1,) + (0,) * (k - 1) + (1,)
+        try:
+            den2 = pdivexact(den, qk1)
+        except ValueError:
+            k -= 1
+            continue
+        den = den2
+        factors[k] = factors.get(k, 0) + 1
+        sign = -sign
+    if len(den) != 1 or den[0] not in (1, -1):
+        return None
+    if den[0] < 0:
+        sign = -sign
+    return factors, sign
+
+
 # --- seeded random data -------------------------------------------------------
 
 def rng_for(name):
@@ -397,6 +422,43 @@ CUSTOM_GCMS = [
     ("A2^(2)", [[2, -4], [-1, 2]]),
     ("A4^(2)", [[2, -2, 0], [-1, 2, -2], [0, -1, 2]]),
 ]
+
+
+# --- localization values in closed form --------------------------------------
+
+def billey_row(cd, x):
+    """{w: j_x(G_w)} for every w <= x, by the K-theoretic Billey formula
+    (Graham 2002; Willems, Bull. SMF 132 (2004)): with x's canonical word
+    i_1 .. i_l and beta_t = s_{i_1} .. s_{i_{t-1}}(alpha_{i_t})
+    (weyl.inversion_set),
+
+        j_x(G_w) = sum_J (-1)^(|J| - l(w)) prod_{t in J} (1 - e^{beta_t})
+
+    over the subsets J of {1 .. l} whose 0-Hecke product is w; every w
+    missing from the row has j_x(G_w) = 0.  A dynamic programme over the
+    prefixes of the word, whose state is the 0-Hecke product of the letters
+    taken so far and the parity of their number: each letter is skipped, or
+    taken with its factor (1 - e^{beta_t}), and the 0-Hecke product u * s_i
+    is u s_i when that is longer and u otherwise."""
+    one = k_one(cd)
+    states = {(weyl.identity(cd), 0): one}  # (product, |J| mod 2) -> sum
+    for i, beta in zip(x.word, weyl.inversion_set(x)):
+        factor = one - monomial(cd, beta)
+        taken = dict(states)
+        for (u, parity), value in states.items():
+            us = weyl.mul_gen(u, i)
+            if us.length < u.length:
+                us = u
+            key = us, 1 - parity
+            term = value * factor
+            taken[key] = taken[key] + term if key in taken else term
+        states = taken
+    row = {}
+    for (u, parity), value in states.items():
+        if (parity - u.length) % 2:
+            value = -value
+        row[u] = row[u] + value if u in row else value
+    return row
 
 
 # --- the descent recursion without transport ---------------------------------

@@ -7,9 +7,12 @@ import pytest
 from affgroth.cartan import from_type
 from affgroth.coefq import CoefQ, ONE, Q
 from affgroth.errors import ParseError, UnknownNode
-from affgroth.expr import parse_expression, print_element
+from affgroth.expr import (_factor_q_products, parse_expression,
+                          print_element)
 from affgroth.kring import (from_json, k_one, k_scalar, monomial, orbit_sum,
                             to_json)
+
+from affgroth.qpoly import pmul, pneg
 
 import oracles
 
@@ -106,6 +109,29 @@ def test_round_trip_with_denominators():
         f = f * dens[rng.randrange(len(dens))]
         for mode in ("terms", "orbit"):
             assert parse_expression(print_element(f, mode), cd) == f
+
+
+def test_factor_q_products_against_division():
+    # the cyclotomic-exponent greedy gives what trial division by q^k - 1,
+    # k from deg down, gives: on products of Phi_n and of (1 - q^k) with
+    # n, k <= 12, on the same times a factor outside R, and negated
+    rng = oracles.rng_for("expr-factor")
+    outside = [(2, 1), (1, 3, 1), (1, 1, 0, 1)]
+    found = 0
+    for _ in range(300):
+        den = (1,)
+        for _ in range(rng.randrange(1, 6)):
+            k = rng.randrange(1, 13)
+            if rng.random() < 0.5:
+                den = pmul(den, oracles.cyclotomic(k))
+            else:
+                den = pmul(den, (1,) + (0,) * (k - 1) + (-1,))
+        for d in (den, pmul(den, rng.choice(outside))):
+            for e in (d, pneg(d)):
+                want = oracles.factor_q_products_by_division(e)
+                assert _factor_q_products(e) == want, e
+                found += want is not None
+    assert 100 < found < 900  # both verdicts are exercised
 
 
 def test_orbit_mode_groups_orbits():

@@ -130,6 +130,27 @@ def test_custom_gcm_battery(name, gcm):
             assert w in table.verified
 
 
+_BILLEY_DATA = [("A1~", 6), ("A2~", 4), ("C2~", 4)] + [
+    (name, 4) for name, _ in oracles.CUSTOM_GCMS]
+
+
+@pytest.mark.parametrize("name,max_length", _BILLEY_DATA,
+                         ids=["%s-%d" % d for d in _BILLEY_DATA])
+def test_localization_rows_match_billey_formula(name, max_length):
+    # every localization value j_x(G_w), zeros included, against the
+    # closed form: whole rows x over every w of the table
+    gcms = dict(oracles.CUSTOM_GCMS)
+    cd = build_cartan(gcms[name]) if name in gcms else from_type(name)
+    table, elems = oracles.layer_table(cd, max_length)
+    zero = k_zero(cd)
+    for x in elems:
+        row = oracles.billey_row(cd, x)
+        assert set(row) <= set(elems)
+        for w in elems:
+            assert j_map(x, table.entries[w]) == row.get(w, zero), (
+                name, x.word, w.word)
+
+
 def test_verify_catches_corruption():
     cd = from_type("A1~")
     table = GrothTable(cd)

@@ -27,6 +27,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_only_coefq_and_probes_import_qpoly():
+    # the q-polynomial kernels sit under CoefQ and the vanishing probes;
+    # every other module, the orbit printer included, goes through coefq
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "qpoly" or node.module is None
+                    and any(a.name == "qpoly" for a in node.names)):
+                found.append(name)
+    assert sorted(set(found)) == ["coefq.py", "probes.py"]
+
+
 def _exported(tree):
     """The names a module-level __all__ = [...] lists."""
     for node in tree.body:
