@@ -1,17 +1,19 @@
 """Timing of the q-polynomial kernels, best of 5: pmul, pdivexact, and the
-two gcd routines (pgcd, the PRS; pgcd_cofactors, the heuristic gcd with
-both quotients) on the same products of (1 - q^k) factors.  Then verify's
+reference gcd pgcd (the PRS, which no module of the package calls) on
+products of (1 - q^k) factors.  Then verify's
 vanishing probes two ways on the same entry, G_w for w = s_1 s_2 s_0 s_1 in
 A2~ and every x of length <= 5 with w not <= x: one probes.nonvanishing_probes
 call (one evaluation point per entry, one Weyl letter per probe on packed
 pairing keys) and the canonical j_map(x, g).is_zero() per probe, each with
 the bit width of one key digit; then the one call again with the probes to
-length 7, whose longer words widen the digits.  Then CoefQ's ring check,
-divides_q_products, on the monic palindromes 1 + 3q^k + q^2k outside R of
-degree 64, 256 and 1024, and on the distinct denominators (all in R) of
-A1~ to length 12, A2~ and C2~ to 5 and A3~ to 4.  Then the coefficient
+length 7, whose longer words widen the digits.  Then the ring check at
+load: an A1~ cache whose one denominator is the monic palindrome
+1 + 3q^k + q^2k outside R, of degree 64, 256 and 1024, refused by
+GrothTable.from_json_obj, and CoefQ.make's factorization of the distinct
+denominators (all in R) of A1~ to length 12, A2~ and C2~ to 5 and A3~ to
+4, each with CoefQ's caches cleared.  Then the coefficient
 sums that one A3~ to length 4 and one A1~ to length 12 build run,
-captured once and replayed with CoefQ's gcd caches cleared: the operand
+captured once and replayed with CoefQ's caches cleared: the operand
 pairs of every CoefQ +, and the term lists that kring's key sums and
 cocycle's check (v_i(mu) + q^-n B(sigma)) hand to coefq.q_shifted_sum,
 each counted by its number of terms and of distinct denominators.  Then
@@ -23,19 +25,21 @@ call, the Weyl-Kac numerator of L0 + L2 on C2~ (its alternating orbit from
 packed.Packing.orbit) over the inverse denominator to depth 12, already
 built.  Last the table builds A3~ to length 4 and A1~
 to length 12, each from fresh Cartan data in layer order and with CoefQ's
-gcd caches cleared, as in a new process, with how many entries above e were
+caches cleared, as in a new process, with how many entries above e were
 solved and how many were transported from an orbit-mate along a diagram
-automorphism, and the hits and misses of each gcd cache in one build.  Then
+automorphism, and the hits and misses of CoefQ's cancellation, lcm and
+factorization caches in one build.  Then
 GrothTable.save of those two tables, with the bytes written, and
-GrothTable.load of each saved file with CoefQ's gcd caches cleared, as in a
+GrothTable.load of each saved file with CoefQ's caches cleared, as in a
 new process, with the file's terms and its distinct weights and
 coefficients: a load decodes each distinct value once.  Then a full
 verify of every A3~ element to length 3 on a table built to length 4, the
 way `affgroth verify` runs on a cache one length deeper, with how many
 elements ran the checks; the others pass by an orbit-mate's verdict.
-Last the deep regime, where CoefQ's gcd work dominates: A1~ to length 24,
-built as above, best of 3, with its entries, its terms and the hits and
-misses of each gcd cache in one build.
+Last the deep regime, where CoefQ's coefficient work dominates: A1~ to
+length 24, built as above, best of 3, with its entries, its terms and the
+hits and misses of each cache in one build, and its save with no
+denominator polynomial built yet, best of 3.
 
 Usage: python3 benchmarks/bench_kernels.py
 """
@@ -56,6 +60,7 @@ from affgroth import (  # noqa: E402
 from affgroth.cartan import from_type  # noqa: E402
 from affgroth.characters import denominator_inverse  # noqa: E402
 from affgroth.coefq import CoefQ  # noqa: E402
+from affgroth.errors import CacheMismatch  # noqa: E402
 from affgroth.groth import GrothTable, grothendieck  # noqa: E402
 from affgroth.kring import j_map  # noqa: E402
 from affgroth.probes import nonvanishing_probes  # noqa: E402
@@ -72,7 +77,8 @@ def make_cases(rng, count, deg):
 
 
 def cyclotomic_products(rng, count):
-    # the shapes pgcd actually sees: products of (1 - q^k) factors
+    # the shapes the tests' reference gcd meets: products of (1 - q^k)
+    # factors
     out = []
     for _ in range(count):
         g = (1,)
@@ -107,24 +113,44 @@ def digit_bits(g, xs):
     return steps[0][1].bit_length()
 
 
-def palindrome_outside_r(degree):
-    """1 + 3q^(degree/2) + q^degree as a CoefQ: monic and palindromic, so
-    only the cyclotomic division decides that it lies outside R."""
-    k = degree // 2
-    return CoefQ.make((1,), den=(1,) + (0,) * (k - 1) + (3,) + (0,) * (k - 1)
-                      + (1,))
+def poisoned_cache(degree):
+    """The JSON object of an A1~ table to length 1 whose constant term of
+    G_{s_1} has the denominator 1 + 3q^(degree/2) + q^degree: monic and
+    palindromic, so only the cyclotomic division at load decides that it
+    lies outside R."""
+    cd = from_type("A1~")
+    table = GrothTable(cd)
+    table.compute(weyl.canonicalize(cd, (1,)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        table.save(path)
+        with open(path) as fh:
+            obj = json.load(fh)
+    entry = next(e for e in obj["entries"] if e["word"] == [1])
+    term = next(t for t in entry["terms"] if not any(t["weight"]["l"]))
+    term["den_coeffs"] = [[0, 1], [degree // 2, 3], [degree, 1]]
+    return cd, obj
+
+
+def refused_load(cd, obj):
+    clear_caches()
+    try:
+        GrothTable.from_json_obj(obj, cd=cd)
+    except CacheMismatch:
+        return
+    raise SystemExit("a denominator outside R loaded")
 
 
 def ring_dens(tables):
-    """One CoefQ 1/den per distinct denominator of the tables' entries."""
-    dens = {c.den for table in tables for g in table.entries.values()
-            for c in g.terms.values()}
-    return [CoefQ.make((1,), den=d) for d in sorted(dens)]
+    """The distinct denominators of the tables' entries."""
+    return sorted({c.den for table in tables for g in table.entries.values()
+                   for c in g.terms.values()})
 
 
-def ring_checks(cs):
-    for c in cs:
-        c.divides_q_products()
+def factor_dens(dens):
+    clear_caches()
+    for d in dens:
+        CoefQ.make((1,), den=d)
 
 
 def captured_sums(type_string, max_length):
@@ -158,15 +184,13 @@ def captured_sums(type_string, max_length):
 
 
 def replay_adds(pairs):
-    for _, cache in GCD_CACHES:
-        cache.cache_clear()
+    clear_caches()
     for a, b in pairs:
         a + b
 
 
 def replay_sums(sums):
-    for _, cache in GCD_CACHES:
-        cache.cache_clear()
+    clear_caches()
     for terms in sums:
         coefq.q_shifted_sum(terms)
 
@@ -177,7 +201,7 @@ def shape_counts(term_lists):
     terms, dens = {}, {}
     for ts in term_lists:
         terms[len(ts)] = terms.get(len(ts), 0) + 1
-        k = len({c.den for c in ts if c.num})
+        k = len({c.cyc for c in ts if c.num})
         dens[k] = dens.get(k, 0) + 1
     return "terms %s; dens %s" % tuple(
         " ".join("%d:%d" % kv for kv in sorted(d.items()))
@@ -200,12 +224,20 @@ def weyl_kac_numerator(cd, mu, depth):
             sum(mu.m) - depth)
 
 
-GCD_CACHES = (("make", coefq._reduced), ("add", coefq._den_lcm))
+# CoefQ's caches whose hits and misses are reported; clear_caches also
+# empties coefq._den_poly
+CACHES = (("cancel", coefq._reduced), ("lcm", coefq._den_lcm),
+          ("factor", coefq.cyclotomic_exponents))
+
+
+def clear_caches():
+    for _, cache in CACHES:
+        cache.cache_clear()
+    coefq._den_poly.cache_clear()
 
 
 def table_build(type_string, max_length):
-    for _, cache in GCD_CACHES:
-        cache.cache_clear()
+    clear_caches()
     cd = from_type(type_string)
     table = GrothTable(cd)
     for layer in weyl.enumerate_up_to(cd, max_length):
@@ -232,16 +264,16 @@ def solved_and_transported(type_string, max_length):
     return solves, len(table.entries) - 1 - solves
 
 
-def gcd_cache_counts():
-    """"name hits/misses" of each gcd cache since it was last cleared."""
+def cache_counts():
+    """"name hits/misses" of each cache of CACHES since it was last
+    cleared."""
     return ", ".join("%s %d/%d" % (name, cache.cache_info().hits,
                                    cache.cache_info().misses)
-                     for name, cache in GCD_CACHES)
+                     for name, cache in CACHES)
 
 
 def cold_load(path, cd):
-    for _, cache in GCD_CACHES:
-        cache.cache_clear()
+    clear_caches()
     return GrothTable.load(path, cd=cd)
 
 
@@ -283,6 +315,13 @@ def full_check_runs(table, elems):
     return runs
 
 
+def cold_save(table, path):
+    """table.save(path) with the denominator polynomials unbuilt, as in a
+    new process that loaded or built the table."""
+    coefq._den_poly.cache_clear()
+    table.save(path)
+
+
 def deep_table(type_string, max_length):
     """(best time of 3 table_builds, the last table): a deep table takes
     seconds, so it is built three times, not five."""
@@ -308,10 +347,10 @@ def main():
     mul_cases = make_cases(rng, 400, 30)
     gcd_cases = cyclotomic_products(rng, 60)
     div_cases = [(qpoly.pmul(a, b), b) for a, b in make_cases(rng, 200, 20)]
-    for kernel, cases in (("pmul", mul_cases), ("pgcd", gcd_cases),
-                          ("pgcd_cofactors", gcd_cases),
-                          ("pdivexact", div_cases)):
-        t = bench(getattr(qpoly, kernel), cases)
+    for kernel, fn, cases in (("pmul", qpoly.pmul, mul_cases),
+                              ("pgcd", qpoly.pgcd, gcd_cases),
+                              ("pdivexact", qpoly.pdivexact, div_cases)):
+        t = bench(fn, cases)
         print("%-14s %8.1f us/call" % (kernel, 1e6 * t / len(cases)))
     g, xs = probe_case()
     if nonvanishing_probes(g, xs) != canonical_probes(g, xs):
@@ -327,15 +366,16 @@ def main():
     print("%-14s %8.2f ms   %d probes of %d terms to length 7, %d-bit digits"
           % ("long probes", 1e3 * t, len(xs), len(g), digit_bits(g, xs)))
     for degree in (64, 256, 1024):
-        t = bench(ring_checks, [([palindrome_outside_r(degree)],)])
-        print("%-14s %8.2f ms   1 + 3q^%d + q^%d, outside R"
+        t = bench(refused_load, [poisoned_cache(degree)])
+        print("%-14s %8.2f ms   load refusing 1 + 3q^%d + q^%d, outside R"
               % ("ring check", 1e3 * t, degree // 2, degree))
     dens = ring_dens(table_build(type_string, max_length)
                      for type_string, max_length in (("A1~", 12), ("A2~", 5),
                                                      ("C2~", 5), ("A3~", 4)))
-    t = bench(ring_checks, [(dens,)])
-    print("%-14s %8.2f ms   %d distinct denominators of A1~ <= 12, A2~ <= 5, "
-          "C2~ <= 5, A3~ <= 4, in R" % ("ring check", 1e3 * t, len(dens)))
+    t = bench(factor_dens, [(dens,)])
+    print("%-14s %8.2f ms   make factoring the %d distinct denominators of "
+          "A1~ <= 12, A2~ <= 5, C2~ <= 5, A3~ <= 4, in R"
+          % ("ring check", 1e3 * t, len(dens)))
     for type_string, max_length in (("A3~", 4), ("A1~", 12)):
         pairs, sums = captured_sums(type_string, max_length)
         t = bench(replay_adds, [(pairs,)])
@@ -364,8 +404,8 @@ def main():
         print("%-14s %8.2f ms   table to length %d: %d solved, %d transported"
               % (type_string, 1e3 * t, max_length,
                  *solved_and_transported(type_string, max_length)))
-        print("%-14s %11s   gcd cache hits/misses: %s"
-              % ("", "", gcd_cache_counts()))
+        print("%-14s %11s   cache hits/misses: %s"
+              % ("", "", cache_counts()))
         saves.append((type_string, max_length,
                       table_build(type_string, max_length)))
     with tempfile.TemporaryDirectory() as tmp:
@@ -387,8 +427,15 @@ def main():
     print("%-14s %8.2f s    deep table to length 24: %d entries, %d terms"
           % ("A1~", t, len(table.entries),
              sum(len(g) for g in table.entries.values())))
-    print("%-14s %11s   gcd cache hits/misses: %s"
-          % ("", "", gcd_cache_counts()))
+    print("%-14s %11s   cache hits/misses: %s"
+          % ("", "", cache_counts()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        t = bench(cold_save, [(table, path)], repeat=3)
+        print("%-14s %8.2f ms   save to length 24, cold: %d distinct "
+              "denominators built" % ("A1~", 1e3 * t, len(
+                  {c.cyc for g in table.entries.values()
+                   for c in g.terms.values()})))
 
 
 if __name__ == "__main__":

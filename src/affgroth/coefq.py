@@ -1,109 +1,111 @@
-"""Exact scalars: rational functions in q, kept in a canonical quotient form.
+"""Exact scalars: elements of R = Z[q^{+-1}, (1 - q^n)^{-1}], kept in a
+canonical quotient form.
 
-A CoefQ is q^shift * num(q) / den(q) with integer polynomials num, den such
-that num has nonzero constant term (powers of q live in shift), den has
-nonzero constant term and positive leading coefficient, num and den share no
-polynomial factor and their integer contents are coprime.  Zero is
-(shift=0, num=(), den=(1,)).  Equality is therefore syntactic.
+Every coefficient of a G_w lies in R (Kashiwara and Shimozono), and a
+denominator of R is +-prod Phi_n^e_n, a product of cyclotomic polynomials.
+A CoefQ is q^shift * num(q) / prod Phi_n(q)^e_n, held as (shift, num, cyc):
+num an integer polynomial with nonzero constant term (powers of q live in
+shift), cyc the sorted tuple of the (n, e_n) with e_n > 0, and no Phi_n
+that cyc names divides num.  Zero is (shift=0, num=(), cyc=()).  The
+product of the Phi_n is monic, so this is the quotient form with coprime
+num and den whose den leads positive, and equality is syntactic.  The
+polynomial den is built only where something reads it (save, the
+printers, the vanishing probes and expand_down), by _den_poly, as
+prod (q^m - 1)^a_m with no polynomial product.  Its degree, which
+top_exponent and q -> q^-1 read, is the sum of the e_n phi(n) and builds
+no polynomial.
 
-The subring R of interest is generated by q^{+-1} and (1 - q^n)^{-1}, so
-a denominator of R is a product of cyclotomic polynomials Phi_n.  One
-factorization, cyclotomic_exponents, finds its exponents {n: e_n}, or
-None outside R; two readers share it: the membership test
-divides_q_products (provided, not enforced during arithmetic), and the
-orbit printer, which groups the Phi_n into (1 - q^k) factors.  It divides
-out cyclotomic polynomials Phi_n over exactly the n with phi(n) at most
-the degree, each tried only when the integer Phi_n(2) divides den(2), and
-each built once by exact division of q^n - 1 and kept in a bounded cache,
-_cyclotomic.
+A value outside R cannot be represented.  A denominator given as a
+polynomial enters at make, at from_pairs (through make) and at inv, whose
+numerator becomes the denominator; there one factorization,
+cyclotomic_exponents, writes it as its exponents, or refuses it with
+ValueError.  An integer denominator other than +-1 is refused too: R is
+over Z.  cyclotomic_exponents divides out the Phi_n over exactly the n
+with phi(n) at most the degree, each tried only when the integer Phi_n(2)
+divides den(2), and each built once by _den_poly and kept in a bounded
+cache, _cyclotomic.
 
-Canonicalization cancels the polynomial gcd of num and den with
-qpoly.pgcd_cofactors: the heuristic gcd (one big-integer gcd of the values at
-a point xi >= 2 min(|num|, |den|) + 2, checked by exact division), with the
-primitive PRS as fallback.  The gcd is unique, so either route gives the same
-canonical form.  Every sum is q_shifted_sum, the sum of c * q^n over (c, n)
-pairs: CoefQ + hands it two pairs, kring one key's terms, and cocycle's
-check v_i(mu) + q^-n B(sigma) its two terms without multiplying.  It adds the
-numerators over one denominator as integer lists, folds unequal
-denominators d1, d2 into their lcm, d1 * (d2 / g) with g their gcd,
-scaling each numerator by its cofactor, the lcm over its own denominator,
-and reduces the sum once.
+Arithmetic factors nothing and runs no gcd.  A product first cancels from
+each numerator the Phi_n of the other factor's denominator, then adds the
+exponents; the factors were canonical, so nothing else can cancel.  Every
+sum is q_shifted_sum, the sum of c * q^n over (c, n) pairs: CoefQ + hands
+it two pairs, kring one key's terms, and cocycle's check v_i(mu) + q^-n
+B(sigma) its two terms without multiplying.  It adds the numerators over
+one denominator as integer lists, folds unequal denominators into their
+lcm, the exponent-wise max, scaling each numerator by its cofactor (a
+product of Phi_n), and cancels once.  A cancellation (_reduced) tries only
+the Phi_n that the exponents name, each screened by Phi_n(2) | num(2), and
+Phi_1 and Phi_2 by their roots, num(1) = 0 and num(-1) = 0, before one
+exact division.  Negation, q -> q^-1 and a product with +-q^k keep the
+exponents: Phi_n is palindromic for n >= 2, and Phi_1(1/q) = -q^-1
+Phi_1(q).
 
-A table's coefficients lie in R, so it holds few distinct fractions and
-fewer distinct denominators, and the same reductions come back again and
-again.  Two process-wide caches, each
-functools.lru_cache bounded at _GCD_CACHE = 256 entries, run each distinct
-reduction once while it stays in use: _reduced, make's gcd, content and sign
-step keyed by the q-power-free (num, den) tuples (the shift stays out of the
-key), and _den_lcm, the lcm of two denominators of a sum together with both
-cofactors, taken in sorted order so that a + b and b + a share one entry.
-Sharing them across tables and callers is safe: both are pure
-functions of tuples of ints, and what they return is tuples of ints, which
-no caller can change.  The bound keeps their memory small (about 0.3 MB
-of peak RSS on A1~ to length 12) while losing almost no hits: building A1~
-to length 12 runs 842 gcds with 256 entries (548 reductions, 294
-denominator pairs), each distinct one once, 908 with 64 and 1,148 with 32,
-against 3,147 uncached.
+A table holds few distinct denominators, and the same cancellations come
+back again and again.  Bounded process-wide caches of _CACHE = 256 entries
+each (functools.lru_cache) run each distinct one once while it stays in
+use: _reduced, keyed by the q-power-free numerator and the exponents;
+_den_lcm, the lcm of two exponent tuples with both cofactors, taken in
+sorted order so that a + b and b + a share one entry;
+cyclotomic_exponents, the factorization of make and inv, keyed by the
+polynomial; and _den_poly.  Sharing them across
+tables and callers is safe: each is a pure function of tuples of ints and
+returns tuples of ints, which no caller can change.  Building
+A1~ to length 12 runs 702 distinct cancellations, 294 distinct lcms and
+12 factorizations.
 """
 
 from functools import lru_cache
-from itertools import combinations
-from math import gcd, isqrt, prod
+from itertools import accumulate
+from math import isqrt, prod
+from operator import sub
 
-from .qpoly import (pcontent, pdivexact, peval, pgcd_cofactors, pmul, pneg,
-                    pstrip)
+from .qpoly import pdivexact, peval, pmul, pneg, pstrip
 
 # from_pairs refuses an exponent of size above this.  Tables stay far below
-# it (A1~ to length 30 reaches degree 435), and it bounds the gcd work of a
-# decoded coefficient: on a 2-CPU x86 host, exponent spans of 10,000 / 2,000
-# (numerator / denominator) decode in 0.06 s, 50,000 / 10,000 in 1.1 s, and
-# 1,000,000 / 200,000 runs past 60 s.
+# it (A1~ to length 30 reaches degree 435), and it bounds the work of a
+# decoded coefficient, most of it the factorization of its denominator: on
+# a 2-CPU x86 host, (1 - q^997)(1 - q^1009)(1 - q^1013) factors in 0.23 s,
+# and the palindromes 1 + 3q^k + q^2k outside R are refused in 0.5 s at
+# degree 5,000 and 3.3 s at degree 10,000.
 MAX_EXPONENT = 10000
+_CACHE = 256  # entries per cache; see the module docstring
 
 
 class CoefQ:
-    __slots__ = ("shift", "num", "den")
+    __slots__ = ("shift", "num", "cyc")
 
-    def __init__(self, shift, num, den):
+    def __init__(self, shift, num, cyc):
         # trusted canonical data; use the constructors below
         self.shift = shift
         self.num = num
-        self.den = den
+        self.cyc = cyc
 
     # --- construction --------------------------------------------------------
 
     @staticmethod
     def make(num, shift=0, den=(1,)):
-        """Canonicalize an arbitrary integer-polynomial fraction: powers of
-        q move into shift, the gcd of num and den is divided out by
-        pgcd_cofactors (heuristic gcd at xi >= 2 min(|num|, |den|) + 2, the
-        PRS after HEU_POINTS failed points), then the common integer content,
-        signed so that den leads positive (_reduced, cached by its
-        q-power-free num and den)."""
+        """Canonicalize an integer-polynomial fraction q^shift num / den:
+        powers of q move into shift, den is factored into its cyclotomic
+        exponents (cyclotomic_exponents), and the Phi_n they name are
+        cancelled from num.  ValueError when den is no +-q^k prod Phi_n,
+        i.e. the value lies outside R."""
         num = pstrip(num)
         den = pstrip(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return ZERO
-        z = 0
-        while num[z] == 0:
-            z += 1
-        if z:
-            num = num[z:]
-            shift += z
-        z = 0
-        while den[z] == 0:
-            z += 1
-        if z:
-            den = den[z:]
-            shift -= z
-        if len(den) > 1 or den[0] not in (1, -1):
-            num, den = _reduced(num, den)
-        elif den[0] == -1:
+        while den[0] == 0:
+            den = den[1:]
+            shift -= 1
+        cyc = cyclotomic_exponents(den)
+        if cyc is None:
+            raise ValueError("denominator of degree %d is no product of "
+                             "cyclotomic polynomials: outside R"
+                             % (len(den) - 1))
+        if den[-1] < 0:
             num = pneg(num)
-            den = (1,)
-        return CoefQ(shift, num, den)
+        return _canonical(num, shift, cyc)
 
     @staticmethod
     def from_int(n):
@@ -111,13 +113,13 @@ class CoefQ:
             return ZERO
         if n == 1:
             return ONE
-        return CoefQ(0, (n,), (1,))
+        return CoefQ(0, (n,), ())
 
     @staticmethod
     def q_power(n):
         if n == 0:
             return ONE
-        return CoefQ(n, (1,), (1,))
+        return CoefQ(n, (1,), ())
 
     # --- predicates ----------------------------------------------------------
 
@@ -142,70 +144,90 @@ class CoefQ:
     def __neg__(self):
         if not self.num:
             return self
-        return CoefQ(self.shift, pneg(self.num), self.den)
+        return CoefQ(self.shift, pneg(self.num), self.cyc)
 
     def __mul__(self, other):
         if not isinstance(other, CoefQ):
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        if other.den == (1,) and other.num in _UNITS:
+        if not other.cyc and other.num in _UNITS:
             return self._times_unit(other)
-        if self.den == (1,) and self.num in _UNITS:
+        if not self.cyc and self.num in _UNITS:
             return other._times_unit(self)
-        return CoefQ.make(pmul(self.num, other.num),
-                          self.shift + other.shift,
-                          pmul(self.den, other.den))
+        a, ca, b, cb = self.num, self.cyc, other.num, other.cyc
+        if cb:
+            a, cb = _reduced(a, cb)
+        if ca:
+            b, ca = _reduced(b, ca)
+        if ca and cb:  # add the exponents
+            exps = dict(ca)
+            for n, e in cb:
+                exps[n] = exps.get(n, 0) + e
+            cb = tuple(sorted(exps.items()))
+        return CoefQ(self.shift + other.shift, pmul(a, b), cb or ca)
 
     def _times_unit(self, u):
-        """self * (+-q^n): already canonical, no gcd needed."""
+        """self * (+-q^n): already canonical, nothing to cancel."""
         num = self.num if u.num[0] == 1 else pneg(self.num)
-        return CoefQ(self.shift + u.shift, num, self.den)
+        return CoefQ(self.shift + u.shift, num, self.cyc)
 
     def inv(self):
+        """1 / self; ValueError unless num is +-prod Phi_n, i.e. self is a
+        unit of R."""
         if not self.num:
             raise ZeroDivisionError("inverting zero")
-        return CoefQ.make(self.den, -self.shift, self.num)
+        cyc = cyclotomic_exponents(self.num)
+        if cyc is None:
+            raise ValueError("numerator of degree %d is no product of "
+                             "cyclotomic polynomials: its inverse lies "
+                             "outside R" % (len(self.num) - 1))
+        den = self.den
+        return CoefQ(-self.shift, den if self.num[-1] > 0 else pneg(den),
+                     cyc)
 
     def subs_q_inverse(self):
-        """The scalar with q replaced by q^{-1}."""
+        """The scalar with q replaced by q^{-1}: the numerator reversed,
+        negated when Phi_1 has an odd exponent, over the same exponents."""
         if not self.num:
             return self
-        return CoefQ.make(tuple(reversed(self.num)),
-                          -self.shift - len(self.num) + len(self.den),
-                          tuple(reversed(self.den)))
+        num = self.num[::-1]
+        if self.cyc and self.cyc[0][0] == 1 and self.cyc[0][1] % 2:
+            num = pneg(num)
+        return CoefQ(-self.shift - len(self.num) + 1 + _degree(self.cyc),
+                     num, self.cyc)
 
     # --- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, CoefQ) and self.shift == other.shift
-                and self.num == other.num and self.den == other.den)
+                and self.num == other.num and self.cyc == other.cyc)
 
     def __hash__(self):
-        return hash((self.shift, self.num, self.den))
+        return hash((self.shift, self.num, self.cyc))
 
     # --- views ---------------------------------------------------------------
+
+    @property
+    def den(self):
+        """The denominator prod Phi_n^e_n as a polynomial (monic)."""
+        return _den_poly(self.cyc)
 
     def top_exponent(self):
         """q-degree of the leading term of the downward Laurent expansion."""
         if not self.num:
             raise ValueError("zero has no top exponent")
-        return self.shift + len(self.num) - len(self.den)
+        return self.shift + len(self.num) - 1 - _degree(self.cyc)
 
     def expand_down(self, n_min):
         """Laurent expansion in descending powers of q (the e^{-delta} adic
         direction): yields (n, c_n) with c_n != 0, from the top exponent down
-        to n_min.  Coefficients are exact integers when the denominator's
-        leading coefficient is +-1 (true for everything in R); otherwise a
-        ValueError is raised.
+        to n_min.  The denominator is monic, so every c_n is an integer.
         """
         if not self.num:
             return
-        nrev = tuple(reversed(self.num))
-        drev = tuple(reversed(self.den))
-        lead = drev[0]
-        if lead not in (1, -1):
-            raise ValueError("series expansion needs a unit leading coefficient")
+        nrev = self.num[::-1]
+        drev = self.den[::-1]
         top = self.top_exponent()
         coeffs = []  # series of nrev/drev in t = q^{-1}
         k = 0
@@ -213,7 +235,6 @@ class CoefQ:
             s = nrev[k] if k < len(nrev) else 0
             for j in range(1, min(k, len(drev) - 1) + 1):
                 s -= drev[j] * coeffs[k - j]
-            s //= lead
             coeffs.append(s)
             if s:
                 yield top - k, s
@@ -231,31 +252,17 @@ class CoefQ:
         coefficient] pairs (num_pairs / den_pairs).  ValueError unless every
         entry is an int (bools and floats are refused), an exponent repeats
         in neither list, no exponent has size above MAX_EXPONENT, and the
-        denominator is nonzero."""
+        denominator is nonzero and lies in R (make)."""
         num = _pair_dict(num_pairs)
-        den = _pair_dict(den_pairs)
-        if den and not any(den.values()):
+        den = _pair_dict(den_pairs) or {0: 1}
+        if not any(den.values()):
             raise ValueError("zero denominator")
         if not num:
             return ZERO
-        shift = min(num)
-        npoly = [0] * (max(num) - shift + 1)
-        for e, c in num.items():
-            npoly[e - shift] = c
-        if not den:
-            den = {0: 1}
         if min(den) < 0:
             raise ValueError("denominator exponents must be >= 0")
-        dpoly = [0] * (max(den) + 1)
-        for e, c in den.items():
-            dpoly[e] = c
-        return CoefQ.make(npoly, shift, dpoly)
-
-    def divides_q_products(self):
-        """True iff den divides a product of polynomials q^k - 1 (possibly
-        repeated), i.e. the scalar lies in the ring R: iff den has a
-        cyclotomic factorization (cyclotomic_exponents)."""
-        return cyclotomic_exponents(self.den) is not None
+        shift = min(num)
+        return CoefQ.make(_dense(num, shift), shift, _dense(den, 0))
 
     def __repr__(self):
         if not self.num:
@@ -263,10 +270,12 @@ class CoefQ:
         return "CoefQ(q^%d*%s/%s)" % (self.shift, list(self.num), list(self.den))
 
 
+@lru_cache(maxsize=_CACHE)
 def cyclotomic_exponents(den):
-    """{n: e_n} with den = +-prod Phi_n^e_n, or None when den is no such
-    product, i.e. when it divides no product of polynomials q^k - 1.  Such
-    a divisor is +-prod Phi_n (Gauss's lemma), with Phi_1 = q - 1
+    """The sorted (n, e_n) with den = +-prod Phi_n^e_n and e_n > 0, or None
+    when den is no such product, i.e. when it divides no product of
+    polynomials q^k - 1; kept in a bounded cache keyed by den.  Such a
+    divisor is +-prod Phi_n (Gauss's lemma), with Phi_1 = q - 1
     anti-palindromic and every other Phi_n palindromic, so a den whose end
     coefficients are not +-1, or which is neither its reversal nor minus
     it, is refused at once.  Otherwise every Phi_n that fits in what is
@@ -297,39 +306,56 @@ def cyclotomic_exponents(den):
                     break
                 value //= at2
                 exponents[n] = exponents.get(n, 0) + 1
-    return exponents if len(den) == 1 else None
+    return tuple(sorted(exponents.items())) if len(den) == 1 else None
 
 
 def q_shifted_sum(terms):
-    """The canonical sum of c * q^n over the (CoefQ c, int n) terms, by at
-    most one make.  Nonzero terms are grouped by denominator, and each
-    group's q-shifted numerators are added into one integer list
+    """The canonical sum of c * q^n over the (CoefQ c, int n) terms, with at
+    most one cancellation.  Nonzero terms are grouped by denominator, and
+    each group's q-shifted numerators are added into one integer list
     (_shifted_add).  Over two or more denominators the lcm is folded
     through _den_lcm: the running numerator and each new group's are scaled
-    by their cofactors and added as integer lists, so no reduction runs
-    before the last.  A lone nonzero term is already canonical and runs no
-    make."""
-    groups = {}  # den -> (shift, numerator)
+    by their cofactors and added as integer lists, so nothing is cancelled
+    before the last step.  A lone nonzero term is already canonical and
+    cancels nothing."""
+    groups = {}  # cyc -> (shift, numerator)
     for c, n in terms:
         num = c.num
         if num:
-            den = c.den
-            if den in groups:
-                groups[den] = _shifted_add(*groups[den], c.shift + n, num)
+            cyc = c.cyc
+            if cyc in groups:
+                groups[cyc] = _shifted_add(*groups[cyc], c.shift + n, num)
             else:
-                groups[den] = c.shift + n, num
+                groups[cyc] = c.shift + n, num
     if not groups:
         return ZERO
-    (den, (shift, acc)), *rest = groups.items()
-    for d, (s, num) in rest:
-        if den < d:
-            den, ca, cb = _den_lcm(den, d)
+    (cyc, (shift, acc)), *rest = groups.items()
+    for other, (s, num) in rest:
+        if cyc < other:
+            cyc, ca, cb = _den_lcm(cyc, other)
         else:
-            den, cb, ca = _den_lcm(d, den)
+            cyc, cb, ca = _den_lcm(other, cyc)
         shift, acc = _shifted_add(shift, pmul(acc, ca), s, pmul(num, cb))
     if type(acc) is tuple:  # one term: already canonical
-        return CoefQ(shift, acc, den)
-    return CoefQ.make(acc, shift, den)
+        return CoefQ(shift, acc, cyc)
+    return _canonical(acc, shift, cyc)
+
+
+def _canonical(num, shift, cyc):
+    """The CoefQ q^shift num / prod Phi_n^e_n, (n, e_n) in cyc, for an
+    integer list or tuple num that may carry zeros at either end."""
+    num = pstrip(num)
+    if not num:
+        return ZERO
+    z = 0
+    while num[z] == 0:
+        z += 1
+    if z:
+        num = num[z:]
+        shift += z
+    if cyc:
+        num, cyc = _reduced(num, cyc)
+    return CoefQ(shift, num, cyc)
 
 
 def _shifted_add(s, acc, sh, num):
@@ -350,32 +376,88 @@ def _shifted_add(s, acc, sh, num):
     return s, acc
 
 
-_GCD_CACHE = 256  # entries per gcd cache; see the module docstring
+@lru_cache(maxsize=_CACHE)
+def _reduced(num, cyc):
+    """(num', cyc') with num' / prod Phi_n^e'_n = num / prod Phi_n^e_n for a
+    q-power-free tuple num and exponents cyc, and no Phi_n of cyc' dividing
+    num': each Phi_n of cyc is divided out of num while it divides, at most
+    e_n times, each division screened by its root for n <= 2 (num(1) = 0
+    for Phi_1, num(-1) = 0 for Phi_2: exact tests) and by Phi_n(2) | num(2)
+    otherwise."""
+    out = []
+    at2 = peval(num, 2)  # divided along as factors come out
+    for i, (n, e) in enumerate(cyc):
+        cyclo = _cyclotomic(n)
+        phi2 = peval(cyclo, 2)
+        root = 3 - 2 * n  # of Phi_1 and of Phi_2
+        while e and (at2 % phi2 == 0 if n > 2 else not peval(num, root)):
+            try:
+                num = pdivexact(num, cyclo)
+            except ValueError:
+                break
+            at2 //= phi2
+            e -= 1
+        if e:  # an untouched pair is kept as the same object (_den_lcm)
+            out.append(cyc[i] if e == cyc[i][1] else (n, e))
+    return num, tuple(out)
 
 
-@lru_cache(maxsize=_GCD_CACHE)
-def _reduced(num, den):
-    """(num, den) over their gcd and common integer content, signed so that
-    den leads positive: make's canonical num and den for q-power-free
-    tuples num, den."""
-    _, num, den = pgcd_cofactors(num, den)
-    c = gcd(pcontent(num), pcontent(den))
-    if den[-1] < 0:
-        c = -c
-    if c != 1:
-        num = tuple(x // c for x in num)
-        den = tuple(x // c for x in den)
-    return num, den
+@lru_cache(maxsize=_CACHE)
+def _den_lcm(c1, c2):
+    """(lcm, lcm / d1, lcm / d2) for the exponent tuples c1 < c2 of two
+    denominators d1, d2: the lcm's exponents are the larger of each pair,
+    and each cofactor is the product of the Phi_n the other one lacks.
+    In sorted(c1 + c2) the last pair of each n has the larger exponent,
+    and the lcm holds that pair object itself, as _reduced keeps those it
+    leaves alone: a table's exponent tuples share their pairs, and take no
+    more memory than its polynomial denominators would."""
+    e1, e2 = dict(c1), dict(c2)
+    lcm = tuple({pair[0]: pair for pair in sorted(c1 + c2)}.values())
+    return lcm, *(_den_poly(tuple((n, e - d.get(n, 0)) for n, e in lcm
+                                  if e > d.get(n, 0))) for d in (e1, e2))
 
 
-@lru_cache(maxsize=_GCD_CACHE)
-def _den_lcm(d1, d2):
-    """(lcm, lcm / d1, lcm / d2) for denominators d1 < d2: the lcm is
-    d1 * (d2 / g) with g = pgcd(d1, d2) (primitive, so up to an integer
-    factor), and the cofactors are d2 / g and d1 / g, all from one
-    pgcd_cofactors call."""
-    _, c1, c2 = pgcd_cofactors(d1, d2)
-    return pmul(d1, c2), c2, c1
+@lru_cache(maxsize=_CACHE)
+def _den_poly(cyc):
+    """prod Phi_n^e_n over the (n, e_n) in cyc, as a polynomial, built as
+    prod (q^m - 1)^a_m (q_product_exponents) with no polynomial product.
+    Reversed, q^m - 1 is 1 - t^m, and the reversed den of degree D is the
+    power series prod (1 - t^m)^a_m cut after t^D: each factor 1 - t^m
+    subtracts the series shifted by m, and each inverse one runs a sum
+    along every residue class mod m."""
+    exps = q_product_exponents(cyc)
+    rev = [1] + [0] * sum(m * a for m, a in exps.items())
+    for m, a in exps.items():
+        for _ in range(a):
+            rev[m:] = map(sub, rev[m:], rev[:-m])
+        for _ in range(-a):
+            for r in range(min(m, len(rev))):
+                rev[r::m] = accumulate(rev[r::m])
+    return tuple(rev[::-1])
+
+
+def q_product_exponents(cyc):
+    """The {m: a_m} with prod Phi_n^e_n = prod (q^m - 1)^a_m, (n, e_n) in
+    cyc, a_m != 0: q^n - 1 is the product of the Phi_d over the divisors d
+    of n, so from the largest n down, a_n is what is left of e_n, and a_n
+    is taken away from e_d for every divisor d of n.  The a_m are unique,
+    and some is negative when the Phi_n make no product of polynomials
+    q^m - 1: 1 + q = (q^2 - 1) / (q - 1)."""
+    exps = dict(cyc)
+    out = {}
+    for n in range(max(exps, default=0), 0, -1):
+        a = exps.get(n)
+        if a:
+            out[n] = a
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    exps[d] = exps.get(d, 0) - a
+    return out
+
+
+def _degree(cyc):
+    """The degree of prod Phi_n^e_n, the sum of the e_n phi(n)."""
+    return sum(e * (len(_cyclotomic(n)) - 1) for n, e in cyc)
 
 
 def _small_totients(limit):
@@ -407,29 +489,32 @@ def _small_totients(limit):
 
 
 def _cyclotomic_at_2(n, primes):
-    """Phi_n(2) = prod_{d | n} (2^d - 1)^mu(n/d), primes the primes
-    dividing n: only squarefree n/d, the products of subsets of primes,
-    have mu(n/d) != 0."""
-    num = den = 1
-    for k in range(len(primes) + 1):
-        for sub in combinations(primes, k):
-            v = (1 << n // prod(sub)) - 1
-            if k % 2:
-                den *= v
-            else:
-                num *= v
-    return num // den
+    """Phi_n(2), primes the primes dividing n: Phi_n(q) = Phi_r(q^(n/r))
+    for r = prod(primes), Phi_1(y) = y - 1, and Phi_mp(y) = Phi_m(y^p) /
+    Phi_m(y) for a prime p that does not divide m; every y is a power of 2,
+    and each division is exact."""
+    def at(k, a):  # Phi_{p_1 ... p_k}(2^a)
+        if not k:
+            return (1 << a) - 1
+        return at(k - 1, a * primes[k - 1]) // at(k - 1, a)
+    return at(len(primes), n // prod(primes))
 
 
-@lru_cache(maxsize=_GCD_CACHE)
+@lru_cache(maxsize=_CACHE)
 def _cyclotomic(n):
-    """Phi_n: q^n - 1 divided exactly by Phi_d for each proper divisor d
-    of n."""
-    cyc = (-1,) + (0,) * (n - 1) + (1,)
-    for d in range(1, n // 2 + 1):
-        if n % d == 0:
-            cyc = pdivexact(cyc, _cyclotomic(d))
-    return cyc
+    """Phi_n = prod_{d | n} (q^d - 1)^mu(n/d), built by _den_poly and kept
+    in a cache of its own, keyed by n, which _reduced and _degree read
+    once per exponent pair."""
+    return _den_poly(((n, 1),))
+
+
+def _dense(coeffs, low):
+    """The coefficient list of the {exponent: coefficient} dict coeffs,
+    from exponent low up."""
+    poly = [0] * (max(coeffs) - low + 1)
+    for e, c in coeffs.items():
+        poly[e - low] = c
+    return poly
 
 
 def _pair_dict(pairs):
@@ -447,6 +532,6 @@ def _pair_dict(pairs):
 
 
 _UNITS = ((1,), (-1,))
-ZERO = CoefQ(0, (), (1,))
-ONE = CoefQ(0, (1,), (1,))
-Q = CoefQ(1, (1,), (1,))
+ZERO = CoefQ(0, (), ())
+ONE = CoefQ(0, (1,), ())
+Q = CoefQ(1, (1,), ())

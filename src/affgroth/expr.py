@@ -8,20 +8,23 @@ Grammar (whitespace-insensitive):
     exponent:= ['-'] integer | '{' ['-'] integer '}'
     atom    := rational | 'q' | 'e' '[' weight ']' | 'E' '[' weight ']'
              | '(' expr ')' | '{' expr '}'
-    rational:= integer ['/' integer]
+    rational:= integer ['/' integer]         its value must be an integer
 
 e[w] is a single exponential, E[w] the sum over the classical Weyl orbit of w.
-Negative powers invert single-term elements only.  print_element emits terms
-mode (flat canonical list), orbit mode (denominators factored into (1-q^k)
-products, orbits grouped into E-terms), or a JSON document; terms and orbit
-output re-parse to an equal element.
+Coefficients lie in R = Z[q^{+-1}, (1 - q^n)^{-1}]: a rational that is not
+an integer (1/2) is refused, and so is a negative power of an element whose
+inverse leaves R ((2*q)^-1, (2 - q)^-1).  Negative powers invert
+single-term elements only.  print_element emits terms mode (flat canonical
+list), orbit mode (denominators factored into (1-q^k) products, orbits
+grouped into E-terms), or a JSON document; terms and orbit output re-parse
+to an equal element.
 """
 
 import json
 import re
 from fractions import Fraction
 
-from .coefq import CoefQ, Q, cyclotomic_exponents
+from .coefq import CoefQ, Q, q_product_exponents
 from .errors import ParseError
 from .kring import (classical_antidominant, k_scalar, monomial, orbit_sum,
                     to_json)
@@ -131,8 +134,9 @@ class _Parser:
         k = self.exponent(caret)
         try:
             return f ** k
-        except ValueError:
-            self.fail("negative power of a multi-term element", caret)
+        except ValueError as ex:  # several terms, or an inverse outside R
+            self.fail("negative power of a multi-term element"
+                      if len(f) != 1 else str(ex), caret)
 
     def exponent(self, caret):
         braced = self.peek()[0] == "{"
@@ -153,9 +157,10 @@ class _Parser:
         tok = self.take()
         kind = tok[0]
         if kind == "rat":
-            r = tok[1]
-            return k_scalar(self.cd, CoefQ.make((r.numerator,), 0,
-                                                (r.denominator,)))
+            if tok[1].denominator != 1:
+                self.fail("%s is not an integer; coefficients lie in R"
+                          % tok[1], tok)
+            return k_scalar(self.cd, tok[1].numerator)
         if kind == "q":
             return k_scalar(self.cd, Q)
         if kind == "weight":
@@ -193,31 +198,18 @@ def _poly_bits(poly, shift):
     return bits
 
 
-def _factor_q_products(den):
-    """den as a multiset {k: power} of (1 - q^k) factors times a sign,
-    or None when den is not such a product.  It reads den's cyclotomic
-    exponents {d: e_d} (coefq.cyclotomic_exponents): q^k - 1 is the product
-    of Phi_d over the divisors d of k, so the largest k whose divisors all
-    have e_d >= 1 is taken, one is taken away from each e_d, and this
-    repeats; den is such a product iff every e_d reaches 0.  Each
-    (1 - q^k) = -(q^k - 1) contributes one sign flip, and a den that leads
-    negative one more (canonical ones lead positive).  A den from R need
-    not be one: 1 + q divides 1 - q^2 but is no such product, so
+def _factor_q_products(cyc):
+    """The denominator prod Phi_d^e_d, (d, e_d) in cyc (CoefQ.cyc), as a
+    multiset {k: power} of (1 - q^k) factors times a sign, or None when it
+    is not such a product: when some exponent of its unique form
+    prod (q^k - 1)^a_k (q_product_exponents) is negative.  Each
+    (1 - q^k) = -(q^k - 1) contributes one sign flip.  A denominator of R
+    need not be one: 1 + q = (q^2 - 1) / (q - 1) is not, so
     (1 + q)^-1 * e[L1] on A1~ prints through the caller's fallback."""
-    exponents = cyclotomic_exponents(den)
-    if exponents is None:
+    factors = q_product_exponents(cyc)
+    if min(factors.values(), default=0) < 0:
         return None
-    factors = {}
-    for k in sorted(exponents, reverse=True):
-        divisors = [d for d in range(1, k + 1) if k % d == 0]
-        while all(exponents.get(d) for d in divisors):
-            for d in divisors:
-                exponents[d] -= 1
-            factors[k] = factors.get(k, 0) + 1
-    if any(exponents.values()):
-        return None
-    sign = -1 if sum(factors.values()) % 2 else 1
-    return factors, sign if den[-1] > 0 else -sign
+    return factors, -1 if sum(factors.values()) % 2 else 1
 
 
 def _den_prefix(factors):
@@ -250,7 +242,7 @@ def print_element(f, mode="terms"):
         bits = []
         for mu, c in f.sorted_terms():
             sym = None if mu.is_zero() else "e[%s]" % format_weight(mu)
-            if c.den == (1,):
+            if not c.cyc:
                 bits.extend(_scalar_bits(c, sym))
             else:
                 den_bits = "(%s)^{-1}" % join_signed(_poly_bits(c.den, 0))
@@ -269,19 +261,20 @@ def _print_orbit(f):
     """Group by denominator, then coalesce full classical orbits with a
     shared coefficient into E-terms."""
     cd = f.cd
-    buckets = {}  # den tuple -> list of (mu, CoefQ)
+    buckets = {}  # CoefQ.cyc -> list of (mu, CoefQ)
     for mu, c in f.sorted_terms():
-        buckets.setdefault(c.den, []).append((mu, c))
+        buckets.setdefault(c.cyc, []).append((mu, c))
     pieces = []
-    for den in sorted(buckets, key=lambda d: (len(d), d)):
-        terms = buckets[den]
-        factors_sign = _factor_q_products(den) if den != (1,) else ({}, 1)
+    for terms in sorted(buckets.values(),
+                        key=lambda ts: (len(ts[0][1].den), ts[0][1].den)):
+        den = terms[0][1].den
+        factors_sign = _factor_q_products(terms[0][1].cyc)
         grouped = _orbit_group(cd, terms)
         bits = []
         for sym, c in grouped:
             num = c.num if factors_sign is None or factors_sign[1] > 0 \
                 else tuple(-x for x in c.num)
-            bits.extend(_scalar_bits(CoefQ(c.shift, num, (1,)), sym))
+            bits.extend(_scalar_bits(CoefQ(c.shift, num, ()), sym))
         if den == (1,):
             pieces.extend(bits)
         elif factors_sign is None:

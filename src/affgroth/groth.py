@@ -1,10 +1,11 @@
 """Affine Grothendieck elements G_w and the descent recursion computing them.
 
 Each G_w lives in the completed K-group: a finite combination of e^mu with
-coefficients in Q(q), all key levels in (-kappa, 0] for kappa the dual Coxeter
-number.  The recursion over a reduced word builds, from the G_{w s_i} at the
-right descents i of w, a twisted cocycle family; its coboundary B, corrected
-by the identity-localization image pushed through eta, yields G_w:
+coefficients in R = Z[q^{+-1}, (1 - q^n)^{-1}], all key levels in
+(-kappa, 0] for kappa the dual Coxeter number.  The recursion over a reduced
+word builds, from the G_{w s_i} at the right descents i of w, a twisted
+cocycle family; its coboundary B, corrected by the identity-localization
+image pushed through eta, yields G_w:
 
     v_i = e^{rho_J} (1 - e^{-alpha_i}) G_{w s_i}   for i in J = descents(w)
     v_i = 0                                        otherwise
@@ -31,11 +32,11 @@ GrothTable.compute therefore solves only when no orbit-mate of w has an
 entry yet; otherwise it relabels the orbit-mate's keys and delta-normalizes
 them again, since sigma may move node0.
 
-verify used afterwards cross-checks each
-entry against the Demazure recursion, localization supports, the bar
-involution, and the coefficient-denominator constraint.  The localization
-check compares j_w(G_w) with prod(1 - e^beta) as canonical forms; each
-vanishing probe j_x(G_w) = 0 (w not below x) only needs a yes or no.
+verify used afterwards cross-checks each entry against the Demazure
+recursion, localization supports and the bar involution; its "ring" check
+always passes (see verify).  The localization check compares j_w(G_w)
+with prod(1 - e^beta) as canonical forms; each vanishing probe
+j_x(G_w) = 0 (w not below x) only needs a yes or no.
 probes.nonvanishing_probes answers all of an entry's probes in one call
 without building any j_x(G_w): it evaluates the entry's terms once at one
 point per entry, past the root bound of every key's cleared numerator, and
@@ -165,7 +166,10 @@ class GrothTable:
         checks is a collection of names from ALL_CHECKS (see check_names).
         With the full set, an orbit-mate's earlier pass on this table can
         stand in for running the checks (_passes_by_transport); a subset
-        always runs in full."""
+        always runs in full.  The name "ring" is accepted and its check
+        always passes: a CoefQ holds its denominator as cyclotomic
+        exponents, so every coefficient lies in R by construction, and a
+        cache denominator outside R is refused at load."""
         cd = self.cd
         checks = self.check_names(checks)
         if probe_length is None:
@@ -206,17 +210,6 @@ class GrothTable:
 
         if "psi" in checks and psi(g) != g_inv:
             fails.append("bar involution: psi(G_w) != G_{w^-1}")
-
-        if "ring" in checks:
-            in_ring = {}  # den -> verdict, one test per distinct denominator
-            for mu, c in g.terms.items():
-                ok = in_ring.get(c.den)
-                if ok is None:
-                    ok = in_ring[c.den] = c.divides_q_products()
-                if not ok:
-                    fails.append("coefficient ring: denominator at %s has a "
-                                 "factor outside the (q^k - 1) products" % mu)
-                    break
 
         if fails:
             self.verified.discard(w)
@@ -377,20 +370,21 @@ def _pairs(pairs):
 def _terms(g, weights, dens):
     """The "terms" list of g's entry laid out at depth 3: to_json(g) in
     json.dumps' layout, one _TERM per (Weight, CoefQ) term of
-    g.sorted_terms().  weights (Weight -> text) and dens (denominator tuple
-    -> text) are memos that the entries of one save share, so each distinct
-    weight and denominator is laid out once.  Numerators are laid out per
-    term: about half of a deep table's coefficients are distinct, and a memo
-    of them would hold more text than it saves."""
+    g.sorted_terms().  weights (Weight -> text) and dens (CoefQ.cyc, the
+    denominator's exponent tuple -> text) are memos that the entries of one
+    save share, so each distinct weight and denominator is laid out once.
+    Numerators are laid out per term: about half of a deep table's
+    coefficients are distinct, and a memo of them would hold more text than
+    it saves."""
     out = []
     for mu, c in g.sorted_terms():
         w = weights.get(mu)
         if w is None:
             w = weights[mu] = _WEIGHT % (_COORD_SEP.join(map(str, mu.l)),
                                          _COORD_SEP.join(map(str, mu.m)))
-        d = dens.get(c.den)
+        d = dens.get(c.cyc)
         if d is None:
-            d = dens[c.den] = _pairs([(i, x) for i, x in enumerate(c.den)
+            d = dens[c.cyc] = _pairs([(i, x) for i, x in enumerate(c.den)
                                       if x])
         out.append(_TERM % (
             d, _pairs([(c.shift + i, x) for i, x in enumerate(c.num) if x]), w))

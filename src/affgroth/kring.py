@@ -126,7 +126,7 @@ def _collect(cd, terms):
         if type(g) is tuple:
             c, n = g
             if n:
-                c = CoefQ(c.shift + n, c.num, c.den)
+                c = CoefQ(c.shift + n, c.num, c.cyc)
         else:
             c = q_shifted_sum(g)
         if c.num:
@@ -178,7 +178,7 @@ def relabel(f, p):
     q, but may move node0, so every image is delta-normalized again
     (_relabel_images); no two images share a key, so none is summed."""
     return KElement(f.cd, {
-        Weight(l, m): CoefQ(c.shift + n, c.num, c.den) if n else c
+        Weight(l, m): CoefQ(c.shift + n, c.num, c.cyc) if n else c
         for l, m, n, c in _relabel_images(f, p)})
 
 
@@ -193,7 +193,7 @@ def relabel_equals(f, p, g):
     for l, m, n, c in _relabel_images(f, p):
         d = get((l, m))
         if (d is None or d.shift != c.shift + n or d.num != c.num
-                or d.den != c.den):
+                or d.cyc != c.cyc):
             return False
     return True
 

@@ -43,9 +43,10 @@ def nonvanishing_probes(f, xs):
     sum is wider than one key's spread of q-powers: a key's sum starts at
     its first image and is multiplied by xi^(e_low - e) when an image with
     a lower power e comes.  This is the evaluation step of the heuristic
-    gcd GCDHEU (Char, Geddes and Gonnet 1989), which qpoly.pgcd_cofactors
-    runs, without the gcd: a point beyond the root bound makes one integer
-    comparison decide a polynomial identity.
+    gcd GCDHEU (Char, Geddes and Gonnet 1989) without the gcd: a point
+    beyond the root bound makes one integer comparison decide a polynomial
+    identity.  The D_h are keyed by their exponent tuples (CoefQ.cyc), and
+    each polynomial D_h is read once.
 
     A term image is one int, the key K: the vector Q = A m of the pairings
     <h_j, alpha> of its alpha-part alpha = sum m_j alpha_j, packed with
@@ -78,13 +79,14 @@ def nonvanishing_probes(f, xs):
     if not f.terms or not xs:
         return []
     cd = f.cd
-    norms = {c.den: sum(map(abs, c.den)) for c in f.terms.values()}
+    dens = {c.cyc: c for c in f.terms.values()}  # one c per denominator
+    norms = {h: sum(map(abs, c.den)) for h, c in dens.items()}
     whole = prod(norms.values())
-    xi = 2 + sum(sum(map(abs, c.num)) * (whole // norms[c.den])
+    xi = 2 + sum(sum(map(abs, c.num)) * (whole // norms[c.cyc])
                  for c in f.terms.values())
-    at = {den: peval(den, xi) for den in norms}
-    others = {den: prod(v for h, v in at.items() if h != den) for den in at}
-    values = [peval(c.num, xi) * others[c.den] for c in f.terms.values()]
+    at = {h: peval(c.den, xi) for h, c in dens.items()}
+    others = {h: prod(v for k, v in at.items() if k != h) for h in at}
+    values = [peval(c.num, xi) * others[c.cyc] for c in f.terms.values()]
     steps, keys = _pairing_keys(cd, f, max(len(x.word) for x in xs))
     memo = {(): (keys, [c.shift for c in f.terms.values()])}
     powers = [1]  # xi^k

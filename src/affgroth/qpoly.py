@@ -2,28 +2,12 @@
 
 A polynomial is a tuple of int coefficients, constant term first, with no
 trailing zero; () is the zero polynomial.  These functions are the inner loop
-of every coefficient-field operation, so they stay free of object wrappers.
+of every coefficient-ring operation, so they stay free of object wrappers.
 
-Two routines give the same gcd, primitive with positive leading coefficient.
-`pgcd` runs the primitive pseudo-remainder sequence (PRS).  `pgcd_cofactors`,
-which coefficient canonicalization calls, also returns both quotients and
-first tries the heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic
-Comput. 7, 1989):
-
-- evaluate the primitive parts at an integer xi >= 2 min(|a|, |b|) + 2, with
-  |.| the largest absolute coefficient;
-- take one big-integer gcd of the two values and rebuild a polynomial from
-  its symmetric xi-adic digits;
-- its primitive part h is the gcd iff h divides both inputs, which one exact
-  division each decides (a constant h means the gcd is 1).
-
-A failed point grows xi; after HEU_POINTS failed points the PRS decides.
-A point fails when a spurious integer factor enters the gcd of the values,
-so every xi is a multiple of 2*3*5*7*11: a prime p dividing xi divides a(xi)
-only when it divides a(0), and a canonical denominator of the ring R has
-constant term +-1, so these small primes stay out.  On A1~ to length 12,
-starting at the bare bound failed 1,944 of 5,732 first points; rounded up to
-a multiple of 2310, none failed.
+`pgcd`, the primitive pseudo-remainder sequence (PRS), is the reference gcd
+that the tests compare canonical forms against; no module of the package
+calls it, since a coefficient's denominator is held as its cyclotomic
+exponents and cancelled by exact division (coefq).
 """
 
 from math import gcd
@@ -143,52 +127,9 @@ def pgcd(a, b):
     return a
 
 
-HEU_POINTS = 6  # evaluation points pgcd_cofactors tries before the PRS
-_XI_UNIT = 2 * 3 * 5 * 7 * 11  # every xi is a multiple (module docstring)
-
-
 def peval(a, x):
     """a(x) by Horner's rule."""
     v = 0
     for c in reversed(a):
         v = v * x + c
     return v
-
-
-def _from_digits(v, x):
-    """The polynomial whose value at x is v, with symmetric digits in
-    (-x/2, x/2]."""
-    out = []
-    half = x // 2
-    while v:
-        d = v % x
-        if d > half:
-            d -= x
-        out.append(d)
-        v = (v - d) // x
-    return tuple(out)
-
-
-def pgcd_cofactors(a, b):
-    """(g, a / g, b / g) for g = pgcd(a, b), by the heuristic gcd with the
-    primitive PRS as fallback (see the module docstring)."""
-    if not a or not b:
-        g = pgcd(a, b)
-        return g, pdivexact(a, g), pdivexact(b, g)
-    pa = pprimitive(a)
-    pb = pprimitive(b)
-    if len(pa) == 1 or len(pb) == 1:
-        return (1,), a, b
-    x = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
-    x += -x % _XI_UNIT
-    for _ in range(HEU_POINTS):
-        h = pprimitive(_from_digits(gcd(peval(pa, x), peval(pb, x)), x))
-        if len(h) == 1:
-            return (1,), a, b
-        try:
-            return h, pdivexact(a, h), pdivexact(b, h)
-        except ValueError:
-            x = x * 73794 // 27011  # Char, Geddes and Gonnet's growth factor
-            x += -x % _XI_UNIT
-    g = pgcd(pa, pb)
-    return g, pdivexact(a, g), pdivexact(b, g)

@@ -571,7 +571,7 @@ def test_ring_check_refuses_non_cyclotomic_shape_at_once(tmp_path, capsys,
                                                          monkeypatch):
     # 1 + 2q^16 ran the ring check's 4 deg^2 + 4 gcd loop for seconds; a
     # divisor of a product of q^k - 1 has end coefficients +-1, so it is
-    # refused without a gcd
+    # refused without a gcd, at load, before any check runs
     path = tmp_path / "a1.json"
     assert run(capsys, "table", "--type", "A1~", "--max-length", "1",
                "--cache", str(path))[0] == 0
@@ -582,12 +582,45 @@ def test_ring_check_refuses_non_cyclotomic_shape_at_once(tmp_path, capsys,
     path.write_text(json.dumps(obj))
     # coefq binds no pgcd of its own, so every gcd of the PRS passes here
     gcds = oracles.count_calls(monkeypatch, qpoly, "pgcd")
-    status, out, _ = run(capsys, "verify", "--type", "A1~", "--max-length",
-                         "1", "--checks", "ring", "--cache", str(path))
+    status, out, err = run(capsys, "verify", "--type", "A1~", "--max-length",
+                           "1", "--checks", "ring", "--cache", str(path))
     assert status == 1
-    assert out == ("ok e\nok 0\nFAIL 1: coefficient ring: denominator at 0 "
-                   "has a factor outside the (q^k - 1) products\n")
+    assert out == ""
+    assert err.startswith("error: malformed cache") and "Traceback" not in err
+    assert "denominator of degree 16" in err and "outside R" in err
+    assert len(err.splitlines()) == 1
     assert gcds[0] == 0
+
+
+@pytest.mark.parametrize("den", [
+    [[0, 1], [64, 3], [128, 1]],  # monic palindrome, passes the shape check
+    [[0, 3]],  # an integer denominator: R is over Z
+    [[0, -1], [1, 2], [2, -1]],  # -(1 - q)^2 (1 - 2q + q^2 = Phi_1^2)
+], ids=["palindrome", "integer", "in-r"])
+def test_cache_denominator_outside_r_is_error(tmp_path, capsys, den):
+    # a cache term whose denominator lies outside R fails the load on one
+    # line that names the denominator's degree, not its coefficients; one
+    # in R loads and prints
+    path = tmp_path / "a1.json"
+    assert run(capsys, "table", "--type", "A1~", "--max-length", "1",
+               "--cache", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    entry = next(e for e in obj["entries"] if e["word"] == [1])
+    term = next(t for t in entry["terms"] if not any(t["weight"]["l"]))
+    term["den_coeffs"] = den
+    path.write_text(json.dumps(obj))
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", "1",
+                           "--cache", str(path))
+    if den[-1][0] == 2:
+        assert (status, err) == (0, "")
+        assert out == "(1 - 2*q + q^2)^{-1}(-1) - e[-L1]\n"
+        return
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: malformed cache") and "Traceback" not in err
+    assert "denominator of degree %d" % den[-1][0] in err
+    assert "outside R" in err and len(err) < 200
+    assert len(err.splitlines()) == 1
 
 
 def test_gcm_nested_too_deep_usage_error(capsys):

@@ -1,6 +1,7 @@
-"""Scalars in Q(q): canonical form, arithmetic against rational evaluation,
-series expansion, ring membership, and the exact zero test of a sum of
-q-fractions that verify's vanishing probes run."""
+"""Scalars in R = Z[q^{+-1}, (1 - q^n)^{-1}]: canonical form, arithmetic
+against rational evaluation and against reduction by the reference gcd,
+series expansion, the refusal of values outside R, and the exact zero test
+of a sum of q-fractions that verify's vanishing probes run."""
 
 import json
 from fractions import Fraction
@@ -13,7 +14,7 @@ from affgroth.cartan import from_type
 from affgroth.coefq import CoefQ, ONE, Q, ZERO, q_shifted_sum
 from affgroth.kring import from_terms
 from affgroth.probes import nonvanishing_probes
-from affgroth.qpoly import peval, pgcd, pmul
+from affgroth.qpoly import peval, pgcd, pmul, pneg
 from affgroth.weights import Weight
 
 import oracles
@@ -38,26 +39,33 @@ def test_constants():
     assert ONE == CoefQ.make((1,))
     assert Q == CoefQ.q_power(1)
     assert CoefQ.from_int(0) is ZERO
-    assert CoefQ.from_int(5) == CoefQ(0, (5,), (1,))
+    assert CoefQ.from_int(5) == CoefQ(0, (5,), ())
 
 
 def test_canonical_make():
     # q^2 pulled into shift, common factor cancelled, positive leading den
-    c = CoefQ.make((0, 0, 2, 2), den=(2,))
+    c = CoefQ.make((0, 0, -1, -1), den=(-1,))
     assert (c.shift, c.num, c.den) == (2, (1, 1), (1,))
     c = CoefQ.make((1, -1), den=(-1, 0, 1))  # (1-q)/(q^2-1) = -1/(1+q)
     assert (c.shift, c.num, c.den) == (0, (-1,), (1, 1))
-    c = CoefQ.make((1,), den=(0, 0, 3))
-    assert (c.shift, c.num, c.den) == (-2, (1,), (3,))
+    assert c.cyc == ((2, 1),)
+    c = CoefQ.make((1,), den=(0, 0, -1))
+    assert (c.shift, c.num, c.den) == (-2, (-1,), (1,))
     with pytest.raises(ZeroDivisionError):
         CoefQ.make((1,), den=())
+    # R is over Z: an integer denominator other than +-1 is refused, as is
+    # one with a factor that is no cyclotomic polynomial
+    for num, den in (((0, 0, 2, 2), (2,)), ((1,), (0, 0, 3)),
+                     ((1,), (1, 1, 0, 1)), ((1, -1), (2, -2))):
+        with pytest.raises(ValueError, match="outside R"):
+            CoefQ.make(num, den=den)
 
 
 def test_canonical_invariants_random():
     rng = oracles.rng_for("coefq-canon")
     for _ in range(100):
-        a = oracles.random_coefq(rng, max_deg=4, shift_span=3)
-        b = oracles.random_coefq(rng, max_deg=4, shift_span=3)
+        a = oracles.random_coefq(rng, max_deg=4, shift_span=3, max_factors=3)
+        b = oracles.random_coefq(rng, max_deg=4, shift_span=3, max_factors=3)
         for c in (a, b, a * b, a + b, a - b):
             if c.is_zero():
                 assert (c.shift, c.num, c.den) == (0, (), (1,))
@@ -68,23 +76,85 @@ def test_canonical_invariants_random():
 
 
 def test_arithmetic_vs_evaluation():
+    # b.inv() is taken on units of R only; a b that is no unit is refused
     rng = oracles.rng_for("coefq-arith")
+    refused = 0
     for _ in range(60):
-        a = oracles.random_coefq(rng, max_deg=3, shift_span=2)
-        b = oracles.random_coefq(rng, max_deg=3, shift_span=2)
+        a = oracles.random_coefq(rng, max_deg=3, shift_span=2, max_factors=2)
+        b = oracles.random_coefq(rng, max_deg=3, shift_span=2, max_factors=2)
         assert_same(a + b, lambda x: ev(a, x) + ev(b, x))
         assert_same(a - b, lambda x: ev(a, x) - ev(b, x))
         assert_same(a * b, lambda x: ev(a, x) * ev(b, x))
         assert_same(-a, lambda x: -ev(a, x))
+        if not oracles.divides_q_products_by_gcd(
+                b.num if b.num[-1] > 0 else pneg(b.num)):
+            with pytest.raises(ValueError, match="outside R"):
+                b.inv()
+            refused += 1
+        b = oracles.random_unit(rng)
         if not b.is_zero():
             assert_same(a * b.inv(), lambda x: ev(a, x) / ev(b, x))
             assert b * b.inv() == ONE
+    assert refused > 20, refused
 
 
-# denominators for test_q_shifted_sum: products of (1 - q^k), others
-# outside R, with a content and led negative; none vanishes at q = 2 or 5
-_SUM_DENS = [(1, -1), (1, 0, -1), (1, 1), (1, 1, 1), (1, -2, 0, -1),
-             (1, 3, 1), (-3, 1), (2, 0, 2), (-1, 0, 0, 1), (1,)]
+def test_arithmetic_against_gcd_reduction():
+    # products, sums, inverses of units and q -> q^-1 on random elements of
+    # R give the form that the reference gcd (qpoly.pgcd) reduces the
+    # uncancelled quotient to, and its values at q = 2, 3 and 5.  The
+    # package cancels only the Phi_n its exponents name and runs no gcd
+    rng = oracles.rng_for("coefq-against-gcd")
+    red = oracles.reduce_by_gcd
+
+    def form(c):
+        return c.shift, c.num, c.den
+
+    cancelled = 0
+    for _ in range(150):
+        a = oracles.random_coefq(rng, max_deg=4, shift_span=3, max_factors=4)
+        b = oracles.random_coefq(rng, max_deg=4, shift_span=3, max_factors=4)
+        if rng.random() < 0.3:  # a factor of b's denominator in a's num
+            a = a * CoefQ.make(b.den)
+        u = oracles.random_unit(rng, max_factors=4)
+        low = min(a.shift, b.shift)
+        want = {
+            "mul": red(a.shift + b.shift, pmul(a.num, b.num),
+                       pmul(a.den, b.den)),
+            "add": red(low, _padd((0,) * (a.shift - low) + pmul(a.num, b.den),
+                                  (0,) * (b.shift - low) + pmul(b.num, a.den)),
+                       pmul(a.den, b.den)),
+            "inv": red(-u.shift, u.den, u.num),
+            "bar": red(-a.shift - len(a.num) + len(a.den), a.num[::-1],
+                       a.den[::-1]),
+        }
+        got = {"mul": a * b, "add": a + b, "inv": u.inv(),
+               "bar": a.subs_q_inverse()}
+        for op, c in got.items():
+            assert form(c) == want[op], (op, a, b, u)
+        cancelled += len(want["mul"][2]) < len(a.den) + len(b.den) - 1
+        for x in (Fraction(2), Fraction(3), Fraction(5)):
+            assert ev(got["mul"], x) == ev(a, x) * ev(b, x)
+            assert (ev(got["add"], x) if got["add"].num else 0) == \
+                ev(a, x) + ev(b, x)
+            assert ev(got["inv"], x) == 1 / ev(u, x)
+            assert ev(got["bar"], x) == ev(a, 1 / x)
+    assert cancelled > 30, cancelled
+
+
+def _padd(a, b):
+    out = [0] * max(len(a), len(b))
+    for p in (a, b):
+        for i, x in enumerate(p):
+            out[i] += x
+    return tuple(out)
+
+
+# denominators for test_q_shifted_sum: products of (1 - q^k), other
+# products of Phi_n, some led negative; none vanishes at q = 2 or 5
+_SUM_DENS = [(1, -1), (1, 0, -1), (1, 1), (1, 1, 1), (1, -1, 1),
+             (1, 0, 1), (-1, -1), (-1, 0, -1), (-1, 0, 0, 1), (1,)]
+# denominators outside R, refused by make
+_SUM_DENS_OUTSIDE_R = [(1, -2, 0, -1), (1, 3, 1), (-3, 1), (2, 0, 2)]
 
 
 def test_q_shifted_sum_edge_cases(monkeypatch):
@@ -92,15 +162,16 @@ def test_q_shifted_sum_edge_cases(monkeypatch):
     # or not, comes back q-shifted by its n and runs no make
     c = CoefQ.make((1, 2), 1, (1, 0, -1))
     d = CoefQ.make((1,), 0, (1, 1))
-    makes = oracles.count_calls(monkeypatch, CoefQ, "make")
+    # the cancellation step of a sum, the one place it can cancel
+    makes = oracles.count_calls(monkeypatch, coefq, "_canonical")
     assert q_shifted_sum([]) is ZERO
     assert q_shifted_sum([(ZERO, 3), (ZERO, -1)]) is ZERO
     assert q_shifted_sum([(c, 0)]) == c
     assert q_shifted_sum([(ZERO, 2), (c, -3), (ZERO, 0)]) == \
         c * CoefQ.q_power(-3)
     assert makes[0] == 0
-    # equal denominators add their numerators in one make; q^2/(1+q) +
-    # q/(1+q) = q
+    # equal denominators add their numerators in one cancellation;
+    # q^2/(1+q) + q/(1+q) = q
     assert q_shifted_sum([(d, 2), (d, 1)]) == Q
     assert makes[0] == 1
     # exact cancellation over one and over two denominators
@@ -119,6 +190,9 @@ def test_q_shifted_sum_against_evaluation():
     rng = oracles.rng_for("coefq-q-shifted-sum")
     half = CoefQ.make((1,), den=(1, 1))
     seen = {"dens": set(), "zero": 0}
+    for den in _SUM_DENS_OUTSIDE_R:
+        with pytest.raises(ValueError, match="outside R"):
+            CoefQ.make((1,), 0, den)
     for _ in range(200):
         terms = []
         for den in rng.sample(_SUM_DENS, rng.randint(1, 6)):
@@ -162,7 +236,7 @@ def test_equality_is_canonical():
 def test_subs_q_inverse():
     rng = oracles.rng_for("coefq-bar")
     for _ in range(40):
-        a = oracles.random_coefq(rng, max_deg=3, shift_span=2)
+        a = oracles.random_coefq(rng, max_deg=3, shift_span=2, max_factors=3)
         bar = a.subs_q_inverse()
         assert bar.subs_q_inverse() == a
         for x in POINTS:
@@ -181,11 +255,47 @@ def test_top_exponent_and_expand_down():
         ZERO.top_exponent()
 
 
+def test_den_poly_and_degree_against_products(monkeypatch):
+    # den, built as prod (q^m - 1)^a_m (q_product_exponents) with no
+    # polynomial product, is the product of its Phi_n^e_n, on random
+    # exponent tuples; top_exponent and q -> q^-1 read the degree off the
+    # exponents and give what the polynomial gives without building it
+    rng = oracles.rng_for("coefq-den")
+    cases = []
+    for _ in range(200):
+        cyc = tuple(sorted((n, rng.randint(1, 3)) for n in
+                           rng.sample(range(1, 31), rng.randint(0, 5))))
+        want = (1,)
+        for n, e in cyc:
+            for _ in range(e):
+                want = pmul(want, oracles.cyclotomic(n))
+        up, down = (1,), (1,)  # prod (q^m - 1)^a_m over a_m > 0, a_m < 0
+        for m, a in coefq.q_product_exponents(cyc).items():
+            for _ in range(abs(a)):
+                if a > 0:
+                    up = pmul(up, (-1,) + (0,) * (m - 1) + (1,))
+                else:
+                    down = pmul(down, (-1,) + (0,) * (m - 1) + (1,))
+        assert pmul(want, down) == up
+        assert CoefQ(0, (1,), cyc).den == want
+        c = CoefQ.make((1, rng.randint(-2, 2), 1), rng.randint(-3, 3), want)
+        n, d = len(c.num) - 1, len(c.den) - 1
+        cases.append((c, c.shift + n - d,
+                      CoefQ.make(c.num[::-1], d - n - c.shift, c.den[::-1])))
+
+    def built(cyc):
+        raise AssertionError("denominator polynomial built")
+
+    monkeypatch.setattr(coefq, "_den_poly", built)
+    for c, top, bar in cases:
+        assert c.top_exponent() == top and c.subs_q_inverse() == bar
+
+
 def test_expand_down_matches_product():
     # partial sums of the expansion re-multiplied against the denominator
     rng = oracles.rng_for("coefq-expand")
     for _ in range(25):
-        a = oracles.random_coefq(rng, max_deg=3, shift_span=2)
+        a = oracles.random_coefq(rng, max_deg=3, shift_span=2, max_factors=3)
         if a.is_zero():
             continue
         n_min = a.top_exponent() - 6
@@ -202,30 +312,43 @@ def test_expand_down_matches_product():
 def test_pairs_round_trip():
     rng = oracles.rng_for("coefq-pairs")
     for _ in range(40):
-        a = oracles.random_coefq(rng, max_deg=4, shift_span=3)
+        a = oracles.random_coefq(rng, max_deg=4, shift_span=3, max_factors=3)
         assert CoefQ.from_pairs(a.num_pairs(), a.den_pairs()) == a
     with pytest.raises(ValueError):
         CoefQ.from_pairs([[0, 1]], [[-1, 1]])
+    with pytest.raises(ValueError, match="degree 1 .*outside R"):
+        CoefQ.from_pairs([[0, 1]], [[0, 2], [1, 1]])
 
 
 def _clear_gcd_caches():
-    coefq._reduced.cache_clear()
-    coefq._den_lcm.cache_clear()
+    for cache in (coefq._reduced, coefq._den_lcm, coefq.cyclotomic_exponents,
+                  coefq._den_poly):
+        cache.cache_clear()
+
+
+# inputs of make outside R, refused: a den with an integer content or with
+# a factor that is no Phi_n
+_FRACTIONS_OUTSIDE_R = [((1, 1), 2, (1, -2, 0, -1)), ((2, 4), 0, (-6, 0, -2)),
+                        ((0, 3, -3), -1, (0, 0, 6, -6)),
+                        ((1, -2, 0, -1), 5, (1, -2, 0, -1))]
 
 
 def _fractions(rng, count):
-    """count distinct (num, shift, den) inputs of make: random fractions,
-    some with a negative leading denominator or non-unit content, some with
-    q-powers on either side, and (1, -2, 0, -1) on each side."""
-    fixed = [((1, -2, 0, -1), 0, (1, -1)), ((1, 1), 2, (1, -2, 0, -1)),
-             ((2, 4), 0, (-6, 0, -2)), ((0, 3, -3), -1, (0, 0, 6, -6)),
-             ((1, -2, 0, -1), 5, (1, -2, 0, -1)),
+    """count distinct (num, shift, den) inputs of make: random numerators
+    over random products of Phi_1 .. Phi_12 (denominators of R), some led
+    negative, some with q-powers on either side, and (1, -2, 0, -1) as a
+    numerator."""
+    fixed = [((1, -2, 0, -1), 0, (1, -1)), ((1, 1), 2, (1, 0, 0, -1)),
+             ((2, 4), 0, (-1, 0, -1)), ((0, 3, -3), -1, (0, 0, 1, -1)),
+             ((1, 0, -1), 5, (1, 0, -1)),
              ((0, 1, -2, 0, -1), 3, (1, -1))]  # inputs[0] times q^4
     out = set(fixed)
     while len(out) < count:
         num = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
-        den = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
-        if any(num) and any(den):
+        den = (0,) * rng.randint(0, 1) + (rng.choice((1, -1)),)
+        for _ in range(rng.randint(1, 3)):
+            den = pmul(den, oracles.cyclotomic(rng.randint(1, 12)))
+        if any(num):
             out.add((num, rng.randint(-2, 2), den))
     return fixed + sorted(out - set(fixed))
 
@@ -234,7 +357,7 @@ def test_make_cache_matches_fresh():
     # make's reduction and a sum's lcm and cofactors come from bounded
     # caches; a result from a cold cache, a warm one and one refilled after
     # eviction must be the same canonical form
-    inputs = _fractions(oracles.rng_for("coefq-cache"), 2 * coefq._GCD_CACHE)
+    inputs = _fractions(oracles.rng_for("coefq-cache"), 2 * coefq._CACHE)
 
     def form(c):
         return c.shift, c.num, c.den
@@ -244,8 +367,11 @@ def test_make_cache_matches_fresh():
         _clear_gcd_caches()
         fresh.append(form(CoefQ.make(num, shift, den)))
     assert fresh[0] == (0, (-1, 2, 0, 1), (-1, 1))  # den led negative
-    assert fresh[2] == (0, (-1, -2), (3, 0, 1))  # content 2, den led negative
+    assert fresh[2] == (0, (-2, -4), (1, 0, 1))  # den led negative
     assert fresh[5] == (4,) + fresh[0][1:]
+    for num, shift, den in _FRACTIONS_OUTSIDE_R:
+        with pytest.raises(ValueError, match="outside R"):
+            CoefQ.make(num, shift, den)
     _clear_gcd_caches()
     warm = []
     for num, shift, den in inputs:
@@ -253,7 +379,7 @@ def test_make_cache_matches_fresh():
         warm.append(form(CoefQ.make(num, shift, den)))
     info = coefq._reduced.cache_info()
     assert info.hits >= len(inputs) // 2
-    assert info.currsize == coefq._GCD_CACHE  # the first inputs were evicted
+    assert info.currsize == coefq._CACHE  # the first inputs were evicted
     assert warm == fresh
     assert [form(CoefQ.make(*x)) for x in inputs] == fresh
 
@@ -268,7 +394,7 @@ def test_make_cache_matches_fresh():
                 for a, b in pairs] == sums
     info = coefq._den_lcm.cache_info()
     assert info.hits
-    assert info.currsize == coefq._GCD_CACHE  # the first pairs were evicted
+    assert info.currsize == coefq._CACHE  # the first pairs were evicted
 
 
 def test_from_pairs_refuses_bool_after_int():
@@ -295,26 +421,38 @@ def test_from_pairs_exponent_ceiling():
             CoefQ.from_pairs(num, den)
 
 
+def _in_r(den):
+    """Whether make accepts 1 / den: whether den is +-q^k prod Phi_n, so
+    that the value lies in R.  make refuses anything else with ValueError,
+    and so does a cache load, through from_pairs."""
+    try:
+        CoefQ.make((1,), den=den)
+    except ValueError as ex:
+        assert "outside R" in str(ex)
+        return False
+    return True
+
+
 def test_divides_q_products():
-    assert ONE.divides_q_products()
-    assert ((ONE - CoefQ.q_power(1)) * (ONE - CoefQ.q_power(2))).inv() \
-        .divides_q_products()
-    assert CoefQ.make((1,), den=(1, 1)).divides_q_products()  # 1+q | q^2-1
-    assert CoefQ.make((1,), den=(1, 1, 1)).divides_q_products()
-    assert not CoefQ.make((1,), den=(1, 1, 0, 1)).divides_q_products()
-    assert not CoefQ.make((1,), den=(2, 1)).divides_q_products()
+    # membership in R is decided where a denominator enters: make refuses
+    # one outside R
+    assert _in_r((1,))
+    assert _in_r(((ONE - CoefQ.q_power(1)) * (ONE - CoefQ.q_power(2))).num)
+    assert _in_r((1, 1))  # 1+q | q^2-1
+    assert _in_r((1, 1, 1))
+    assert not _in_r((1, 1, 0, 1))
+    assert not _in_r((2, 1))
 
 
 def test_divides_q_products_refuses_shape_without_gcd(monkeypatch):
     # a divisor of a product of q^k - 1 has end coefficients +-1 and is
     # its reversal up to sign; a den failing either runs no gcd
     zeros = (0,) * 15
-    refused = [CoefQ.make((1,), den=den) for den in (
+    gcds = oracles.count_calls(monkeypatch, qpoly, "pgcd")
+    assert not any(_in_r(den) for den in (
         (1,) + zeros + (2,),
         (2, 1, 2),  # palindromic, ends 2
-        (1, 3, 0, 1))]
-    gcds = oracles.count_calls(monkeypatch, qpoly, "pgcd")
-    assert not any(c.divides_q_products() for c in refused)
+        (1, 3, 0, 1)))
     assert gcds[0] == 0
 
 
@@ -322,13 +460,12 @@ def test_divides_q_products_palindromes_outside_r_run_no_gcd(monkeypatch):
     # 1 + 3q^8 + q^16 and 1 + 3q^16 + q^32 are monic and palindromic, so
     # they pass the shape precheck; the PRS loop over q^k - 1 took seconds
     # on the first and minutes on the second.  Dividing out each Phi_n with
-    # phi(n) <= the remaining degree decides both without a gcd
-    found = [CoefQ.make((1,), den=(1,) + (0,) * (k - 1) + (3,)
-                        + (0,) * (k - 1) + (1,)) for k in (8, 16)]
+    # phi(n) <= the remaining degree decides both without a gcd, and the
+    # package has no heuristic gcd
     gcds = oracles.count_calls(monkeypatch, qpoly, "pgcd")
-    cofactors = oracles.count_calls(monkeypatch, coefq, "pgcd_cofactors")
-    assert [c.divides_q_products() for c in found] == [False, False]
-    assert gcds[0] == cofactors[0] == 0
+    assert [_in_r((1,) + (0,) * (k - 1) + (3,) + (0,) * (k - 1) + (1,))
+            for k in (8, 16)] == [False, False]
+    assert gcds[0] == 0 and not hasattr(qpoly, "pgcd_cofactors")
 
 
 def test_divides_q_products_work_is_bounded(monkeypatch):
@@ -336,14 +473,16 @@ def test_divides_q_products_work_is_bounded(monkeypatch):
     # up to 2 deg^2 (a trial-division totient and a Phi_n division each)
     # took 1.3 s on it; now only the 505 n with phi(n) <= 256 are tried,
     # each by the integer test Phi_n(2) | den(2).  Only Phi_1(2) = 1 and
-    # Phi_4(2) = 5 pass it, so two exact divisions run, and fail, besides
-    # the three that build Phi_2 and Phi_4 from a cleared cache
-    c = CoefQ.make((1,), den=(1,) + (0,) * 127 + (3,) + (0,) * 127 + (1,))
+    # Phi_4(2) = 5 pass it, so two exact divisions run, and fail; Phi_1
+    # and Phi_4 come from a cleared cache without division (_den_poly).
+    # make refuses it after that one factorization
+    den = (1,) + (0,) * 127 + (3,) + (0,) * 127 + (1,)
     coefq._cyclotomic.cache_clear()
+    coefq.cyclotomic_exponents.cache_clear()
     tried = oracles.count_calls(monkeypatch, coefq, "_cyclotomic_at_2")
     divisions = oracles.count_calls(monkeypatch, coefq, "pdivexact")
-    assert c.divides_q_products() is False
-    assert tried[0] == 505 and divisions[0] == 5
+    assert _in_r(den) is False
+    assert tried[0] == 505 and divisions[0] == 2
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 6, 12, 24])
@@ -374,13 +513,12 @@ def test_divides_q_products_on_high_degree_dens():
         for _ in range(rng.randint(1, 6)):
             k = rng.randint(1, 40)
             d = pmul(d, (1,) + (0,) * (k - 1) + (-1,))
-        assert CoefQ.make((1,), den=d).divides_q_products(), d
+        assert _in_r(d), d
         bad = pmul(d, rng.choice(((1, 3, 1), (1, -3, 1), (1, 0, 3, 0, 1))))
-        assert not CoefQ.make((1,), den=bad).divides_q_products(), d
+        assert not _in_r(bad), d
     cyc = oracles.cyclotomic(15)
-    assert CoefQ.make((1,), den=pmul(cyc, cyc)).divides_q_products()
-    assert not CoefQ.make((1,), den=pmul(pmul(cyc, cyc), (1, 3, 1))) \
-        .divides_q_products()
+    assert _in_r(pmul(cyc, cyc))
+    assert not _in_r(pmul(pmul(cyc, cyc), (1, 3, 1)))
 
 
 def _membership_dens(rng, count):
@@ -413,14 +551,13 @@ def _membership_dens(rng, count):
 
 
 def test_divides_q_products_against_gcd_loop():
-    # the same verdict as the PRS loop it replaced, on the canonical form
-    # of each denominator
+    # make's verdict is the one of the PRS loop that the cyclotomic
+    # division replaced, on each denominator made to lead positive
     dens = _membership_dens(oracles.rng_for("coefq-ring"), 496)
     verdicts = {True: 0, False: 0}
     for d in dens:
-        c = CoefQ.make((1,), den=d)
-        want = oracles.divides_q_products_by_gcd(c.den)
-        assert c.divides_q_products() is want, d
+        want = oracles.divides_q_products_by_gcd(d if d[-1] > 0 else pneg(d))
+        assert _in_r(d) is want, d
         verdicts[want] += 1
     assert verdicts[True] > 150 and verdicts[False] > 150, verdicts
 
@@ -491,13 +628,17 @@ def test_sum_is_zero_against_canonical_sum():
     [(0, (1,), (1, -1)), (0, (1,), (1, 1)), (0, (-2,), (1, 0, -1))],
     # 1/(1-q) - (1+q)/(1-q^2), split over two same-den parts
     [(0, (1,), (1, -1)), (0, (-1,), (1, 0, -1)), (1, (-1,), (1, 0, -1))],
-    # q^-2/((1-q)(1-q^2)) - q^-2/((1-q)^2 (1+q)), integer contents
-    [(-2, (3,), pmul((1, -1), (1, 0, -1))),
-     (-3, (0, -6), pmul((2, -2), pmul((1, -1), (1, 1))))],
+    # 6q^-2/((1-q)(1-q^2)) - 6q^-2/((1-q)^2 (1+q)), integer contents
+    [(-2, (6,), pmul((1, -1), (1, 0, -1))),
+     (-3, (0, -6), pmul((1, -1), pmul((1, -1), (1, 1))))],
     # an exact cancellation inside one group leaves no group
     [(1, (2, -1), (1, -1)), (0, (0, -2, 1), (1, -1))],
 ], ids=["three-dens", "split-group", "contents-shifts", "one-group"])
 def test_sum_is_zero_polynomial_identities(parts):
+    # contents live in the numerators: a denominator with one, as
+    # 2 (1-q)^2 (1+q), lies outside R and is refused
+    with pytest.raises(ValueError, match="outside R"):
+        CoefQ.make((0, -6), -3, pmul((2, -2), pmul((1, -1), (1, 1))))
     assert _canonical_sum(parts).is_zero()
     assert sum_is_zero(parts)
     assert not sum_is_zero(parts[:-1])

@@ -21,8 +21,10 @@ def test_atoms():
     cd = from_type("A1~")
     assert parse_expression("1", cd) == k_one(cd)
     assert parse_expression("q", cd) == k_scalar(cd, Q)
-    assert parse_expression("2/3", cd) == \
-        k_scalar(cd, CoefQ.make((2,), den=(3,)))
+    # a rational literal must be an integer: R is over Z
+    assert parse_expression("4/2", cd) == k_scalar(cd, CoefQ.from_int(2))
+    with pytest.raises(ParseError, match="position 0"):
+        parse_expression("2/3", cd)
     assert parse_expression("e[L0]", cd) == monomial(cd, cd.Lam(0))
     assert parse_expression("E[-L1 + a1]", cd) == \
         orbit_sum(cd, -cd.Lam(1) + cd.alpha(1))
@@ -71,6 +73,24 @@ def test_parse_errors():
             parse_expression(text, cd)
 
 
+def test_parse_refuses_values_outside_r():
+    # 1/2 is refused at its token, and a negative power whose inverse
+    # leaves R at its caret; a unit of R inverts, and the multi-term
+    # message stays for a sum of exponentials
+    cd = from_type("A1~")
+    for text, pos, msg in (("1/2", 0, "not an integer"),
+                           ("q+1 / 2", 2, "not an integer"),
+                           ("(2*q)^-1", 5, "outside R"),
+                           ("e[L0] (2 - q)^{-1}", 13, "outside R"),
+                           ("(1 + e[L0])^{-1}", 11, "multi-term")):
+        with pytest.raises(ParseError, match=msg) as ei:
+            parse_expression(text, cd)
+        assert ei.value.pos == pos, text
+        assert len(str(ei.value).splitlines()) == 1
+    assert parse_expression("(-q^2 (1 - q^3))^-1", cd) == k_scalar(
+        cd, (CoefQ.q_power(2) - CoefQ.q_power(5)).inv() * CoefQ.from_int(-1))
+
+
 def test_parse_error_reports_position():
     cd = from_type("A1~")
     with pytest.raises(ParseError) as ei:
@@ -112,9 +132,11 @@ def test_round_trip_with_denominators():
 
 
 def test_factor_q_products_against_division():
-    # the cyclotomic-exponent greedy gives what trial division by q^k - 1,
-    # k from deg down, gives: on products of Phi_n and of (1 - q^k) with
-    # n, k <= 12, on the same times a factor outside R, and negated
+    # the exponents of q^k - 1 read off the cyclotomic ones give what trial
+    # division by q^k - 1, k from deg down, gives on the canonical
+    # denominator: on products of Phi_n and of (1 - q^k) with n, k <= 12,
+    # and negated; the same times a factor outside R is refused by make,
+    # and the division finds no product there either
     rng = oracles.rng_for("expr-factor")
     outside = [(2, 1), (1, 3, 1), (1, 1, 0, 1)]
     found = 0
@@ -128,8 +150,13 @@ def test_factor_q_products_against_division():
                 den = pmul(den, (1,) + (0,) * (k - 1) + (-1,))
         for d in (den, pmul(den, rng.choice(outside))):
             for e in (d, pneg(d)):
-                want = oracles.factor_q_products_by_division(e)
-                assert _factor_q_products(e) == want, e
+                try:
+                    c = CoefQ.make((1,), den=e)
+                except ValueError:
+                    assert oracles.factor_q_products_by_division(e) is None
+                    continue
+                want = oracles.factor_q_products_by_division(c.den)
+                assert _factor_q_products(c.cyc) == want, e
                 found += want is not None
     assert 100 < found < 900  # both verdicts are exercised
 

@@ -6,12 +6,14 @@ import json
 import pytest
 
 from affgroth.cartan import build_cartan, cartan_to_json, from_type
-from affgroth.coefq import CoefQ, Q
+from affgroth.coefq import CoefQ
 from affgroth.errors import CacheMismatch
 from affgroth.groth import GrothTable, grothendieck
-from affgroth.kring import (KElement, in_window, j_map, k_one, k_zero,
-                            monomial, psi, to_json)
-from affgroth import coefq, groth as groth_mod, probes as probes_mod, weyl
+from affgroth.kring import (in_window, j_map, k_one, k_zero, monomial, psi,
+                            to_json)
+from affgroth.weights import weight_to_json
+from affgroth import (coefq, groth as groth_mod, probes as probes_mod, qpoly,
+                      weyl)
 
 import oracles
 
@@ -190,37 +192,54 @@ def test_verify_catches_edited_coefficient_in_loaded_table(tmp_path):
     assert w not in loaded.verified
 
 
-def test_ring_check_once_per_denominator(monkeypatch):
-    # divides_q_products runs once per distinct denominator of an entry;
-    # the failure line still names the first bad key in term order, once,
-    # when two keys share the bad denominator
+def test_ring_check_once_per_denominator(tmp_path, monkeypatch):
+    # the ring membership test is make's factorization at load, run once
+    # per distinct denominator of the file (the misses of its cache);
+    # verify's ring check passes on every entry, whose coefficients lie in
+    # R by construction.  A denominator outside R stops the load at its
+    # first term, once, when two keys share it, after one factorization of
+    # each denominator before it
+    factor = coefq.cyclotomic_exponents
     calls = []
-    divides = CoefQ.divides_q_products
 
-    def counted(c):
-        calls.append(c.den)
-        return divides(c)
+    def counted(den):
+        calls.append(den)
+        return factor(den)
 
-    monkeypatch.setattr(CoefQ, "divides_q_products", counted)
+    monkeypatch.setattr(coefq, "cyclotomic_exponents", counted)
     cd = from_type("A2~")
     table = GrothTable(cd)
     for layer in weyl.enumerate_up_to(cd, 3):
         for w in layer:
-            g = table.compute(w)
-            del calls[:]
+            table.compute(w)
             assert table.verify(w, checks=("ring",)) == []
-            assert sorted(calls) == sorted({c.den for c in g.terms.values()})
+    path = tmp_path / "a2.json"
+    table.save(str(path))
+    factor.cache_clear()
+    del calls[:]
+    assert GrothTable.load(str(path), cd=cd).entries == table.entries
+    dens = {c.den for g in table.entries.values() for c in g.terms.values()}
+    assert set(calls) == dens and factor.cache_info().misses == len(dens)
     w = weyl.canonicalize(cd, (1,))
     good = CoefQ.make((1,), den=(1, 0, -1))
-    bad = CoefQ.make((1,), den=(1, 1, 0, 1))
+    bad = [[0, 1], [1, 1], [3, 1]]  # 1 + q + q^3, outside R
     keys = [cd.Lam(i) - cd.Lam(0) for i in (0, 1, 2)] + [cd.alpha(1)]
-    table.entries[w] = KElement(cd, dict(zip(keys, (good, bad, good,
-                                                    bad * Q))))
+    terms = [{"weight": weight_to_json(mu), "num_coeffs": num,
+              "den_coeffs": den}
+             for mu, num, den in zip(keys, ([[0, 1]], [[0, 1]], [[0, 1]],
+                                            [[1, 1]]),
+                                     (good.den_pairs(), bad,
+                                      good.den_pairs(), bad))]
+    obj = json.loads(path.read_text())
+    obj["entries"] = [e for e in obj["entries"] if len(e["word"]) < 2]
+    next(e for e in obj["entries"] if e["word"] == [1])["terms"] = terms
+    factor.cache_clear()
     del calls[:]
-    assert table.verify(w, checks=("ring",)) == [
-        "coefficient ring: denominator at %s has a factor outside the "
-        "(q^k - 1) products" % keys[1]]
-    assert calls == [good.den, bad.den]
+    with pytest.raises(CacheMismatch, match="malformed cache: ValueError "
+                       "denominator of degree 3 .*outside R"):
+        GrothTable.from_json_obj(obj, cd=cd)
+    assert list(dict.fromkeys(calls)) == [(1,), good.den, (1, 1, 0, 1)]
+    assert calls[-1] == (1, 1, 0, 1) and factor.cache_info().misses == 3
 
 
 def test_probe_work_pinned(monkeypatch):
@@ -290,21 +309,22 @@ def test_verify_work_pinned(monkeypatch):
         assert runs[0] == orbits, t
 
 
-def test_gcd_work_pinned():
-    # CoefQ runs each distinct reduction once: building A1~ to length 12
-    # makes 548 distinct make reductions and 294 distinct unordered
-    # denominator pairs in sums, and runs no gcd twice (3,402
-    # pgcd_cofactors calls uncached).  Before a key's terms over several
-    # denominators were added over one lcm with one make, these were 748
-    # and 330: each denominator group of such a key was reduced, then the
-    # groups were added pairwise with one make each.
-    # The caches bind pgcd_cofactors, so they count the gcds themselves
-    caches = (coefq._reduced, coefq._den_lcm)
-    for cache in caches:
-        cache.cache_clear()
-    oracles.layer_table(from_type("A1~"), 12)
-    misses = [cache.cache_info().misses for cache in caches]
-    assert misses == [548, 294]
+def test_gcd_work_pinned(monkeypatch):
+    # CoefQ runs each distinct cancellation and lcm once, and no gcd:
+    # building A1~ to length 12 runs 702 distinct Phi_n cancellations and
+    # 294 distinct unordered denominator pairs in sums, and factors 12
+    # polynomials (the solver's inverses of q^a - q^b); A3~ to length 4
+    # runs 32, 12 and 6.  A change that cancels or factors more often, or
+    # that runs a gcd, fails here
+    caches = (coefq._reduced, coefq._den_lcm, coefq.cyclotomic_exponents)
+    gcds = oracles.count_calls(monkeypatch, qpoly, "pgcd")
+    for t, max_length in (("A1~", 12), ("A3~", 4)):
+        for cache in caches:
+            cache.cache_clear()
+        oracles.layer_table(from_type(t), max_length)
+        assert gcds[0] == 0, t
+        misses = [cache.cache_info().misses for cache in caches]
+        assert misses == {"A1~": [702, 294, 12], "A3~": [32, 12, 6]}[t]
 
 
 def test_load_decodes_each_distinct_value_once(tmp_path, monkeypatch):
@@ -417,8 +437,11 @@ def test_save_bytes_empty_and_verified(tmp_path):
 
 def test_save_bytes_twisted_and_negative(tmp_path):
     # A2^(2) is given by its matrix only, so its type is null; the random
-    # entries add negative coefficients, negative exponents and nontrivial
-    # denominators
+    # entries add negative coefficients, negative exponents and the
+    # nontrivial denominator (1 - q)(1 - q^3); 1 - 2q - q^3 lies outside R
+    # and is refused
+    with pytest.raises(ValueError, match="outside R"):
+        CoefQ.make((1,), 0, (1, -2, 0, -1))
     cd = build_cartan(dict(oracles.CUSTOM_GCMS)["A2^(2)"])
     table = GrothTable(cd)
     for layer in weyl.enumerate_up_to(cd, 3):
@@ -428,7 +451,7 @@ def test_save_bytes_twisted_and_negative(tmp_path):
     for layer in weyl.enumerate_up_to(cd, 5)[4:]:
         for w in layer:
             f = oracles.random_element(cd, rng)
-            table.entries[w] = f * CoefQ.make((1,), 0, (1, -2, 0, -1))
+            table.entries[w] = f * CoefQ.make((1,), 0, (1, -1, 0, -1, 1))
     coeffs = [x for g in table.entries.values() for c in g.terms.values()
               for x in c.num + c.den]
     assert min(coeffs) < 0

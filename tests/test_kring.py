@@ -503,12 +503,17 @@ def _demazure_images(cd, i, f):
     return out
 
 
-# make's denominators for test_collect_one_lcm_sum_equals_add_fold: in R,
-# outside it (1 + 3q + q^2, 1 + q^3 + q^4 has a factor outside R), led
-# negative, with a content, and with a q-power
+# make's denominators for test_collect_one_lcm_sum_equals_add_fold, all in
+# R: products of (1 - q^k), other products of Phi_n, led negative, and
+# with a q-power
 _SUM_DENS = [(1, -1), (1, 0, -1), (1, 1), (1, 1, 1), (-1, 0, 0, 1),
-             (1, 3, 1), (1, 0, 0, 1, 1), (-3, 1), (2, 0, 2), (3, 3),
-             (0, 1, -1), (0, 0, 2, -2), (1,)]
+             (1, -1, 1), (1, 0, 1), (-1, -1), (1, 1, 1, 1, 1),
+             (1, -1, 0, -1, 1), (0, 1, -1), (0, 0, -1, -1), (1,)]
+# denominators outside R, refused by make: 1 + 3q + q^2, 1 + q^3 + q^4 (a
+# factor outside R), -3 + q (an end coefficient not +-1) and three with an
+# integer content
+_SUM_DENS_OUTSIDE_R = [(1, 3, 1), (1, 0, 0, 1, 1), (-3, 1), (2, 0, 2),
+                       (3, 3), (0, 0, 2, -2)]
 
 
 def test_collect_one_lcm_sum_equals_add_fold():
@@ -528,6 +533,9 @@ def test_collect_one_lcm_sum_equals_add_fold():
     mu, nu = cd.Lam(1) - cd.alpha(2), cd.alpha(1)
     split = CoefQ.make((1,), den=(1, 1))  # -c = -c/(1+q) - c q/(1+q)
     seen = {"dens": set(), "cancelled": 0, "kept": 0}
+    for den in _SUM_DENS_OUTSIDE_R:
+        with pytest.raises(ValueError, match="outside R"):
+            CoefQ.make((1,), 0, den)
     for _ in range(150):
         pairs = []
         for den in rng.sample(_SUM_DENS, rng.randint(2, 6)):

@@ -152,76 +152,3 @@ def _try_div(a, b):
 
 def test_backend_reported():
     assert py.BACKEND == "pure"
-
-
-def _cofactors_by_prs(a, b):
-    g = py.pgcd(a, b)
-    return g, py.pdivexact(a, g), py.pdivexact(b, g)
-
-
-def _one_minus_q_power(k):
-    return (1,) + (0,) * (k - 1) + (-1,)
-
-
-def _cofactor_cases(rng):
-    """Pairs sharing a random factor: integer contents, either sign on every
-    factor, constants and zero among the cofactors."""
-    for _ in range(80):
-        g0 = rand_poly(rng, max_deg=3)
-        a = py.pmul(g0, rand_poly(rng, max_deg=4))
-        b = py.pmul(g0, rand_poly(rng, max_deg=4))
-        yield (py.pmul(a, (rng.choice((1, -1, 2, -6)),)),
-               py.pmul(b, (rng.choice((1, -1, 3, -4)),)))
-    for _ in range(30):
-        # products of (1 - q^k), the denominators that canonicalization meets
-        g0 = (1,)
-        for _ in range(rng.randint(0, 6)):
-            g0 = py.pmul(g0, _one_minus_q_power(rng.randint(1, 8)))
-        a = py.pmul(g0, _one_minus_q_power(rng.randint(1, 8)))
-        yield a, py.pmul(g0, rand_poly(rng, max_deg=6))
-
-
-FIRST_POINT_FAILS = ((4, 2, -6, 4, -1), (-6, 9, -9, 1, 1))  # gcd -2 + q
-
-
-def test_pgcd_cofactors_matches_prs():
-    rng = oracles.rng_for("qpoly-cofactors")
-    cases = list(_cofactor_cases(rng))
-    cases += [((), ()), ((), (0, 2, -4)), ((6,), (4,)), ((-3,), (1, 1)),
-              ((0, -2, 1, 2, -1), (-4, -4, 1, 1)), FIRST_POINT_FAILS]
-    for a, b in cases:
-        assert py.pgcd_cofactors(a, b) == _cofactors_by_prs(a, b), (a, b)
-
-
-def _counting_prs(monkeypatch):
-    calls = []
-    prs = py.pgcd
-
-    def counted(a, b):
-        calls.append((a, b))
-        return prs(a, b)
-
-    monkeypatch.setattr(py, "pgcd", counted)
-    return calls
-
-
-def test_pgcd_cofactors_grows_point(monkeypatch):
-    a, b = FIRST_POINT_FAILS
-    expect = _cofactors_by_prs(a, b)
-    assert expect[0] == (-2, 1)
-    calls = _counting_prs(monkeypatch)
-    assert py.pgcd_cofactors(a, b) == expect
-    assert calls == []
-    monkeypatch.setattr(py, "HEU_POINTS", 1)
-    assert py.pgcd_cofactors(a, b) == expect
-    assert len(calls) == 1  # the one point failed
-
-
-def test_pgcd_cofactors_prs_fallback(monkeypatch):
-    rng = oracles.rng_for("qpoly-cofactors")
-    cases = list(_cofactor_cases(rng))
-    expect = [_cofactors_by_prs(a, b) for a, b in cases]
-    calls = _counting_prs(monkeypatch)
-    monkeypatch.setattr(py, "HEU_POINTS", 0)
-    assert [py.pgcd_cofactors(a, b) for a, b in cases] == expect
-    assert calls

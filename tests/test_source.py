@@ -40,6 +40,23 @@ def test_only_coefq_and_probes_import_qpoly():
     assert sorted(set(found)) == ["coefq.py", "probes.py"]
 
 
+def test_only_qpoly_names_pgcd():
+    # the package runs no gcd: a coefficient holds its denominator as
+    # cyclotomic exponents and cancels by exact division.  qpoly.pgcd stays
+    # as the reference gcd of the tests, and no other module may name it
+    found = []
+    for name, tree in _package_trees():
+        if name != "qpoly.py":
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and node.id == "pgcd"
+                      or isinstance(node, ast.Attribute)
+                      and node.attr == "pgcd"]
+            found += ["%s import" % name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      for a in node.names if a.name == "pgcd"]
+    assert found == []
+
+
 def _exported(tree):
     """The names a module-level __all__ = [...] lists."""
     for node in tree.body:
