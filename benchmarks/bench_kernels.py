@@ -8,10 +8,12 @@ pairing keys) and the canonical j_map(x, g).is_zero() per probe, each with
 the bit width of one key digit; then the one call again with the probes to
 length 7, whose longer words widen the digits.  Then the ring check at
 load: an A1~ cache whose one denominator is the monic palindrome
-1 + 3q^k + q^2k outside R, of degree 64, 256 and 1024, refused by
-GrothTable.from_json_obj, and CoefQ.make's factorization of the distinct
-denominators (all in R) of A1~ to length 12, A2~ and C2~ to 5 and A3~ to
-4, each with CoefQ's caches cleared.  Then the coefficient
+1 + 3q^k + q^2k outside R, of degree 64, 256, 1024 and 10,000 (the
+exponent ceiling), refused by GrothTable.from_json_obj, and CoefQ.make's
+factorization of the distinct denominators (all in R) of A1~ to length
+12, A2~ and C2~ to 5 and A3~ to 4, and of the one denominator
+(1 - q^997)(1 - q^1009)(1 - q^1013), each with CoefQ's caches cleared.
+Then the coefficient
 sums that one A3~ to length 4 and one A1~ to length 12 build run,
 captured once and replayed with CoefQ's caches cleared: the operand
 pairs of every CoefQ +, and the term lists that kring's key sums and
@@ -365,7 +367,7 @@ def main():
     t = bench(nonvanishing_probes, [(g, xs)])
     print("%-14s %8.2f ms   %d probes of %d terms to length 7, %d-bit digits"
           % ("long probes", 1e3 * t, len(xs), len(g), digit_bits(g, xs)))
-    for degree in (64, 256, 1024):
+    for degree in (64, 256, 1024, 10000):
         t = bench(refused_load, [poisoned_cache(degree)])
         print("%-14s %8.2f ms   load refusing 1 + 3q^%d + q^%d, outside R"
               % ("ring check", 1e3 * t, degree // 2, degree))
@@ -376,6 +378,12 @@ def main():
     print("%-14s %8.2f ms   make factoring the %d distinct denominators of "
           "A1~ <= 12, A2~ <= 5, C2~ <= 5, A3~ <= 4, in R"
           % ("ring check", 1e3 * t, len(dens)))
+    wide = (1,)
+    for k in (997, 1009, 1013):
+        wide = qpoly.pmul(wide, (1,) + (0,) * (k - 1) + (-1,))
+    t = bench(factor_dens, [([wide],)])
+    print("%-14s %8.2f ms   make factoring (1 - q^997)(1 - q^1009)"
+          "(1 - q^1013), in R" % ("ring check", 1e3 * t))
     for type_string, max_length in (("A3~", 4), ("A1~", 12)):
         pairs, sums = captured_sums(type_string, max_length)
         t = bench(replay_adds, [(pairs,)])

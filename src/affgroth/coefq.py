@@ -10,20 +10,24 @@ that cyc names divides num.  Zero is (shift=0, num=(), cyc=()).  The
 product of the Phi_n is monic, so this is the quotient form with coprime
 num and den whose den leads positive, and equality is syntactic.  The
 polynomial den is built only where something reads it (save, the
-printers, the vanishing probes and expand_down), by _den_poly, as
-prod (q^m - 1)^a_m with no polynomial product.  Its degree, which
+printers and the vanishing probes), by _den_poly.  Its degree, which
 top_exponent and q -> q^-1 read, is the sum of the e_n phi(n) and builds
 no polynomial.
+
+One series kernel, _times_one_minus_power, serves each place where a
+denominator meets a polynomial, through the unique a_m with
+prod Phi_n^e_n = prod (q^m - 1)^a_m.  Reversed (t = 1/q), q^m - 1 is
+1 - t^m: _den_poly builds the reversed den as prod (1 - t^m)^a_m, and
+expand_down is the reversed numerator times prod (1 - t^m)^-a_m.
 
 A value outside R cannot be represented.  A denominator given as a
 polynomial enters at make, at from_pairs (through make) and at inv, whose
 numerator becomes the denominator; there one factorization,
 cyclotomic_exponents, writes it as its exponents, or refuses it with
 ValueError.  An integer denominator other than +-1 is refused too: R is
-over Z.  cyclotomic_exponents divides out the Phi_n over exactly the n
-with phi(n) at most the degree, each tried only when the integer Phi_n(2)
-divides den(2), and each built once by _den_poly and kept in a bounded
-cache, _cyclotomic.
+over Z.  cyclotomic_exponents takes the factors (1 - q^m)^a_m off
+den / den(0) one by one, as a power series, and divides by no
+polynomial.
 
 Arithmetic factors nothing and runs no gcd.  A product first cancels from
 each numerator the Phi_n of the other factor's denominator, then adds the
@@ -56,7 +60,7 @@ A1~ to length 12 runs 702 distinct cancellations, 294 distinct lcms and
 
 from functools import lru_cache
 from itertools import accumulate
-from math import isqrt, prod
+from math import isqrt
 from operator import sub
 
 from .qpoly import pdivexact, peval, pmul, pneg, pstrip
@@ -64,9 +68,9 @@ from .qpoly import pdivexact, peval, pmul, pneg, pstrip
 # from_pairs refuses an exponent of size above this.  Tables stay far below
 # it (A1~ to length 30 reaches degree 435), and it bounds the work of a
 # decoded coefficient, most of it the factorization of its denominator: on
-# a 2-CPU x86 host, (1 - q^997)(1 - q^1009)(1 - q^1013) factors in 0.23 s,
-# and the palindromes 1 + 3q^k + q^2k outside R are refused in 0.5 s at
-# degree 5,000 and 3.3 s at degree 10,000.
+# a 2-CPU x86 host, (1 - q^997)(1 - q^1009)(1 - q^1013) factors in 0.01 s,
+# and the palindromes 1 + 3q^k + q^2k outside R are refused in 0.01 s at
+# degree 5,000 and 0.02 s at degree 10,000.
 MAX_EXPONENT = 10000
 _CACHE = 256  # entries per cache; see the module docstring
 
@@ -222,23 +226,20 @@ class CoefQ:
     def expand_down(self, n_min):
         """Laurent expansion in descending powers of q (the e^{-delta} adic
         direction): yields (n, c_n) with c_n != 0, from the top exponent down
-        to n_min.  The denominator is monic, so every c_n is an integer.
-        """
+        to n_min, and nothing when n_min is above the top exponent.  In
+        t = q^-1 the value is q^top times the reversed numerator over the
+        reversed den, prod (1 - t^m)^a_m: an integer power series, cut
+        after t^(top - n_min)."""
         if not self.num:
             return
-        nrev = self.num[::-1]
-        drev = self.den[::-1]
         top = self.top_exponent()
-        coeffs = []  # series of nrev/drev in t = q^{-1}
-        k = 0
-        while top - k >= n_min:
-            s = nrev[k] if k < len(nrev) else 0
-            for j in range(1, min(k, len(drev) - 1) + 1):
-                s -= drev[j] * coeffs[k - j]
-            coeffs.append(s)
-            if s:
-                yield top - k, s
-            k += 1
+        k = max(top - n_min + 1, 0)  # coefficients wanted
+        rev = list(self.num[::-1][:k]) + [0] * (k - len(self.num))
+        for m, a in q_product_exponents(self.cyc).items():
+            _times_one_minus_power(rev, m, -a)
+        for i, c in enumerate(rev):
+            if c:
+                yield top - i, c
 
     def num_pairs(self):
         return [[self.shift + i, c] for i, c in enumerate(self.num) if c]
@@ -274,39 +275,47 @@ class CoefQ:
 def cyclotomic_exponents(den):
     """The sorted (n, e_n) with den = +-prod Phi_n^e_n and e_n > 0, or None
     when den is no such product, i.e. when it divides no product of
-    polynomials q^k - 1; kept in a bounded cache keyed by den.  Such a
-    divisor is +-prod Phi_n (Gauss's lemma), with Phi_1 = q - 1
-    anti-palindromic and every other Phi_n palindromic, so a den whose end
-    coefficients are not +-1, or which is neither its reversal nor minus
-    it, is refused at once.  Otherwise every Phi_n that fits in what is
-    left of den, phi(n) <= its degree, is divided out exactly as often as
-    it divides, in increasing n over exactly the n with phi(n) <= deg
-    (_small_totients), and e_n counts the divisions; den is such a product
-    iff nothing but +-1 is left.  A division is tried only while the
-    integer Phi_n(2) divides den(2), which is divided along as factors come
-    out, so most n cost one integer remainder; Phi_1(2) = 1 always passes,
-    and q - 1 is divided out until it no longer divides.  den(2) != 0 once
-    the ends are +-1: a root 2 would divide the constant term.  No gcd
-    runs."""
-    rev = den[::-1]
-    if (den[0] not in (1, -1) or den[-1] not in (1, -1)
-            or rev != den and rev != pneg(den)):
+    polynomials q^k - 1; kept in a bounded cache keyed by den.  An integer
+    power series 1 + O(q) is prod (1 - q^m)^a_m for exactly one integer
+    sequence a_m, and den / den(0) is peeled into it: where the series
+    left holds 1 + c q^m + ..., a_m = -c, and _times_one_minus_power takes
+    the factor off.  q^m - 1 is the product of the Phi_d over the divisors
+    d of m, so e_n is the sum of the a_m over the multiples m of n.  Every
+    Phi_n of den has phi(n) <= deg, so the series runs to the largest such
+    n (_small_totients), and |a_m| phi(m) <= sum of the e_mk phi(mk) <=
+    deg, since a_m = sum of mu(k) e_mk: an a_m that breaks this bound
+    refuses den at once.  The coefficients below q^k decide every a_m with
+    m < k, so the peel runs on the prefix of length k = 2, 4, 8, ..., from
+    the start each time, and a huge a_m is caught on a short prefix.  den
+    is accepted iff den(0) = +-1, sum m a_m = deg and every e_n >= 0: the
+    product of the factors is then a polynomial of degree deg that agrees
+    with den / den(0) beyond it."""
+    if den[0] not in (1, -1):
         return None
-    exponents = {}
-    value = peval(den, 2)
-    for n, phi, primes in _small_totients(len(den) - 1):
-        if len(den) == 1:
-            break
-        if phi < len(den):
-            at2 = _cyclotomic_at_2(n, primes)
-            while value % at2 == 0:
-                try:
-                    den = pdivexact(den, _cyclotomic(n))
-                except ValueError:
-                    break
-                value //= at2
-                exponents[n] = exponents.get(n, 0) + 1
-    return tuple(sorted(exponents.items())) if len(den) == 1 else None
+    deg = len(den) - 1
+    phis = dict(_small_totients(deg))
+    series = [den[0] * c for c in den] + [0] * (max(phis, default=0) - deg)
+    size, exps = 1, {}
+    while size < len(series):
+        size *= 2
+        head, exps = series[:size], {}  # m -> a_m
+        for m in range(1, len(head)):
+            c = head[m]
+            if c:
+                if abs(c) * phis.get(m, deg + 1) > deg:  # phi(m) > deg too
+                    return None
+                exps[m] = -c
+                _times_one_minus_power(head, m, c)
+    if sum(m * a for m, a in exps.items()) != deg:
+        return None
+    out = {}
+    for m, a in exps.items():
+        for d in range(1, m + 1):
+            if m % d == 0:
+                out[d] = out.get(d, 0) + a
+    if any(e < 0 for e in out.values()):
+        return None
+    return tuple((n, e) for n, e in sorted(out.items()) if e)
 
 
 def q_shifted_sum(terms):
@@ -422,18 +431,24 @@ def _den_poly(cyc):
     """prod Phi_n^e_n over the (n, e_n) in cyc, as a polynomial, built as
     prod (q^m - 1)^a_m (q_product_exponents) with no polynomial product.
     Reversed, q^m - 1 is 1 - t^m, and the reversed den of degree D is the
-    power series prod (1 - t^m)^a_m cut after t^D: each factor 1 - t^m
-    subtracts the series shifted by m, and each inverse one runs a sum
-    along every residue class mod m."""
+    power series prod (1 - t^m)^a_m cut after t^D."""
     exps = q_product_exponents(cyc)
     rev = [1] + [0] * sum(m * a for m, a in exps.items())
     for m, a in exps.items():
-        for _ in range(a):
-            rev[m:] = map(sub, rev[m:], rev[:-m])
-        for _ in range(-a):
-            for r in range(min(m, len(rev))):
-                rev[r::m] = accumulate(rev[r::m])
+        _times_one_minus_power(rev, m, a)
     return tuple(rev[::-1])
+
+
+def _times_one_minus_power(rev, m, a):
+    """Multiply the power series rev in t, cut after its length, by
+    (1 - t^m)^a, in place: each factor 1 - t^m subtracts the series
+    shifted by m, and each inverse one runs a sum along every residue class
+    mod m that holds two terms or more."""
+    for _ in range(a):
+        rev[m:] = map(sub, rev[m:], rev[:-m])
+    for _ in range(-a):
+        for r in range(min(m, len(rev) - m)):
+            rev[r::m] = accumulate(rev[r::m])
 
 
 def q_product_exponents(cyc):
@@ -461,43 +476,30 @@ def _degree(cyc):
 
 
 def _small_totients(limit):
-    """(n, phi(n), the primes dividing n) for every n with phi(n) <= limit,
-    in increasing n.  phi is multiplicative with phi(p^k) = p^(k-1) (p - 1),
-    so each n is built from prime powers in increasing prime order, over the
-    primes p with p - 1 <= limit, and a branch stops once its phi passes
-    the limit."""
+    """(n, phi(n)) for every n with phi(n) <= limit, in increasing n.  phi
+    is multiplicative with phi(p^k) = p^(k-1) (p - 1), so each n is built
+    from prime powers in increasing prime order, over the primes p with
+    p - 1 <= limit, and a branch stops once its phi passes the limit."""
     sieve = bytearray([1]) * (limit + 2)
     for p in range(2, isqrt(limit + 1) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, limit + 2, p)))
     primes = [p for p in range(2, limit + 2) if sieve[p]]
     out = []
-    stack = [(0, 1, 1, ())] if limit >= 1 else []
+    stack = [(0, 1, 1)] if limit >= 1 else []
     while stack:
-        start, n, phi, ps = stack.pop()
-        out.append((n, phi, ps))
+        start, n, phi = stack.pop()
+        out.append((n, phi))
         for j in range(start, len(primes)):
             p = primes[j]
             m, f = n * p, phi * (p - 1)
             if f > limit:
                 break
             while f <= limit:
-                stack.append((j + 1, m, f, ps + (p,)))
+                stack.append((j + 1, m, f))
                 m, f = m * p, f * p
     out.sort()
     return out
-
-
-def _cyclotomic_at_2(n, primes):
-    """Phi_n(2), primes the primes dividing n: Phi_n(q) = Phi_r(q^(n/r))
-    for r = prod(primes), Phi_1(y) = y - 1, and Phi_mp(y) = Phi_m(y^p) /
-    Phi_m(y) for a prime p that does not divide m; every y is a power of 2,
-    and each division is exact."""
-    def at(k, a):  # Phi_{p_1 ... p_k}(2^a)
-        if not k:
-            return (1 << a) - 1
-        return at(k - 1, a * primes[k - 1]) // at(k - 1, a)
-    return at(len(primes), n // prod(primes))
 
 
 @lru_cache(maxsize=_CACHE)

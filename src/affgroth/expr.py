@@ -30,23 +30,23 @@ from .kring import (classical_antidominant, k_scalar, monomial, orbit_sum,
                     to_json)
 from .weights import format_weight, join_signed, parse_weight
 
-_TOKEN = re.compile(r"""\s*(?:
+_TOKEN = re.compile(r"""
     (?P<rat>\d+(?:\s*/\s*\d+)?)
   | (?P<sym>[qeE])
   | (?P<lb>\[)
   | (?P<op>[-+*^(){}])
-)""", re.VERBOSE)
+""", re.VERBOSE)
+_SPACE = re.compile(r"\s*")  # skipped before each token, which starts after it
 
 
 def _tokenize(text, rank):
+    """(kind, value, position) per token, each at its first character."""
     pos = 0
     out = []
     n = len(text)
-    while pos < n:
+    while (pos := _SPACE.match(text, pos).end()) < n:
         mo = _TOKEN.match(text, pos)
         if mo is None:
-            if text[pos:].strip() == "":
-                break
             raise ParseError("unrecognized token", text, pos)
         if mo.group("rat") is not None:
             out.append(("rat", Fraction(mo.group("rat").replace(" ", "")), pos))

@@ -88,18 +88,17 @@ def join_signed(bits):
     return out
 
 
-_WTOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<sym>[La])(?P<idx>\d+)|(?P<op>[+\-*]))")
+_WTOKEN = re.compile(r"(?P<num>\d+)|(?P<sym>[La])(?P<idx>\d+)|(?P<op>[+\-*])")
+_SPACE = re.compile(r"\s*")  # skipped before each token, which starts after it
 
 
 def parse_weight(text, rank):
     """Parse the text form.  rank = number of nodes; indices must be < rank."""
     pos = 0
-    tokens = []  # (kind, value, position)
-    while pos < len(text):
+    tokens = []  # (kind, value, position of its first character)
+    while (pos := _SPACE.match(text, pos).end()) < len(text):
         mo = _WTOKEN.match(text, pos)
         if mo is None:
-            if text[pos:].strip() == "":
-                break
             raise ParseError("bad weight token", text, pos)
         if mo.group("num") is not None:
             tokens.append(("num", int(mo.group("num")), pos))

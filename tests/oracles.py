@@ -327,33 +327,75 @@ def reduced_words(w):
 
 # --- ring membership ---------------------------------------------------------
 
+def _mobius(k):
+    out, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if k > 1 else out
+
+
 def cyclotomic(n):
     """Phi_n as a coefficient tuple, by Moebius inversion of
     q^n - 1 = prod_{d | n} Phi_d: the product of the q^d - 1 with
     mu(n / d) = 1, divided by those with mu(n / d) = -1."""
-    def mobius(k):
-        out, p = 1, 2
-        while p * p <= k:
-            if k % p == 0:
-                k //= p
-                if k % p == 0:
-                    return 0
-                out = -out
-            p += 1
-        return -out if k > 1 else out
-
     def q_minus_one(d):
         return (-1,) + (0,) * (d - 1) + (1,)
 
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     out = (1,)
     for d in divisors:
-        if mobius(n // d) == 1:
+        if _mobius(n // d) == 1:
             out = pmul(out, q_minus_one(d))
     for d in divisors:
-        if mobius(n // d) == -1:
+        if _mobius(n // d) == -1:
             out = pdivexact(out, q_minus_one(d))
     return out
+
+
+def cyclotomic_exponents_by_division(den):
+    """The sorted (n, e_n) with den = +-prod Phi_n^e_n and e_n > 0, or None,
+    by trial division, the way coefq factored before it peeled den as a
+    power series.  den is refused unless its ends are +-1 and it is its
+    reversal up to sign; then each Phi_n (cyclotomic) with phi(n) <= the
+    degree left is divided out while it divides, in increasing n, over
+    n <= 2 deg^2 + 2 (phi(n) >= sqrt(n / 2)), each division tried only
+    while the integer Phi_n(2) divides den(2)."""
+    rev = den[::-1]
+    if (den[0] not in (1, -1) or den[-1] not in (1, -1)
+            or rev != den and rev != tuple(-x for x in den)):
+        return None
+    top = 2 * (len(den) - 1) ** 2 + 2
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:  # a prime
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    exponents = {}
+    value = sum(c << i for i, c in enumerate(den))  # den(2), never 0
+    for n in range(1, top + 1):
+        if len(den) == 1:
+            break
+        if phi[n] < len(den):
+            at2 = 1  # Phi_n(2), the Moebius product as in cyclotomic
+            for d in range(1, n + 1):
+                if n % d == 0 and _mobius(n // d) == 1:
+                    at2 *= (1 << d) - 1
+            for d in range(1, n + 1):
+                if n % d == 0 and _mobius(n // d) == -1:
+                    at2 //= (1 << d) - 1
+            while value % at2 == 0:
+                try:
+                    den = pdivexact(den, cyclotomic(n))
+                except ValueError:
+                    break
+                value //= at2
+                exponents[n] = exponents.get(n, 0) + 1
+    return tuple(sorted(exponents.items())) if len(den) == 1 else None
 
 
 def divides_q_products_by_gcd(den):

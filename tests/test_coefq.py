@@ -307,6 +307,9 @@ def test_expand_down_matches_product():
         diff = a - total
         if not diff.is_zero():
             assert diff.top_exponent() < n_min
+        # nothing at or above a floor over the top exponent
+        for above in (1, 2, len(a.num) + 3):
+            assert list(a.expand_down(a.top_exponent() + above)) == []
 
 
 def test_pairs_round_trip():
@@ -446,7 +449,8 @@ def test_divides_q_products():
 
 def test_divides_q_products_refuses_shape_without_gcd(monkeypatch):
     # a divisor of a product of q^k - 1 has end coefficients +-1 and is
-    # its reversal up to sign; a den failing either runs no gcd
+    # its reversal up to sign; a den failing either is refused, and no gcd
+    # runs
     zeros = (0,) * 15
     gcds = oracles.count_calls(monkeypatch, qpoly, "pgcd")
     assert not any(_in_r(den) for den in (
@@ -457,10 +461,10 @@ def test_divides_q_products_refuses_shape_without_gcd(monkeypatch):
 
 
 def test_divides_q_products_palindromes_outside_r_run_no_gcd(monkeypatch):
-    # 1 + 3q^8 + q^16 and 1 + 3q^16 + q^32 are monic and palindromic, so
-    # they pass the shape precheck; the PRS loop over q^k - 1 took seconds
-    # on the first and minutes on the second.  Dividing out each Phi_n with
-    # phi(n) <= the remaining degree decides both without a gcd, and the
+    # 1 + 3q^8 + q^16 and 1 + 3q^16 + q^32 are monic and palindromic, the
+    # shape of a product of Phi_n; the PRS loop over q^k - 1 took seconds
+    # on the first and minutes on the second.  Peeling the factors
+    # (1 - q^m)^a_m off the series decides both without a gcd, and the
     # package has no heuristic gcd
     gcds = oracles.count_calls(monkeypatch, qpoly, "pgcd")
     assert [_in_r((1,) + (0,) * (k - 1) + (3,) + (0,) * (k - 1) + (1,))
@@ -469,38 +473,76 @@ def test_divides_q_products_palindromes_outside_r_run_no_gcd(monkeypatch):
 
 
 def test_divides_q_products_work_is_bounded(monkeypatch):
-    # 1 + 3q^128 + q^256 is a monic palindrome outside R.  Trying every n
-    # up to 2 deg^2 (a trial-division totient and a Phi_n division each)
-    # took 1.3 s on it; now only the 505 n with phi(n) <= 256 are tried,
-    # each by the integer test Phi_n(2) | den(2).  Only Phi_1(2) = 1 and
-    # Phi_4(2) = 5 pass it, so two exact divisions run, and fail; Phi_1
-    # and Phi_4 come from a cleared cache without division (_den_poly).
-    # make refuses it after that one factorization
-    den = (1,) + (0,) * 127 + (3,) + (0,) * 127 + (1,)
-    coefq._cyclotomic.cache_clear()
-    coefq.cyclotomic_exponents.cache_clear()
-    tried = oracles.count_calls(monkeypatch, coefq, "_cyclotomic_at_2")
+    # 1 + 3q^k + q^2k is a monic palindrome outside R.  Trial division by
+    # the Phi_n with phi(n) <= 2k, each screened by Phi_n(2) (505 of them
+    # at k = 128), took 3.5 s at k = 5,000.  The peel takes (1 - q^k)^-3
+    # off the prefix below 2k, takes it again off the prefix below 4k, and
+    # there the coefficient -5 of q^2k breaks the bound 5 phi(2k) <= 2k:
+    # two passes of the series helper each, three factors 1 - q^k in a
+    # pass, and no division.  1 + 256q + 256q^255 + q^256 takes 256
+    # factors 1 - q off the prefixes of length 2 and 4 only, not off the
+    # whole series: there q^2 has -32,896, above the bound 256
+    calls = []
+    times = coefq._times_one_minus_power
+
+    def counted(rev, m, a):
+        calls.append((m, a, len(rev)))
+        times(rev, m, a)
+
+    monkeypatch.setattr(coefq, "_times_one_minus_power", counted)
     divisions = oracles.count_calls(monkeypatch, coefq, "pdivexact")
-    assert _in_r(den) is False
-    assert tried[0] == 505 and divisions[0] == 2
+    for k, low in ((128, 128), (5000, 4096)):
+        coefq.cyclotomic_exponents.cache_clear()
+        del calls[:]
+        assert _in_r((1,) + (0,) * (k - 1) + (3,) + (0,) * (k - 1) + (1,)) \
+            is False
+        assert calls == [(k, 3, 2 * low), (k, 3, 4 * low)]
+    del calls[:]
+    assert _in_r((1, 256) + (0,) * 253 + (256, 1)) is False
+    assert calls == [(1, 256, 2), (1, 256, 4)]
+    assert divisions[0] == 0
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 6, 12, 24])
 def test_small_totients_and_cyclotomic_values(limit):
-    # exactly the n with phi(n) <= limit, in increasing order, with phi(n)
-    # and the primes of n; Phi_n(2) from them agrees with the polynomial
+    # exactly the n with phi(n) <= limit, in increasing order, with phi(n);
+    # Phi_n, built by _den_poly, is the Moebius product of the q^d - 1
     def phi(n):
         return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
-    got = list(coefq._small_totients(limit))
-    assert [(n, f) for n, f, _ in got] == [
-        (n, phi(n)) for n in range(1, 2 * limit * limit + 3)
-        if phi(n) <= limit]
-    for n, _, primes in got:
-        assert primes == tuple(p for p in range(2, n + 1)
-                               if n % p == 0 and phi(p) == p - 1)
-        assert coefq._cyclotomic_at_2(n, primes) == peval(
-            coefq._cyclotomic(n), 2)
+    got = coefq._small_totients(limit)
+    assert got == [(n, phi(n)) for n in range(1, 2 * limit * limit + 3)
+                   if phi(n) <= limit]
+    for n, _ in got:
+        assert coefq._cyclotomic(n) == oracles.cyclotomic(n)
+
+
+def test_factorization_against_trial_division():
+    # the peel gives the exponents, or the refusal, of the trial division
+    # by Phi_n that it replaced: on products of up to six Phi_n, n <= 40,
+    # some negated; on each of those times a factor outside R or a small
+    # product of Phi_n; and on random short polynomials with ends +-1
+    rng = oracles.rng_for("coefq-factor")
+    cyclo = {n: oracles.cyclotomic(n) for n in range(1, 41)}
+    others = ((1, 3, 1), (1, -3, 1), (1, 0, 3, 0, 1), (2, 1), (1, 2, 1),
+              (1, -1, -1, 1))
+    dens = set()
+    for _ in range(60):
+        d = (rng.choice((1, -1)),)
+        for _ in range(rng.randint(0, 6)):
+            d = pmul(d, cyclo[rng.randint(1, 40)])
+        dens.add(d)
+        dens.update(pmul(d, f) for f in others)
+    while len(dens) < 800:
+        dens.add(tuple([rng.choice((1, -1))]
+                       + [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]
+                       + [rng.choice((1, -1))]))
+    verdicts = {True: 0, False: 0}
+    for d in sorted(dens):
+        want = oracles.cyclotomic_exponents_by_division(d)
+        assert coefq.cyclotomic_exponents.__wrapped__(d) == want, d
+        verdicts[want is not None] += 1
+    assert verdicts[True] > 150 and verdicts[False] > 300, verdicts
 
 
 def test_divides_q_products_on_high_degree_dens():

@@ -80,6 +80,7 @@ def test_parse_refuses_values_outside_r():
     cd = from_type("A1~")
     for text, pos, msg in (("1/2", 0, "not an integer"),
                            ("q+1 / 2", 2, "not an integer"),
+                           ("q + 1 / 2", 4, "not an integer"),
                            ("(2*q)^-1", 5, "outside R"),
                            ("e[L0] (2 - q)^{-1}", 13, "outside R"),
                            ("(1 + e[L0])^{-1}", 11, "multi-term")):

@@ -57,6 +57,10 @@ def test_parse_rejects():
     for bad in ("", "L", "q", "L0 +", "+ +L0", "2", "L0 L1"):
         with pytest.raises(ParseError):
             parse_weight(bad, 2)
+    # a refusal points at the token's first character, past the spaces
+    with pytest.raises(ParseError, match="bare integer") as ei:
+        parse_weight("L0 + 3", 2)
+    assert ei.value.pos == 5
 
 
 def test_round_trip_random():
