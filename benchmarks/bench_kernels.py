@@ -27,10 +27,11 @@ call, the Weyl-Kac numerator of L0 + L2 on C2~ (its alternating orbit from
 packed.Packing.orbit) over the inverse denominator to depth 12, already
 built.  Last the table builds A3~ to length 4 and A1~
 to length 12, each from fresh Cartan data in layer order and with CoefQ's
-caches cleared, as in a new process, with how many entries above e were
-solved and how many were transported from an orbit-mate along a diagram
-automorphism, and the hits and misses of CoefQ's cancellation, lcm and
-factorization caches in one build.  Then
+caches and the solver's layouts cleared, as in a new process, with how
+many entries above e were solved and how many were transported from an
+orbit-mate along a diagram automorphism, the digit widths of the packed
+keys their solves ran on, and the hits and misses of CoefQ's
+cancellation, lcm and factorization caches in one build.  Then
 GrothTable.save of those two tables, with the bytes written, and
 GrothTable.load of each saved file with CoefQ's caches cleared, as in a
 new process, with the file's terms and its distinct weights and
@@ -227,15 +228,18 @@ def weyl_kac_numerator(cd, mu, depth):
 
 
 # CoefQ's caches whose hits and misses are reported; clear_caches also
-# empties coefq._den_poly
+# empties coefq._den_poly and the solver's layouts, held here because
+# build_counts wraps cocycle.key_layout
 CACHES = (("cancel", coefq._reduced), ("lcm", coefq._den_lcm),
           ("factor", coefq.cyclotomic_exponents))
+LAYOUTS = cocycle.key_layout
 
 
 def clear_caches():
     for _, cache in CACHES:
         cache.cache_clear()
     coefq._den_poly.cache_clear()
+    LAYOUTS.cache_clear()
 
 
 def table_build(type_string, max_length):
@@ -248,22 +252,29 @@ def table_build(type_string, max_length):
     return table
 
 
-def solved_and_transported(type_string, max_length):
-    """(solved, transported) entries above e of one table build."""
-    solves = 0
-    solve = groth.solve_coboundary
+def build_counts(type_string, max_length):
+    """(solved, transported, widths) of one table build: the entries above e
+    solved and transported, and the digit widths in bits of the packed keys
+    its solves ran on (cocycle.key_layout), narrowest first."""
+    solves, widths = 0, set()
+    solve, layout = groth.solve_coboundary, cocycle.key_layout
 
     def counted(*args):
         nonlocal solves
         solves += 1
         return solve(*args)
 
-    groth.solve_coboundary = counted
+    def recorded(cd, bits):
+        got = layout(cd, bits)
+        widths.add(got.mask.bit_length())
+        return got
+
+    groth.solve_coboundary, cocycle.key_layout = counted, recorded
     try:
         table = table_build(type_string, max_length)
     finally:
-        groth.solve_coboundary = solve
-    return solves, len(table.entries) - 1 - solves
+        groth.solve_coboundary, cocycle.key_layout = solve, layout
+    return solves, len(table.entries) - 1 - solves, sorted(widths)
 
 
 def cache_counts():
@@ -409,9 +420,11 @@ def main():
     saves = []
     for type_string, max_length in (("A3~", 4), ("A1~", 12)):
         t = bench(table_build, [(type_string, max_length)])
-        print("%-14s %8.2f ms   table to length %d: %d solved, %d transported"
-              % (type_string, 1e3 * t, max_length,
-                 *solved_and_transported(type_string, max_length)))
+        solved, transported, widths = build_counts(type_string, max_length)
+        print("%-14s %8.2f ms   table to length %d: %d solved, %d "
+              "transported, %s-bit digits"
+              % (type_string, 1e3 * t, max_length, solved, transported,
+                 "/".join(map(str, widths))))
         print("%-14s %11s   cache hits/misses: %s"
               % ("", "", cache_counts()))
         saves.append((type_string, max_length,

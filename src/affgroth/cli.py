@@ -16,6 +16,7 @@ from . import weyl as weyl_mod
 from .cartan import build_cartan, from_type
 from .characters import (euler_character, local_cohomology_character,
                          weyl_kac_character)
+from .coefq import MAX_EXPONENT
 from .errors import AffGrothError, ParseError, UnknownNode
 from .expr import print_element
 from .groth import GrothTable
@@ -125,6 +126,11 @@ def _require_nonnegative(parser, flag, value):
         parser.error("%s must be >= 0, got %d" % (flag, value))
 
 
+def _require_at_most(parser, flag, value, ceiling):
+    if value > ceiling:
+        parser.error("%s must be <= %d, got %d" % (flag, ceiling, value))
+
+
 def cmd_table(args, parser):
     _require_nonnegative(parser, "--max-length", args.max_length)
     cd = _cartan_of(args, parser)
@@ -164,6 +170,9 @@ def cmd_verify(args, parser):
 
 def cmd_char(args, parser):
     _require_nonnegative(parser, "--cutoff", args.cutoff)
+    # no coefficient carries an exponent above MAX_EXPONENT, and a deeper
+    # cut asks for series far beyond any that can be computed
+    _require_at_most(parser, "--cutoff", args.cutoff, MAX_EXPONENT)
     cd = _cartan_of(args, parser)
     mu = parse_weight(args.weight, cd.rank)
     with _cached_table(cd, args) as table:
@@ -262,6 +271,10 @@ def main(argv=None):
         return 2
     except AffGrothError as ex:
         sys.stderr.write("error: %s\n" % ex)
+        return 1
+    except RecursionError as ex:
+        # GrothTable.compute recurses two frames per letter of the word
+        sys.stderr.write("error: word too long: %s\n" % ex)
         return 1
 
 

@@ -12,7 +12,7 @@ Every equation of the system reads x_mu - q^{-n} x_sigma = v_i(mu), with
 Biased graphs I, JCTB 1989): unknowns are vertices, two-unknown equations are
 edges whose gains are powers of q, and the neighbours of mu are its
 normalized reflections.  The graph is never built: _solve_on_support walks
-it breadth-first straight from the support, _sigma and v.  Each component's
+it breadth-first straight from the support and v.  Each component's
 root carries one unknown t.  Every gain is a power of q, so a tree edge
 writes the key it reaches as A + q^e t and the walk keeps the pair (A, e):
 the exponent e is the sum of the gains along the tree path.  Every other
@@ -33,15 +33,28 @@ passes it is a coboundary, and a coboundary is always a cocycle.  So
 check_cocycle never runs on a solve that succeeds; it runs only when no
 growth round verifies, to name the failure (CocycleViolation) before the
 solver's own error.
+
+A solve holds every key as one int (_Layout), after the packed monomials of
+Monagan and Pearce (Sparse polynomial division using a heap, JSC 46,
+2011): s_i followed by delta-normalization is one digit read and one
+integer multiply-subtract, and only the keys of the returned B are decoded
+to weights.
 """
+
+import operator
+from functools import lru_cache
 
 from .coefq import CoefQ, ONE, ZERO, q_shifted_sum
 from .errors import (CocycleViolation, Inconsistent, SupportGrowthExceeded,
                      WindowViolation)
 from .kring import KElement, k_zero, reflect_act, weyl_act
+from .weights import Weight
 from . import weyl as weyl_mod
 
 MAX_GROW = 8
+# the narrowest layout holds coordinates of size up to 3, which covers the
+# keys of every length-1 entry of the built-in types (their marks are <= 2)
+KEY_BITS = 2
 
 
 def _family(cd, v):
@@ -96,12 +109,84 @@ def _alternating_sum(cd, i, j, m, vi):
     return total
 
 
-def _sigma(cd, i, mu, memo):
-    """normalize(s_i mu) = (twist, key), memoized for one solve."""
-    got = memo.get((i, mu))
-    if got is None:
-        got = memo[(i, mu)] = cd.normalize(cd.reflect(i, mu))
-    return got
+class _Layout:
+    """Packed keys for the solves of one datum whose v_i have every
+    coordinate l_j, m_j of size at most N = 2^bits - 1.
+
+    A normalized weight mu is one int K with 3r + 1 digits in base 2^b, each
+    stored plus 2^(b-1).  From the top they are the level, l_0 .. l_{r-1},
+    m_0 .. m_{r-1} and the pairings <h_j, mu> (digit j from the bottom):
+    K = offset + sum l_j L_j + sum m_j A_j, with L_j and A_j the packed
+    Lambda_j and alpha_j.  While no digit has size 2^(b-1), no digit
+    carries, the digits read back, and int order is (level, l, m) order.
+    s_i mu = mu - p alpha_i with p = <h_i, mu>, so for i != node0 the key
+    is K - p A_i with no twist.  At node0, s_i makes m[node0] = -p, and
+    normalizing adds back p delta and twists by n = -p: the key is
+    K - p (A_node0 - D), D the packed delta, whose pairings are 0.
+
+    No digit carries at the least b with 2^(b-1) > G N, where
+    G = max(h, 1 + m* (1 + a)^k (1 + r a)), with h the dual Coxeter number,
+    m* the largest mark, a = max |a_ij| >= 2 and k = MAX_GROW + 1.  A
+    solve's keys are at most k letters (s_i, then normalize) from a key of
+    the v_i: MAX_GROW growth rounds, and one letter more in the walk and the
+    re-check.  Letters keep l and the level, |level| <= h N.  The pairings
+    start within (1 + r a) N, and a letter with p = <h_i, mu> moves pairing
+    j by -p a_ji, so after t letters they are within (1 + a)^t (1 + r a) N.
+    It moves each m_j by -p or p marks_j, so after k letters
+    |m_j| <= N + m* (1 + r a) N sum_{t<k} (1 + a)^t <= G N."""
+
+    __slots__ = ("half", "mask", "offset", "lams", "alphas", "letters",
+                 "coords")
+
+    def __init__(self, cd, bits):
+        gcm, r, mul = cd.gcm, cd.rank, operator.mul
+        a = max(max(map(abs, row)) for row in gcm)
+        g = max(cd.dual_coxeter,
+                1 + max(cd.marks) * (1 + a) ** (MAX_GROW + 1) * (1 + r * a))
+        b = (g * ((1 << bits) - 1)).bit_length() + 1
+        self.half, self.mask = 1 << (b - 1), (1 << b) - 1
+        unit = [1 << b * t for t in range(3 * r + 1)]  # digit t from the bottom
+        self.offset = self.half * sum(unit)
+        self.lams = [c * unit[3 * r] + unit[3 * r - 1 - j] + unit[j]
+                     for j, c in enumerate(cd.comarks)]
+        # column j of the GCM holds the pairings <h_k, alpha_j> = a_kj
+        self.alphas = [unit[2 * r - 1 - j] + sum(map(mul, col, unit))
+                       for j, col in enumerate(zip(*gcm))]
+        delta = sum(map(mul, cd.marks, self.alphas))
+        # per label i: (bit offset of pairing digit i, D_i, i == node0)
+        self.letters = [(b * i, d - delta if i == cd.node0 else d,
+                         i == cd.node0) for i, d in enumerate(self.alphas)]
+        # bit offsets of the digits l_0 .. l_{r-1}, m_0 .. m_{r-1}
+        self.coords = range(b * (3 * r - 1), b * (r - 1), -b)
+
+    def pack(self, mu):
+        mul = operator.mul
+        return (self.offset + sum(map(mul, mu.l, self.lams))
+                + sum(map(mul, mu.m, self.alphas)))
+
+    def unpack(self, key):
+        half, mask = self.half, self.mask
+        c = [(key >> s & mask) - half for s in self.coords]
+        r = len(c) // 2
+        return Weight(c[:r], c[r:])
+
+    def reflections(self, key):
+        """(n, normalize(s_i mu)) packed, for each label i."""
+        half, mask = self.half, self.mask
+        out = []
+        for shift, d, node0 in self.letters:
+            p = (key >> shift & mask) - half
+            out.append((-p if node0 else 0, key - p * d))
+        return out
+
+
+@lru_cache(maxsize=64)
+def key_layout(cd, bits):
+    """cd's _Layout for v_i with coordinates of size below 2^bits, made
+    once.  A solve asks for bits >= KEY_BITS, and GrothTable makes that
+    layout with the table, so no solve of a table's first entries builds
+    one."""
+    return _Layout(cd, bits)
 
 
 def solve_coboundary(cd, v, window, order_reversed=False):
@@ -141,20 +226,24 @@ def solve_coboundary(cd, v, window, order_reversed=False):
     if not base:
         return k_zero(cd)
 
-    support = set(base)
-    memo = {}
+    n = max(max(max(mu.l), -min(mu.l), max(mu.m), -min(mu.m))
+            for mu in base)
+    layout = key_layout(cd, max(n.bit_length(), KEY_BITS))
+    pack, reflections = layout.pack, layout.reflections
+    pv = [{pack(mu): c for mu, c in v[i].terms.items()} for i in cd.labels]
+    frontier = support = set().union(*pv)
     solvable = False
     for _ in range(MAX_GROW):
-        grown = set(support)
-        for mu in support:
-            for i in cd.labels:
-                grown.add(_sigma(cd, i, mu, memo)[1])
-        support = grown
-        sol = _solve_on_support(cd, v, support, order_reversed, memo)
+        # the reflections of older keys are in the support already
+        frontier = {key for mu in frontier for _, key in reflections(mu)
+                    if key not in support}
+        support = support | frontier
+        sol = _solve_on_support(layout, pv, support, order_reversed)
         if sol is not None:
             solvable = True
-            if _verified(cd, v, sol, memo):
-                return KElement(cd, sol)
+            if _verified(layout, pv, sol):
+                unpack = layout.unpack
+                return KElement(cd, {unpack(k): c for k, c in sol.items()})
     violations = check_cocycle(cd, v)
     if violations:
         raise CocycleViolation(violations)
@@ -166,32 +255,36 @@ def solve_coboundary(cd, v, window, order_reversed=False):
         "no verified coboundary within %d support-growth rounds" % MAX_GROW)
 
 
-def _verified(cd, v, sol, memo):
-    """True iff B = sol (dict weight -> CoefQ) satisfies (1 - s_i)B = v_i for
-    every i.  With (n, sigma) = normalize(s_i mu), the coefficient of s_i B
-    at mu is q^{-n} B(sigma), so the equation at mu reads
-    B(mu) = v_i(mu) + q^{-n} B(sigma), compared as canonical CoefQ.  It is
-    tested at every key of supp B, supp v_i and s_i(supp B), which holds the
-    whole support of B - s_i B - v_i."""
-    for i in cd.labels:
-        vi = v[i].terms
-        keys = set(sol)
+def _verified(layout, v, sol):
+    """True iff B = sol satisfies (1 - s_i)B = v_i for every i; keys are
+    packed, v[i] is {key: CoefQ}.  With (n, sigma) = normalize(s_i mu), the
+    equation at mu reads B(mu) = v_i(mu) + q^{-n} B(sigma), compared as
+    canonical CoefQ at every key of supp B and the supp v_i.  Off those, the
+    support of B - s_i B - v_i lies on s_i(supp B), where the equation at
+    sigma = s_i mu reads 0 = q^{-n} B(mu) and fails."""
+    reflections = layout.reflections
+    keys = set(sol)
+    for vi in v:
         keys.update(vi)
-        keys.update(_sigma(cd, i, mu, memo)[1] for mu in sol)
-        for mu in keys:
-            n, sig = _sigma(cd, i, mu, memo)
+    for mu in keys:
+        b_mu = sol.get(mu)
+        x_mu = ZERO if b_mu is None else b_mu
+        for (n, sig), vi in zip(reflections(mu), v):
             rhs = vi.get(mu, ZERO)
             b = sol.get(sig)
             if b is not None:
                 rhs = q_shifted_sum(((rhs, 0), (b, -n)))
-            if sol.get(mu, ZERO) != rhs:
+            elif b_mu is not None and sig not in vi:
+                return False
+            if x_mu != rhs:
                 return False
     return True
 
 
-def _solve_on_support(cd, v, support, order_reversed, memo):
+def _solve_on_support(layout, v, support, order_reversed):
     """Solve for B supported on `support` by walking the gain graph (see the
-    module docstring).  Roots are taken in term order, reversed under
+    module docstring); keys are packed, v[i] is {key: CoefQ}.  Roots are
+    taken in term order (int order, see _Layout), reversed under
     order_reversed.  A walked key mu holds (A, e), meaning
     x_mu = A + q^e t.  At mu and label i, with r = v_i(mu):
       - sigma already walked (mu itself when s_i fixes mu): the orbit's
@@ -203,12 +296,12 @@ def _solve_on_support(cd, v, support, order_reversed, memo):
         (q^(e+n) - q^(e_sigma)) t = A_sigma - q^n (A - r), whose factor is
         zero exactly when the two exponents are equal.
     The first check with k != 0 fixes t, every other one must agree.
-    Returns dict weight -> CoefQ, or None if inconsistent."""
-    key = lambda mu: (cd.level(mu), mu.l, mu.m)
+    Returns {key: CoefQ}, or None if inconsistent."""
+    reflections = layout.reflections
     value = {}  # mu -> (A, e) with x_mu = A + q^e t
     walked = set()
     solution = {}
-    for root in sorted(support, key=key, reverse=order_reversed):
+    for root in sorted(support, reverse=order_reversed):
         if root in value:
             continue
         value[root] = (ZERO, 0)
@@ -217,11 +310,10 @@ def _solve_on_support(cd, v, support, order_reversed, memo):
         for mu in component:  # grows while walked: breadth-first
             walked.add(mu)
             a_mu, e_mu = value[mu]
-            for i in cd.labels:
-                n, sig = _sigma(cd, i, mu, memo)
+            for (n, sig), vi in zip(reflections(mu), v):
                 if sig in walked:
                     continue
-                r = v[i].terms.get(mu, ZERO)
+                r = vi.get(mu, ZERO)
                 if sig not in support:
                     checks.append((CoefQ.q_power(e_mu), r - a_mu))
                     continue

@@ -68,7 +68,7 @@ import os
 
 from . import weyl as weyl_mod
 from .cartan import cartan_from_json, cartan_to_json
-from .cocycle import solve_coboundary
+from .cocycle import KEY_BITS, key_layout, solve_coboundary
 from .errors import CacheMismatch, WindowViolation
 from .kring import (demazure, eta_embed, from_json, in_window, j_map,
                     k_one, monomial, psi, relabel, relabel_equals)
@@ -80,6 +80,7 @@ class GrothTable:
 
     def __init__(self, cd):
         self.cd = cd
+        key_layout(cd, KEY_BITS)  # the packed keys of the first solves
         self.entries = {}  # WeylElement -> KElement
         self.verified = set()  # elements that passed verify()
         # w -> (probe_length, G_w, {i: G_{w s_i}}, G_{w^-1}) read by the

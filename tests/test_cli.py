@@ -12,7 +12,7 @@ from affgroth.expr import parse_expression
 from affgroth.groth import GrothTable, grothendieck
 from affgroth.kring import k_one, relabel
 from affgroth.weights import format_weight, parse_weight
-from affgroth import cartan, groth, qpoly, weyl
+from affgroth import cartan, coefq, groth, qpoly, weyl
 
 import oracles
 
@@ -184,6 +184,34 @@ def test_char_negative_cutoff_usage_error(capsys, mode):
              + list(mode))
     assert ei.value.code == 2
     assert "--cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [(), ("--euler",), ("--local", "0")])
+def test_char_huge_cutoff_usage_error(capsys, mode):
+    # a cutoff past the exponent ceiling is refused before any series is
+    # sized: 10^11 ran into a MemoryError traceback in CoefQ.expand_down
+    with pytest.raises(SystemExit) as ei:
+        main(["char", "--type", "A1~", "--word", "0", "--weight", "L0",
+              "--cutoff", "100000000000"] + list(mode))
+    assert ei.value.code == 2
+    out = capsys.readouterr()
+    assert "--cutoff must be <= %d" % coefq.MAX_EXPONENT in out.err
+    assert out.out == ""
+
+
+def test_groth_long_word_is_one_line_error(tmp_path, capsys):
+    # GrothTable.compute recurses two frames per letter: a 500-letter word
+    # runs out of stack before any solve, which is an error line, not a
+    # traceback, and no cache is written
+    path = tmp_path / "table.json"
+    word = ",".join(str(k % 2) for k in range(500))
+    status, out, err = run(capsys, "groth", "--type", "A1~", "--word", word,
+                           "--cache", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: word too long: ")
+    assert err.count("\n") == 1
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -5,13 +5,14 @@ import sys
 
 import pytest
 
-from affgroth.cartan import build_cartan, from_type
+from affgroth.cartan import AffineCartanData, build_cartan, from_type
 from affgroth.coefq import CoefQ, ONE
 from affgroth.cocycle import check_cocycle, solve_coboundary
 from affgroth.errors import (BadLabel, CocycleViolation,
                              SupportGrowthExceeded, WindowViolation)
 from affgroth.groth import GrothTable
 from affgroth.kring import in_window, k_one, k_zero, monomial, reflect_act
+from affgroth.weights import Weight
 from affgroth import cocycle, groth, weyl
 
 import oracles
@@ -244,6 +245,81 @@ def test_walk_coefficient_work_pinned(monkeypatch, name, max_length, pinned):
     assert (products[0], powers[0]) == pinned
 
 
+LAYOUT_DATA = ["A1~", "A2~", "C2~", "A3~", "D4~"] + [n for n, _ in
+                                                     oracles.CUSTOM_GCMS]
+
+
+def _datum(name):
+    gcm = dict(oracles.CUSTOM_GCMS).get(name)
+    return build_cartan(gcm) if gcm else from_type(name)
+
+
+def _edge_weight(cd, rng, bits):
+    """A normalized weight whose coordinates other than m[node0] all have
+    size 2^bits - 1, the most a layout of that width takes."""
+    top = (1 << bits) - 1
+    l = [rng.choice((-top, top)) for _ in cd.labels]
+    m = [rng.choice((-top, top)) for _ in cd.labels]
+    m[cd.node0] = 0
+    return Weight(l, m)
+
+
+@pytest.mark.parametrize("bits", [cocycle.KEY_BITS, 5])
+@pytest.mark.parametrize("name", LAYOUT_DATA)
+def test_packed_letter_is_reflect_then_normalize(name, bits):
+    # along seeded words of MAX_GROW + 1 letters from keys at the width
+    # bound, every packed letter lands on the packed normalize(s_i mu) with
+    # its q-power, and no digit carries: each key unpacks to its weight
+    cd = _datum(name)
+    layout = cocycle.key_layout(cd, bits)
+    rng = oracles.rng_for("layout-%s-%d" % (name, bits))
+    for _ in range(6):
+        mu = _edge_weight(cd, rng, bits)
+        key = layout.pack(mu)
+        for _ in range(cocycle.MAX_GROW + 1):
+            assert layout.unpack(key) == mu
+            images = layout.reflections(key)
+            for i in cd.labels:
+                n, nu = cd.normalize(cd.reflect(i, mu))
+                assert images[i] == (n, layout.pack(nu)), (name, i, mu)
+            i = rng.choice(cd.labels)
+            key, mu = images[i][1], cd.normalize(cd.reflect(i, mu))[1]
+        assert layout.unpack(key) == mu
+
+
+@pytest.mark.parametrize("name", LAYOUT_DATA)
+def test_packed_order_is_term_order(name):
+    # the walk takes its roots in int order, which must be (level, l, m);
+    # the random weights have coordinates of size at most 3 + 3 * 3 < 2^4
+    cd = _datum(name)
+    layout = cocycle.key_layout(cd, 4)
+    rng = oracles.rng_for("layout-order-" + name)
+    weights = {_edge_weight(cd, rng, 4) for _ in range(40)}
+    weights.update(cd.normalize(oracles.random_weight(cd, rng, l_span=2,
+                                                      m_span=3))[1]
+                   for _ in range(80))
+    by_int = sorted(weights, key=layout.pack)
+    assert by_int == sorted(weights, key=lambda mu: (cd.level(mu), mu.l, mu.m))
+
+
+def test_table_build_reflects_no_weight_in_cocycle(monkeypatch):
+    # the solver moves packed keys only: no cartan.reflect or normalize call
+    # comes from cocycle during a table build (the Weight walk made 9,058)
+    calls = []
+    for name in ("reflect", "normalize"):
+        fn = getattr(AffineCartanData, name)
+
+        def counted(self, *args, fn=fn, name=name):
+            if sys._getframe(1).f_globals["__name__"] == cocycle.__name__:
+                calls.append(name)
+            return fn(self, *args)
+
+        monkeypatch.setattr(AffineCartanData, name, counted)
+    oracles.layer_table(from_type("A3~"), 4)
+    oracles.layer_table(from_type("C2~"), 3)
+    assert calls == []
+
+
 def _orbit(cd, mu):
     """The keys normalize(x mu), x in W: a support closed under every s_i."""
     support, frontier = set(), [mu]
@@ -256,6 +332,15 @@ def _orbit(cd, mu):
     return support
 
 
+def _packed(cd, v, bits=4):
+    """(layout, packed family) for the family v: every v_i as {key: CoefQ}
+    on the layout for coordinates of size below 2^bits."""
+    layout = cocycle.key_layout(cd, bits)
+    v = cocycle._family(cd, v)
+    return layout, [{layout.pack(mu): c for mu, c in v[i].terms.items()}
+                    for i in cd.labels]
+
+
 def test_walk_refuses_open_gain_one_cycle():
     # the gain graph on the four C2~ keys of the orbit of a1 has cycles of
     # gain q^{+-1}, which fix t, and one of gain 1 (k = 0), which for
@@ -264,15 +349,17 @@ def test_walk_refuses_open_gain_one_cycle():
     support = _orbit(cd, cd.alpha(1))
     assert len(support) == 4
     b = monomial(cd, cd.alpha(1))
-    v = cocycle._family(cd, {2: b - reflect_act(cd, 2, b)})
-    assert cocycle._solve_on_support(cd, v, support, False, {}) is None
+    layout, v = _packed(cd, {2: b - reflect_act(cd, 2, b)})
+    support = {layout.pack(mu) for mu in support}
+    assert cocycle._solve_on_support(layout, v, support, False) is None
 
 
 def test_walk_sets_unpinned_root_to_zero():
     # the zero weight is fixed by every s_i, so its component has no check
     cd = from_type("A1~")
-    v = cocycle._family(cd, {})
-    assert cocycle._solve_on_support(cd, v, {cd.zero()}, False, {}) == {}
+    layout, v = _packed(cd, {})
+    support = {layout.pack(cd.zero())}
+    assert cocycle._solve_on_support(layout, v, support, False) == {}
 
 
 def test_cocycle_check_only_names_failures(monkeypatch):
@@ -315,32 +402,31 @@ def test_recheck_sees_keys_only_s_i_B_reaches(monkeypatch):
     cd = from_type("A1~")
     lam = cd.Lam(1)
     monkeypatch.setattr(cocycle, "_solve_on_support",
-                        lambda *args: {lam: ONE})
+                        lambda layout, *args: {layout.pack(lam): ONE})
     with pytest.raises(CocycleViolation):
         solve_coboundary(cd, {1: monomial(cd, lam)}, (-1, 1))
 
 
-def _corrupt_changed(cd, v, sol, support):
+def _corrupt_changed(cd, layout, v, sol, support):
     mu = next(iter(sol))
     sol[mu] = sol[mu] + ONE
 
 
-def _corrupt_dropped(cd, v, sol, support):
+def _corrupt_dropped(cd, layout, v, sol, support):
     # a key of no v_i whose s_i-partner carries a term: once dropped, the key
     # lies only in s_i(supp B)
     for mu in sol:
-        if any(mu in vi.terms for vi in v.values()):
+        if any(mu in vi for vi in v):
             continue
-        for i in cd.labels:
-            sig = cd.normalize(cd.reflect(i, mu))[1]
+        for _, sig in layout.reflections(mu):
             if sig != mu and sig in sol:
                 del sol[mu]
                 return
     raise AssertionError("no key to drop")
 
 
-def _corrupt_extra(cd, v, sol, support):
-    far = cd.normalize(7 * cd.Lam(1) - 7 * cd.Lam(0))[1]
+def _corrupt_extra(cd, layout, v, sol, support):
+    far = layout.pack(cd.normalize(7 * cd.Lam(1) - 7 * cd.Lam(0))[1])
     assert far not in support
     sol[far] = ONE
 
@@ -364,9 +450,9 @@ def test_recheck_rejects_wrong_solution(monkeypatch, corrupt):
     solve = cocycle._solve_on_support
     corrupted = []
 
-    def wrong(cd, v, support, order_reversed, memo):
-        sol = solve(cd, v, support, order_reversed, memo)
-        corrupt(cd, v, sol, support)
+    def wrong(layout, v, support, order_reversed):
+        sol = solve(layout, v, support, order_reversed)
+        corrupt(cd, layout, v, sol, support)
         corrupted.append(sol)
         return sol
 
