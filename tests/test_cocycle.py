@@ -304,7 +304,8 @@ def test_packed_order_is_term_order(name):
 
 def test_table_build_reflects_no_weight_in_cocycle(monkeypatch):
     # the solver moves packed keys only: no cartan.reflect or normalize call
-    # comes from cocycle during a table build (the Weight walk made 9,058)
+    # comes from cocycle during a table build (the Weight walk made one of
+    # each per new (label, key) pair of its memo)
     calls = []
     for name in ("reflect", "normalize"):
         fn = getattr(AffineCartanData, name)
