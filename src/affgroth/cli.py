@@ -126,11 +126,6 @@ def _require_nonnegative(parser, flag, value):
         parser.error("%s must be >= 0, got %d" % (flag, value))
 
 
-def _require_at_most(parser, flag, value, ceiling):
-    if value > ceiling:
-        parser.error("%s must be <= %d, got %d" % (flag, ceiling, value))
-
-
 def cmd_table(args, parser):
     _require_nonnegative(parser, "--max-length", args.max_length)
     cd = _cartan_of(args, parser)
@@ -170,9 +165,11 @@ def cmd_verify(args, parser):
 
 def cmd_char(args, parser):
     _require_nonnegative(parser, "--cutoff", args.cutoff)
-    # no coefficient carries an exponent above MAX_EXPONENT, and a deeper
-    # cut asks for series far beyond any that can be computed
-    _require_at_most(parser, "--cutoff", args.cutoff, MAX_EXPONENT)
+    if args.cutoff > MAX_EXPONENT:
+        # no coefficient carries a larger exponent, and a deeper cut asks
+        # for series far beyond any that can be computed
+        parser.error("--cutoff must be <= %d, got %d"
+                     % (MAX_EXPONENT, args.cutoff))
     cd = _cartan_of(args, parser)
     mu = parse_weight(args.weight, cd.rank)
     with _cached_table(cd, args) as table:
