@@ -4,11 +4,11 @@ products of (1 - q^k) factors.  Then verify's
 vanishing probes two ways on the same entry, G_w for w = s_1 s_2 s_0 s_1 in
 A2~ and every x of length <= 5 with w not <= x: one probes.nonvanishing_probes
 call (one evaluation point per entry, one Weyl letter per probe on packed
-pairing keys) and the canonical j_map(x, g).is_zero() per probe, each with
-the bit width of one key digit; then the one call again with the probes to
-length 7, whose longer words widen the digits.  Then the ring check at
-load: an A1~ cache whose one denominator is the monic palindrome
-1 + 3q^k + q^2k outside R, of degree 64, 256, 1024 and 10,000 (the
+pairing keys, read off the entry's own keys, in the narrowest key layout
+that holds them) and the canonical j_map(x, g).is_zero() per probe, each
+with the bit width of one key digit; then the one call again with the
+probes to length 7.  Then the ring check at load: an A1~ cache whose one
+denominator is the monic palindrome 1 + 3q^k + q^2k outside R, of degree 64, 256, 1024 and 10,000 (the
 exponent ceiling), refused by GrothTable.from_json_obj, and CoefQ.make's
 factorization of the distinct denominators (all in R) of A1~ to length
 12, A2~ and C2~ to 5 and A3~ to 4, and of the one denominator
@@ -27,15 +27,19 @@ call, the Weyl-Kac numerator of L0 + L2 on C2~ (its alternating orbit from
 packed.Packing.orbit) over the inverse denominator to depth 12, already
 built.  Last the table builds A3~ to length 4 and A1~
 to length 12, each from fresh Cartan data in layer order and with CoefQ's
-caches and the solver's layouts cleared, as in a new process, with how
+caches cleared, as in a new process, with how
 many entries above e were solved and how many were transported from an
-orbit-mate along a diagram automorphism, the digit widths of the packed
-keys their solves ran on, and the hits and misses of CoefQ's
+orbit-mate along a diagram automorphism, the digit widths of the key
+layouts the build made, and the hits and misses of CoefQ's
 cancellation, lcm and factorization caches in one build.  Then
 GrothTable.save of those two tables, with the bytes written, and
 GrothTable.load of each saved file with CoefQ's caches cleared, as in a
 new process, with the file's terms and its distinct weights and
-coefficients: a load decodes each distinct value once.  Then a full
+coefficients: a load decodes each distinct value once.  Then the kring
+operators over the entries of A3~ to length 4: D_i of every entry at
+every label, j_w(G_w), psi, relabel along each diagram automorphism but
+the identity (warm: the first of five runs fills the relabel memo) and
+the products factor * G_{w s_i} of every descent family.  Then a full
 verify of every A3~ element to length 3 on a table built to length 4, the
 way `affgroth verify` runs on a cache one length deeper, with how many
 elements ran the checks; the others pass by an orbit-mate's verdict.
@@ -59,7 +63,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 sys.path.insert(0, SRC)
 
 from affgroth import (  # noqa: E402
-    cocycle, coefq, groth, kring, packed, probes, qpoly, weyl)
+    cocycle, coefq, groth, keys as keys_mod, kring, packed, probes, qpoly,
+    weyl)
 from affgroth.cartan import from_type  # noqa: E402
 from affgroth.characters import denominator_inverse  # noqa: E402
 from affgroth.coefq import CoefQ  # noqa: E402
@@ -110,10 +115,10 @@ def canonical_probes(g, xs):
 
 
 def digit_bits(g, xs):
-    """The width in bits of one digit of the packed pairing keys that
-    nonvanishing_probes(g, xs) moves."""
-    steps, _ = probes._pairing_keys(g.cd, g, max(x.length for x in xs))
-    return steps[0][1].bit_length()
+    """The width in bits of one digit of the packed keys that
+    nonvanishing_probes(g, xs) moves: that of the key layout it picks."""
+    layout, _, _ = probes._pairing_keys(g, max(x.length for x in xs))
+    return layout.mask.bit_length()
 
 
 def poisoned_cache(degree):
@@ -228,18 +233,16 @@ def weyl_kac_numerator(cd, mu, depth):
 
 
 # CoefQ's caches whose hits and misses are reported; clear_caches also
-# empties coefq._den_poly and the solver's layouts, held here because
-# build_counts wraps cocycle.key_layout
+# empties coefq._den_poly.  Key layouts live on the Cartan data, so a
+# build from fresh data makes its own, as a new process does
 CACHES = (("cancel", coefq._reduced), ("lcm", coefq._den_lcm),
           ("factor", coefq.cyclotomic_exponents))
-LAYOUTS = cocycle.key_layout
 
 
 def clear_caches():
     for _, cache in CACHES:
         cache.cache_clear()
     coefq._den_poly.cache_clear()
-    LAYOUTS.cache_clear()
 
 
 def table_build(type_string, max_length):
@@ -255,9 +258,9 @@ def table_build(type_string, max_length):
 def build_counts(type_string, max_length):
     """(solved, transported, widths) of one table build: the entries above e
     solved and transported, and the digit widths in bits of the packed keys
-    its solves ran on (cocycle.key_layout), narrowest first."""
+    it made layouts for (keys.key_layout), narrowest first."""
     solves, widths = 0, set()
-    solve, layout = groth.solve_coboundary, cocycle.key_layout
+    solve, layout = groth.solve_coboundary, keys_mod.key_layout
 
     def counted(*args):
         nonlocal solves
@@ -269,12 +272,37 @@ def build_counts(type_string, max_length):
         widths.add(got.mask.bit_length())
         return got
 
-    groth.solve_coboundary, cocycle.key_layout = counted, recorded
+    groth.solve_coboundary, keys_mod.key_layout = counted, recorded
     try:
         table = table_build(type_string, max_length)
     finally:
-        groth.solve_coboundary, cocycle.key_layout = solve, layout
+        groth.solve_coboundary, keys_mod.key_layout = solve, layout
     return solves, len(table.entries) - 1 - solves, sorted(widths)
+
+
+def kring_cases(table):
+    """(name, operator, argument tuples) for the kring operators over the
+    entries of a table: D_i of every entry at every label, j_w(G_w), psi of
+    every entry, relabel of every entry along every diagram automorphism
+    but the identity (after the first of five runs, from the relabel memo),
+    and every product factor * G_{w s_i} of the descent families."""
+    cd = table.cd
+    entries = table.entries
+    products = []
+    for w in entries:
+        rho_J = cd.rho_J(weyl.right_descents(w))
+        for i in weyl.right_descents(w):
+            factor = kring.monomial(cd, rho_J) * (
+                kring.k_one(cd) - kring.monomial(cd, -cd.alpha(i)))
+            products.append((factor, entries[weyl.mul_gen(w, i)]))
+    return (("demazure", kring.demazure,
+             [(i, g) for g in entries.values() for i in cd.labels]),
+            ("j_map", kring.j_map, list(entries.items())),
+            ("psi", kring.psi, [(g,) for g in entries.values()]),
+            ("relabel", kring.relabel,
+             [(g, p) for g in entries.values()
+              for p in cd.automorphisms()[1:]]),
+            ("products", kring.KElement.__mul__, products))
 
 
 def cache_counts():
@@ -440,6 +468,10 @@ def main():
                   "%d distinct coefficients"
                   % (type_string, 1e3 * t, *distinct_values(path)))
     table = table_build("A3~", 4)
+    for name, op, cases in kring_cases(table):
+        t = bench(op, cases)
+        print("%-14s %8.2f ms   kring %s: %d calls on the entries of A3~ "
+              "<= 4" % ("A3~", 1e3 * t, name, len(cases)))
     elems = [w for layer in weyl.enumerate_up_to(table.cd, 3) for w in layer]
     t = bench(verify_all, [(table, elems)])
     print("%-14s %8.2f ms   verify to length 3: %d elements, %d checked"

@@ -16,7 +16,7 @@ from math import gcd
 import operator
 import re
 
-from .errors import BadLabel, BadShape, NonQInput, NotAffine, NotSymmetrizable
+from .errors import BadLabel, BadShape, NotAffine, NotSymmetrizable
 from .weights import Weight
 
 _ORDER_FROM_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
@@ -104,7 +104,8 @@ class AffineCartanData:
 
     __slots__ = ("gcm", "labels", "marks", "comarks", "d", "node0", "orders",
                  "dual_coxeter", "type_string", "untwisted", "_weyl_mul",
-                 "_weyl_layers", "_automorphisms")
+                 "_weyl_inv", "_weyl_layers", "_automorphisms",
+                 "_key_layouts")
 
     def __init__(self, gcm, marks, comarks, d, node0, orders, type_string, untwisted):
         self.gcm = gcm
@@ -118,8 +119,10 @@ class AffineCartanData:
         self.type_string = type_string
         self.untwisted = untwisted
         self._weyl_mul = {}  # (rho image, i) -> w s_i, filled by weyl.mul_gen
+        self._weyl_inv = {}  # rho image -> w^-1, filled by weyl.inverse
         self._weyl_layers = []  # length layers, extended by weyl.enumerate_up_to
         self._automorphisms = None  # found by automorphisms() on first call
+        self._key_layouts = {}  # bits -> keys.Layout, made by keys.key_layout
 
     @property
     def rank(self):
@@ -171,9 +174,6 @@ class AffineCartanData:
             self.check_node(i)
         return Weight(tuple(1 if j in J else 0 for j in self.labels), (0,) * self.rank)
 
-    def zero(self):
-        return Weight.zero(self.rank)
-
     # --- basic forms ---------------------------------------------------------
 
     def pairing(self, i, w):
@@ -206,12 +206,6 @@ class AffineCartanData:
             return w
         m = w.m
         return Weight(w.l, m[:i] + (m[i] - k,) + m[i + 1:])
-
-    def eta(self, b):
-        """Q -> P^W level-0 embedding: eta(b) = b - sum_i <h_i, b> Lambda_i."""
-        if any(b.l):
-            raise NonQInput("eta needs a root-lattice weight, got %s" % b)
-        return Weight(tuple(-self.pairing(i, b) for i in self.labels), b.m)
 
     def normalize(self, w):
         """Split w = q_exp * delta + nw with nw.m[node0] == 0; returns (q_exp, nw).

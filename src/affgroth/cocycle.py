@@ -34,27 +34,19 @@ check_cocycle never runs on a solve that succeeds; it runs only when no
 growth round verifies, to name the failure (CocycleViolation) before the
 solver's own error.
 
-A solve holds every key as one int (_Layout), after the packed monomials of
-Monagan and Pearce (Sparse polynomial division using a heap, JSC 46,
-2011): s_i followed by delta-normalization is one digit read and one
-integer multiply-subtract, and only the keys of the returned B are decoded
-to weights.
+A solve moves the v_i's own packed keys (keys.Layout): s_i followed by
+delta-normalization is one digit read and one integer multiply-subtract,
+and B is returned on the same keys, with no key decoded.
 """
-
-import operator
-from functools import lru_cache
 
 from .coefq import CoefQ, ONE, ZERO, q_shifted_sum
 from .errors import (CocycleViolation, Inconsistent, SupportGrowthExceeded,
                      WindowViolation)
-from .kring import KElement, k_zero, reflect_act, weyl_act
-from .weights import Weight
+from .keys import common_layout
+from .kring import _element, k_zero, reflect_act, weyl_act
 from . import weyl as weyl_mod
 
 MAX_GROW = 8
-# the narrowest layout holds coordinates of size up to 3, which covers the
-# keys of every length-1 entry of the built-in types (their marks are <= 2)
-KEY_BITS = 2
 
 
 def _family(cd, v):
@@ -109,86 +101,6 @@ def _alternating_sum(cd, i, j, m, vi):
     return total
 
 
-class _Layout:
-    """Packed keys for the solves of one datum whose v_i have every
-    coordinate l_j, m_j of size at most N = 2^bits - 1.
-
-    A normalized weight mu is one int K with 3r + 1 digits in base 2^b, each
-    stored plus 2^(b-1).  From the top they are the level, l_0 .. l_{r-1},
-    m_0 .. m_{r-1} and the pairings <h_j, mu> (digit j from the bottom):
-    K = offset + sum l_j L_j + sum m_j A_j, with L_j and A_j the packed
-    Lambda_j and alpha_j.  While no digit has size 2^(b-1), no digit
-    carries, the digits read back, and int order is (level, l, m) order.
-    s_i mu = mu - p alpha_i with p = <h_i, mu>, so for i != node0 the key
-    is K - p A_i with no twist.  At node0, s_i makes m[node0] = -p, and
-    normalizing adds back p delta and twists by n = -p: the key is
-    K - p (A_node0 - D), D the packed delta, whose pairings are 0.
-
-    No digit carries at the least b with 2^(b-1) > G N, where
-    G = max(h, 1 + m* (1 + a)^k (1 + r a)), with h the dual Coxeter number,
-    m* the largest mark, a = max |a_ij| >= 2 and k = MAX_GROW + 1.  A
-    solve's keys are at most k letters (s_i, then normalize) from a key of
-    the v_i: MAX_GROW growth rounds, and one letter more in the walk and the
-    re-check.  Letters keep l and the level, |level| <= h N.  The pairings
-    start within (1 + r a) N, and a letter with p = <h_i, mu> moves pairing
-    j by -p a_ji, so after t letters they are within (1 + a)^t (1 + r a) N.
-    It moves each m_j by -p or p marks_j, so after k letters
-    |m_j| <= N + m* (1 + r a) N sum_{t<k} (1 + a)^t <= G N."""
-
-    __slots__ = ("half", "mask", "offset", "lams", "alphas", "letters",
-                 "coords")
-
-    def __init__(self, cd, bits):
-        gcm, r, mul = cd.gcm, cd.rank, operator.mul
-        a = max(max(map(abs, row)) for row in gcm)
-        g = max(cd.dual_coxeter,
-                1 + max(cd.marks) * (1 + a) ** (MAX_GROW + 1) * (1 + r * a))
-        b = (g * ((1 << bits) - 1)).bit_length() + 1
-        self.half, self.mask = 1 << (b - 1), (1 << b) - 1
-        unit = [1 << b * t for t in range(3 * r + 1)]  # digit t from the bottom
-        self.offset = self.half * sum(unit)
-        self.lams = [c * unit[3 * r] + unit[3 * r - 1 - j] + unit[j]
-                     for j, c in enumerate(cd.comarks)]
-        # column j of the GCM holds the pairings <h_k, alpha_j> = a_kj
-        self.alphas = [unit[2 * r - 1 - j] + sum(map(mul, col, unit))
-                       for j, col in enumerate(zip(*gcm))]
-        delta = sum(map(mul, cd.marks, self.alphas))
-        # per label i: (bit offset of pairing digit i, D_i, i == node0)
-        self.letters = [(b * i, d - delta if i == cd.node0 else d,
-                         i == cd.node0) for i, d in enumerate(self.alphas)]
-        # bit offsets of the digits l_0 .. l_{r-1}, m_0 .. m_{r-1}
-        self.coords = range(b * (3 * r - 1), b * (r - 1), -b)
-
-    def pack(self, mu):
-        mul = operator.mul
-        return (self.offset + sum(map(mul, mu.l, self.lams))
-                + sum(map(mul, mu.m, self.alphas)))
-
-    def unpack(self, key):
-        half, mask = self.half, self.mask
-        c = [(key >> s & mask) - half for s in self.coords]
-        r = len(c) // 2
-        return Weight(c[:r], c[r:])
-
-    def reflections(self, key):
-        """(n, normalize(s_i mu)) packed, for each label i."""
-        half, mask = self.half, self.mask
-        out = []
-        for shift, d, node0 in self.letters:
-            p = (key >> shift & mask) - half
-            out.append((-p if node0 else 0, key - p * d))
-        return out
-
-
-@lru_cache(maxsize=64)
-def key_layout(cd, bits):
-    """cd's _Layout for v_i with coordinates of size below 2^bits, made
-    once.  A solve asks for bits >= KEY_BITS, and GrothTable makes that
-    layout with the table, so no solve of a table's first entries builds
-    one."""
-    return _Layout(cd, bits)
-
-
 def solve_coboundary(cd, v, window, order_reversed=False):
     """Find B with (1 - s_i)B = v_i for all i, supported in the level window
     (lo, hi].  The window width must not exceed the dual Coxeter number.
@@ -216,21 +128,22 @@ def solve_coboundary(cd, v, window, order_reversed=False):
         raise WindowViolation("window width %d exceeds dual Coxeter number %d"
                               % (hi - lo, cd.dual_coxeter))
     for i, vi in v.items():
-        for mu in vi.terms:
-            if not lo < cd.level(mu) <= hi:
-                raise WindowViolation("v_%d has a term at level %d outside (%d, %d]"
-                                      % (i, cd.level(mu), lo, hi))
-    base = set()
-    for vi in v.values():
-        base.update(vi.terms)
-    if not base:
+        if vi.keys:
+            level = vi.layout.level
+            for lev in (level(min(vi.keys)), level(max(vi.keys))):
+                if not lo < lev <= hi:
+                    raise WindowViolation(
+                        "v_%d has a term at level %d outside (%d, %d]"
+                        % (i, lev, lo, hi))
+    family = [v[i] for i in cd.labels]
+    if not any(vi.keys for vi in family):
         return k_zero(cd)
-
-    n = max(max(max(mu.l), -min(mu.l), max(mu.m), -min(mu.m))
-            for mu in base)
-    layout = key_layout(cd, max(n.bit_length(), KEY_BITS))
-    pack, reflections = layout.pack, layout.reflections
-    pv = [{pack(mu): c for mu, c in v[i].terms.items()} for i in cd.labels]
+    # every key of the walk and the re-check is within MAX_GROW + 1 letters
+    # of a key of the v_i (keys.Layout: digit growth)
+    growth = family[0].layout.letter_growth
+    layout, pv, _ = common_layout(family, max, growth ** (MAX_GROW + 1))
+    bound = max(vi.bound for vi in family)  # as common_layout left them
+    reflections = layout.reflections
     frontier = support = set().union(*pv)
     solvable = False
     for _ in range(MAX_GROW):
@@ -238,12 +151,12 @@ def solve_coboundary(cd, v, window, order_reversed=False):
         frontier = {key for mu in frontier for _, key in reflections(mu)
                     if key not in support}
         support = support | frontier
+        bound *= growth  # the support is one letter further out
         sol = _solve_on_support(layout, pv, support, order_reversed)
         if sol is not None:
             solvable = True
             if _verified(layout, pv, sol):
-                unpack = layout.unpack
-                return KElement(cd, {unpack(k): c for k, c in sol.items()})
+                return _element(cd, layout, bound, sol)
     violations = check_cocycle(cd, v)
     if violations:
         raise CocycleViolation(violations)
@@ -284,7 +197,7 @@ def _verified(layout, v, sol):
 def _solve_on_support(layout, v, support, order_reversed):
     """Solve for B supported on `support` by walking the gain graph (see the
     module docstring); keys are packed, v[i] is {key: CoefQ}.  Roots are
-    taken in term order (int order, see _Layout), reversed under
+    taken in term order (int order, see keys.Layout), reversed under
     order_reversed.  A walked key mu holds (A, e), meaning
     x_mu = A + q^e t.  At mu and label i, with r = v_i(mu):
       - sigma already walked (mu itself when s_i fixes mu): the orbit's

@@ -68,8 +68,9 @@ import os
 
 from . import weyl as weyl_mod
 from .cartan import cartan_from_json, cartan_to_json
-from .cocycle import KEY_BITS, key_layout, solve_coboundary
+from .cocycle import solve_coboundary
 from .errors import CacheMismatch, WindowViolation
+from .keys import layout_for
 from .kring import (demazure, eta_embed, from_json, in_window, j_map,
                     k_one, monomial, psi, relabel, relabel_equals)
 from .probes import nonvanishing_probes
@@ -80,7 +81,7 @@ class GrothTable:
 
     def __init__(self, cd):
         self.cd = cd
-        key_layout(cd, KEY_BITS)  # the packed keys of the first solves
+        layout_for(cd, 0)  # the packed keys of the first entries
         self.entries = {}  # WeylElement -> KElement
         self.verified = set()  # elements that passed verify()
         # w -> (probe_length, G_w, {i: G_{w s_i}}, G_{w^-1}) read by the
@@ -243,11 +244,12 @@ class GrothTable:
         obj = {"format": 1, "cartan": cartan_to_json(cd), "entries": [...]},
         one entry {"word", "terms", "verified"} per element in (length, word)
         order.  Each entry has the one shape _ENTRY and _TERM lay out, with
-        the term values of kring.to_json laid out straight from each (Weight,
-        CoefQ) term by _terms; entries are laid out and written one at a
-        time, and no object tree is built for them.  The text of each
-        distinct weight and each distinct denominator is laid out once per
-        save and reused by every term that has it.  The cartan
+        the term values of kring.to_json laid out straight from each
+        (packed key, CoefQ) term by _terms; entries are laid out and written
+        one at a time, and no object tree is built for them.  Each distinct
+        key is decoded, and its text and the text of each distinct
+        denominator laid out, once per save and reused by every term that
+        has it.  The cartan
         head is json.dumps'd and moved one level in: JSON escapes newlines
         inside strings, so every newline there belongs to the layout.  The
         bytes go to a temporary file in the same directory that then
@@ -287,7 +289,7 @@ class GrothTable:
         not an int) or was built for other data.  The entries share one
         weight memo and one coefficient memo (kring.from_json), so each
         distinct weight and coefficient of the file is checked and decoded
-        once, and equal terms share one Weight and one CoefQ."""
+        once, and equal terms share one packed key and one CoefQ."""
         try:
             if (not isinstance(obj, dict) or type(obj.get("format")) is not int
                     or obj["format"] != 1):
@@ -370,19 +372,25 @@ def _pairs(pairs):
 
 def _terms(g, weights, dens):
     """The "terms" list of g's entry laid out at depth 3: to_json(g) in
-    json.dumps' layout, one _TERM per (Weight, CoefQ) term of
-    g.sorted_terms().  weights (Weight -> text) and dens (CoefQ.cyc, the
-    denominator's exponent tuple -> text) are memos that the entries of one
-    save share, so each distinct weight and denominator is laid out once.
-    Numerators are laid out per term: about half of a deep table's
-    coefficients are distinct, and a memo of them would hold more text than
-    it saves."""
+    json.dumps' layout, one _TERM per term of g in g.sorted_terms() order.
+    weights (layout -> {key: text}) and dens (CoefQ.cyc, the denominator's
+    exponent tuple -> text) are memos that the entries of one save share,
+    so each distinct key is decoded and laid out once, and each distinct
+    denominator laid out once.  Numerators are laid out per term: about
+    half of a deep table's coefficients are distinct, and a memo of them
+    would hold more text than it saves."""
+    layout, keys = g.layout, g.keys
+    memo = weights.get(layout)
+    if memo is None:
+        memo = weights[layout] = {}
     out = []
-    for mu, c in g.sorted_terms():
-        w = weights.get(mu)
+    for k in sorted(keys, key=layout.flip.__xor__):
+        c = keys[k]
+        w = memo.get(k)
         if w is None:
-            w = weights[mu] = _WEIGHT % (_COORD_SEP.join(map(str, mu.l)),
-                                         _COORD_SEP.join(map(str, mu.m)))
+            l, m = layout.coordinates(k)
+            w = memo[k] = _WEIGHT % (_COORD_SEP.join(map(str, l)),
+                                     _COORD_SEP.join(map(str, m)))
         d = dens.get(c.cyc)
         if d is None:
             d = dens[c.cyc] = _pairs([(i, x) for i, x in enumerate(c.den)

@@ -3,16 +3,17 @@ decided without building j_x(f).  nonvanishing_probes evaluates f's terms
 once per call at one point past the root bound of every key's cleared
 numerator, moves the term images one Weyl letter per probe, and compares
 integers.  A term image is one int, the pairings <h_j, alpha> of its
-alpha-part packed as digits of a proven width: they name the j_x key
-without delta-normalization, and a letter is a digit read and one multiple
-of a packed GCM column.  Only f's terms and the GCM are read; no Weight and
-no CoefQ is made.
+alpha-part, read off the digits of f's own packed keys (keys.Layout) and
+packed as the bottom digits of the narrowest layout that holds every
+image.  They name the j_x key without delta-normalization, and a letter is
+a digit read and one multiple of a packed GCM column.  Only f's keys,
+coefficients and the GCM are read; no Weight and no CoefQ is made.
 """
 
 import operator
-from itertools import chain
 from math import prod
 
+from .keys import key_layout
 from .qpoly import peval
 
 
@@ -60,13 +61,15 @@ def nonvanishing_probes(f, xs):
     K -= p C_i, and for i = node0 the delta part -p delta moves into the
     q-power, e -= p.
 
-    The digits never carry.  With a = max |a_ij|, R = max |l_i| over the
-    terms and Q0 >= max |Q_j| at the start (taken as max|m_j| times the
-    largest row sum of |a_ij|), a letter gives |p| <= R + |Q|_inf and
-    |Q'_j| <= |Q_j| + a |p|, so |Q'|_inf + R <= (1 + a)(|Q|_inf + R), and
-    after k letters |Q|_inf + R <= (1 + a)^k (Q0 + R).  b is the least
-    width with 2^(b-1) > that bound at k the longest probe word, so every
-    digit stays in (0, 2^b) on every image the call makes.
+    The digits never carry.  With a = max |a_ij|, N the bound on every
+    digit of f's keys (kring.Layout), R = max |l_i| <= N over the terms and
+    Q0 = max |Q_j| <= 2 N at the start (Q_j = <h_j, mu> - l_j), a letter
+    gives |p| <= R + |Q|_inf and |Q'_j| <= |Q_j| + a |p|, so
+    |Q'|_inf + R <= (1 + a)(|Q|_inf + R), and after k letters
+    |Q|_inf + R <= (1 + a)^k (Q0 + R) <= 3 N (1 + a)^k.  The keys take the
+    least digit width b with 2^(b-1) above that bound at k the longest
+    probe word, the width of keys.key_layout(cd, b - 1), so every digit
+    stays in (0, 2^b) on every image the call makes.
 
     The images under x are those under s_i x, i = x.word[0], moved by s_i:
     weyl._from_rho_image strips the smallest left descent first, so the
@@ -76,19 +79,19 @@ def nonvanishing_probes(f, xs):
     probe too (w <= s_i x would give w <= x), so no other element is
     mapped."""
     xs = list(xs)
-    if not f.terms or not xs:
+    if not f.keys or not xs:
         return []
-    cd = f.cd
-    dens = {c.cyc: c for c in f.terms.values()}  # one c per denominator
+    coefs = f.keys.values()
+    dens = {c.cyc: c for c in coefs}  # one c per denominator
     norms = {h: sum(map(abs, c.den)) for h, c in dens.items()}
     whole = prod(norms.values())
     xi = 2 + sum(sum(map(abs, c.num)) * (whole // norms[c.cyc])
-                 for c in f.terms.values())
+                 for c in coefs)
     at = {h: peval(c.den, xi) for h, c in dens.items()}
     others = {h: prod(v for k, v in at.items() if k != h) for h in at}
-    values = [peval(c.num, xi) * others[c.cyc] for c in f.terms.values()]
-    steps, keys = _pairing_keys(cd, f, max(len(x.word) for x in xs))
-    memo = {(): (keys, [c.shift for c in f.terms.values()])}
+    values = [peval(c.num, xi) * others[c.cyc] for c in coefs]
+    _, steps, keys = _pairing_keys(f, max(len(x.word) for x in xs))
+    memo = {(): (keys, [c.shift for c in coefs])}
     powers = [1]  # xi^k
     out = []
     for x in xs:
@@ -114,28 +117,29 @@ def nonvanishing_probes(f, xs):
     return out
 
 
-def _pairing_keys(cd, f, letters):
-    """(steps, keys) for nonvanishing_probes: the packed pairing key K of
-    each term of f, at the digit width that holds every image after up to
-    `letters` letters, and per node i the letter's data (bit offset of
-    digit i, digit mask, l_i - 2^(b-1) per term, C_i, i == node0)."""
+def _pairing_keys(f, letters):
+    """(layout, steps, keys) for nonvanishing_probes: the narrowest layout
+    whose digits hold every image after up to `letters` letters, the
+    pairing key K of each term of f in its bottom digits, and per node i
+    the letter's data (bit offset of digit i, digit mask, l_i - 2^(b-1) per
+    term, C_i, i == node0).  l and m are read off f's own keys, and K is
+    offset + sum_j m_j C_j, C_j the pairings <h_k, alpha_j> packed."""
+    cd = f.cd
     gcm, rank = cd.gcm, cd.rank
-    ls = [mu.l for mu in f.terms]
-    ms = [mu.m for mu in f.terms]
     a = max(abs(x) for row in gcm for x in row)
-    r = max(map(abs, chain.from_iterable(ls)))
-    q0 = (max(map(abs, chain.from_iterable(ms)))
-          * max(sum(map(abs, row)) for row in gcm))
-    b = ((1 + a) ** letters * (q0 + r)).bit_length() + 1
-    half = 1 << (b - 1)
+    layout = key_layout(cd, (3 * f.bound * (1 + a) ** letters).bit_length())
+    b, half, mask = layout.bits + 1, layout.half, layout.mask
     cols = [sum(gcm[j][i] << b * j for j in range(rank)) for i in range(rank)]
-    offset = sum(half << b * j for j in range(rank))
-    mul = operator.mul
-    keys = [offset + sum(map(mul, m, cols)) for m in ms]
-    mask = (1 << b) - 1
-    steps = [(b * i, mask, [l[i] - half for l in ls], cols[i], i == cd.node0)
-             for i in range(rank)]
-    return steps, keys
+    offset = half * sum(1 << b * j for j in range(rank))
+    own, fkeys, mul = f.layout, list(f.keys), operator.mul
+    low, own_mask = own.half + half, own.mask  # a stored digit is x + own.half
+    ls = [[(k >> s & own_mask) - low for k in fkeys]
+          for s in own.coords[:rank]]
+    ms = [[(k >> s & own_mask) - own.half for k in fkeys]
+          for s in own.coords[rank:]]
+    keys = [offset + sum(map(mul, m, cols)) for m in zip(*ms)]
+    steps = [(b * i, mask, ls[i], cols[i], i == cd.node0) for i in range(rank)]
+    return layout, steps, keys
 
 
 def _probe_images(steps, memo, word):

@@ -58,10 +58,6 @@ class Weight:
     def __str__(self):
         return format_weight(self)
 
-    @staticmethod
-    def zero(rank):
-        return Weight((0,) * rank, (0,) * rank)
-
 
 def format_weight(w):
     """Canonical text form: Lambda terms first, then alpha terms, by index."""

@@ -5,9 +5,9 @@ Elements are identified by their image of rho (regular dominant), which is a
 faithful encoding; the stored word is the canonical reduced word obtained by
 repeatedly extracting the smallest-label left descent.
 
-Right multiplication by a generator and the length layers are memoized per
-Cartan datum, on the AffineCartanData object itself, so every element handed
-out carries the caller's datum.
+Right multiplication by a generator, inversion and the length layers are
+memoized per Cartan datum, on the AffineCartanData object itself, so every
+element handed out carries the caller's datum.
 """
 
 import operator
@@ -118,7 +118,12 @@ def relabel(w, p):
 
 
 def inverse(w):
-    return canonicalize(w.cd, tuple(reversed(w.word)))
+    """w^-1, memoized per Cartan datum by rho image."""
+    memo = w.cd._weyl_inv
+    x = memo.get(w.rho_image)
+    if x is None:
+        x = memo[w.rho_image] = canonicalize(w.cd, tuple(reversed(w.word)))
+    return x
 
 
 def right_descents(w):

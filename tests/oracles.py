@@ -28,8 +28,9 @@ from affgroth import weyl
 from affgroth.characters import (TruncatedSeries, denominator_inverse,
                                  local_cohomology_character,
                                  weyl_kac_character)
-from affgroth.coefq import CoefQ
+from affgroth.coefq import CoefQ, q_shifted_sum
 from affgroth.cocycle import solve_coboundary
+from affgroth.errors import NonQInput
 from affgroth.groth import GrothTable
 from affgroth.kring import (eta_embed, from_terms, j_map, k_one, k_zero,
                             monomial, reflect_act)
@@ -548,6 +549,105 @@ def term_sum(cd, pairs):
         n, nu = cd.normalize(mu)
         out[nu] = out.get(nu, CoefQ.from_int(0)) + c * CoefQ.q_power(n)
     return {nu: c for nu, c in out.items() if not c.is_zero()}
+
+
+# --- the Weight-keyed reference operators ------------------------------------
+
+# The group-ring operators as they ran on {Weight: CoefQ} dicts before
+# KElement held packed keys: each takes and returns term dicts, and the
+# packed operators of kring must agree with them term for term.
+
+def zero_weight(cd):
+    return Weight((0,) * cd.rank, (0,) * cd.rank)
+
+
+def eta(cd, b):
+    """Q -> P^W level-0 embedding: eta(b) = b - sum_i <h_i, b> Lambda_i."""
+    if any(b.l):
+        raise NonQInput("eta needs a root-lattice weight, got %s" % b)
+    return Weight(tuple(-cd.pairing(i, b) for i in cd.labels), b.m)
+
+
+def ref_collect(cd, terms):
+    """{Weight: CoefQ}: the sum of c e^{l, m} over the (l, m, c) triples, m
+    with a delta part allowed; each key's (c, n) pairs summed by
+    q_shifted_sum and zero sums dropped."""
+    node0, marks = cd.node0, cd.marks
+    keys = {}
+    for l, m, c in terms:
+        n = m[node0]
+        if n:
+            m = tuple(mj - n * aj for mj, aj in zip(m, marks))
+        keys.setdefault((tuple(l), tuple(m)), []).append((c, n))
+    out = {}
+    for (l, m), g in keys.items():
+        c = q_shifted_sum(g)
+        if c.num:
+            out[Weight(l, m)] = c
+    return out
+
+
+def ref_add(cd, f, g):
+    return ref_collect(cd, [(mu.l, mu.m, c) for t in (f, g)
+                            for mu, c in t.items()])
+
+
+def ref_mul(cd, f, g):
+    return ref_collect(cd, [((mu1 + mu2).l, (mu1 + mu2).m, c1 * c2)
+                            for mu1, c1 in f.items()
+                            for mu2, c2 in g.items()])
+
+
+def ref_weyl_act(cd, word, f):
+    """e^mu -> q^n e^nu, (n, nu) = normalize(w(mu)), w the word's element,
+    its rightmost letter acting first."""
+    out = []
+    for mu, c in f.items():
+        for i in reversed(word):
+            mu = cd.reflect(i, mu)
+        out.append((mu.l, mu.m, c))
+    return ref_collect(cd, out)
+
+
+def ref_demazure(cd, i, f):
+    out = []
+    a = cd.alpha(i)
+    for mu, c in f.items():
+        p = cd.pairing(i, mu)
+        if p >= 0:
+            out += [((mu - k * a).l, (mu - k * a).m, c) for k in range(p + 1)]
+        else:
+            out += [((mu + k * a).l, (mu + k * a).m, -c)
+                    for k in range(1, -p)]
+    return ref_collect(cd, out)
+
+
+def ref_j_map(cd, word, f):
+    zero_l = (0,) * cd.rank
+    out = []
+    for mu, c in f.items():
+        for i in reversed(word):
+            mu = cd.reflect(i, mu)
+        out.append((zero_l, mu.m, c))
+    return ref_collect(cd, out)
+
+
+def ref_psi(cd, f):
+    return ref_collect(cd, [(tuple(cd.pairing(j, mu) for j in cd.labels),
+                             tuple(-x for x in mu.m), c.subs_q_inverse())
+                            for mu, c in f.items()])
+
+
+def ref_eta_embed(cd, f):
+    return ref_collect(cd, [(eta(cd, mu).l, mu.m, c) for mu, c in f.items()])
+
+
+def ref_relabel(cd, f, p):
+    """sigma^-1(f) for the automorphism sigma: node i -> p[i]: node i of
+    an image takes the coordinate of node p[i]."""
+    return ref_collect(cd, [(tuple(mu.l[j] for j in p),
+                             tuple(mu.m[j] for j in p), c)
+                            for mu, c in f.items()])
 
 
 # --- custom affine GCMs ------------------------------------------------------

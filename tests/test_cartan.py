@@ -10,7 +10,9 @@ from affgroth.cartan import (MAX_TYPE_N, _automorphisms, _gcm_a,
                              _is_positive_root_of_subsystem, build_cartan,
                              cartan_from_json, cartan_to_json, from_type)
 from affgroth.errors import BadLabel, BadShape, NonQInput, NotAffine
+from affgroth.coefq import ONE
 from affgroth.groth import GrothTable
+from affgroth.kring import eta_embed, monomial
 from affgroth import weyl
 from affgroth.weights import Weight
 
@@ -214,17 +216,19 @@ def test_normalize():
     n, nu = cd.normalize(mu)
     assert nu.m[cd.node0] == 0
     assert nu + n * cd.delta() == mu
-    assert cd.normalize(cd.delta()) == (1, cd.zero())
+    assert cd.normalize(cd.delta()) == (1, oracles.zero_weight(cd))
 
 
 def test_eta():
+    # eta lives on packed keys now (kring.eta_embed): eta(b) has zero
+    # pairings and b's alpha-coordinates, and a Lambda-part is refused
     cd = from_type("A2~")
     b = cd.alpha(1) - cd.alpha(2)
-    eb = cd.eta(b)
+    (eb, c), = eta_embed(monomial(cd, b)).terms.items()
     assert all(cd.pairing(i, eb) == 0 for i in cd.labels)
-    assert eb.m == b.m
+    assert eb.m == b.m and c == ONE
     with pytest.raises(NonQInput):
-        cd.eta(cd.Lam(0))
+        eta_embed(monomial(cd, cd.Lam(0)))
 
 
 def test_check_node():
@@ -342,7 +346,7 @@ def test_json_type_must_name_the_matrix(label):
 
 def test_rho_j():
     cd = from_type("A2~")
-    assert cd.rho_J(()) == cd.zero()
+    assert cd.rho_J(()) == oracles.zero_weight(cd)
     assert cd.rho_J((0, 2)) == cd.Lam(0) + cd.Lam(2)
     assert cd.rho_J(cd.labels) == cd.rho()
     with pytest.raises(BadLabel):

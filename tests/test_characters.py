@@ -71,14 +71,14 @@ def test_denominator_identity():
     # quotient collapses to 1, which is exactly the denominator identity
     for t in ["A1~", "A2~"] + CUSTOM_NAMES:
         cd, _ = datum(t)
-        ch = weyl_kac_character(cd, cd.zero(), 8)
-        assert ch.coeffs == {cd.zero(): 1}, t
+        ch = weyl_kac_character(cd, oracles.zero_weight(cd), 8)
+        assert ch.coeffs == {oracles.zero_weight(cd): 1}, t
 
 
 def test_denominator_inverse_is_partition_like():
     cd = from_type("A1~")
     dinv = denominator_inverse(cd, 6)
-    assert dinv[cd.zero()] == 1
+    assert dinv[oracles.zero_weight(cd)] == 1
     # depth-1 keys: -alpha_0 and -alpha_1
     assert dinv[-cd.alpha(0)] == 1
     assert dinv[-cd.alpha(1)] == 1
@@ -358,7 +358,7 @@ def test_denominator_inverse_returns_fresh_dicts():
     shallow = denominator_inverse(cd, 4)
     want_deep, want_shallow = dict(deep), dict(shallow)
     for d in (deep, shallow):
-        d[cd.zero()] = 99
+        d[oracles.zero_weight(cd)] = 99
         d.pop(-cd.alpha(0))
     assert denominator_inverse(cd, 16) == want_deep
     assert denominator_inverse(cd, 4) == want_shallow
@@ -369,4 +369,4 @@ def test_denominator_inverse_negative_cutoff():
     assert denominator_inverse(cd, -1) == {}
     denominator_inverse(cd, 3)
     assert denominator_inverse(cd, -1) == {}
-    assert denominator_inverse(cd, 0) == {cd.zero(): 1}
+    assert denominator_inverse(cd, 0) == {oracles.zero_weight(cd): 1}

@@ -1,5 +1,6 @@
 """Command-line behaviors: output shapes, exit codes, cache wiring."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -139,6 +140,21 @@ def test_char_local_empty_below(capsys):
                          "--cutoff", "2", "--word", "0", "--local", "e")
     assert status == 0
     assert out.strip() == ""
+
+
+def test_char_local_huge_twist_text(capsys):
+    # a twist with coordinates of 2^100 and 2^20: the printed series is
+    # the one the Weight-keyed group ring printed (its sha256 pinned), and
+    # its first keys carry the twist exactly
+    status, out, _ = run(capsys, "char", "--type", "A2~", "--word", "1,0",
+                         "--local", "1,0,2", "--cutoff", "2", "--weight",
+                         "%d*L0 + %d*L1" % (2 ** 100, 2 ** 20))
+    assert status == 0
+    assert out.startswith("1 * e[%d*L0 + %d*L1 - %d*a0 - %d*a1 - a2]\n"
+                          % (2 ** 100, 2 ** 20, 2 ** 100 + 1,
+                             2 ** 100 + 2 ** 20 + 2))
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "87d4249958c98a8301154f1955cddb8e33c1b633e370726f899e0ac496237e87")
 
 
 def test_char_twisted(capsys):

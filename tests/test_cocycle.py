@@ -13,7 +13,8 @@ from affgroth.errors import (BadLabel, CocycleViolation,
 from affgroth.groth import GrothTable
 from affgroth.kring import in_window, k_one, k_zero, monomial, reflect_act
 from affgroth.weights import Weight
-from affgroth import cocycle, groth, weyl
+from affgroth import cocycle, groth, kring, weyl
+from affgroth import keys as keys_mod
 
 import oracles
 
@@ -256,7 +257,7 @@ def _datum(name):
 
 def _edge_weight(cd, rng, bits):
     """A normalized weight whose coordinates other than m[node0] all have
-    size 2^bits - 1, the most a layout of that width takes."""
+    size 2^bits - 1."""
     top = (1 << bits) - 1
     l = [rng.choice((-top, top)) for _ in cd.labels]
     m = [rng.choice((-top, top)) for _ in cd.labels]
@@ -264,24 +265,33 @@ def _edge_weight(cd, rng, bits):
     return Weight(l, m)
 
 
-@pytest.mark.parametrize("bits", [cocycle.KEY_BITS, 5])
+@pytest.mark.parametrize("bits", [2, 5])
 @pytest.mark.parametrize("name", LAYOUT_DATA)
 def test_packed_letter_is_reflect_then_normalize(name, bits):
-    # along seeded words of MAX_GROW + 1 letters from keys at the width
-    # bound, every packed letter lands on the packed normalize(s_i mu) with
-    # its q-power, and no digit carries: each key unpacks to its weight
+    # along seeded words of MAX_GROW + 1 letters from keys with coordinates
+    # of size 2^bits - 1, in the layout a solve of them runs on, every
+    # packed letter lands on the packed normalize(s_i mu) with its q-power,
+    # no digit carries (each key unpacks to its weight), and every digit
+    # stays within the bound the Layout docstring proves, F^t times the
+    # start's after t letters
     cd = _datum(name)
-    layout = cocycle.key_layout(cd, bits)
     rng = oracles.rng_for("layout-%s-%d" % (name, bits))
     for _ in range(6):
         mu = _edge_weight(cd, rng, bits)
-        key = layout.pack(mu)
-        for _ in range(cocycle.MAX_GROW + 1):
+        size = keys_mod.weight_size(cd, mu.l, mu.m)
+        layout = keys_mod.key_layout(cd, keys_mod.KEY_BITS)
+        growth = layout.letter_growth
+        layout = keys_mod.layout_for(
+            cd, size * growth ** (cocycle.MAX_GROW + 1))
+        key = layout.pack(mu.l, mu.m)
+        for t in range(cocycle.MAX_GROW + 1):
             assert layout.unpack(key) == mu
+            assert keys_mod.weight_size(cd, mu.l, mu.m) <= size * growth ** t
             images = layout.reflections(key)
             for i in cd.labels:
                 n, nu = cd.normalize(cd.reflect(i, mu))
-                assert images[i] == (n, layout.pack(nu)), (name, i, mu)
+                assert images[i] == (n, layout.pack(nu.l, nu.m)), \
+                    (name, i, mu)
             i = rng.choice(cd.labels)
             key, mu = images[i][1], cd.normalize(cd.reflect(i, mu))[1]
         assert layout.unpack(key) == mu
@@ -290,15 +300,16 @@ def test_packed_letter_is_reflect_then_normalize(name, bits):
 @pytest.mark.parametrize("name", LAYOUT_DATA)
 def test_packed_order_is_term_order(name):
     # the walk takes its roots in int order, which must be (level, l, m);
-    # the random weights have coordinates of size at most 3 + 3 * 3 < 2^4
+    # the random weights have coordinates of size at most 2^4 - 1, so
+    # every digit is below 2^4 (1 + 2 + 4) < 2^8
     cd = _datum(name)
-    layout = cocycle.key_layout(cd, 4)
+    layout = keys_mod.key_layout(cd, 8)
     rng = oracles.rng_for("layout-order-" + name)
     weights = {_edge_weight(cd, rng, 4) for _ in range(40)}
     weights.update(cd.normalize(oracles.random_weight(cd, rng, l_span=2,
                                                       m_span=3))[1]
                    for _ in range(80))
-    by_int = sorted(weights, key=layout.pack)
+    by_int = sorted(weights, key=lambda mu: layout.pack(mu.l, mu.m))
     assert by_int == sorted(weights, key=lambda mu: (cd.level(mu), mu.l, mu.m))
 
 
@@ -321,6 +332,24 @@ def test_table_build_reflects_no_weight_in_cocycle(monkeypatch):
     assert calls == []
 
 
+def test_table_build_makes_no_weight_in_kring_or_cocycle(monkeypatch):
+    # every key of kring and the solver is a packed int: an A3~ <= 4 build
+    # makes no Weight from inside kring, keys or cocycle (Weights come only
+    # from the Weyl group's own words and the descent factors' weights)
+    made = []
+    init = Weight.__init__
+
+    def counted(self, *args):
+        module = sys._getframe(1).f_globals["__name__"]
+        if module in (kring.__name__, keys_mod.__name__, cocycle.__name__):
+            made.append(module)
+        init(self, *args)
+
+    monkeypatch.setattr(Weight, "__init__", counted)
+    table, _ = oracles.layer_table(from_type("A3~"), 4)
+    assert len(table.entries) == 69 and made == []
+
+
 def _orbit(cd, mu):
     """The keys normalize(x mu), x in W: a support closed under every s_i."""
     support, frontier = set(), [mu]
@@ -333,13 +362,13 @@ def _orbit(cd, mu):
     return support
 
 
-def _packed(cd, v, bits=4):
+def _packed(cd, v):
     """(layout, packed family) for the family v: every v_i as {key: CoefQ}
-    on the layout for coordinates of size below 2^bits."""
-    layout = cocycle.key_layout(cd, bits)
+    on the narrowest layout."""
+    layout = keys_mod.key_layout(cd, keys_mod.KEY_BITS)
     v = cocycle._family(cd, v)
-    return layout, [{layout.pack(mu): c for mu, c in v[i].terms.items()}
-                    for i in cd.labels]
+    return layout, [{layout.pack(mu.l, mu.m): c
+                     for mu, c in v[i].terms.items()} for i in cd.labels]
 
 
 def test_walk_refuses_open_gain_one_cycle():
@@ -351,7 +380,7 @@ def test_walk_refuses_open_gain_one_cycle():
     assert len(support) == 4
     b = monomial(cd, cd.alpha(1))
     layout, v = _packed(cd, {2: b - reflect_act(cd, 2, b)})
-    support = {layout.pack(mu) for mu in support}
+    support = {layout.pack(mu.l, mu.m) for mu in support}
     assert cocycle._solve_on_support(layout, v, support, False) is None
 
 
@@ -359,7 +388,7 @@ def test_walk_sets_unpinned_root_to_zero():
     # the zero weight is fixed by every s_i, so its component has no check
     cd = from_type("A1~")
     layout, v = _packed(cd, {})
-    support = {layout.pack(cd.zero())}
+    support = {layout.offset}  # the zero weight
     assert cocycle._solve_on_support(layout, v, support, False) == {}
 
 
@@ -403,7 +432,7 @@ def test_recheck_sees_keys_only_s_i_B_reaches(monkeypatch):
     cd = from_type("A1~")
     lam = cd.Lam(1)
     monkeypatch.setattr(cocycle, "_solve_on_support",
-                        lambda layout, *args: {layout.pack(lam): ONE})
+                        lambda layout, *args: {layout.pack(lam.l, lam.m): ONE})
     with pytest.raises(CocycleViolation):
         solve_coboundary(cd, {1: monomial(cd, lam)}, (-1, 1))
 
@@ -427,7 +456,8 @@ def _corrupt_dropped(cd, layout, v, sol, support):
 
 
 def _corrupt_extra(cd, layout, v, sol, support):
-    far = layout.pack(cd.normalize(7 * cd.Lam(1) - 7 * cd.Lam(0))[1])
+    far = cd.normalize(7 * cd.Lam(1) - 7 * cd.Lam(0))[1]
+    far = layout.pack(far.l, far.m)
     assert far not in support
     sol[far] = ONE
 

@@ -11,9 +11,9 @@ from affgroth.errors import CacheMismatch
 from affgroth.groth import GrothTable, grothendieck
 from affgroth.kring import (in_window, j_map, k_one, k_zero, monomial, psi,
                             to_json)
-from affgroth.weights import weight_to_json
-from affgroth import (coefq, groth as groth_mod, probes as probes_mod, qpoly,
-                      weyl)
+from affgroth.weights import Weight, weight_to_json
+from affgroth import (coefq, groth as groth_mod, keys as keys_mod,
+                      probes as probes_mod, qpoly, weyl)
 
 import oracles
 
@@ -329,7 +329,7 @@ def test_gcd_work_pinned(monkeypatch):
 
 def test_load_decodes_each_distinct_value_once(tmp_path, monkeypatch):
     # one load decodes each distinct (num_coeffs, den_coeffs) once, and
-    # equal weights share one Weight: a saved A3~ <= 4 table repeats a few
+    # equal weights share one packed key: a saved A3~ <= 4 table repeats a few
     # hundred weights and a few dozen coefficients over 2,895 terms
     table, _ = oracles.layer_table(from_type("A3~"), 4)
     path = tmp_path / "a3.json"
@@ -342,8 +342,20 @@ def test_load_decodes_each_distinct_value_once(tmp_path, monkeypatch):
     loaded = GrothTable.load(str(path), cd=table.cd)
     assert loaded.entries == table.entries
     assert decodes[0] == len(coefs) < len(terms)
-    held = {id(mu) for g in loaded.entries.values() for mu in g.terms}
+    held = {id(k) for g in loaded.entries.values() for k in g.keys}
     assert len(held) <= len(weights) < len(terms)
+
+
+def test_save_decodes_each_distinct_key_once(tmp_path, monkeypatch):
+    # a save decodes each distinct packed key of the table once, however
+    # many entries hold it, and makes no Weight
+    table, _ = oracles.layer_table(from_type("A3~"), 4)
+    keys = {(g.layout, k) for g in table.entries.values() for k in g.keys}
+    terms = sum(len(g) for g in table.entries.values())
+    decodes = oracles.count_calls(monkeypatch, keys_mod.Layout, "coordinates")
+    weights = oracles.count_calls(monkeypatch, Weight, "__init__")
+    table.save(str(tmp_path / "a3.json"))
+    assert decodes[0] == len(keys) < terms and weights[0] == 0
 
 
 def test_save_lays_out_each_denominator_once(tmp_path, monkeypatch):

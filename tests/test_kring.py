@@ -14,8 +14,8 @@ from affgroth.kring import (KElement, demazure, eta_embed, from_json,
                             k_zero, monomial, orbit_sum, psi, reflect_act,
                             relabel, relabel_equals, to_json, weyl_act)
 from affgroth.probes import nonvanishing_probes
-from affgroth import kring, probes, weyl
-from affgroth.weights import Weight
+from affgroth import keys as keys_mod, kring, probes, weyl
+from affgroth.weights import Weight, parse_weight
 
 import oracles
 
@@ -28,7 +28,7 @@ def test_monomial_normalization():
     ((mu, c),) = f.terms.items()
     assert mu.m[cd.node0] == 0
     assert c == CoefQ.q_power(-1)
-    assert monomial(cd, cd.zero(), CoefQ.from_int(0)).is_zero()
+    assert monomial(cd, oracles.zero_weight(cd), CoefQ.from_int(0)).is_zero()
 
 
 def test_ring_basics():
@@ -210,7 +210,7 @@ def test_orbit_sum():
     assert len(f.terms) == 3  # classical weight of the dual vector rep
     for i in cd.classical_nodes():
         assert reflect_act(cd, i, f) == f
-    assert orbit_sum(cd, cd.zero()) == k_one(cd)
+    assert orbit_sum(cd, oracles.zero_weight(cd)) == k_one(cd)
 
 
 def test_json_round_trip():
@@ -243,9 +243,12 @@ def test_from_json_memos_refuse_bool_after_int(part, value):
         bad[0][part] = value
     with pytest.raises(ValueError):
         from_json(cd, bad, weights, coefs)
-    # the good term decoded again is the one value each memo holds
-    (mu, c), = from_json(cd, good, weights, coefs).terms.items()
-    assert len(weights) == 1 and mu is weights[mu.l, mu.m]
+    # the good term decoded again is the one value each memo holds: the
+    # weight memo holds its packed key and its bound
+    g = from_json(cd, good, weights, coefs)
+    (key, c), = g.keys.items()
+    mu, = g.terms
+    assert len(weights) == 1 and weights[mu.l, mu.m] == (key, g.bound)
     assert len(coefs) == 1 and c is coefs[((0, 1),), ((0, 1),)]
 
 
@@ -412,13 +415,14 @@ def _assert_packed_images(f, xs):
     verdict right, as when every term on a key is moved alike, so the
     images are compared themselves."""
     cd = f.cd
-    steps, keys = probes._pairing_keys(cd, f, max(x.length for x in xs))
+    _, steps, keys = probes._pairing_keys(f, max(x.length for x in xs))
     b = steps[0][1].bit_length()
     half = 1 << (b - 1)
-    memo = {(): (keys, [c.shift for c in f.terms.values()])}
+    memo = {(): (keys, [c.shift for c in f.keys.values()])}
+    terms = [(f.layout.unpack(k), c) for k, c in f.keys.items()]
     for x in xs:
         ks, es = probes._probe_images(steps, memo, x.word)
-        for (mu, c), k, e in zip(f.terms.items(), ks, es):
+        for (mu, c), k, e in zip(terms, ks, es):
             n, nu = cd.normalize(weyl.act(x, mu))
             want = [sum(a * m for a, m in zip(row, nu.m)) for row in cd.gcm]
             digits = [(k >> b * j) % (1 << b) for j in range(cd.rank)]
@@ -473,8 +477,8 @@ def test_relabel_equals_near_misses(t):
             f = table.compute(w)
             h = relabel(f, p)
             assert relabel_equals(f, p, h)
-            moved += sum(1 for _, _, n, _ in kring._relabel_images(f, p)
-                         if n)
+            moved += sum(1 for _, n in kring._relabel_images(
+                f.layout, f.keys, p) if n)
             for mu, c in list(h.terms.items())[:3]:
                 rest = {nu: d for nu, d in h.terms.items() if nu != mu}
                 nu = mu + step
@@ -626,10 +630,155 @@ def test_operators_equal_term_sum(t):
             check("demazure", demazure(i, fd), _demazure_images(cd, i, fd))
         zero_l = (0,) * cd.rank
         check("psi", psi(h),
-              [(Weight(mu.l, zero_l) - cd.eta(Weight(zero_l, mu.m)),
+              [(Weight(mu.l, zero_l) - oracles.eta(cd, Weight(zero_l, mu.m)),
                 c.subs_q_inverse()) for mu, c in h.terms.items()])
         e = oracles.random_element(cd, rng, max_terms=5, l_span=0)
         check("eta_embed", eta_embed(e),
-              [(cd.eta(mu), c) for mu, c in e.terms.items()])
+              [(oracles.eta(cd, mu), c) for mu, c in e.terms.items()])
     for name in ("+", "-", "*", "from_terms", "demazure"):
         assert all(seen[name]), (name, seen[name])
+
+
+# --- packed keys against the Weight-keyed reference --------------------------
+
+_REFERENCE_DATA = [("A2~", 4), ("C2~", 4), ("A3~", 3), ("D4~", 3)] + [
+    (name, 3) for name, _ in oracles.CUSTOM_GCMS]
+
+
+@pytest.mark.parametrize("name,length", _REFERENCE_DATA,
+                         ids=[n for n, _ in _REFERENCE_DATA])
+def test_packed_operators_equal_reference(name, length):
+    # every entry of the table, and the descent factors and sums around it:
+    # each packed operator's terms are the reference operator's
+    # (oracles.ref_*), ==, relabel_equals and the json round trip agree
+    gcm = dict(oracles.CUSTOM_GCMS).get(name)
+    cd = build_cartan(gcm) if gcm else from_type(name)
+    table, elems = oracles.layer_table(cd, length)
+    e = weyl.identity(cd)
+    prev = k_one(cd)
+    for w in elems:
+        g = table.compute(w)
+        t = g.terms
+        assert g == KElement(cd, t) and from_json(cd, to_json(g), {}, {}) == g
+        for i in cd.labels:
+            assert demazure(i, g).terms == oracles.ref_demazure(cd, i, t)
+            assert reflect_act(cd, i, g).terms == \
+                oracles.ref_weyl_act(cd, (i,), t)
+            factor = monomial(cd, cd.rho_J((i,))) * (
+                k_one(cd) - monomial(cd, -cd.alpha(i)))
+            assert (factor * g).terms == \
+                oracles.ref_mul(cd, factor.terms, t)
+        assert weyl_act(w, g).terms == oracles.ref_weyl_act(cd, w.word, t)
+        for x in (e, w):
+            assert j_map(x, g).terms == oracles.ref_j_map(cd, x.word, t)
+        assert psi(g).terms == oracles.ref_psi(cd, t)
+        loc = j_map(e, g)
+        assert eta_embed(loc).terms == \
+            oracles.ref_eta_embed(cd, loc.terms)
+        assert (g + prev).terms == oracles.ref_add(cd, t, prev.terms)
+        assert (g - prev).terms == oracles.ref_add(
+            cd, t, {mu: -c for mu, c in prev.terms.items()})
+        if len(g) * len(prev) <= 2000:
+            assert (g * prev).terms == oracles.ref_mul(cd, t, prev.terms)
+        assert (g == prev) == (t == prev.terms)
+        for p in cd.automorphisms()[1:]:
+            h = relabel(g, p)
+            assert h.terms == oracles.ref_relabel(cd, t, p)
+            assert relabel_equals(g, p, h)
+            assert relabel_equals(g, p, g) == (h.terms == t)
+        prev = g
+
+
+def _huge(cd, k, bits):
+    """k-th seeded monomial of coordinates of size about 2^bits, built from
+    its text through parse_weight and monomial; m[node0] is 0, so its
+    q-power stays within a cache's exponent ceiling."""
+    rng = oracles.rng_for("huge-%d-%d" % (k, bits))
+    parts = ["%d*%s%d" % (rng.randint(1 << (bits - 1), 1 << bits), sym, i)
+             for sym in "La" for i in cd.labels
+             if rng.random() < 0.7 and (sym, i) != ("a", cd.node0)]
+    return monomial(cd, parse_weight(" - ".join(parts) or "L0", cd.rank),
+                    oracles.random_coefq(rng))
+
+
+@pytest.mark.parametrize("bits", [20, 62, 100])
+@pytest.mark.parametrize("name", ["A1~", "A2~", "C2~", "G2~"])
+def test_wide_coordinates_equal_reference(name, bits):
+    # coordinates of 2^20 fit the narrowest layout; 2^62 and 2^100 need
+    # wider ones, and products and Weyl words push past those too
+    gcm = dict(oracles.CUSTOM_GCMS).get(name)
+    cd = build_cartan(gcm) if gcm else from_type(name)
+    rng = oracles.rng_for("wide-%s-%d" % (name, bits))
+    f = _huge(cd, 0, bits) + _huge(cd, 1, bits) + k_one(cd)
+    g = _huge(cd, 2, bits) - monomial(cd, cd.alpha(0))
+    # the bound holds every digit; past the narrowest half it is exact
+    exact = max(keys_mod.weight_size(cd, mu.l, mu.m) for mu in f.terms)
+    assert f.layout.half > f.bound >= exact
+    assert f.bound == exact or f.layout.bits == keys_mod.KEY_BITS
+    assert (f.layout.bits > keys_mod.KEY_BITS) == (
+        bits > keys_mod.KEY_BITS - 4)
+    t, u = f.terms, g.terms
+    assert from_json(cd, to_json(f), {}, {}) == f
+    assert (f * g).terms == oracles.ref_mul(cd, t, u)
+    assert (f + g).terms == oracles.ref_add(cd, t, u)
+    assert (f * f * g).terms == oracles.ref_mul(
+        cd, oracles.ref_mul(cd, t, t), u)
+    for _ in range(3):
+        w = weyl.canonicalize(cd, oracles.random_word(cd, rng, length=6))
+        assert weyl_act(w, f).terms == oracles.ref_weyl_act(cd, w.word, t)
+        assert j_map(w, f).terms == oracles.ref_j_map(cd, w.word, t)
+    assert psi(f).terms == oracles.ref_psi(cd, t)
+    loc = j_map(weyl.identity(cd), f)
+    assert eta_embed(loc).terms == oracles.ref_eta_embed(cd, loc.terms)
+    for p in cd.automorphisms()[1:]:
+        assert relabel(f, p).terms == oracles.ref_relabel(cd, t, p)
+        assert relabel_equals(f, p, relabel(f, p))
+
+
+@pytest.mark.parametrize("name", ["A1~", "A2~", "C2~", "A3~"])
+def test_operations_cross_the_layout_half(name):
+    # bounds past the narrowest layout's half: repacked one size up when
+    # the exact digits need it, kept in place when only the bound does;
+    # every result equals the reference
+    cd = from_type(name)
+    narrow = keys_mod.key_layout(cd, keys_mod.KEY_BITS)
+    big = monomial(cd, Weight(((narrow.half // 3),) + (0,) * (cd.rank - 1),
+                              (0,) * cd.rank))
+    small = oracles.random_element(cd, oracles.rng_for("cross-" + name))
+    assert big.layout is small.layout is narrow
+    # a product whose digits pass the half: one size up
+    sq = big * big * big * small
+    assert sq.layout.bits == 2 * keys_mod.KEY_BITS
+    assert sq.terms == oracles.ref_mul(cd, oracles.ref_mul(
+        cd, oracles.ref_mul(cd, big.terms, big.terms), big.terms),
+        small.terms)
+    # a long Weyl word, whose proven bound passes the half
+    w = weyl.canonicalize(cd, tuple(cd.labels) * 8)
+    assert weyl_act(w, small).terms == oracles.ref_weyl_act(
+        cd, w.word, small.terms)
+    # s_1 24 times: the bound passes the half while the digits do not, so
+    # the bound is tightened and the layout kept
+    acted = small
+    for _ in range(24):
+        acted = reflect_act(cd, 1, acted)
+    assert acted == small and acted.layout is narrow
+    assert acted.bound < small.bound * narrow.letter_growth ** 24
+    # a Demazure chain from a key a third of the half wide (its pairings
+    # at the chain's labels are small): the first step's bound passes the
+    # half, and so does the exact one grown by that step
+    f = big * monomial(cd, cd.Lam(1), 1) * monomial(cd, cd.Lam(1), 1)
+    want = f.terms
+    for i in (1, cd.rank - 1, 1):
+        f = demazure(i, f)
+        want = oracles.ref_demazure(cd, i, want)
+        assert f.terms == want
+    assert f.layout.bits > keys_mod.KEY_BITS
+    # +, * and == across two layouts: the same value in both
+    wide = sq * (big * big * big).inverse_monomial()
+    assert wide.layout is not small.layout and wide == small
+    assert small == wide and not (small == wide * 2)
+    assert (wide + small).terms == oracles.ref_add(cd, small.terms,
+                                                   small.terms)
+    assert (small * wide).terms == oracles.ref_mul(cd, small.terms,
+                                                   small.terms)
+    assert (wide - small).is_zero()

@@ -16,8 +16,8 @@ def test_arithmetic():
     assert a - b == Weight((1, 1), (-3, 2))
     assert -a == Weight((-1, 0), (0, -2))
     assert 3 * a == Weight((3, 0), (0, 6))
-    assert 0 * a == Weight.zero(2)
-    assert a + Weight.zero(2) == a
+    assert 0 * a == Weight((0, 0), (0, 0))
+    assert a + Weight((0, 0), (0, 0)) == a
 
 
 def test_hash_and_eq():
@@ -29,12 +29,12 @@ def test_hash_and_eq():
 
 
 def test_is_zero():
-    assert Weight.zero(3).is_zero()
+    assert Weight((0, 0, 0), (0, 0, 0)).is_zero()
     assert not Weight((0, 0, 0), (0, 1, 0)).is_zero()
 
 
 def test_format_basic():
-    assert format_weight(Weight.zero(2)) == "0"
+    assert format_weight(Weight((0, 0), (0, 0))) == "0"
     assert format_weight(Weight((1, 0), (0, 0))) == "L0"
     assert format_weight(Weight((0, -1), (0, 0))) == "-L1"
     assert format_weight(Weight((0, 2), (-1, 0))) == "2*L1 - a0"
@@ -42,7 +42,7 @@ def test_format_basic():
 
 
 def test_parse_basic():
-    assert parse_weight("0", 2) == Weight.zero(2)
+    assert parse_weight("0", 2) == Weight((0, 0), (0, 0))
     assert parse_weight("L0", 2) == Weight((1, 0), (0, 0))
     assert parse_weight("2L1 - a0", 2) == Weight((0, 2), (-1, 0))
     assert parse_weight("2*L1-a0", 2) == Weight((0, 2), (-1, 0))

@@ -218,3 +218,17 @@ def test_bruhat_leq_takes_no_frame_per_letter():
     finally:
         sys.setrecursionlimit(limit)
     assert got == [True, True, True, False]
+
+
+def test_inverse_is_memoized_per_datum(monkeypatch):
+    # verify asks for G_{w^-1} once per entry; the inverse is canonicalized
+    # once per datum and element, and is w's inverse
+    cd = from_type("A2~")
+    elems = [w for layer in weyl.enumerate_up_to(cd, 3) for w in layer]
+    calls = oracles.count_calls(monkeypatch, weyl, "canonicalize")
+    for _ in range(2):
+        for w in elems:
+            x = weyl.inverse(w)
+            assert x.word == weyl.canonicalize(cd, w.word[::-1]).word
+            assert weyl.inverse(x) == w
+    assert calls[0] == 2 * len(elems) + len(elems)
