@@ -33,7 +33,7 @@ from itertools import chain
 
 from .coefq import CoefQ, ONE, q_shifted_sum
 from .errors import NonQInput
-from .keys import common_layout, layout_for, pack_all, weight_size
+from .keys import common_layout, layout_for, pack_all
 from .weights import _INT, weight_coords_from_json, weight_to_json
 from . import weyl as weyl_mod
 
@@ -470,13 +470,13 @@ def from_json(cd, data, weights, coefs):
     the key is exactly an int: (0, True) == (0, 1) with the same hash, so
     a bool or a float could match a key an int made, and from_pairs
     refuses it instead.  The element's bound is the largest size of its
-    weights, as keys.pack_all gives it: past the narrowest half, the
-    exact one, and the entry is packed into layout_for it.
+    weights, as keys.pack_all gives it, which packs an entry that passes
+    the narrowest half.
     """
     rank, node0 = cd.rank, cd.node0
     layout = layout_for(cd, 0)
     half, spread, pack = layout.half, layout.spread, layout.pack
-    out = {}  # key -> CoefQ, coordinates in place of a key past the guard
+    out = {}
     bound = 0
     for t in data:
         coords = weight_coords_from_json(t["weight"], rank)
@@ -486,6 +486,8 @@ def from_json(cd, data, weights, coefs):
             if m[node0]:
                 raise ValueError("weight has a delta part: m[%d] = %d"
                                  % (node0, m[node0]))
+            # the bound of keys.pack_all; past the half the key is left
+            # to pack_all below, and the coordinates stand in for it
             size = spread * max(map(abs, l + m))
             got = weights[coords] = (
                 pack(l, m) if size < half else coords, size)
@@ -506,13 +508,10 @@ def from_json(cd, data, weights, coefs):
         out[key] = c
     if len(out) != len(data):
         raise ValueError("a weight repeats within one entry")
-    if bound >= half:
-        coords = [k if type(k) is tuple else layout.coordinates(k)
-                  for k in out]
-        bound = max(weight_size(cd, l, m) for l, m in coords)
-        layout = layout_for(cd, bound)
-        out = dict(zip([layout.pack(l, m) for l, m in coords],
-                       out.values()))
+    if bound >= half:  # out is in the order of data: no weight repeats
+        layout, bound, keys = pack_all(cd, [
+            weight_coords_from_json(t["weight"], rank) for t in data])
+        out = dict(zip(keys, out.values()))
     if not all(c.num for c in out.values()):
         out = {k: c for k, c in out.items() if c.num}
     return _element(cd, layout, bound, out)

@@ -3,11 +3,11 @@ decided without building j_x(f).  nonvanishing_probes evaluates f's terms
 once per call at one point past the root bound of every key's cleared
 numerator, moves the term images one Weyl letter per probe, and compares
 integers.  A term image is one int, the pairings <h_j, alpha> of its
-alpha-part, read off the digits of f's own packed keys (keys.Layout) and
-packed as the bottom digits of the narrowest layout that holds every
-image.  They name the j_x key without delta-normalization, and a letter is
-a digit read and one multiple of a packed GCM column.  Only f's keys,
-coefficients and the GCM are read; no Weight and no CoefQ is made.
+alpha-part, packed from the l and m digits of f's own keys (keys.Layout)
+as the bottom digits of the narrowest layout that holds every image.  They
+name the j_x key without delta-normalization, and a letter is a digit read
+and one multiple of a packed GCM column.  Only f's keys, coefficients and
+the GCM are read; no Weight and no CoefQ is made.
 """
 
 import operator
@@ -62,7 +62,7 @@ def nonvanishing_probes(f, xs):
     q-power, e -= p.
 
     The digits never carry.  With a = max |a_ij|, N the bound on every
-    digit of f's keys (kring.Layout), R = max |l_i| <= N over the terms and
+    digit of f's keys (keys.Layout), R = max |l_i| <= N over the terms and
     Q0 = max |Q_j| <= 2 N at the start (Q_j = <h_j, mu> - l_j), a letter
     gives |p| <= R + |Q|_inf and |Q'_j| <= |Q_j| + a |p|, so
     |Q'|_inf + R <= (1 + a)(|Q|_inf + R), and after k letters
