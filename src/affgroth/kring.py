@@ -297,7 +297,7 @@ def _relabel_images(layout, keys, p):
 def _letters(layout, keys, word):
     """(image key, n) per key: the delta-normalized w(mu) and its delta
     part n, for w with the given word, its letters applied right to left
-    (Layout)."""
+    (keys.Layout)."""
     letters = [layout.letters[i] for i in reversed(word)]
     half, mask = layout.half, layout.mask
     out = []
@@ -337,7 +337,7 @@ def demazure(i, f):
     m >= 0 gives sum_{k=0}^{m} e^{mu - k alpha_i}; m = -1 gives 0;
     m <= -2 gives -sum_{k=1}^{-m-1} e^{mu + k alpha_i}.  On keys,
     mu - k alpha_i normalized is K - k D_i with the twist -k at node0
-    (Layout)."""
+    (keys.Layout)."""
     cd = f.cd
     cd.check_node(i)
     layout, (keys,), bound = common_layout((f,), max, f.layout.letter_growth)
