@@ -4,8 +4,8 @@ products of (1 - q^k) factors.  Then verify's
 vanishing probes two ways on the same entry, G_w for w = s_1 s_2 s_0 s_1 in
 A2~ and every x of length <= 5 with w not <= x: one probes.nonvanishing_probes
 call (one evaluation point per entry, one Weyl letter per probe on packed
-pairing keys, read off the entry's own keys, in the narrowest key layout
-that holds them) and the canonical j_map(x, g).is_zero() per probe, each
+pairing keys, read off the entry's own keys, in digits of the least
+width that holds every image) and the canonical j_map(x, g).is_zero() per probe, each
 with the bit width of one key digit; then the one call again with the
 probes to length 7.  Then the ring check at load: an A1~ cache whose one
 denominator is the monic palindrome 1 + 3q^k + q^2k outside R, of degree 64, 256, 1024 and 10,000 (the
@@ -116,9 +116,8 @@ def canonical_probes(g, xs):
 
 def digit_bits(g, xs):
     """The width in bits of one digit of the packed keys that
-    nonvanishing_probes(g, xs) moves: that of the key layout it picks."""
-    layout, _, _ = probes._pairing_keys(g, max(x.length for x in xs))
-    return layout.mask.bit_length()
+    nonvanishing_probes(g, xs) moves."""
+    return probes._pairing_keys(g, max(x.length for x in xs))[0]
 
 
 def poisoned_cache(degree):
@@ -228,8 +227,7 @@ def weyl_kac_numerator(cd, mu, depth):
     pk = packed.packing(cd, max(map(abs, mu.m)) + depth)
     keys, signs = pk.orbit(mu + cd.rho(), depth)
     top = pk.pack(mu.m)
-    return (pk, {mu.l: {top + k: s for k, s in zip(keys, signs)}},
-            sum(mu.m) - depth)
+    return (pk, {top + k: s for k, s in zip(keys, signs)}, sum(mu.m) - depth)
 
 
 # CoefQ's caches whose hits and misses are reported; clear_caches also

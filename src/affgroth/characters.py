@@ -10,15 +10,25 @@ Euler characteristic is computed; individual cohomology groups are not.
 
 Every series is built the same way: an alternating numerator times the
 inverse of the Weyl-Kac denominator prod_{alpha > 0} (1 - e^{-alpha})^{mult
-alpha}, cut by height: only keys of height sum(key.m) >= sum(top.m) - cutoff
-are kept.  The Weyl-Kac character of a dominant mu is the Euler series of
-G_e = 1, the class of the structure sheaf of the whole flag manifold,
-twisted by mu, so weyl_kac_character and euler_character share one core.
+alpha}, cut by height: only keys of height sum(key.m) >= sum(base.m) -
+cutoff are kept.  The Weyl-Kac character of a dominant mu is the Euler
+series of G_e = 1, the class of the structure sheaf of the whole flag
+manifold, twisted by mu, so weyl_kac_character and euler_character share
+one core.  Reflections and delta shifts keep the Lambda-part, so a
+numerator has one, its base's; _numerator packs it and _series divides and
+decodes it, for the Euler and the local-cohomology series alike.
+
+The base is fixed by the numerator alone.  The inverse denominator is 1
+plus terms in -Q_+ minus 0, so every key of the numerator that no other
+numerator key lies above keeps its coefficient in the series, and every
+key of the series lies below some numerator key: the coordinatewise top of
+the series is that of the numerator.  No numerator key lies above the
+base, so the inverse denominator is never built deeper than the cutoff.
 
 The product runs on packed integer keys; packed.py gives the key layout,
-the grouping of a numerator by Lambda-part and the bound on the base.
-Weight objects appear only at the boundary: the G_w terms and twists that
-come in, the TruncatedSeries that weyl_kac_character, euler_character and
+the bound on the base and the inverse denominator.  Weight objects appear
+only at the boundary: the G_w terms and twists that come in, the
+TruncatedSeries that weyl_kac_character, euler_character and
 local_cohomology_character return, and the fresh dict of
 denominator_inverse.
 
@@ -34,7 +44,7 @@ from bisect import bisect_right
 from . import weyl as weyl_mod
 from .errors import NotDominant, NotNonNegativeLevel, WindowViolation
 from .kring import j_map, k_one
-from .packed import divide, over_denominator, packing
+from .packed import over_denominator, packing
 from .weights import Weight, weight_to_json
 
 
@@ -102,7 +112,7 @@ def denominator_inverse(cd, N):
     pk = packing(cd, N)
     keys, coeffs, depths = pk.denominator_inverse(N)
     n = bisect_right(depths, N)
-    return pk.weights({(0,) * cd.rank: dict(zip(keys[:n], coeffs[:n]))})
+    return pk.weights((0,) * cd.rank, dict(zip(keys[:n], coeffs[:n])))
 
 
 def weyl_kac_character(cd, mu, N):
@@ -133,62 +143,67 @@ def _euler_series(cd, g, mu, N):
     shifted numerator to one sum, and the sum is divided by the denominator
     once; shifts by delta factor through the numerator.  Singular shifted
     weights contribute nothing.  A twist that is not dominant can raise keys
-    above mu; the series is based at the coordinatewise top of its keys.
+    above mu; the series is based at the coordinatewise top of mu and the
+    numerator's keys (module docstring).
     """
-    rho = cd.rho()
-    h = sum(cd.marks)
-    delta = cd.delta()
-    zeros = (0,) * cd.rank
-    floor = sum(mu.m) - N
-    # (vd, margin, at, scale): scale * the orbit of vd to depth margin,
-    # placed with its top key at the weight `at`
+    rho, marks = cd.rho(), cd.marks
+    h = sum(marks)
     parts = []
-    margins = {}  # vd -> largest margin any part needs
-    size = 0  # bounds every coordinate of num and the reach of the product
     for kappa, c in g.terms.items():
-        lam = Weight(kappa.l, zeros)
         word, vd = weyl_mod.to_dominant(cd, mu + kappa + rho, cd.labels)
         if not all(cd.pairing(i, vd) for i in cd.labels):
             continue  # a nontrivial stabilizer
         sign = -1 if len(word) % 2 else 1
-        s0 = sum((mu + lam - (vd - rho)).m)  # reflections change only m
+        # the top key of chi_{mu+kappa} is vd - rho, and rho.m = 0; its
+        # n-th delta shift needs the orbit of vd to depth margin to reach
+        # height(mu) - N
+        s0 = sum(mu.m) - sum(vd.m)
         for n, cn in c.expand_down(-((N - s0) // h)):
-            margin = N - s0 + n * h  # never negative
-            at = vd - rho + n * delta - lam
-            parts.append((vd, margin, at, sign * cn))
-            margins[vd] = max(margin, margins.get(vd, margin))
-            size = max(size, margin + max(map(abs, at.m)), sum(at.m) - floor)
-    pk = packing(cd, size)
-    for vd, margin in margins.items():
-        pk.orbit(vd, margin)  # each orbit at the largest margin first
-    num = {}
-    for vd, margin, at, scale in parts:
-        keys, signs = pk.orbit(vd, margin)
-        at_key = pk.pack(at.m)
-        group = num.setdefault(at.l, {})
-        get = group.get
-        for key, s in zip(keys, signs):
-            key += at_key
-            group[key] = get(key, 0) + scale * s
-    num = {l: {k: c for k, c in group.items() if c}
-           for l, group in num.items()}
-
-    coeffs = pk.weights(over_denominator(pk, num, floor))
-    top = [max(c) for c in zip(mu.m, *(k.m for k in coeffs))]
-    base = Weight(mu.l, top)
+            at = tuple([x + n * k for x, k in zip(vd.m, marks)])
+            parts.append((vd, N - s0 + n * h, at, sign * cn))
+    pk, num = _numerator(cd, parts, sum(mu.m) - N)
+    base = Weight(mu.l, [max(c) for c in zip(mu.m, *map(pk.unpack, num))])
     if cd.is_dominant(mu) and base != mu:
         raise WindowViolation("support escaped the cone below a dominant "
                               "twist")
-    floor = sum(top) - N
-    return TruncatedSeries(cd, base, N, {k: c for k, c in coeffs.items()
-                                         if sum(k.m) >= floor})
+    return _series(cd, pk, base, N, num)
+
+
+def _numerator(cd, parts, floor):
+    """(packing, packed numerator {key: coeff}) of the parts
+    (vd, margin, at, scale): scale times the alternating orbit of vd to
+    depth margin, placed with its top key at the alpha-coordinates at, or
+    for vd None the single key at.  The packing holds every key and every
+    product that reaches height floor.  Parts are taken deepest first, so
+    each orbit is built once, at the largest margin it is asked for."""
+    parts.sort(key=lambda part: -part[1])
+    pk = packing(cd, max((max(margin + max(map(abs, at)), sum(at) - floor)
+                          for _, margin, at, _ in parts), default=0))
+    num = {}
+    get = num.get
+    for vd, margin, at, scale in parts:
+        keys, signs = ((0,), (1,)) if vd is None else pk.orbit(vd, margin)
+        at_key = pk.pack(at)
+        for key, s in zip(keys, signs):
+            key += at_key
+            num[key] = get(key, 0) + scale * s
+    return pk, {k: c for k, c in num.items() if c}
+
+
+def _series(cd, pk, base, N, num):
+    """The series num / prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha} to
+    depth N below base, for a packed numerator in base's Lambda-part with
+    no key above base."""
+    coeffs = over_denominator(pk, num, sum(base.m) - N)
+    return TruncatedSeries(cd, base, N, pk.weights(base.l, coeffs))
 
 
 def local_cohomology_character(cd, w, x, mu, N, table):
     """Character of the relative local cohomology of the x-cell against the
     w-th Schubert class, twisted by mu:
     (-1)^len(w) e^{x(mu+rho)-rho} j_x(G_w) / prod(1-e^{-alpha})^mult,
-    truncated at depth N (zero series when x is not above w)."""
+    truncated at depth N (zero series when x is not above w).  j_x drops
+    the Lambda-part, so every key lies in that of x(mu+rho)-rho."""
     rho = cd.rho()
     b0 = weyl_mod.act(x, mu + rho) - rho
     if not weyl_mod.bruhat_leq(w, x):
@@ -196,16 +211,20 @@ def local_cohomology_character(cd, w, x, mu, N, table):
     loc = j_map(x, table.compute(w))
     if loc.is_zero():
         return TruncatedSeries(cd, b0, N, {})
-    h = sum(cd.marks)
-    delta = cd.delta()
-    heads = [kappa + c.top_exponent() * delta for kappa, c in loc.terms.items()]
-    top = [max(hd.m[j] for hd in heads) for j in range(cd.rank)]
+    marks = cd.marks
+    h = sum(marks)
+    heads = [[a + c.top_exponent() * k for a, k in zip(kappa.m, marks)]
+             for kappa, c in loc.terms.items()]
+    top = [max(col) for col in zip(*heads)]
     base = b0 + Weight((0,) * cd.rank, top)
     tsum = sum(top)
     sign = -1 if w.length % 2 else 1
-    num = {}
+    parts = []
     for kappa, c in loc.terms.items():
         s_k = tsum - sum(kappa.m)
         for n, cn in c.expand_down(-((N - s_k) // h)):
-            num[b0 + kappa + n * delta] = sign * cn
-    return TruncatedSeries(cd, base, N, divide(cd, num, sum(base.m) - N))
+            at = tuple([b + a + n * k
+                        for b, a, k in zip(b0.m, kappa.m, marks)])
+            parts.append((None, 0, at, sign * cn))
+    pk, num = _numerator(cd, parts, sum(base.m) - N)
+    return _series(cd, pk, base, N, num)

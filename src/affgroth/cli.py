@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit status: 0 success, 1 verification or data failure, 2 usage error.
+Exit status: 0 success, 1 verification or data failure or a closed
+standard output, 2 usage error.
 A cache file (--cache or the AFFGROTH_CACHE environment variable) persists a
 GrothTable per Cartan datum as JSON; commands load it when present and save
 back when they added entries.
@@ -259,7 +260,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        status = args.func(args, parser)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away (`| head`): nothing more can be said, and
+        # stdout goes to devnull so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as ex:
         sys.stderr.write("parse error: %s\n%s" % (ex, GRAMMAR_HELP))
         return 2

@@ -43,15 +43,16 @@ class KElement:
     zero coefficients, all keys delta-normalized.  layout is the keys'
     Layout and bound a bound on the size of every digit of them.
 
-    KElement(cd, {Weight: CoefQ}) is the public constructor; its Weights
-    must be delta-normalized and its coefficients nonzero."""
+    KElement(cd, {Weight: CoefQ}) is the public constructor: the sum of
+    c * e^mu over its terms, built by from_terms as monomial is, so delta
+    powers move into q and zero coefficients drop."""
 
     __slots__ = ("cd", "layout", "bound", "keys")
 
     def __init__(self, cd, terms):
-        layout, bound, keys = pack_all(cd, [(mu.l, mu.m) for mu in terms])
-        self.cd, self.layout, self.bound = cd, layout, bound
-        self.keys = dict(zip(keys, terms.values()))
+        f = from_terms(cd, terms.items())
+        self.cd, self.layout, self.bound = cd, f.layout, f.bound
+        self.keys = f.keys
 
     @property
     def terms(self):

@@ -6,14 +6,21 @@ alpha-coordinates m become one int,
 m_0 + m_1 S + ... + m_{r-2} S^{r-2} + h S^{r-1}, with h = sum(m) its height
 as the top digit (m_{r-1} is h minus the others).  Adding keys is adding
 ints, ordering them orders their heights, and a height cut of a list sorted
-by depth is a prefix.  Lambda-parts are not packed: a numerator is a dict
-{Lambda-part: {key: coeff}}, each group is multiplied on its own, and the
-inverse denominator lies in Q.  Keys decode with balanced digits in
-(-S/2, S/2], a negative coordinate borrowing one from the digit above; the
-top digit is unbounded.  This is exact while every lower coordinate of every
-key, product keys included, has size at most S/2 - 1: factors whose
-coordinates have size <= M give products within 2M, so the base is
-S = 4M + 8.
+by depth is a prefix.  Lambda-parts are not packed: reflections and delta
+shifts keep the Lambda-part, so every numerator lies in one Lambda-part,
+that of its series' base, and the inverse denominator lies in Q.  Keys
+decode with balanced digits in (-S/2, S/2], a negative coordinate borrowing
+one from the digit above; the top digit is unbounded.  This is exact while
+every lower coordinate of every key, product keys included, has size at
+most S/2 - 1: factors whose coordinates have size <= M give products
+within 2M, so the base is S = 4M + 8.
+
+This is not keys.Layout, the key of KElement: a Layout key holds the
+level, l, m and the pairings in 3r + 1 digits of 33 bits, where a series
+needs m alone, and its height is no digit, so a depth cut would not be a
+prefix.  Ints of that size make mul_trunc about 55% slower in total on
+the 19 products of the euler benchmark's characters, from a few percent
+to twice as slow per product (best of 30 each, CPython 3.11, 2-CPU x86).
 
 One Packing per Cartan datum holds, at one base, the inverse denominator
 (to the deepest depth asked for) and the alternating orbit of every regular
@@ -97,11 +104,10 @@ class Packing:
     def height(self, key):
         return (key + self.T // 2) // self.T
 
-    def weights(self, series):
-        """{Weight: coeff} of a packed {Lambda-part: {key: coeff}}."""
+    def weights(self, l, series):
+        """{Weight: coeff} of a packed {key: coeff} in the Lambda-part l."""
         unpack = self.unpack
-        return {Weight(l, unpack(k)): c
-                for l, group in series.items() for k, c in group.items()}
+        return {Weight(l, unpack(k)): c for k, c in series.items()}
 
     def denominator_inverse(self, N):
         """(keys, coeffs, depths) of the inverse denominator to depth at
@@ -194,24 +200,10 @@ def packing(cd, M):
 
 def over_denominator(pk, num, floor):
     """num / prod_{alpha > 0} (1 - e^{-alpha})^{mult alpha} on the keys of
-    height >= floor, for a packed num {Lambda-part: {key: coeff}}.  The
-    inverse denominator must reach that floor from the highest numerator
-    key, and is built that deep if it is not yet; the caller sizes pk for
-    both."""
-    reach = max((pk.height(max(g)) for g in num.values() if g),
-                default=floor) - floor
+    height >= floor, for a packed num {key: coeff}.  The inverse denominator
+    must reach that floor from the highest numerator key, and is built that
+    deep if it is not yet; the caller sizes pk for both."""
+    reach = pk.height(max(num)) - floor if num else -1
     if reach < 0:
         return {}
-    dinv = pk.denominator_inverse(reach)
-    return {l: mul_trunc(g, dinv, floor, pk.T) for l, g in num.items()}
-
-
-def divide(cd, num, floor):
-    """over_denominator for a numerator {Weight: coeff}, as {Weight: coeff}."""
-    size = max([abs(x) for k in num for x in k.m]
-               + [sum(k.m) - floor for k in num] + [0])
-    pk = packing(cd, size)
-    packed = {}
-    for k, c in num.items():
-        packed.setdefault(k.l, {})[pk.pack(k.m)] = c
-    return pk.weights(over_denominator(pk, packed, floor))
+    return mul_trunc(num, pk.denominator_inverse(reach), floor, pk.T)

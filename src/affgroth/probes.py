@@ -4,16 +4,15 @@ once per call at one point past the root bound of every key's cleared
 numerator, moves the term images one Weyl letter per probe, and compares
 integers.  A term image is one int, the pairings <h_j, alpha> of its
 alpha-part, packed from the l and m digits of f's own keys (keys.Layout)
-as the bottom digits of the narrowest layout that holds every image.  They
-name the j_x key without delta-normalization, and a letter is a digit read
-and one multiple of a packed GCM column.  Only f's keys, coefficients and
-the GCM are read; no Weight and no CoefQ is made.
+in digits of the least width that holds every image.  They name the j_x
+key without delta-normalization, and a letter is a digit read and one
+multiple of a packed GCM column.  Only f's keys, coefficients and the GCM
+are read; no Weight and no CoefQ is made.
 """
 
 import operator
 from math import prod
 
-from .keys import key_layout
 from .qpoly import peval
 
 
@@ -68,8 +67,8 @@ def nonvanishing_probes(f, xs):
     |Q'|_inf + R <= (1 + a)(|Q|_inf + R), and after k letters
     |Q|_inf + R <= (1 + a)^k (Q0 + R) <= 3 N (1 + a)^k.  The keys take the
     least digit width b with 2^(b-1) above that bound at k the longest
-    probe word, the width of keys.key_layout(cd, b - 1), so every digit
-    stays in (0, 2^b) on every image the call makes.
+    probe word, so every digit stays in (0, 2^b) on every image the call
+    makes.
 
     The images under x are those under s_i x, i = x.word[0], moved by s_i:
     weyl._from_rho_image strips the smallest left descent first, so the
@@ -118,17 +117,17 @@ def nonvanishing_probes(f, xs):
 
 
 def _pairing_keys(f, letters):
-    """(layout, steps, keys) for nonvanishing_probes: the narrowest layout
+    """(b, steps, keys) for nonvanishing_probes: the least digit width b
     whose digits hold every image after up to `letters` letters, the
-    pairing key K of each term of f in its bottom digits, and per node i
-    the letter's data (bit offset of digit i, digit mask, l_i - 2^(b-1) per
-    term, C_i, i == node0).  l and m are read off f's own keys, and K is
+    pairing key K of each term of f, and per node i the letter's data (bit
+    offset of digit i, digit mask, l_i - 2^(b-1) per term, C_i,
+    i == node0).  l and m are read off f's own keys, and K is
     offset + sum_j m_j C_j, C_j the pairings <h_k, alpha_j> packed."""
     cd = f.cd
     gcm, rank = cd.gcm, cd.rank
     a = max(abs(x) for row in gcm for x in row)
-    layout = key_layout(cd, (3 * f.bound * (1 + a) ** letters).bit_length())
-    b, half, mask = layout.bits + 1, layout.half, layout.mask
+    b = (3 * f.bound * (1 + a) ** letters).bit_length() + 1
+    half, mask = 1 << (b - 1), (1 << b) - 1
     cols = [sum(gcm[j][i] << b * j for j in range(rank)) for i in range(rank)]
     offset = half * sum(1 << b * j for j in range(rank))
     own, fkeys, mul = f.layout, list(f.keys), operator.mul
@@ -139,7 +138,7 @@ def _pairing_keys(f, letters):
           for s in own.coords[rank:]]
     keys = [offset + sum(map(mul, m, cols)) for m in zip(*ms)]
     steps = [(b * i, mask, ls[i], cols[i], i == cd.node0) for i in range(rank)]
-    return layout, steps, keys
+    return b, steps, keys
 
 
 def _probe_images(steps, memo, word):

@@ -157,6 +157,16 @@ def test_char_local_huge_twist_text(capsys):
         "87d4249958c98a8301154f1955cddb8e33c1b633e370726f899e0ac496237e87")
 
 
+def test_char_euler_far_twist_text(capsys):
+    # a twist far below the base of its series: one term, 780 above the
+    # twist, where a product cut below mu would run 791 deep
+    status, out, err = run(capsys, "char", "--type", "A1~", "--word", "0",
+                           "--euler", "--cutoff", "7", "--weight",
+                           "L0 + 12*a1 - 16*a0")
+    assert (status, err) == (0, "")
+    assert out == "-1 * e[L0 + 390*a0 + 390*a1]\n"
+
+
 def test_char_twisted(capsys):
     # A2^(2): the character of L1 is the Freudenthal series with Kac's
     # imaginary multiplicity 1, and the Euler series of s_1 s_0 matches the
@@ -368,6 +378,23 @@ def test_console_entry_point(subprocess_env):
         capture_output=True, text=True, env=subprocess_env)
     assert proc.returncode == 0
     assert "e[" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_quiet_exit_1(subprocess_env, unbuffered):
+    # `| head -1`: the reader closes the pipe after the first line, with
+    # more than a pipe holds (64 KiB) still to come, so a write or the
+    # flush must fail: exit 1 and nothing on stderr, buffered or not
+    env = dict(subprocess_env, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affgroth.cli", "char", "--type", "A1~",
+         "--weight", "40*L0", "--cutoff", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1 * e[40*L0]\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
 
 
 @pytest.mark.parametrize("content", ['{"format": 1}', "not json {"])

@@ -31,6 +31,18 @@ def test_monomial_normalization():
     assert monomial(cd, oracles.zero_weight(cd), CoefQ.from_int(0)).is_zero()
 
 
+def test_constructor_normalizes_like_monomial():
+    # the public constructor and monomial share from_terms: a weight with a
+    # delta part becomes q-powers on its normalized key, and a zero
+    # coefficient drops
+    cd = from_type("A1~")
+    a0 = cd.alpha(0)
+    assert KElement(cd, {a0: ONE}) == monomial(cd, a0)
+    assert KElement(cd, {a0: ONE}) == monomial(cd, -cd.alpha(1), Q)
+    assert KElement(cd, {cd.delta(): ONE}) == k_scalar(cd, Q)
+    assert KElement(cd, {a0: CoefQ.from_int(0)}).is_zero()
+
+
 def test_ring_basics():
     cd = from_type("A1~")
     rng = oracles.rng_for("kring-ring")
@@ -457,6 +469,20 @@ def test_nonvanishing_probes_on_custom_gcms(name, gcm):
                 x for x in elems if not j_map(x, f).is_zero()], (name, w.word)
         if w.length:
             assert weyl.identity(cd) in nonvanishing_probes(edited, elems)
+
+
+def test_verify_makes_only_element_layouts():
+    # the probes size their pairing keys themselves: a verify leaves on the
+    # datum only the layouts that elements use, those layout_for makes
+    for t, length in (("A2~", 4), ("C2~", 3), ("A3~", 3)):
+        cd = from_type(t)
+        table = GrothTable(cd)
+        for layer in weyl.enumerate_up_to(cd, length):
+            for w in layer:
+                assert table.verify(w) == []
+        assert cd._key_layouts
+        assert all(bits % keys_mod.KEY_BITS == 0
+                   for bits in cd._key_layouts), (t, sorted(cd._key_layouts))
 
 
 @pytest.mark.parametrize("t", ["A2~", "C2~", "A3~"])

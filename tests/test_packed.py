@@ -1,6 +1,6 @@
 """Products on packed integer keys against plain {Weight: int} products, where
 the packing can go wrong: negative coordinates that borrow, coordinates at
-the edge of the base, several Lambda-parts in one numerator."""
+the edge of the base, numerators in Lambda-parts of either sign."""
 
 import pytest
 
@@ -26,8 +26,9 @@ def banded_numerator(cd, rng, size, band, count, lambda_parts):
     """Up to count keys of height in [-band, 0], spread over the given
     Lambda-parts, with coordinates of both signs and size <= size; one packed
     (lower) coordinate of every other key is -size, so that a product with
-    the inverse denominator goes below -size and its digits must borrow."""
-    num = {}
+    the inverse denominator goes below -size and its digits must borrow.
+    {Lambda-part: {Weight: coeff}}, one numerator per part."""
+    num = {l: {} for l in lambda_parts}
     for j in range(count):
         m = [rng.randint(-size, size) for _ in range(cd.rank - 1)]
         if j % 2 == 0:
@@ -35,7 +36,7 @@ def banded_numerator(cd, rng, size, band, count, lambda_parts):
         last = -rng.randint(0, band) - sum(m)
         if abs(last) <= size:
             l = lambda_parts[j % len(lambda_parts)]
-            num[Weight(l, m + [last])] = rng.choice((-3, -2, -1, 1, 2, 3))
+            num[l][Weight(l, m + [last])] = rng.choice((-3, -2, -1, 1, 2, 3))
     return num
 
 
@@ -69,35 +70,63 @@ def test_mul_trunc_against_plain_product(t, size, reach):
     rng = oracles.rng_for("mul_trunc " + t)
     parts = [cd.Lam(0).l, (cd.Lam(1) - 3 * cd.Lam(0)).l]
     A = banded_numerator(cd, rng, size, reach, 80, parts)
-    assert len(A) > 20
+    assert sum(map(len, A.values())) > 20
     floor = -reach
     pk = packed.packing(cd, size)  # size >= reach bounds both factors
     B = pk.denominator_inverse(reach)
     dinv = denominator_inverse(cd, reach)
-    for l in parts:
-        group = {k: c for k, c in A.items() if k.l == l}
+    for l, group in A.items():
         got = packed.mul_trunc({pk.pack(k.m): c for k, c in group.items()},
                                B, floor, pk.T)
-        assert pk.weights({l: got}) == oracles.plain_product(group, dinv,
-                                                               floor), l
+        assert pk.weights(l, got) == oracles.plain_product(group, dinv,
+                                                           floor), l
 
 
 @pytest.mark.parametrize("t,size", [("A1~", 60), ("A2~", 30), ("C2~", 30),
                                     ("A3~", 12)])
 def test_over_denominator_against_plain_product(t, size):
-    # several Lambda-parts in one numerator, as a non-dominant twist such as
-    # 3*L1 - L0 gives them; keys of mixed sign at the edge of the base
+    # a numerator lies in one Lambda-part, since reflections and delta
+    # shifts keep it; one call per part, for a part of negative level, one
+    # of level 1 and 0, on keys of mixed sign at the edge of the base
     cd = from_type(t)
     rng = oracles.rng_for("over_denominator " + t)
     parts = [parse_weight(s, cd.rank).l for s in ("3*L1 - L0", "L0", "0")]
     num = banded_numerator(cd, rng, size, 7, 60, parts)
-    assert len(num) > 15
+    assert sum(map(len, num.values())) > 15
+    pk = packed.packing(cd, size)  # size >= 7 bounds the depth too
     for depth in (0, 3, 7):
         floor = -depth
-        got = packed.divide(cd, num, floor)
-        assert got == oracles.over_denominator_by_terms(cd, num, floor), depth
-        assert {k.l for k in got} == {k.l for k in num
-                                      if sum(k.m) >= floor}
+        for l, group in num.items():
+            got = pk.weights(l, packed.over_denominator(
+                pk, {pk.pack(k.m): c for k, c in group.items()}, floor))
+            assert got == oracles.over_denominator_by_terms(
+                cd, group, floor), (depth, l)
+            # a key with no other key above it keeps its coefficient
+            assert bool(got) == any(sum(k.m) >= floor for k in group)
+
+
+def test_far_twist_builds_no_deeper_than_cutoff():
+    # the base of an Euler series is the top of its numerator, so the
+    # inverse denominator is built at most the cutoff deep however far a
+    # non-dominant twist raises the base (a product cut below mu would run
+    # 791 deep for L0 + 12*a1 - 16*a0 at cutoff 7)
+    cases = [("A1~", (0,), "L0 + 12*a1 - 16*a0", 7),
+             ("A1~", (0,), "L0 + 30*a1 - 40*a0", 7),
+             ("A1~", (1, 0), "3*L1 - L0 + 5*a0 - 9*a1", 5),
+             ("A2~", (0,), "L0 + 6*a1 + 4*a2 - 11*a0", 4),
+             ("C2~", (1,), "2*L0 - L1 + 5*a1 - 6*a0", 4)]
+    for t, word, text, N in cases:
+        cd = from_type(t)
+        table = GrothTable(cd)
+        w = weyl.canonicalize(cd, word)
+        mu = parse_weight(text, cd.rank)
+        packed._PACKINGS.clear()
+        ch = euler_character(cd, w, mu, N, table)
+        assert ch.coeffs and sum(ch.base.m) > sum(mu.m) + 50, text
+        assert packed._PACKINGS[cd].depth <= N, text
+        if text.startswith("3*L1"):  # near enough for the oracle
+            assert len(ch) == 8
+            assert ch == oracles.euler_by_terms(cd, w, mu, N, table)
 
 
 @pytest.mark.parametrize("t,twists,N", [
