@@ -118,8 +118,8 @@ class AffineCartanData:
         self.dual_coxeter = sum(comarks)
         self.type_string = type_string
         self.untwisted = untwisted
-        self._weyl_mul = {}  # (rho image, i) -> w s_i, filled by weyl.mul_gen
-        self._weyl_inv = {}  # rho image -> w^-1, filled by weyl.inverse
+        self._weyl_mul = {}  # (w.key, i) -> w s_i, filled by weyl.mul_gen
+        self._weyl_inv = {}  # w.key -> w^-1, filled by weyl.inverse
         self._weyl_layers = []  # length layers, extended by weyl.enumerate_up_to
         self._automorphisms = None  # found by automorphisms() on first call
         self._key_layouts = {}  # bits -> keys.Layout, made by keys.key_layout

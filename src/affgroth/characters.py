@@ -43,6 +43,7 @@ from bisect import bisect_right
 
 from . import weyl as weyl_mod
 from .errors import NotDominant, NotNonNegativeLevel, WindowViolation
+from .keys import pack_all
 from .kring import j_map, k_one
 from .packed import over_denominator, packing
 from .weights import Weight, weight_to_json
@@ -145,24 +146,46 @@ def _euler_series(cd, g, mu, N):
     weights contribute nothing.  A twist that is not dominant can raise keys
     above mu; the series is based at the coordinatewise top of mu and the
     numerator's keys (module docstring).
+
+    Each term packs mu + lambda + alpha + rho once, walks it to the
+    dominant vd on keys (weyl.to_dominant) and reads regularity off the
+    same pairing digits.  The part of shift n places the orbit of vd with
+    its top key at vd + n delta, and every key of the part lies below that
+    top, so the base is at most top, the coordinatewise top of mu and the
+    parts' tops.  The orbits are built down to height(top) - N, the floor
+    of a series based at top.  When cancellation leaves the numerator's
+    top lower, its base lowers the floor and the orbits are extended once:
+    the keys above the old floor are the same, so the base read after the
+    extension can only rise, and its floor is then above the one built.
     """
     rho, marks = cd.rho(), cd.marks
     h = sum(marks)
-    parts = []
+    heads = []  # (vd, height(vd), sign, c)
     for kappa, c in g.terms.items():
-        word, vd = weyl_mod.to_dominant(cd, mu + kappa + rho, cd.labels)
-        if not all(cd.pairing(i, vd) for i in cd.labels):
+        v = mu + kappa + rho
+        layout, bound, (key,) = pack_all(cd, [(v.l, v.m)])
+        word, layout, key = weyl_mod.to_dominant(layout, key, bound,
+                                                 cd.labels)
+        if not all(layout.pairings(key)):
             continue  # a nontrivial stabilizer
-        sign = -1 if len(word) % 2 else 1
-        # the top key of chi_{mu+kappa} is vd - rho, and rho.m = 0; its
-        # n-th delta shift needs the orbit of vd to depth margin to reach
-        # height(mu) - N
-        s0 = sum(mu.m) - sum(vd.m)
-        for n, cn in c.expand_down(-((N - s0) // h)):
-            at = tuple([x + n * k for x, k in zip(vd.m, marks)])
-            parts.append((vd, N - s0 + n * h, at, sign * cn))
-    pk, num = _numerator(cd, parts, sum(mu.m) - N)
-    base = Weight(mu.l, [max(c) for c in zip(mu.m, *map(pk.unpack, num))])
+        vd = layout.unpack(key)
+        heads.append((vd, sum(vd.m), -1 if len(word) % 2 else 1, c))
+    top = [max(col) for col in zip(mu.m, *(
+        [x + c.top_exponent() * k for x, k in zip(vd.m, marks)]
+        for vd, _, _, c in heads))]
+    floor = sum(top) - N
+    while True:
+        parts = []
+        for vd, height, sign, c in heads:
+            # the shifts n whose top key vd + n delta reaches the floor
+            for n, cn in c.expand_down(-((height - floor) // h)):
+                at = tuple([x + n * k for x, k in zip(vd.m, marks)])
+                parts.append((vd, height + n * h - floor, at, sign * cn))
+        pk, num = _numerator(cd, parts, floor)
+        base = Weight(mu.l, [max(c) for c in zip(mu.m, *map(pk.unpack, num))])
+        if sum(base.m) - N >= floor:
+            break
+        floor = sum(base.m) - N
     if cd.is_dominant(mu) and base != mu:
         raise WindowViolation("support escaped the cone below a dominant "
                               "twist")

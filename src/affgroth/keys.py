@@ -64,7 +64,8 @@ class Layout:
 
     __slots__ = ("cd", "bits", "half", "mask", "offset", "lams", "alphas",
                  "delta", "letters", "shifts", "coords", "top", "flip",
-                 "spread", "letter_growth", "norm_growth", "relabels")
+                 "spread", "letter_step", "letter_growth", "norm_growth",
+                 "rho", "tops", "relabels")
 
     def __init__(self, cd, bits):
         gcm, r, mul = cd.gcm, cd.rank, operator.mul
@@ -89,9 +90,13 @@ class Layout:
         self.flip = self.mask << self.top  # K ^ flip reverses level order
         self.spread = max(sum(cd.comarks),
                           1 + max(sum(map(abs, row)) for row in gcm))
-        a = max(max(map(abs, row)) for row in gcm)
+        # a letter without normalization moves every digit by at most
+        # letter_step |p| (weyl.py)
+        self.letter_step = a = max(max(map(abs, row)) for row in gcm)
         self.letter_growth = 1 + max(a, max(cd.marks))
         self.norm_growth = 1 + max(cd.marks)
+        self.rho = self.offset + sum(self.lams)  # l = (1, .., 1), m = 0
+        self.tops = {}  # nodes -> memo, see weyl._tops
         self.relabels = {}  # p -> memo and data, see kring._relabel_images
 
     def pack(self, l, m):
@@ -112,6 +117,11 @@ class Layout:
 
     def level(self, key):
         return (key >> self.top) - self.half
+
+    def pairings(self, key):
+        """The pairings <h_j, mu> of a key, for j = 0 .. r - 1."""
+        half, mask = self.half, self.mask
+        return [(key >> shift & mask) - half for shift, _, _ in self.letters]
 
     def reflections(self, key):
         """(n, normalize(s_i mu)) packed, for each label i."""

@@ -447,7 +447,10 @@ def orbit_sum(cd, lam):
 def classical_antidominant(cd, mu):
     """The unique classical-antidominant representative of the classical
     orbit: minus the classical-dominant representative of -mu."""
-    return -weyl_mod.to_dominant(cd, -mu, cd.classical_nodes())[1]
+    layout, bound, (key,) = pack_all(cd, [((-mu).l, (-mu).m)])
+    _, layout, key = weyl_mod.to_dominant(layout, key, bound,
+                                          cd.classical_nodes())
+    return -layout.unpack(key)
 
 
 def to_json(f):

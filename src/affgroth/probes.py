@@ -71,7 +71,7 @@ def nonvanishing_probes(f, xs):
     makes.
 
     The images under x are those under s_i x, i = x.word[0], moved by s_i:
-    weyl._from_rho_image strips the smallest left descent first, so the
+    weyl.to_dominant strips the smallest left descent first, so the
     canonical word of s_i x is x.word[1:].  Images are kept per word for
     the call, which costs one letter per probe and term.  For verify's
     probes, the x with w not <= x, the parent s_i x < x of a probe is a

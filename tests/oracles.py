@@ -203,12 +203,8 @@ def euler_by_terms(cd, w, mu, N, table):
     acc = {}
     for kappa, c in table.compute(w).terms.items():
         lam = Weight(kappa.l, (0,) * cd.rank)
-        v, sign = mu + kappa + rho, 1
-        while True:
-            i = next((i for i in cd.labels if cd.pairing(i, v) < 0), None)
-            if i is None:
-                break
-            v, sign = cd.reflect(i, v), -sign
+        word, v = ref_to_dominant(cd, mu + kappa + rho, cd.labels)
+        sign = -1 if len(word) % 2 else 1
         if any(cd.pairing(i, v) == 0 for i in cd.labels):
             continue
         tau = v - rho
@@ -650,6 +646,68 @@ def ref_relabel(cd, f, p):
                             for mu, c in f.items()])
 
 
+# --- Weyl group elements on Weights -------------------------------------------
+
+# The walk weyl.py ran on Weights before its elements moved to packed keys,
+# kept as the reference for them: a letter is cartan.reflect, and an element
+# is its word and its rho image w(rho).
+
+def ref_to_dominant(cd, v, nodes):
+    """(word, u) with u the weight of v's orbit under the s_i, i in nodes,
+    dominant at those nodes, reached by reflecting at the first i of nodes
+    with <h_i, v> < 0 at each step; v = s_{i_1} .. s_{i_k} u."""
+    word = []
+    while True:
+        i = next((i for i in nodes if cd.pairing(i, v) < 0), None)
+        if i is None:
+            return tuple(word), v
+        word.append(i)
+        v = cd.reflect(i, v)
+
+
+def ref_canonicalize(cd, word):
+    """(canonical word, rho image) of the element of a word: the rho image
+    walked back to rho strips the smallest left descent first."""
+    v = cd.rho()
+    for i in reversed(word):
+        v = cd.reflect(i, v)
+    canon, u = ref_to_dominant(cd, v, cd.labels)
+    assert u == cd.rho()
+    return canon, v
+
+
+def ref_right_descents(cd, word):
+    """The i with w(alpha_i) a negative root, w the element of word."""
+    out = []
+    for i in cd.labels:
+        img = cd.alpha(i)
+        for j in reversed(word):
+            img = cd.reflect(j, img)
+        if all(c <= 0 for c in img.m):
+            out.append(i)
+    return out
+
+
+def ref_inversion_set(cd, word):
+    """[beta_1 .. beta_k], beta_t = s_{i_1} .. s_{i_{t-1}}(alpha_{i_t})."""
+    out = []
+    for t, i in enumerate(word):
+        beta = cd.alpha(i)
+        for j in reversed(word[:t]):
+            beta = cd.reflect(j, beta)
+        out.append(beta)
+    return out
+
+
+def ref_weyl_relabel(rho_image, p):
+    """The rho image of sigma(w) for the automorphism sigma: node i -> p[i]:
+    m[p[i]] takes m[i], and l (all ones) is kept."""
+    m = [0] * len(p)
+    for i, mi in zip(p, rho_image.m):
+        m[i] = mi
+    return Weight(rho_image.l, m)
+
+
 # --- custom affine GCMs ------------------------------------------------------
 
 # (name, matrix): affine data given only by their matrix, twisted included.
@@ -659,6 +717,50 @@ CUSTOM_GCMS = [
     ("G2~", [[2, -1, 0], [-1, 2, -1], [0, -3, 2]]),
     ("A2^(2)", [[2, -4], [-1, 2]]),
     ("A4^(2)", [[2, -2, 0], [-1, 2, -2], [0, -1, 2]]),
+]
+
+
+
+def _affine_gcm(size, bonds):
+    """The size x size GCM with 2 on the diagonal, a_ij = a and a_ji = b
+    for each bond (i, j, a, b), and 0 elsewhere."""
+    rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
+    for i, j, a, b in bonds:
+        rows[i][j], rows[j][i] = a, b
+    return rows
+
+
+def _chain(nodes):
+    """Simple bonds along a path of nodes."""
+    return [(i, j, -1, -1) for i, j in zip(nodes, nodes[1:])]
+
+
+# (name, matrix): the affine families of Kac, Infinite-dimensional Lie
+# algebras, Tables Aff 1-3, that neither the built-in types nor CUSTOM_GCMS
+# cover, in this code's convention a_ij = <h_i, alpha_j> (the marks are
+# the right null vector).  The two orientations of the F4 diagram,
+# F4^(1) and E6^(2), are named by their marks.  E7~ and E8~ are large
+# enough that the tests take them to a short length only.
+AFFINE_FAMILIES = [
+    # marks (1, 1, 2, 2): 0, 1 on 2, then 2 => 3
+    ("B3~", _affine_gcm(4, [(0, 2, -1, -1), (1, 2, -1, -1),
+                            (2, 3, -1, -2)])),
+    # marks (1, 1, 2, 1): B3~ with the double bond reversed
+    ("A5^(2)", _affine_gcm(4, [(0, 2, -1, -1), (1, 2, -1, -1),
+                               (2, 3, -2, -1)])),
+    # marks (1, 1, 1, 1): 0 <= 1 - 2 => 3
+    ("D4^(2)", _affine_gcm(4, [(0, 1, -2, -1), (1, 2, -1, -1),
+                               (2, 3, -1, -2)])),
+    ("F4 marks 12342", _affine_gcm(5, _chain([0, 1, 2]) + _chain([3, 4])
+                                   + [(2, 3, -1, -2)])),
+    ("F4 marks 12321", _affine_gcm(5, _chain([0, 1, 2]) + _chain([3, 4])
+                                   + [(2, 3, -2, -1)])),
+    # marks (1, 1, 2, 3, 2, 1, 2): the chain 1 .. 5, and 0 - 6 - 3
+    ("E6~", _affine_gcm(7, _chain([1, 2, 3, 4, 5]) + _chain([0, 6, 3]))),
+    # marks (1, 2, 3, 4, 3, 2, 1, 2): the chain 0 .. 6, and 7 on 3
+    ("E7~", _affine_gcm(8, _chain(list(range(7))) + _chain([3, 7]))),
+    # marks (1, 2, 3, 4, 5, 6, 4, 2, 3): the chain 0 .. 7, and 8 on 5
+    ("E8~", _affine_gcm(9, _chain(list(range(8))) + _chain([5, 8]))),
 ]
 
 

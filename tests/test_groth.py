@@ -153,6 +153,40 @@ def test_localization_rows_match_billey_formula(name, max_length):
                 name, x.word, w.word)
 
 
+# (name, marks, length): the families each to a length that keeps the
+# battery near a second; E8~ fails its first solve at length 3 (s4 s5 s6:
+# Inconsistent after cocycle.MAX_GROW rounds)
+_FAMILY_DATA = [("B3~", (1, 1, 2, 2), 3), ("A5^(2)", (1, 1, 2, 1), 3),
+                ("D4^(2)", (1, 1, 1, 1), 3),
+                ("F4 marks 12342", (1, 2, 3, 4, 2), 3),
+                ("F4 marks 12321", (1, 2, 3, 2, 1), 3),
+                ("E6~", (1, 1, 2, 3, 2, 1, 2), 3),
+                ("E7~", (1, 2, 3, 4, 3, 2, 1, 2), 2),
+                ("E8~", (1, 2, 3, 4, 5, 6, 4, 2, 3), 2)]
+
+
+@pytest.mark.parametrize("name,marks,max_length", _FAMILY_DATA,
+                         ids=[d[0] for d in _FAMILY_DATA])
+def test_affine_family_battery(name, marks, max_length):
+    # every family of Kac's tables that no other battery covers: whole
+    # Billey rows against the table, and all five verify checks on every
+    # element below its top layer, whose probes stay within the table
+    cd = build_cartan(dict(oracles.AFFINE_FAMILIES)[name])
+    assert cd.marks == marks
+    table, elems = oracles.layer_table(cd, max_length)
+    zero = k_zero(cd)
+    for x in elems:
+        row = oracles.billey_row(cd, x)
+        assert set(row) <= set(elems)
+        for w in elems:
+            assert j_map(x, table.entries[w]) == row.get(w, zero), (
+                name, x.word, w.word)
+    fresh = GrothTable(cd)
+    for w in elems:
+        if w.length < max_length:
+            assert fresh.verify(w) == [], (name, w.word)
+
+
 def test_verify_catches_corruption():
     cd = from_type("A1~")
     table = GrothTable(cd)

@@ -129,6 +129,40 @@ def test_far_twist_builds_no_deeper_than_cutoff():
             assert ch == oracles.euler_by_terms(cd, w, mu, N, table)
 
 
+def test_euler_orbits_stop_at_the_base_floor(monkeypatch):
+    # every key of a numerator part lies below the part's top key, so the
+    # orbits are built to height(top) - N, top the coordinatewise top of mu
+    # and the parts' tops, and deeper only by the spread, the height that
+    # cancellation takes off that top.  Built down to height(mu) - N, the
+    # orbit of A3~'s first case went 1060 deep for a series of one key
+    depths = []
+    orbit = packed.Packing.orbit
+
+    def recorded(pk, lamr, margin):
+        depths.append(margin)
+        return orbit(pk, lamr, margin)
+
+    monkeypatch.setattr(packed.Packing, "orbit", recorded)
+    # (type, word, twist, cutoff, spread, the one key of the series: an
+    # A3~ oracle character would go 1060 deep)
+    cases = [("A3~", (0,), "L0 + 12*a1 + 8*a2 + 4*a3 - 24*a0", 4, 0, 264),
+             ("A3~", (0,), "L0 + 6*a1 + 4*a2 + 2*a3 - 12*a0", 4, 0, 66),
+             ("A1~", (0, 1), "2*L0 + 3*a1", 6, 2, None)]
+    for t, word, text, N, spread, k in cases:
+        cd = from_type(t)
+        table = GrothTable(cd)
+        w = weyl.canonicalize(cd, word)
+        mu = parse_weight(text, cd.rank)
+        del depths[:]
+        ch = euler_character(cd, w, mu, N, table)
+        assert depths and max(depths) <= N + spread, (text, depths)
+        if k:
+            top = Weight(mu.l, (k,) * 4)
+            assert ch.base == top and ch.coeffs == {top: -1}, text
+        else:
+            assert ch == oracles.euler_by_terms(cd, w, mu, N, table), text
+
+
 @pytest.mark.parametrize("t,twists,N", [
     ("A2~", ("L0 + L1", "L0 + L2 - L1", "3*L1 - L0"), 6),
     ("C2~", ("L0 + L2", "2*L0 - L1"), 5),

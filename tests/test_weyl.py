@@ -3,7 +3,11 @@
 import sys
 from itertools import combinations
 
-from affgroth.cartan import from_type
+import pytest
+
+from affgroth.cartan import build_cartan, from_type
+from affgroth.keys import layout_for, pack_all, weight_size
+from affgroth.weights import Weight
 from affgroth import weyl
 
 import oracles
@@ -126,7 +130,8 @@ def test_reduced_words():
 def test_eq_compares_cartan_data():
     a = weyl.canonicalize(from_type("C2~"), (0,))
     b = weyl.canonicalize(from_type("A2~"), (0,))
-    assert a.rho_image == b.rho_image  # same rank, same image of rho
+    # same rank, same image of rho
+    assert a.layout.unpack(a.key) == b.layout.unpack(b.key)
     assert a != b
     assert a == weyl.canonicalize(from_type("C2~"), (0,))  # equal data, new object
     assert len({a, b}) == 2
@@ -232,3 +237,71 @@ def test_inverse_is_memoized_per_datum(monkeypatch):
             assert x.word == weyl.canonicalize(cd, w.word[::-1]).word
             assert weyl.inverse(x) == w
     assert calls[0] == 2 * len(elems) + len(elems)
+
+
+# the families of oracles.AFFINE_FAMILIES meet the packed elements in
+# test_groth's family battery
+_AGREEMENT_DATA = [("A1~", 5), ("A2~", 5), ("C2~", 5), ("A3~", 4),
+                   ("D4~", 4)] + [(name, 4) for name, _ in oracles.CUSTOM_GCMS]
+
+
+def _datum(name):
+    gcms = dict(oracles.CUSTOM_GCMS)
+    return build_cartan(gcms[name]) if name in gcms else from_type(name)
+
+
+@pytest.mark.parametrize("name,max_length", _AGREEMENT_DATA,
+                         ids=["%s-%d" % d for d in _AGREEMENT_DATA])
+def test_elements_agree_with_weight_walk(name, max_length):
+    # every w s_i for w up to max_length, built cold on packed keys, against
+    # the walk on Weights: word, length, rho image, narrowest layout,
+    # descents, inverse, inversion set and every automorphism image
+    cd = _datum(name)
+    for layer in weyl.enumerate_up_to(cd, max_length):
+        for w in layer:
+            for i in cd.labels:
+                x = weyl.canonicalize(cd, w.word + (i,))
+                assert weyl.mul_gen(w, i) == x
+                word, image = oracles.ref_canonicalize(cd, w.word + (i,))
+                assert x.word == word and x.length == len(word)
+                assert x.layout.unpack(x.key) == image
+                assert x.layout is layout_for(cd, weight_size(
+                    cd, image.l, image.m))
+                assert weyl.right_descents(x) == oracles.ref_right_descents(
+                    cd, word)
+                assert weyl.inverse(x).word == oracles.ref_canonicalize(
+                    cd, word[::-1])[0]
+                assert weyl.inversion_set(x) == oracles.ref_inversion_set(
+                    cd, word)
+                for p in cd.automorphisms():
+                    y = weyl.relabel(x, p)
+                    assert y.word == tuple(p[j] for j in word)
+                    assert y.layout.unpack(y.key) == \
+                        oracles.ref_weyl_relabel(image, p)
+                    assert y == weyl.canonicalize(cd, y.word)
+
+
+def test_to_dominant_widens_and_lands_narrowest(monkeypatch):
+    # a running bound past the half of its layout moves the walk one size
+    # up before the letter, and the result lands in the narrowest layout
+    # that holds it: a walk that starts narrow and passes 2^32, and twists
+    # with 2^40 coordinates that start in the 64-bit layout.  A walk that
+    # starts and stays narrow repacks nothing
+    widened = oracles.count_calls(monkeypatch, weyl, "_repacked")
+    m, n, k = 2 ** 26, 2 ** 27, 2 ** 40
+    cases = [("A1~", Weight((0, 3 * n), (2 * n, -4 * n))),
+             ("A2~", Weight((3 * m, m, m), (4 * m, -m, -4 * m))),
+             ("C2~", Weight((0, 3 * n, 2 * n), (4 * n, -n, 4 * n))),
+             ("C2~", Weight((k, 1, 3), (5, -k, 7))),
+             ("A3~", Weight((1, 0, k, 0), (-k, 0, 3, k)))]
+    for t, v in cases:
+        cd = from_type(t)
+        for nodes in (cd.labels, cd.classical_nodes()):
+            layout, bound, (key,) = pack_all(cd, [(v.l, v.m)])
+            calls = widened[0]
+            word, layout, key = weyl.to_dominant(layout, key, bound, nodes)
+            ref_word, u = oracles.ref_to_dominant(cd, v, nodes)
+            assert word == ref_word and layout.unpack(key) == u, (t, v)
+            assert layout is layout_for(cd, weight_size(cd, u.l, u.m))
+            if nodes == cd.labels and bound < layout_for(cd, 0).half:
+                assert widened[0] > calls, (t, v)
