@@ -43,7 +43,7 @@ from bisect import bisect_right
 
 from . import weyl as weyl_mod
 from .errors import NotDominant, NotNonNegativeLevel, WindowViolation
-from .keys import pack_all
+from .keys import _in_layout, layout_for, weight_size
 from .kring import j_map, k_one
 from .packed import over_denominator, packing
 from .weights import Weight, weight_to_json
@@ -147,9 +147,9 @@ def _euler_series(cd, g, mu, N):
     above mu; the series is based at the coordinatewise top of mu and the
     numerator's keys (module docstring).
 
-    Each term packs mu + lambda + alpha + rho once, walks it to the
-    dominant vd on keys (weyl.to_dominant) and reads regularity off the
-    same pairing digits.  The part of shift n places the orbit of vd with
+    Each term's mu + lambda + alpha + rho is read off g's key, with no
+    decoding, and walked to the dominant vd on keys (weyl.to_dominant);
+    regularity is read off the same pairing digits.  The part of shift n places the orbit of vd with
     its top key at vd + n delta, and every key of the part lies below that
     top, so the base is at most top, the coordinatewise top of mu and the
     parts' tops.  The orbits are built down to height(top) - N, the floor
@@ -161,10 +161,14 @@ def _euler_series(cd, g, mu, N):
     rho, marks = cd.rho(), cd.marks
     h = sum(marks)
     heads = []  # (vd, height(vd), sign, c)
-    for kappa, c in g.terms.items():
-        v = mu + kappa + rho
-        layout, bound, (key,) = pack_all(cd, [(v.l, v.m)])
-        word, layout, key = weyl_mod.to_dominant(layout, key, bound,
+    # the key of mu + kappa + rho is kappa's plus that of mu + rho, whose
+    # digits add: a layout whose half exceeds the sum of the bounds holds it
+    shift = mu + rho
+    bound = g.bound + weight_size(cd, shift.l, shift.m)
+    start = g.layout if bound < g.layout.half else layout_for(cd, bound)
+    s = start.pack(shift.l, shift.m) - start.offset
+    for key, c in _in_layout(g, start).items():
+        word, layout, key = weyl_mod.to_dominant(start, key + s, bound,
                                                  cd.labels)
         if not all(layout.pairings(key)):
             continue  # a nontrivial stabilizer

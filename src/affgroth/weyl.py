@@ -103,7 +103,8 @@ def to_dominant(layout, key, bound, nodes):
     while True:
         neg = ~key & high
         if not neg:
-            return (tuple(word),) + _narrowest(layout, key, bound)[:2]
+            layout, key, _ = _narrowest(layout, key, bound)
+            return tuple(word), layout, key
         i = (neg & -neg).bit_length() // b - 1
         p = (key >> b * i & layout.mask) - half
         bound -= layout.letter_step * p
