@@ -26,11 +26,16 @@ the series is that of the numerator.  No numerator key lies above the
 base, so the inverse denominator is never built deeper than the cutoff.
 
 The product runs on packed integer keys; packed.py gives the key layout,
-the bound on the base and the inverse denominator.  Weight objects appear
-only at the boundary: the G_w terms and twists that come in, the
-TruncatedSeries that weyl_kac_character, euler_character and
-local_cohomology_character return, and the fresh dict of
-denominator_inverse.
+the bound on the base and the inverse denominator.  Both series read
+their element's packed keys, never its decoded terms, and hand one list
+of heads to _numerator: an Euler head is the dominant vd walked from a
+key of G_w, kept as the (l, m) coordinates of its key, which also key
+packed.Packing's orbit memo; a local head is one key of j_x(G_w), read
+through keys.Layout.coordinates.  TruncatedSeries measures depth on
+coordinates.  So Weight objects appear only at the boundary: rho and
+the weights derived from the twist (mu + rho, and for a local series
+b0 = x(mu + rho) - rho), the base of each series and one Weight per key
+of it (Packing.weights), and the fresh dict of denominator_inverse.
 
 The denominator is never formed from roots: by the denominator identity it
 is the alternating orbit sum_w (-1)^len(w) e^{w rho - rho}, built like any
@@ -40,6 +45,7 @@ not, has its characters.
 """
 
 from bisect import bisect_right
+from operator import add
 
 from . import weyl as weyl_mod
 from .errors import NotDominant, NotNonNegativeLevel, WindowViolation
@@ -60,16 +66,26 @@ class TruncatedSeries:
         self.cutoff = cutoff
         self.coeffs = dict(coeffs)
         for kappa in self.coeffs:
-            if self.depth(kappa) is None:
+            d = self._cone_depth(kappa)
+            if d is None:
                 raise ValueError("key %s outside base - Q_+" % (kappa,))
+            if d > cutoff:
+                raise ValueError("key %s deeper than the cutoff %d"
+                                 % (kappa, cutoff))
+
+    def _cone_depth(self, kappa):
+        """Depth of a key in base - Q_+, or None outside it: read off the
+        coordinates, with no Weight built."""
+        if kappa.l != self.base.l:
+            return None
+        diff = [b - k for b, k in zip(self.base.m, kappa.m)]
+        return sum(diff) if min(diff) >= 0 else None
 
     def depth(self, kappa):
-        """Depth of a key below base, or None if outside the cone."""
-        diff = self.base - kappa
-        if any(diff.l) or any(c < 0 for c in diff.m):
-            return None
-        d = sum(diff.m)
-        return d if d <= self.cutoff else None
+        """Depth of a key below base, or None if outside the cone or deeper
+        than the cutoff."""
+        d = self._cone_depth(kappa)
+        return d if d is not None and d <= self.cutoff else None
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -81,8 +97,9 @@ class TruncatedSeries:
         return len(self.coeffs)
 
     def items_by_depth(self):
+        top = sum(self.base.m)
         return sorted(self.coeffs.items(),
-                      key=lambda t: (sum((self.base - t[0]).m), t[0].m, t[0].l))
+                      key=lambda t: (top - sum(t[0].m), t[0].m, t[0].l))
 
     def __repr__(self):
         head = ", ".join("%s*e[%s]" % (c, k)
@@ -149,21 +166,21 @@ def _euler_series(cd, g, mu, N):
 
     Each term's mu + lambda + alpha + rho is read off g's key, with no
     decoding, and walked to the dominant vd on keys (weyl.to_dominant);
-    regularity is read off the same pairing digits.  The part of shift n places the orbit of vd with
-    its top key at vd + n delta, and every key of the part lies below that
-    top, so the base is at most top, the coordinatewise top of mu and the
-    parts' tops.  The orbits are built down to height(top) - N, the floor
-    of a series based at top.  When cancellation leaves the numerator's
-    top lower, its base lowers the floor and the orbits are extended once:
-    the keys above the old floor are the same, so the base read after the
-    extension can only rise, and its floor is then above the one built.
+    regularity is read off the same pairing digits, and vd is kept as the
+    (l, m) coordinates of its key.  The part of shift n places the orbit
+    of vd with its top key at vd + n delta, and every key of the part lies
+    below that top, so the base is at most top, the coordinatewise top of
+    mu and the parts' tops.  The orbits are built down to height(top) - N,
+    the floor of a series based at top.  When cancellation leaves the
+    numerator's top lower, its base lowers the floor and the orbits are
+    extended once: the keys above the old floor are the same, so the base
+    read after the extension can only rise, and its floor is then above
+    the one built.
     """
-    rho, marks = cd.rho(), cd.marks
-    h = sum(marks)
-    heads = []  # (vd, height(vd), sign, c)
+    heads = []  # (vd's (l, m), vd's m, sign, c)
     # the key of mu + kappa + rho is kappa's plus that of mu + rho, whose
     # digits add: a layout whose half exceeds the sum of the bounds holds it
-    shift = mu + rho
+    shift = mu + cd.rho()
     bound = g.bound + weight_size(cd, shift.l, shift.m)
     start = g.layout if bound < g.layout.half else layout_for(cd, bound)
     s = start.pack(shift.l, shift.m) - start.offset
@@ -172,43 +189,51 @@ def _euler_series(cd, g, mu, N):
                                                  cd.labels)
         if not all(layout.pairings(key)):
             continue  # a nontrivial stabilizer
-        vd = layout.unpack(key)
-        heads.append((vd, sum(vd.m), -1 if len(word) % 2 else 1, c))
-    top = [max(col) for col in zip(mu.m, *(
-        [x + c.top_exponent() * k for x, k in zip(vd.m, marks)]
-        for vd, _, _, c in heads))]
-    floor = sum(top) - N
-    while True:
-        parts = []
-        for vd, height, sign, c in heads:
-            # the shifts n whose top key vd + n delta reaches the floor
-            for n, cn in c.expand_down(-((height - floor) // h)):
-                at = tuple([x + n * k for x, k in zip(vd.m, marks)])
-                parts.append((vd, height + n * h - floor, at, sign * cn))
-        pk, num = _numerator(cd, parts, floor)
-        base = Weight(mu.l, [max(c) for c in zip(mu.m, *map(pk.unpack, num))])
-        if sum(base.m) - N >= floor:
-            break
-        floor = sum(base.m) - N
-    if cd.is_dominant(mu) and base != mu:
+        l, m = map(tuple, layout.coordinates(key))
+        heads.append(((l, m), m, -1 if len(word) % 2 else 1, c))
+    floor, top = None, _top(cd, heads, mu.m)
+    while floor is None or sum(top) - N < floor:
+        floor = sum(top) - N
+        pk, num = _numerator(cd, heads, floor)
+        top = [max(c) for c in zip(mu.m, *map(pk.unpack, num))]
+    if cd.is_dominant(mu) and tuple(top) != mu.m:
         raise WindowViolation("support escaped the cone below a dominant "
                               "twist")
-    return _series(cd, pk, base, N, num)
+    return _series(cd, pk, Weight(mu.l, top), N, num)
 
 
-def _numerator(cd, parts, floor):
-    """(packing, packed numerator {key: coeff}) of the parts
-    (vd, margin, at, scale): scale times the alternating orbit of vd to
-    depth margin, placed with its top key at the alpha-coordinates at, or
-    for vd None the single key at.  The packing holds every key and every
+def _top(cd, heads, *lows):
+    """The coordinatewise top of the coordinate lists lows and of the top
+    keys at + top_exponent(c) delta of the heads (vd, at, sign, c)."""
+    return [max(col) for col in zip(*lows, *(
+        [x + c.top_exponent() * k for x, k in zip(at, cd.marks)]
+        for _, at, _, c in heads))]
+
+
+def _numerator(cd, heads, floor):
+    """(packing, packed numerator {key: coeff}) of the heads (vd, at, sign,
+    c) down to height floor: for each shift n of c's expansion, sign * c_n
+    times the alternating orbit of vd, given by its (l, m) coordinates,
+    placed with its top key at the alpha-coordinates at + n delta, or for
+    vd None the single key there.  The packing holds every key and every
     product that reaches height floor.  Parts are taken deepest first, so
     each orbit is built once, at the largest margin it is asked for."""
-    parts.sort(key=lambda part: -part[1])
+    marks = cd.marks
+    h = sum(marks)
+    parts = []  # (margin, vd, top key, scale); a single key's margin is 0
+    for vd, at, sign, c in heads:
+        height = sum(at)
+        # the shifts n whose top key at + n delta reaches the floor
+        for n, cn in c.expand_down(-((height - floor) // h)):
+            parts.append((0 if vd is None else height + n * h - floor, vd,
+                          tuple([x + n * k for x, k in zip(at, marks)]),
+                          sign * cn))
+    parts.sort(key=lambda part: -part[0])
     pk = packing(cd, max((max(margin + max(map(abs, at)), sum(at) - floor)
-                          for _, margin, at, _ in parts), default=0))
+                          for margin, _, at, _ in parts), default=0))
     num = {}
     get = num.get
-    for vd, margin, at, scale in parts:
+    for margin, vd, at, scale in parts:
         keys, signs = ((0,), (1,)) if vd is None else pk.orbit(vd, margin)
         at_key = pk.pack(at)
         for key, s in zip(keys, signs):
@@ -230,28 +255,23 @@ def local_cohomology_character(cd, w, x, mu, N, table):
     w-th Schubert class, twisted by mu:
     (-1)^len(w) e^{x(mu+rho)-rho} j_x(G_w) / prod(1-e^{-alpha})^mult,
     truncated at depth N (zero series when x is not above w).  j_x drops
-    the Lambda-part, so every key lies in that of x(mu+rho)-rho."""
+    the Lambda-part, so every key lies in that of b0 = x(mu+rho)-rho.
+
+    Each key kappa of j_x(G_w) is read as its coordinates, with no
+    decoding, and is a head of the numerator: the single key b0 + kappa
+    with its coefficient expanded in q, as _euler_series's heads are
+    orbits.  The base is the coordinatewise top of the heads' top keys."""
     rho = cd.rho()
     b0 = weyl_mod.act(x, mu + rho) - rho
-    if not weyl_mod.bruhat_leq(w, x):
+    # False, building no j_x(G_w), when x is not above w; empty when
+    # j_x(G_w) is zero
+    loc = weyl_mod.bruhat_leq(w, x) and j_map(x, table.compute(w))
+    if not loc:
         return TruncatedSeries(cd, b0, N, {})
-    loc = j_map(x, table.compute(w))
-    if loc.is_zero():
-        return TruncatedSeries(cd, b0, N, {})
-    marks = cd.marks
-    h = sum(marks)
-    heads = [[a + c.top_exponent() * k for a, k in zip(kappa.m, marks)]
-             for kappa, c in loc.terms.items()]
-    top = [max(col) for col in zip(*heads)]
-    base = b0 + Weight((0,) * cd.rank, top)
-    tsum = sum(top)
     sign = -1 if w.length % 2 else 1
-    parts = []
-    for kappa, c in loc.terms.items():
-        s_k = tsum - sum(kappa.m)
-        for n, cn in c.expand_down(-((N - s_k) // h)):
-            at = tuple([b + a + n * k
-                        for b, a, k in zip(b0.m, kappa.m, marks)])
-            parts.append((None, 0, at, sign * cn))
-    pk, num = _numerator(cd, parts, sum(base.m) - N)
-    return _series(cd, pk, base, N, num)
+    coordinates = loc.layout.coordinates
+    heads = [(None, tuple(map(add, b0.m, coordinates(k)[1])), sign, c)
+             for k, c in loc.keys.items()]
+    top = _top(cd, heads)
+    pk, num = _numerator(cd, heads, sum(top) - N)
+    return _series(cd, pk, Weight(b0.l, top), N, num)

@@ -46,6 +46,11 @@ from .keys import common_layout
 from .kring import _element, k_zero, reflect_act, weyl_act
 from . import weyl as weyl_mod
 
+# Support-growth rounds per solve (solve_coboundary).  The built-in tables
+# need at most 2: A3~ <= 4 takes 14 rounds for 13 solves, C2~ <= 5 24 for
+# 23, D4~ <= 3 13 for 10, and A1~ <= 12 and A2~ <= 6 one round per solve.
+# E8~ at length 3 (s4 s5 s6) needs 10 rounds: with 9 it still raises
+# Inconsistent.
 MAX_GROW = 8
 
 

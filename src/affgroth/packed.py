@@ -64,10 +64,11 @@ def mul_trunc(A, B, floor, T):
 class Packing:
     """The packed series of one Cartan datum at base S: the inverse
     denominator as parallel lists (keys, coeffs, depths) sorted by depth, to
-    the deepest depth asked for, and per regular dominant weight lamr its
-    alternating orbit relative to lamr, as parallel lists (keys of
-    x(lamr) - lamr, signs (-1)^len(x), depths) sorted by depth, to the
-    deepest margin asked for.  A shallower one is a prefix."""
+    the deepest depth asked for, and per regular dominant weight lamr,
+    keyed by its coordinates (l, m), its alternating orbit relative to
+    lamr, as parallel lists (keys of x(lamr) - lamr, signs (-1)^len(x),
+    depths) sorted by depth, to the deepest margin asked for.  A shallower
+    one is a prefix."""
 
     __slots__ = ("cd", "S", "T", "depth", "dinv", "orbits")
 
@@ -77,7 +78,7 @@ class Packing:
         self.T = S ** (cd.rank - 1)
         self.depth = -1
         self.dinv = None
-        self.orbits = {}  # lamr -> (margin, keys, signs, depths)
+        self.orbits = {}  # (l, m) -> (margin, keys, signs, depths)
 
     def pack(self, m):
         S = self.S
@@ -125,7 +126,8 @@ class Packing:
         found one depth at a time: once every shallower key has pushed
         -(D - 1) * Y[key] into the deeper layers, the keys of a depth are
         final."""
-        orbit = zip(*self.orbit(self.cd.rho(), N))
+        rho = self.cd.rho()
+        orbit = zip(*self.orbit((rho.l, rho.m), N))
         next(orbit)  # the constant term 1
         steps = [(k, s, -self.height(k)) for k, s in orbit]
         layers = [{} for _ in range(N + 1)]
@@ -145,7 +147,8 @@ class Packing:
         return keys, coeffs, depths
 
     def orbit(self, lamr, margin):
-        """(keys, signs) of the orbit of lamr to depth margin."""
+        """(keys, signs) of the orbit to depth margin of the weight whose
+        coordinates are the pair of tuples lamr = (l, m)."""
         got = self.orbits.get(lamr)
         if got is None or got[0] < margin:
             got = self.orbits[lamr] = (margin,) + self._orbit(lamr, margin)
@@ -156,11 +159,11 @@ class Packing:
     def _orbit(self, lamr, margin):
         """Descent steps only; for regular dominant lamr each image is reached
         at a single length, so layers by image are layers by length."""
-        l, gcm, labels = lamr.l, self.cd.gcm, self.cd.labels
-        top, key0 = sum(lamr.m), self.pack(lamr.m)
+        (l, m0), gcm, labels = lamr, self.cd.gcm, self.cd.labels
+        top, key0 = sum(m0), self.pack(m0)
         found = [(0, 0, 1)]  # (depth, key, sign)
-        frontier = {lamr.m}
-        seen = {lamr.m}
+        frontier = {m0}
+        seen = {m0}
         sign = 1
         while frontier:
             sign = -sign

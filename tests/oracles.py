@@ -245,9 +245,11 @@ def cousin_sum(cd, w, mu, N, table):
     Where it stops: only finitely many cells reach the floor, but no bound
     on len(x) is proved here.  So x runs to len(w) + COUSIN_EXTRA_LENGTH,
     and the oracle asserts that no cell of the last two layers reaches the
-    floor.  On the test's 99 cases the deepest cell that does has
-    len(x) = len(w) + 3, and enumerating x to length 30 changes no
-    series.  Only local_cohomology_character and the Bruhat order are
+    floor.  On the test's 155 cases the deepest cell that does has
+    len(x) = len(w) + 3.  Enumerating x to length 30 changes no series of
+    the rank 2 and 3 data, and on B3~ and A5^(2), whose deepest such cell
+    has len(x) = len(w) + 2, no cell up to len(w) + 8 reaches the
+    floor.  Only local_cohomology_character and the Bruhat order are
     read; the Euler series code is not."""
     floor = sum(mu.m) - N
     stop = w.length + COUSIN_EXTRA_LENGTH

@@ -1,5 +1,7 @@
 """Truncated characters against the Freudenthal recursion and closed forms."""
 
+import re
+
 import pytest
 
 from affgroth.cartan import build_cartan, from_type
@@ -8,6 +10,8 @@ from affgroth.characters import (TruncatedSeries, denominator_inverse,
                                  weyl_kac_character)
 from affgroth.errors import NotDominant, NotNonNegativeLevel
 from affgroth.groth import GrothTable
+from affgroth.keys import Layout
+from affgroth.kring import KElement
 from affgroth import packed
 from affgroth.weights import Weight, parse_weight
 from affgroth import weyl
@@ -230,15 +234,19 @@ def test_euler_equals_cousin_sum():
     # the cells x >= w (oracles.cousin_sum), which ties char --euler to
     # char --local and so to G_w's localizations j_x(G_w).  It reads every
     # coefficient's expand_down and top_exponent.  The sign
-    # (-1)^len(x) in place of (-1)^(len(x) - len(w)) fails 32 of the 99
-    # cases, and no sign at all fails 66
+    # (-1)^len(x) in place of (-1)^(len(x) - len(w)) fails 48 of the 155
+    # cases, and no sign at all fails 118
     cases = [("A1~", 4, ("L0", "L1", "2*L0 + L1", "L0 - a1"), 4),
              ("A2~", 2, ("L0", "L1 + L2", "L0 + L1 - a2"), 3),
              ("A2^(2)", 2, ("L0", "L1", "L0 + L1"), 3),
-             ("C2~", 2, ("L0", "L0 + L2"), 3)]
+             ("C2~", 2, ("L0", "L0 + L2"), 3),
+             ("B3~", 2, ("L0", "L1"), 2),
+             ("A5^(2)", 2, ("L0", "L1"), 2)]
+    families = dict(oracles.AFFINE_FAMILIES)
     count = nonzero = 0
     for name, max_length, twists, N in cases:
-        cd, _ = datum(name)
+        cd = (build_cartan(families[name]) if name in families
+              else datum(name)[0])
         table = GrothTable(cd)
         for layer in weyl.enumerate_up_to(cd, max_length):
             for w in layer:
@@ -249,7 +257,7 @@ def test_euler_equals_cousin_sum():
                         (name, w.word, text)
                     count += 1
                     nonzero += bool(ch.coeffs)
-    assert count == 99 and nonzero == 83
+    assert (count, nonzero) == (155, 139)
 
 
 def test_local_cohomology_dual_verma():
@@ -296,6 +304,51 @@ def test_series_validation_and_json():
     assert ch.depth(mu) == 0
     assert ch.depth(mu - cd.alpha(0)) == 1
     assert ch.depth(mu + cd.alpha(0)) is None
+    # depth runs to the cutoff, 4, inclusive
+    assert ch.depth(mu - 3 * cd.alpha(0) - cd.alpha(1)) == 4
+    assert ch.depth(mu - 5 * cd.alpha(0)) is None
+
+
+@pytest.mark.parametrize("key,message", [
+    ("L0 - a0", "deeper than the cutoff 0"),
+    ("L0 + a1", "outside base - Q_+"),
+    ("L1 - a0", "outside base - Q_+"),
+])
+def test_series_refusal_names_the_bound(key, message):
+    # L0 - a0 lies in the cone below L0, one deeper than the cutoff; L0 + a1
+    # lies above L0, and L1 - a0 in another Lambda-part
+    cd = from_type("A1~")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TruncatedSeries(cd, cd.Lam(0), 0, {parse_weight(key, cd.rank): 1})
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["euler", "local"])
+def test_series_work_pinned(monkeypatch, local):
+    # both series read their element's packed keys: a local series reads
+    # no decoded terms of j_x(G_w) and unpacks one key, x(mu + rho) in
+    # weyl.act, and each series builds one Weight per key of it plus a few:
+    # rho, mu + rho, b0, the base and the rho of a fresh inverse denominator
+    cd = from_type("C2~")
+    table = GrothTable(cd)
+    mu = parse_weight("L0 + L2", cd.rank)
+    w = weyl.canonicalize(cd, (1, 0))
+    x = weyl.canonicalize(cd, (0, 1, 0))
+    table.compute(w)
+    monkeypatch.setattr(packed, "_PACKINGS", {})
+
+    def decoded(f):
+        raise AssertionError("read KElement.terms")
+
+    monkeypatch.setattr(KElement, "terms", property(decoded))
+    unpacks = oracles.count_calls(monkeypatch, Layout, "unpack")
+    weights = oracles.count_calls(monkeypatch, Weight, "__init__")
+    if local:
+        ch = local_cohomology_character(cd, w, x, mu, 6, table)
+    else:
+        ch = euler_character(cd, w, mu, 12, table)
+    made, keys = weights[0], len(ch)
+    assert keys == (84 if local else 61) and made <= keys + 6, made
+    assert unpacks[0] == (1 if local else 0), unpacks
 
 
 def test_series_eq_compares_cartan_data():

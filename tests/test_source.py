@@ -57,6 +57,20 @@ def test_only_qpoly_names_pgcd():
     assert found == []
 
 
+def test_only_expr_reads_decoded_terms():
+    # KElement.terms decodes every key into a fresh {Weight: CoefQ} dict on
+    # each read; the package works on the packed keys, and only the
+    # printer's orbit grouping reads the decoded view
+    found = []
+    for name, tree in _package_trees():
+        if name != "expr.py":
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "terms"
+                      and isinstance(node.ctx, ast.Load)]
+    assert found == []
+
+
 def _exported(tree):
     """The names a module-level __all__ = [...] lists."""
     for node in tree.body:
