@@ -229,7 +229,8 @@ def weyl_kac_numerator(cd, mu, depth):
     the Weyl-Kac character of the dominant mu to the given depth: the
     alternating orbit of mu + rho, placed with its top key at mu."""
     pk = packed.packing(cd, max(map(abs, mu.m)) + depth)
-    keys, signs = pk.orbit(mu + cd.rho(), depth)
+    lamr = mu + cd.rho()
+    keys, signs = pk.orbit((lamr.l, lamr.m), depth)
     top = pk.pack(mu.m)
     return (pk, {top + k: s for k, s in zip(keys, signs)}, sum(mu.m) - depth)
 

@@ -44,7 +44,6 @@ multiplicity enters, so every affine datum the code accepts, twisted or
 not, has its characters.
 """
 
-from bisect import bisect_right
 from operator import add
 
 from . import weyl as weyl_mod
@@ -122,15 +121,12 @@ def denominator_inverse(cd, N):
     denominator identity makes equal to the product, solved one depth at a
     time on packed keys.  One series per Cartan datum is kept, at the
     deepest cutoff asked for so far; a shallower cutoff is a prefix of it,
-    which is exact because depth adds under products.  Every call returns a
-    fresh dict.
+    which is exact because depth adds under products.  It is read as the
+    numerator 1 over the denominator, the one division every series makes,
+    so every call returns a fresh dict.
     """
-    if N < 0:
-        return {}
     pk = packing(cd, N)
-    keys, coeffs, depths = pk.denominator_inverse(N)
-    n = bisect_right(depths, N)
-    return pk.weights((0,) * cd.rank, dict(zip(keys[:n], coeffs[:n])))
+    return pk.weights((0,) * cd.rank, over_denominator(pk, {0: 1}, -N))
 
 
 def weyl_kac_character(cd, mu, N):
@@ -263,10 +259,10 @@ def local_cohomology_character(cd, w, x, mu, N, table):
     orbits.  The base is the coordinatewise top of the heads' top keys."""
     rho = cd.rho()
     b0 = weyl_mod.act(x, mu + rho) - rho
-    # False, building no j_x(G_w), when x is not above w; empty when
-    # j_x(G_w) is zero
-    loc = weyl_mod.bruhat_leq(w, x) and j_map(x, table.compute(w))
-    if not loc:
+    if not weyl_mod.bruhat_leq(w, x):
+        return TruncatedSeries(cd, b0, N, {})
+    loc = j_map(x, table.compute(w))
+    if loc.is_zero():
         return TruncatedSeries(cd, b0, N, {})
     sign = -1 if w.length % 2 else 1
     coordinates = loc.layout.coordinates
